@@ -266,12 +266,14 @@ def suite_morphisms(cfg: Config, report: Report):
     def composition_holds():
         for _ in range(5):
             M1, M2 = random_unimodular(), random_unimodular()
-            phi1 = presentations.monomial_morphism(M1, alpha)
             try:
+                phi1 = presentations.monomial_morphism(M1, alpha)
                 phi2 = presentations.monomial_morphism(M2, phi1.beta)
             except (ZeroDivisionError, ValueError):
-                continue
+                continue    # a draw with no morphism (m*alpha + r = 0) tests nothing
             composite = phi1.compose(phi2)
+            # unguarded: once phi1 and phi2 exist, the denominator
+            # (m2*beta + r2)(m1*alpha + r1) of the direct morphism is nonzero
             direct = presentations.monomial_morphism(M2 * M1, alpha)
             if (composite.x_img != direct.x_img or composite.y_img != direct.y_img
                     or composite.z_img != direct.z_img):
@@ -310,10 +312,13 @@ def suite_pdo(cfg: Config, report: Report):
     report.run("uinv-u", "u^-1 * u = 1 exactly",
                lambda: (PdoSeries.u(pres.D, N, power=-1) * u).approx_eq(
                    PdoSeries.one(pres.D, N)))
-    yc = PdoSeries.from_ratfunc(pres.D, pres.ctx.monomial(1, 0), N)
-    inv_roundtrip = pdo_inv(pdo_inv(u + yc))
+    a = u + PdoSeries.from_ratfunc(pres.D, pres.ctx.monomial(1, 0), N)
+
+    def inverse_roundtrip():
+        back = pdo_inv(pdo_inv(a))
+        return back.approx_eq(a.truncate(back.prec))
     report.run("inverse-roundtrip", "inv(inv(a)) agrees with a to precision",
-               lambda: inv_roundtrip.approx_eq((u + yc).truncate(inv_roundtrip.prec)))
+               inverse_roundtrip)
     M = parse_matrix(cfg.matrix)
     try:
         phi = presentations.monomial_morphism(M, alpha)
@@ -469,6 +474,8 @@ def main(argv=None) -> int:
         fmt=args.fmt,
     )
     try:
+        if cfg.precision < 1:
+            raise ValueError(f"--precision must be at least 1, got {cfg.precision}")
         if args.command == "verify":
             report = run_suite(args.suite, cfg)
         elif args.command == "orbits":

@@ -7,10 +7,15 @@ beyond.  The commutation law is
     u*a = a*u + sum_{j>=1} delta^j(a) u^{j+1}
 
 for coefficients a, and u^{-1}*a = a*u^{-1} - delta(a), which is exact.
-Positive powers push through with  u^m a = sum_j C(m-1+j, j) delta^j(a)
-u^{m+j}; negative powers with the finite alternating binomial sum.  Every
-operation propagates precision pessimistically, so all stored
-coefficients are exact.
+Every power of u pushes through a coefficient by one law,
+
+    u^m a = sum_{j>=0} c(m, j) delta^j(a) u^{m+j},   c(m, j) = (-1)^j C(-m, j),
+
+that is C(m-1+j, j) for m > 0, the finite alternating sum (-1)^j C(k, j)
+for m = -k, and [j = 0] for m = 0.  Products and inverses share one loop
+built on it (`_PushThrough`), which takes the coefficients of a*b one
+exponent at a time.  Every operation propagates precision pessimistically,
+so all stored coefficients are exact.
 """
 
 from __future__ import annotations
@@ -132,8 +137,6 @@ class PdoSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        D = self.derivation
-        field = self.ctx.field
         bounds = [self.prec + o.prec + 1]
         if o.terms:
             bounds.append(self.prec + min(o.terms))
@@ -141,45 +144,15 @@ class PdoSeries:
             bounds.append(o.prec + min(self.terms))
         N = min(bounds)
         out = {}
-
-        def accum(n, c):
-            if c.is_zero():
-                return
-            prev = out.get(n)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
-
-        for m, am in self.terms.items():
+        if self.terms and o.terms:
+            push = _PushThrough(self.terms, self.derivation)
             for n, bn in o.terms.items():
-                base = m + n
-                if base > N:
-                    continue
-                if m == 0:
-                    accum(base, am * bn)
-                elif m > 0:
-                    d = bn
-                    for j in range(N - base + 1):
-                        if j > 0:
-                            d = D(d)
-                        if d.is_zero():
-                            break
-                        accum(base + j, am * d * field.from_int(math.comb(m - 1 + j, j)))
-                else:
-                    k = -m
-                    d = bn
-                    for j in range(k + 1):
-                        if j > 0:
-                            d = D(d)
-                        if base + j > N:
-                            break
-                        if d.is_zero():
-                            break
-                        sign = -1 if j % 2 else 1
-                        accum(base + j, am * d * field.from_int(sign * math.comb(k, j)))
-        return PdoSeries(D, out, N)
+                push.add(n, bn)
+            for s in range(min(self.terms) + min(o.terms), N + 1):
+                c = push.coefficient(s)
+                if not c.is_zero():
+                    out[s] = c
+        return PdoSeries(self.derivation, out, N)
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -238,6 +211,87 @@ class PdoSeries:
 
 
 # ---------------------------------------------------------------------------
+# the push-through loop
+
+def push_coefficient(m: int, j: int) -> int:
+    """c(m, j) = (-1)^j C(-m, j), the integer in u^m a = sum_j c(m, j)
+    delta^j(a) u^{m+j}: C(m-1+j, j) for m > 0, (-1)^j C(k, j) for m = -k,
+    and [j = 0] for m = 0."""
+    if m > 0:
+        return math.comb(m - 1 + j, j)
+    return -math.comb(-m, j) if j % 2 else math.comb(-m, j)
+
+
+class _Derivatives:
+    """delta^j(b) for j >= lo, each computed at most once, on demand."""
+
+    __slots__ = ("delta", "lo", "seq")
+
+    def __init__(self, delta: Derivation, b: RatFunc2):
+        self.delta = delta
+        self.lo = 0
+        self.seq = [b]
+
+    def get(self, j: int) -> RatFunc2:
+        seq = self.seq
+        while self.lo + len(seq) <= j:
+            if seq[-1].is_zero():
+                return seq[-1]
+            seq.append(self.delta(seq[-1]))
+        return seq[j - self.lo]
+
+    def forget_below(self, j: int):
+        """Drop delta^i(b) for i < j, keeping the last one computed so the
+        sequence can still be extended."""
+        cut = min(j - self.lo, len(self.seq) - 1)
+        if cut > 0:
+            del self.seq[:cut]
+            self.lo += cut
+
+
+class _PushThrough:
+    """The coefficients of a*b, one exponent s at a time and in increasing
+    order:  [u^s] a*b = sum a_m c(m, j) delta^j(b_n) over m in a, n in b,
+    j = s - m - n >= 0.
+
+    Terms of b may be added between coefficients, as an inversion solves
+    for them; coefficients already taken do not include them.  Each
+    delta^j(b_n) is computed once, and kept only while a later exponent
+    can still reach it (j >= s + 1 - max(a) - n)."""
+
+    def __init__(self, a_terms: dict, delta: Derivation):
+        self.a = sorted(a_terms.items())
+        self.top = self.a[-1][0]
+        self.delta = delta
+        self.field = delta.ctx.field
+        self.b = {}
+
+    def add(self, n: int, bn: RatFunc2):
+        self.b[n] = _Derivatives(self.delta, bn)
+
+    def coefficient(self, s: int) -> RatFunc2:
+        acc = None
+        for n, chain in self.b.items():
+            for m, am in self.a:
+                j = s - m - n
+                if j < 0:
+                    break
+                c = push_coefficient(m, j)
+                if c == 0:
+                    continue
+                scale = None if c == 1 else self.field.from_int(c)
+                if scale is not None and scale.is_zero():
+                    continue        # c vanishes in the characteristic
+                d = chain.get(j)
+                if d.is_zero():
+                    continue
+                t = am * d if scale is None else am * d * scale
+                acc = t if acc is None else acc + t
+            chain.forget_below(s + 1 - self.top - n)
+        return self.delta.ctx.zero() if acc is None else acc
+
+
+# ---------------------------------------------------------------------------
 # operation-style entry points
 
 def pdo_mul(a: PdoSeries, b: PdoSeries) -> PdoSeries:
@@ -259,27 +313,36 @@ def pdo_from_skew(f: SkewPoly, prec: int = DEFAULT_PRECISION) -> PdoSeries:
 def pdo_inv(a: PdoSeries, prec: int | None = None) -> PdoSeries:
     """Two-sided inverse up to precision; valuation negates.
 
-    Solves the coefficient equations of a * b = 1 order by order; each new
-    coefficient enters through the leading term only, so the system is
-    triangular over k(v1, v2).
+    Solves a * b = 1 one coefficient at a time.  With v = v(a), order e
+    needs only the coefficient s = e + v of a * (b_{-v} u^{-v} + ... +
+    b_{e-1} u^{e-1}); b_e enters it through the leading term a_v alone, so
+    b_e = -a_v^{-1} [u^s] and the system is triangular over k(v1, v2).
+    Each order costs at most |a| * |b| ring products, and each delta^j(b_n)
+    is computed once (see `_PushThrough`).
+
+    a, known through u^N, determines its inverse through u^(N - 2v) and no
+    further, which is the default precision and the largest one accepted.
     """
     if not a.terms:
         raise ZeroDivisionError("inverse of a series that is zero through its precision")
     va = min(a.terms)
-    target = a.prec - 2 * va if prec is None else prec
+    known = a.prec - 2 * va
+    target = known if prec is None else prec
     if target < -va:
         raise ValueError("insufficient precision to express the inverse")
-    D = a.derivation
+    if target > known:
+        raise ValueError(f"the inverse is determined only through u^{known}, "
+                         f"not u^{target}")
     lead_inv = a.terms[va].inverse()
     terms = {-va: lead_inv}
+    push = _PushThrough(a.terms, a.derivation)
+    push.add(-va, lead_inv)
     for e in range(-va + 1, target + 1):
-        partial = PdoSeries(D, terms, e)
-        prod = (a * partial).coefficient(e + va)
-        want = a.ctx.one() if e + va == 0 else a.ctx.zero()
-        delta = want - prod
-        if not delta.is_zero():
-            terms[e] = lead_inv * delta
-    return PdoSeries(D, terms, target)
+        prod = push.coefficient(e + va)
+        if not prod.is_zero():
+            terms[e] = lead_inv * -prod
+            push.add(e, terms[e])
+    return PdoSeries(a.derivation, terms, target)
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """Seeded random generators for field elements, rational functions and
 skew polynomials, shared across the test modules."""
 
+import math
 from fractions import Fraction
 
 from orefields.fields import (
     ExtensionField, ParameterField, PrimeField, QuadraticField, RationalField,
 )
+from orefields.pdo import PdoSeries
 from orefields.ratfunc import FunctionField2
 from orefields.skewpoly import SkewPoly
 
@@ -95,3 +97,80 @@ def rand_skew(rng, D, maxdeg=2):
 
 def fmt_ctx(field, names=("y", "z")):
     return FunctionField2(field, names)
+
+
+# ---------------------------------------------------------------------------
+# reference series arithmetic: the term-by-term product with one branch per
+# sign of the u-exponent, and the inverse that forms one full product per
+# new coefficient.  Slow and independent of orefields.pdo's push-through
+# loop, which must agree with them exactly.
+
+def ref_pdo_mul(a, b):
+    D = a.derivation
+    field = a.ctx.field
+    bounds = [a.prec + b.prec + 1]
+    if b.terms:
+        bounds.append(a.prec + min(b.terms))
+    if a.terms:
+        bounds.append(b.prec + min(a.terms))
+    N = min(bounds)
+    out = {}
+
+    def accum(n, c):
+        if c.is_zero():
+            return
+        prev = out.get(n)
+        s = c if prev is None else prev + c
+        if s.is_zero():
+            out.pop(n, None)
+        else:
+            out[n] = s
+
+    for m, am in a.terms.items():
+        for n, bn in b.terms.items():
+            base = m + n
+            if base > N:
+                continue
+            if m == 0:
+                accum(base, am * bn)
+            elif m > 0:
+                d = bn
+                for j in range(N - base + 1):
+                    if j > 0:
+                        d = D(d)
+                    if d.is_zero():
+                        break
+                    accum(base + j, am * d * field.from_int(math.comb(m - 1 + j, j)))
+            else:
+                k = -m
+                d = bn
+                for j in range(k + 1):
+                    if j > 0:
+                        d = D(d)
+                    if base + j > N:
+                        break
+                    if d.is_zero():
+                        break
+                    sign = -1 if j % 2 else 1
+                    accum(base + j, am * d * field.from_int(sign * math.comb(k, j)))
+    return PdoSeries(D, out, N)
+
+
+def ref_pdo_inv(a, prec=None):
+    if not a.terms:
+        raise ZeroDivisionError("inverse of a series that is zero through its precision")
+    va = min(a.terms)
+    target = a.prec - 2 * va if prec is None else prec
+    if target < -va:
+        raise ValueError("insufficient precision to express the inverse")
+    D = a.derivation
+    lead_inv = a.terms[va].inverse()
+    terms = {-va: lead_inv}
+    for e in range(-va + 1, target + 1):
+        partial = PdoSeries(D, terms, e)
+        prod = ref_pdo_mul(a, partial).coefficient(e + va)
+        want = a.ctx.one() if e + va == 0 else a.ctx.zero()
+        delta = want - prod
+        if not delta.is_zero():
+            terms[e] = lead_inv * delta
+    return PdoSeries(D, terms, target)

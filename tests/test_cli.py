@@ -1,6 +1,7 @@
+import contextlib
+import hashlib
 import io
 import json
-import contextlib
 
 import pytest
 
@@ -115,6 +116,27 @@ class TestDriver:
             code = main(["verify", "centers", "--alpha", "garbage"])
         assert code == 2
 
+    @pytest.mark.parametrize("precision", ["0", "-2"])
+    def test_precision_below_one_gives_exit_2(self, precision):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["pdo", "--char", "0", "--alpha", "rat:2",
+                         "--precision", precision])
+        assert code == 2
+        assert out.getvalue() == ""
+        assert "--precision must be at least 1" in err.getvalue()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_composition_convention_skips_draws_without_morphism(self, seed):
+        # for alpha = 2 in GF(5), some draws have m*alpha + r = 0 (seed 1
+        # among these); such a draw has no morphism and must not count as a
+        # refutation
+        code, out = run_main(["verify", "morphisms", "--char", "5",
+                              "--alpha", "rat:2", "--seed", str(seed)])
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["composition-convention"]["status"] == "pass"
+
     def test_orbits_finite(self):
         code, out = run_main(["orbits", "finite", "--ell", "3", "--ext", "2",
                               "--group", "sl"])
@@ -153,6 +175,19 @@ class TestDriver:
         _, out1 = run_main(argv)
         _, out2 = run_main(argv)
         assert out1 == out2
+
+    # sha256 of the JSON report (with its final newline), taken before the
+    # series product and inverse were rewritten on the push-through loop
+    @pytest.mark.parametrize("char, alpha, digest", [
+        ("0", "rat:2", "d0cd6ae509104d7646fd22200543542f6ba19b269eef3b926957517e92b0c667"),
+        ("3", "param", "ee40ea7fa635533d65587849e3618ad8ca630462d0a3d18439eb207d7e82fdf5"),
+        ("7", "rat:3", "546321a35060f7f59233421f775c3e4de2603530639784f44553c9fb74891e30"),
+    ])
+    def test_pdo_json_is_pinned(self, char, alpha, digest):
+        code, out = run_main(["pdo", "--char", char, "--alpha", alpha,
+                              "--precision", "8", "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_text_format(self):
         code, out = run_main(["verify", "presentations", "--char", "3",

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from orefields.fields import GF, QQ, with_parameter
+from orefields.fields import GF, QQ, Qsqrt, with_parameter
 from orefields.orbits import Mat2Z
 from orefields.pdo import (
     PdoSeries, leading_constraint_check, pdo_from_skew, pdo_inv, pdo_mul,
-    pdo_valuation,
+    pdo_valuation, push_coefficient,
 )
 from orefields.presentations import CaseSpec, algebra_make, monomial_morphism
-from _support import rand_laurent_monomial, rand_skew
+from _support import (
+    rand_laurent_monomial, rand_poly2, rand_skew, ref_pdo_inv, ref_pdo_mul,
+)
 
 
 def g_pres(field, alpha):
@@ -156,6 +158,125 @@ class TestInverse:
     def test_zero_rejected(self, gen3):
         with pytest.raises(ZeroDivisionError):
             pdo_inv(PdoSeries.zero(delta(gen3), 8))
+
+    def test_precision_beyond_determined_rejected(self):
+        # 1 - u known through u^4 says nothing about the inverse past u^4
+        pres = g_pres(QQ(), 2)
+        d = delta(pres)
+        one = pres.ctx.one()
+        a = PdoSeries(d, {0: one, 1: -one}, 4)
+        assert pdo_inv(a, prec=4) == pdo_inv(a)
+        with pytest.raises(ValueError):
+            pdo_inv(a, prec=5)
+        with pytest.raises(ValueError):
+            pdo_inv(PdoSeries(d, {2: one}, 4), prec=-3)
+
+
+class TestPushCoefficient:
+    def test_closed_forms(self):
+        for j in range(8):
+            assert push_coefficient(0, j) == (1 if j == 0 else 0)
+            for m in range(1, 6):
+                assert push_coefficient(m, j) == math.comb(m - 1 + j, j)
+                assert push_coefficient(-m, j) == (-1) ** j * math.comb(m, j)
+
+    def test_powers_compose(self):
+        # u^(m1+m2) a = u^m1 (u^m2 a): the coefficients convolve
+        for m1 in range(-3, 4):
+            for m2 in range(-3, 4):
+                for j in range(8):
+                    assert push_coefficient(m1 + m2, j) == sum(
+                        push_coefficient(m1, i) * push_coefficient(m2, j - i)
+                        for i in range(j + 1))
+
+    def test_uinv_squared_truncates(self):
+        # u^-2 y = y u^-2 - 2 delta(y) u^-1 + delta^2(y): the alternating sum
+        # ends at j = 2, well inside the precision
+        pres = g_pres(QQ(), 2)
+        d = delta(pres)
+        y = pres.ctx.monomial(1, 0)
+        prod = PdoSeries.u(d, 8, power=-2) * PdoSeries.from_ratfunc(d, y, 8)
+        assert prod.prec == 6
+        assert prod.terms == {-2: y, -1: d(y) * -2, 0: d(d(y))}
+
+
+def _ref_field(name):
+    if name == "QQ":
+        return QQ(), 2
+    if name == "GF7":
+        return GF(7), 3
+    if name == "GF3(a)":
+        K = with_parameter(GF(3))
+        return K, K.gen()
+    K = Qsqrt(2)
+    return K, K.gen()
+
+
+REF_FIELDS = ["QQ", "GF7", "GF3(a)", "QQ(sqrt2)"]
+
+
+def _series(rng, pres, d, v, prec):
+    """A series of valuation v, exact through prec >= v, with up to three
+    more terms.  The leading coefficient is a Laurent monomial, the others
+    are Laurent monomials or small polynomials, which keeps the gcds of the
+    reference inverse small."""
+    terms = {v: rand_laurent_monomial(rng, pres.ctx, span=1)}
+    for n in range(v + 1, min(v + 3, prec) + 1):
+        if rng.random() < 0.6:
+            terms[n] = (rand_laurent_monomial(rng, pres.ctx, span=1)
+                        if rng.random() < 0.7 else rand_poly2(rng, pres.ctx, maxdeg=1))
+    return PdoSeries(d, terms, prec)
+
+
+class TestAgainstReference:
+    """The push-through product and the one-coefficient inverse against the
+    term-by-term product and the one-product-per-coefficient inverse."""
+
+    @pytest.mark.parametrize("name", REF_FIELDS)
+    def test_mul(self, name):
+        field, alpha = _ref_field(name)
+        pres = g_pres(field, alpha)
+        d = delta(pres)
+        rng = random.Random(REF_FIELDS.index(name))
+        for _ in range(12):
+            va, vb = rng.randint(-2, 2), rng.randint(-2, 2)
+            a = _series(rng, pres, d, va, rng.randint(max(va, 0), 8))
+            b = _series(rng, pres, d, vb, rng.randint(max(vb, 0), 8))
+            got, want = a * b, ref_pdo_mul(a, b)
+            assert (got.terms, got.prec) == (want.terms, want.prec)
+
+    @pytest.mark.parametrize("name", REF_FIELDS)
+    def test_inv(self, name):
+        field, alpha = _ref_field(name)
+        pres = g_pres(field, alpha)
+        d = delta(pres)
+        rng = random.Random(10 + REF_FIELDS.index(name))
+        for v in range(-2, 3):
+            a = _series(rng, pres, d, v, rng.randint(max(v, 0), max(v, 0) + 4))
+            got, want = pdo_inv(a), ref_pdo_inv(a)
+            assert (got.terms, got.prec) == (want.terms, want.prec)
+            for prec in (-v, (a.prec - 3 * v) // 2):
+                got, want = pdo_inv(a, prec=prec), ref_pdo_inv(a, prec=prec)
+                assert (got.terms, got.prec) == (want.terms, want.prec)
+
+    @pytest.mark.parametrize("name", REF_FIELDS)
+    def test_negative_exponents_truncate(self, name):
+        # m = -k with k < N - base: the alternating sum ends before the
+        # precision does, in the product and in the inverse of a series
+        # that starts at u^-2
+        field, alpha = _ref_field(name)
+        pres = g_pres(field, alpha)
+        d = delta(pres)
+        rng = random.Random(20 + REF_FIELDS.index(name))
+        for _ in range(4):
+            a = _series(rng, pres, d, -2, 4)
+            b = _series(rng, pres, d, 0, 8)
+            got, want = a * b, ref_pdo_mul(a, b)
+            assert got.prec == 4            # N - base = 6 > k = 2 for m = -2, n = 0
+            assert (got.terms, got.prec) == (want.terms, want.prec)
+            a = a.truncate(2)
+            got, want = pdo_inv(a), ref_pdo_inv(a)
+            assert (got.terms, got.prec) == (want.terms, want.prec)
 
 
 class TestLeadingConstraint:
