@@ -685,7 +685,13 @@ class QuadraticField(Field):
 class ParameterField(Field):
     """K(a): rational functions in one transcendental parameter over a base
     field K.  Reps are pairs (num, den) of trimmed little-endian tuples of
-    base reps, with den monic and gcd(num, den) = 1."""
+    base reps, with den monic and gcd(num, den) = 1.
+
+    A gcd is computed only where a common factor can occur.  When both
+    denominators are 1, or one operand is a nonzero constant c of K, the
+    product n1*n2 (resp. c*n over d) and the sum n1 + n2 over 1 are already
+    reduced with a monic denominator, so they are returned as they are;
+    that rep is the canonical one, because it is unique."""
 
     def __init__(self, base: Field, varname: str = "a"):
         if isinstance(base, ParameterField):
@@ -720,6 +726,12 @@ class ParameterField(Field):
         K = self.base
         n1, d1 = a
         n2, d2 = b
+        if not n1:
+            return b
+        if not n2:
+            return a
+        if len(d1) == 1 and len(d2) == 1:
+            return (_uadd(K, n1, n2), d1)
         if d1 == d2:
             num = _uadd(K, n1, n2)
             if not num:
@@ -757,6 +769,12 @@ class ParameterField(Field):
         n2, d2 = b
         if not n1 or not n2:
             return self._zero_rep()
+        if len(d1) == 1 and len(d2) == 1:
+            return (_umul(K, n1, n2), d1)
+        if len(d1) == 1 and len(n1) == 1:
+            return (_uscale(K, n2, n1[0]), d2)
+        if len(d2) == 1 and len(n2) == 1:
+            return (_uscale(K, n1, n2[0]), d1)
         g1 = _ugcd(K, n1, d2)
         if len(g1) > 1:
             n1 = _udivmod(K, n1, g1)[0]
@@ -782,21 +800,20 @@ class ParameterField(Field):
     def _is_zero(self, a):
         return not a[0]
 
+    def _constant(self, r):
+        K = self.base
+        return ((r,) if not K._is_zero(r) else (), (K._one_rep(),))
+
     def _from_int(self, n):
-        r = self.base._from_int(n)
-        return self._normalize((r,), (self.base._one_rep(),))
+        return self._constant(self.base._from_int(n))
 
     def _from_fraction(self, f):
         r = self.base._from_fraction(f)
-        if r is None:
-            return None
-        return self._normalize((r,), (self.base._one_rep(),))
+        return None if r is None else self._constant(r)
 
     def _lift(self, elem):
         rep = self.base.try_coerce(elem)
-        if rep is None:
-            return None
-        return self._normalize((rep,), (self.base._one_rep(),))
+        return None if rep is None else self._constant(rep)
 
     def gen(self):
         K = self.base

@@ -150,7 +150,15 @@ _QUAD = re.compile(
 
 def parse_field_literal(text: str, char: int = 0) -> FieldElem:
     """Parse one of the rat:/quad:/param:/ff: literals; `char` selects the
-    prime field behind rat: and param: literals."""
+    prime field behind rat: and param: literals.  A literal that divides by
+    zero is a ValueError naming it, like any other malformed literal."""
+    try:
+        return _parse_field_literal(text, char)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in element literal {text!r}") from exc
+
+
+def _parse_field_literal(text: str, char: int) -> FieldElem:
     if text == "param":
         text = "param:a"
     if ":" not in text:

@@ -6,7 +6,18 @@ coefficient 1 under graded lexicographic order (v1 > v2), so the
 representation of each value is unique and equality is structural.
 
 Derivations are determined by their images on the two variables and
-extend to fractions by the quotient rule.
+extend to fractions by the quotient rule, taken in one step on the
+polynomial dicts: for reduced n/d,
+
+    D(n/d) = (D(n) d - n D(d)) / d^2,
+
+and since gcd(n, d) = 1 a common factor of the new numerator and d^2 can
+only be a factor of d.  So the result is reduced by two gcds against d and
+its divisors, never by a gcd against d^2 or a full normalization (see
+`Derivation.__call__`).
+
+Products with a constant factor only scale a numerator: a reduced
+fraction times a unit stays reduced.
 """
 
 from __future__ import annotations
@@ -83,6 +94,11 @@ def _ppartial(p, axis, field):
 
 def _is_monomial(p):
     return len(p) == 1
+
+
+def _is_one(g):
+    """Whether a monic polynomial (a normalized gcd, say) is 1."""
+    return len(g) == 1 and (0, 0) in g
 
 
 # recursive view: polynomial in v1 with coefficients in k[v2], used for gcd.
@@ -270,6 +286,8 @@ def _pdivexact(p, g, field):
     """Exact division p / g in k[v1, v2] (g must divide p)."""
     if len(g) == 1:
         (gi, gj), gc = next(iter(g.items()))
+        if gc.is_one():
+            return _pshift(p, -gi, -gj)
         inv = gc.inverse()
         return {(i - gi, j - gj): c * inv for (i, j), c in p.items()}
     A = _rec_trim(_to_rec(p, field))
@@ -409,7 +427,7 @@ class RatFunc2:
             num = _pshift(num, -mi, -mj)
             den = _pshift(den, -mi, -mj)
         g = _pgcd(num, den, field)
-        if len(g) > 1 or (len(g) == 1 and next(iter(g)) != (0, 0)):
+        if g and not _is_one(g):
             num = _pdivexact(num, g, field)
             den = _pdivexact(den, g, field)
         _, lead = _plead(den)
@@ -437,7 +455,7 @@ class RatFunc2:
     @staticmethod
     def _cancel(p, q, field):
         g = _pgcd(p, q, field)
-        if len(g) > 1 or (len(g) == 1 and next(iter(g)) != (0, 0)):
+        if g and not _is_one(g):
             return _pdivexact(p, g, field), _pdivexact(q, g, field)
         return p, q
 
@@ -452,7 +470,7 @@ class RatFunc2:
             num, den = self._cancel(num, d1, field)
             return RatFunc2(self.ctx, num, den, _normalized=True)._monic()
         g = _pgcd(d1, d2, field)
-        trivial = len(g) == 1 and next(iter(g)) == (0, 0)
+        trivial = _is_one(g)
         d1p = d1 if trivial else _pdivexact(d1, g, field)
         d2p = d2 if trivial else _pdivexact(d2, g, field)
         rhs = _pmul(o.num, d1p)
@@ -462,7 +480,7 @@ class RatFunc2:
         den = _pmul(_pmul(g, d1p), d2p)
         if not trivial:
             h = _pgcd(num, g, field)
-            if len(h) > 1 or next(iter(h)) != (0, 0):
+            if not _is_one(h):
                 num = _pdivexact(num, h, field)
                 den = _pdivexact(den, h, field)
         return RatFunc2(self.ctx, num, den, _normalized=True)._monic()
@@ -501,6 +519,14 @@ class RatFunc2:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return self.ctx.zero()
+        # a nonzero constant scales the other numerator; a reduced fraction
+        # times a unit stays reduced, and its denominator stays monic
+        if o.is_constant():
+            return RatFunc2(self.ctx, _pscale(self.num, o.num[(0, 0)]), self.den,
+                            _normalized=True)
+        if self.is_constant():
+            return RatFunc2(self.ctx, _pscale(o.num, self.num[(0, 0)]), o.den,
+                            _normalized=True)
         field = self.ctx.field
         n1, d2 = self._cancel(self.num, o.den, field)
         n2, d1 = self._cancel(o.num, self.den, field)
@@ -634,7 +660,7 @@ class Derivation:
     context variables; image_of_y and image_of_z refer to the first and
     second variable of the context in order."""
 
-    __slots__ = ("ctx", "image_of_y", "image_of_z")
+    __slots__ = ("ctx", "image_of_y", "image_of_z", "_wy", "_wz", "_e")
 
     def __init__(self, ctx: FunctionField2, image_of_y: RatFunc2, image_of_z: RatFunc2):
         if image_of_y.ctx != ctx or image_of_z.ctx != ctx:
@@ -642,11 +668,51 @@ class Derivation:
         self.ctx = ctx
         self.image_of_y = image_of_y
         self.image_of_z = image_of_z
+        # E = lcm of the image denominators, and E*D(v1), E*D(v2) as polynomials
+        field = ctx.field
+        ey, ez = image_of_y.den, image_of_z.den
+        self._e = _pmul(ey, _pdivexact(ez, _pgcd(ey, ez, field), field))
+        self._wy = _pmul(image_of_y.num, _pdivexact(self._e, ey, field))
+        self._wz = _pmul(image_of_z.num, _pdivexact(self._e, ez, field))
+
+    def _scaled(self, p):
+        """E*D(p) for a polynomial p, itself a polynomial."""
+        field = self.ctx.field
+        return _padd(_pmul(_ppartial(p, 0, field), self._wy),
+                     _pmul(_ppartial(p, 1, field), self._wz))
 
     def __call__(self, f: RatFunc2) -> RatFunc2:
+        """D(n/d) = N / (E d^2) with N = E*D(n)*d - n*E*D(d), reduced.
+
+        A prime p that divides N and E d^2 divides d or E.  Against d two
+        operand-size gcds suffice: with e = v_p(d) and m = v_p(N),
+        g1 = gcd(N, d) takes min(m, e) factors p, and g2 = gcd(N/g1, g1)
+        takes min(m - e, e) more when m > e, so g1*g2 = gcd(N, d^2) and
+        the denominator left is (d/g1)*(d/g2).  (Repeating g <- gcd(N, g)
+        beyond g2 would take more factors than d^2 holds when m > 2e.)
+        One more gcd cancels against E, which is 1 unless an image has a
+        denominator.  d, the gcds and E are monic, so the denominator is."""
         if f.ctx != self.ctx:
             raise ValueError("element from a different context")
-        return f.partial(0) * self.image_of_y + f.partial(1) * self.image_of_z
+        field = self.ctx.field
+        n, d = f.num, f.den
+        if _is_one(d):
+            num, den = self._scaled(n), d
+        else:
+            num = _padd(_pmul(self._scaled(n), d), _pneg(_pmul(n, self._scaled(d))))
+            if not num:
+                return self.ctx.zero()
+            g1 = _pgcd(num, d, field)
+            num = _pdivexact(num, g1, field)
+            g2 = _pgcd(num, g1, field)
+            num = _pdivexact(num, g2, field)
+            den = _pmul(_pdivexact(d, g1, field), _pdivexact(d, g2, field))
+        if not num:
+            return self.ctx.zero()
+        if not _is_one(self._e):
+            num, e = RatFunc2._cancel(num, self._e, field)
+            den = _pmul(den, e)
+        return RatFunc2(self.ctx, num, den, _normalized=True)
 
     def iterate(self, f: RatFunc2, n: int) -> RatFunc2:
         for _ in range(n):

@@ -127,9 +127,11 @@ class SkewPoly:
                 ders.append(D(ders[-1]))
             for i, fi in self.coeffs.items():
                 for s in range(i + 1):
-                    if ders[s].is_zero():
+                    # C(i, s) may vanish in the characteristic
+                    scale = field.from_int(math.comb(i, s))
+                    if scale.is_zero() or ders[s].is_zero():
                         continue
-                    c = fi * ders[s] * field.from_int(math.comb(i, s))
+                    c = fi * ders[s] * scale
                     k = i - s + j
                     prev = out.get(k)
                     out[k] = c if prev is None else prev + c

@@ -1,14 +1,16 @@
 """Seeded random generators for field elements, rational functions and
-skew polynomials, shared across the test modules."""
+skew polynomials, shared across the test modules, and slow reference
+copies of kernel routines that the fast ones must agree with."""
 
 import math
 from fractions import Fraction
 
 from orefields.fields import (
     ExtensionField, ParameterField, PrimeField, QuadraticField, RationalField,
+    _uadd, _udivmod, _ugcd, _umul,
 )
 from orefields.pdo import PdoSeries
-from orefields.ratfunc import FunctionField2
+from orefields.ratfunc import FunctionField2, RatFunc2, _pmul
 from orefields.skewpoly import SkewPoly
 
 
@@ -174,3 +176,101 @@ def ref_pdo_inv(a, prec=None):
         if not delta.is_zero():
             terms[e] = lead_inv * delta
     return PdoSeries(D, terms, target)
+
+
+# ---------------------------------------------------------------------------
+# reference kernel bodies: the ParameterField product and sum with a gcd on
+# every call and the integer embedding through a full normalization; the
+# RatFunc2 product by cross-cancellation whatever its factors; the
+# derivation as two partials, two products and a sum; and the skew product
+# that forms every (i, s) term.  The fast paths in orefields must return
+# the same canonical reps.
+
+def ref_param_mul(F, a, b):
+    K = F.base
+    n1, d1 = a
+    n2, d2 = b
+    if not n1 or not n2:
+        return F._zero_rep()
+    g1 = _ugcd(K, n1, d2)
+    if len(g1) > 1:
+        n1 = _udivmod(K, n1, g1)[0]
+        d2 = _udivmod(K, d2, g1)[0]
+    g2 = _ugcd(K, n2, d1)
+    if len(g2) > 1:
+        n2 = _udivmod(K, n2, g2)[0]
+        d1 = _udivmod(K, d1, g2)[0]
+    return F._monic(_umul(K, n1, n2), _umul(K, d1, d2))
+
+
+def ref_param_add(F, a, b):
+    K = F.base
+    n1, d1 = a
+    n2, d2 = b
+    if d1 == d2:
+        num = _uadd(K, n1, n2)
+        if not num:
+            return F._zero_rep()
+        h = _ugcd(K, num, d1)
+        if len(h) > 1:
+            num = _udivmod(K, num, h)[0]
+            den = _udivmod(K, d1, h)[0]
+        else:
+            den = d1
+        return F._monic(num, den)
+    g = _ugcd(K, d1, d2)
+    if len(g) > 1:
+        d1p = _udivmod(K, d1, g)[0]
+        d2p = _udivmod(K, d2, g)[0]
+    else:
+        d1p, d2p = d1, d2
+    num = _uadd(K, _umul(K, n1, d2p), _umul(K, n2, d1p))
+    if not num:
+        return F._zero_rep()
+    den = _umul(K, _umul(K, g, d1p), d2p)
+    h = _ugcd(K, num, g)
+    if len(h) > 1:
+        num = _udivmod(K, num, h)[0]
+        den = _udivmod(K, den, h)[0]
+    return F._monic(num, den)
+
+
+def ref_param_from_int(F, n):
+    return F._normalize((F.base._from_int(n),), (F.base._one_rep(),))
+
+
+def ref_ratfunc_mul(f, g):
+    if f.is_zero() or g.is_zero():
+        return f.ctx.zero()
+    field = f.ctx.field
+    n1, d2 = RatFunc2._cancel(f.num, g.den, field)
+    n2, d1 = RatFunc2._cancel(g.num, f.den, field)
+    return RatFunc2(f.ctx, _pmul(n1, n2), _pmul(d1, d2), _normalized=True)._monic()
+
+
+def ref_derivation(D, f):
+    return (ref_ratfunc_mul(f.partial(0), D.image_of_y)
+            + ref_ratfunc_mul(f.partial(1), D.image_of_z))
+
+
+def ref_skew_mul(f, g):
+    D = f.derivation
+    field = f.ctx.field
+    out = {}
+    if not f.coeffs or not g.coeffs:
+        return SkewPoly(D, {})
+    imax = max(f.coeffs)
+    for j, gj in g.coeffs.items():
+        ders = [gj]
+        for _ in range(imax):
+            ders.append(ref_derivation(D, ders[-1]))
+        for i, fi in f.coeffs.items():
+            for s in range(i + 1):
+                if ders[s].is_zero():
+                    continue
+                c = ref_ratfunc_mul(ref_ratfunc_mul(fi, ders[s]),
+                                    f.ctx.const(field.from_int(math.comb(i, s))))
+                k = i - s + j
+                prev = out.get(k)
+                out[k] = c if prev is None else prev + c
+    return SkewPoly(D, out)

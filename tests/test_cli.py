@@ -189,6 +189,30 @@ class TestDriver:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the JSON report (with its final newline), taken before the
+    # gcd-free fast paths in ParameterField, RatFunc2 and Derivation
+    @pytest.mark.parametrize("char, alpha, seed, digest", [
+        ("0", "param", "0", "2b2eba7a47ec92f28de1b45c2afce33ac5e447fe6849d3d7894101f193067236"),
+        ("7", "param", "0", "595dbe992b35296e58ba3d4aaaf00eb170207153d44d39671b2cf9027ed92589"),
+        ("0", "quad:(0+1*sqrt(2))/1", "0",
+         "4912bdeb51976e609418c7b7f62d5eea7a09cf4d7188b175339a32bad2540e1f"),
+        ("3", "param", "11", "03adab39b39dcc9782f4c95024a2b7a7de0a77e47e99212c1a4031d6a652dbf1"),
+    ])
+    def test_verify_all_json_is_pinned(self, char, alpha, seed, digest):
+        code, out = run_main(["verify", "all", "--char", char, "--alpha", alpha,
+                              "--seed", seed, "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("alpha", [
+        "rat:1/0", "quad:(1+1*sqrt(2))/0", "param:1/(a-a)",
+    ])
+    def test_zero_denominator_literal_is_a_usage_error(self, alpha, capsys):
+        code, out = run_main(["verify", "centers", "--alpha", alpha])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(alpha) in err
+
     def test_text_format(self):
         code, out = run_main(["verify", "presentations", "--char", "3",
                               "--alpha", "param", "--format", "text"])
