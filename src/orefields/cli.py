@@ -379,8 +379,15 @@ def cmd_orbits(args, cfg: Config) -> Report:
                 f"size {o.size}, stabilizer order {o.stabilizer_order}, "
                 f"|G| = {rep.group_order}",
                 "pass")
-        report.record("transitive", f"single orbit: {rep.transitive}",
-                      "pass" if rep.transitive else "fail")
+        reason = orbits.transitivity_scope(cfg.ell, cfg.ext, cfg.group)
+        if rep.transitive or reason is None:
+            report.record("transitive", f"single orbit: {rep.transitive}",
+                          "pass" if rep.transitive else "fail")
+        else:
+            report.record("transitive",
+                          f"single orbit: False ({reason}), "
+                          f"orbit sizes={[o.size for o in rep.orbits]}",
+                          "out-of-scope")
     elif args.orbits_cmd == "cf":
         alpha = cfg.alpha_elem()
         q = orbits.QuadIrr.from_field_elem(alpha)

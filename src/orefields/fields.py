@@ -551,9 +551,20 @@ class ExtensionField(Field):
         return tuple((-x) % ell for x in a)
 
     def _mul(self, a, b):
-        prod = _umul(self.base, _utrim(self.base, a), _utrim(self.base, b))
-        _, rem = _udivmod(self.base, prod, self.modulus)
-        return self._pad(rem)
+        # schoolbook product on the int tuples, then x^i for i >= n is
+        # replaced by -x^(i-n) * (modulus - x^n), from the top down
+        ell, n, mod = self.char, self.degree, self.modulus
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        for i in range(2 * n - 2, n - 1, -1):
+            c = prod[i] % ell
+            if c:
+                for j in range(n):
+                    prod[i - n + j] -= c * mod[j]
+        return tuple(c % ell for c in prod[:n])
 
     def _inv(self, a):
         at = _utrim(self.base, a)

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fields
-from .fields import FieldElem, QuadraticField, ExtensionField, PrimeField, GF
+from .fields import (
+    GF, ExtensionField, FieldElem, ParameterField, PrimeField, QuadraticField, _umul,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +247,20 @@ class ContFrac:
         return f"[{pre};({per})]" if pre else f"[({per})]"
 
 
-def cf_expand(alpha: QuadIrr, max_terms: int = 200) -> ContFrac:
+def cf_expand(alpha: QuadIrr, max_terms: int | None = None) -> ContFrac:
     """Exact expansion with minimal period, by the P-Q recurrence on
     complete quotients; eventual periodicity is guaranteed for quadratic
-    irrationals."""
+    irrationals.
+
+    The default term bound comes from D and the starting (P, Q).  A
+    complete quotient (P + sqrt(D))/Q is reduced (greater than 1, with
+    conjugate in (-1, 0)) after a number of steps logarithmic in |P| + |Q|,
+    because the convergent denominators grow at least like the Fibonacci
+    numbers, and its successors stay reduced.  A reduced one has
+    0 < P < sqrt(D) and sqrt(D) - P < Q < sqrt(D) + P, which leaves fewer
+    than 2D states, so the period is shorter than 2D terms."""
+    if max_terms is None:
+        max_terms = 2 * alpha.D + 2 * (abs(alpha.P) + abs(alpha.Q)).bit_length() + 8
     seen = {}
     digits = []
     states = [alpha]
@@ -561,7 +573,12 @@ def finite_orbits(ell: int, k: int, group: str = "sl",
                   bound: int = 13) -> FiniteOrbitReport:
     """Decompose GF(l^k) minus GF(l) into orbits of SL2 (or SL2 with
     determinant +-1) over GF(l) acting by homography, with stabilizer
-    orders; the orbit-stabilizer product is asserted for every orbit."""
+    orders; the orbit-stabilizer product is asserted for every orbit.
+
+    Orbits are built on raw reps.  For each orbit representative theta the
+    l^2 values a*theta + b and the l^2 - 1 inverses 1/(c*theta + d) are
+    tabulated once, so each image (a*theta + b)/(c*theta + d) is one field
+    product of two table entries."""
     if k not in (2, 3):
         raise ValueError("extension degree must be 2 or 3")
     if group not in ("sl", "slpm"):
@@ -571,37 +588,30 @@ def finite_orbits(ell: int, k: int, group: str = "sl",
     field = GF(ell, k)
     mats = _group_matrices(ell, group)
     order = len(mats)
-    points = [e for e in field.all_elements() if not fields.in_prime_subfield(e)]
-    inv_memo = {}
-
-    def act(mat, theta):
-        a, b, c, d = mat
-        den = theta * c + d
-        # c*theta + d = 0 with theta outside GF(l) forces c = d = 0, which
-        # is excluded by invertibility
-        key = den.rep
-        inv = inv_memo.get(key)
-        if inv is None:
-            inv = den.inverse()
-            inv_memo[key] = inv
-        return (theta * a + b) * inv
+    points = [e.rep for e in field.all_elements() if not field.in_prime_subfield(e.rep)]
+    consts = [field._from_int(b) for b in range(ell)]
+    mul = field._mul
 
     seen = set()
     orbits = []
-    for point in points:
-        if point.rep in seen:
+    for theta in points:
+        if theta in seen:
             continue
+        # affine[a*l + b] = a*theta + b; c*theta + d = 0 with theta outside
+        # GF(l) forces c = d = 0, which is excluded by invertibility
+        affine = [field._add(mul(a, theta), b) for a in consts for b in consts]
+        inverses = [None] + [field._inv(x) for x in affine[1:]]
         orbit = set()
         stab = 0
-        for mat in mats:
-            image = act(mat, point)
-            orbit.add(image.rep)
-            if image.rep == point.rep:
+        for a, b, c, d in mats:
+            image = mul(affine[a * ell + b], inverses[c * ell + d])
+            orbit.add(image)
+            if image == theta:
                 stab += 1
         if len(orbit) * stab != order:
             raise ArithmeticError("orbit-stabilizer count mismatch")
         seen |= orbit
-        orbits.append(OrbitData(str(point), len(orbit), stab))
+        orbits.append(OrbitData(field._str(theta), len(orbit), stab))
     if sum(o.size for o in orbits) != len(points):
         raise ArithmeticError("orbits do not partition the point set")
     return FiniteOrbitReport(ell, k, group, order, orbits, len(points))
@@ -615,6 +625,17 @@ class TransitivityReport:
     @property
     def ok(self) -> bool:
         return all(s != "fail" for _, s, _ in self.checks)
+
+
+def transitivity_scope(ell: int, k: int, group: str) -> str | None:
+    """None where the theory claims that the group acts transitively on
+    GF(l^k) minus GF(l): k = 2, or k = 3 with l = 2, or k = 3 with the
+    slpm group and l = 3 mod 4.  Elsewhere the reason it makes no claim."""
+    if k == 2 or ell == 2 or (group == "slpm" and ell % 4 == 3):
+        return None
+    if group == "slpm":
+        return f"transitivity is only claimed for l = 3 mod 4; l = {ell}"
+    return f"transitivity on GF(l^3) is only claimed for l = 2 or the slpm group; l = {ell}"
 
 
 def transitivity_report(ell: int, bound: int = 13) -> TransitivityReport:
@@ -637,14 +658,11 @@ def transitivity_report(ell: int, bound: int = 13) -> TransitivityReport:
         orbit_check(3, "sl", 6, 1)
     else:
         orbit_check(2, "sl", ell * ell - ell, ell + 1)
-        if ell % 4 == 3:
+        reason = transitivity_scope(ell, 3, "slpm")
+        if reason is None:
             orbit_check(3, "slpm", ell ** 3 - ell, 2)
         else:
-            checks.append((
-                f"GF({ell}^3) slpm action",
-                "out-of-scope",
-                f"transitivity is only claimed for l = 3 mod 4; l = {ell}",
-            ))
+            checks.append((f"GF({ell}^3) slpm action", "out-of-scope", reason))
 
     field = GF(ell, 2)
     images = {}
@@ -678,29 +696,72 @@ class ClassifyVerdict:
     detail: str = ""
 
 
-def _search_small_matrices(alpha: FieldElem, beta: FieldElem, bound: int) -> Mat2Z | None:
-    rng = range(-bound, bound + 1)
-    k = alpha.field
-    for n, q, m, r in itertools.product(rng, repeat=4):
-        if n * r - q * m not in (1, -1):
-            continue
-        den = alpha * k.from_int(m) + k.from_int(r)
-        if den.is_zero():
-            continue
-        if (alpha * k.from_int(n) + k.from_int(q)) / den == beta:
-            return Mat2Z(n, q, m, r)
-    return None
+def _prime_coords(K, x) -> tuple:
+    """The coordinates of a rep of K over the prime field of K."""
+    return x if isinstance(K, (ExtensionField, QuadraticField)) else (x,)
 
 
-def _finite_field_orbit_witness(alpha: FieldElem, beta: FieldElem) -> Mat2Z | None:
+def _witness_rows(alpha: FieldElem, beta: FieldElem) -> list:
+    """Integer rows (A, B, C, D) such that (n*alpha + q)/(m*alpha + r) = beta
+    exactly when n*A + q*B + m*C + r*D vanishes (mod l in characteristic l)
+    for every row, provided m*alpha + r != 0.
+
+    With alpha = na/da and beta = nb/db (da = db = 1 outside K(a)), the
+    equation beta*(m*alpha + r) = n*alpha + q reads
+    n*P1 + q*P2 - m*P3 - r*P4 = 0 for P1 = na*db, P2 = da*db, P3 = na*nb,
+    P4 = da*nb, which is linear over the prime field in (n, q, m, r); one
+    row per prime-field coordinate of the P_i, denominators cleared row
+    by row in characteristic 0."""
+    field = alpha.field
+    if isinstance(field, ParameterField):
+        K = field.base
+        (na, da), (nb, db) = alpha.rep, beta.rep
+        polys = [_umul(K, na, db), _umul(K, da, db), _umul(K, na, nb), _umul(K, da, nb)]
+    else:
+        K = field
+        polys = [(alpha.rep,), (K._one_rep(),), (K._mul(alpha.rep, beta.rep),),
+                 (beta.rep,)]
+    width = max(map(len, polys))
+    zero = K._zero_rep()
+    cols = [[c for i in range(width)
+             for c in _prime_coords(K, p[i] if i < len(p) else zero)]
+            for p in polys]
+    ell = field.char
+    rows = []
+    for p1, p2, p3, p4 in zip(*cols):
+        row = (p1, p2, -p3, -p4)
+        if ell:
+            row = tuple(x % ell for x in row)
+        else:
+            den = math.lcm(*(x.denominator for x in row))
+            row = tuple(int(x * den) for x in row)
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def _first_witness(alpha: FieldElem, beta: FieldElem, candidates) -> Mat2Z | None:
+    """The first (n, q, m, r) among the candidates with
+    (n*alpha + q)/(m*alpha + r) = beta, as a Mat2Z, or None.
+
+    alpha must lie outside the prime field and every candidate must have
+    (m, r) != (0, 0) over the prime field (det = +-1 ensures it), so that
+    m*alpha + r never vanishes.  Each candidate then costs a few integer
+    multiply-adds against the rows of `_witness_rows` instead of a field
+    division; a match is re-verified by exact application, and a mismatch
+    raises ArithmeticError."""
+    rows = _witness_rows(alpha, beta)
     ell = alpha.field.char
-    for a, b, c, d in _group_matrices(ell, "slpm"):
-        k = alpha.field
-        den = alpha * k.from_int(c) + k.from_int(d)
-        if den.is_zero():
-            continue
-        if (alpha * k.from_int(a) + k.from_int(b)) / den == beta:
-            return Mat2Z(a, b, c, d)
+    for n, q, m, r in candidates:
+        for A, B, C, D in rows:
+            s = n * A + q * B + m * C + r * D
+            if s % ell if ell else s:
+                break
+        else:
+            W = Mat2Z(n, q, m, r)
+            if homographic(W, alpha) != beta:
+                raise ArithmeticError("witness verification failed")
+            return W
     return None
 
 
@@ -753,40 +814,32 @@ def valued_iso_classify(caseA, caseB, search_bound: int = 3) -> ClassifyVerdict:
         return ClassifyVerdict("unknown-open", True,
                                detail="parameters live in different coefficient fields")
 
-    if char == 0:
-        if isinstance(caseA.field, QuadraticField):
-            try:
-                verdict = gl2z_equivalent(alpha, beta)
-            except ValueError as exc:
-                return ClassifyVerdict("unknown-open", True, detail=str(exc))
-            if verdict.equivalent:
-                morphism = pres_mod.monomial_morphism(verdict.witness, alpha)
-                if morphism.beta != beta:
-                    raise ArithmeticError("witness parameter mismatch")
-                return ClassifyVerdict("valued-isomorphic", False, morphism,
-                                       verdict.detail)
-            return ClassifyVerdict("not-valued-isomorphic", False,
-                                   detail=verdict.detail)
-        W = _search_small_matrices(alpha, beta, search_bound)
-        if W is not None:
-            morphism = pres_mod.monomial_morphism(W, alpha)
-            return ClassifyVerdict("isomorphic-sufficient", True, morphism,
-                                   "small-entry unimodular witness found")
-        return ClassifyVerdict("unknown-open", True,
-                               detail=f"no unimodular witness with entries <= {search_bound}")
+    if isinstance(caseA.field, QuadraticField):
+        try:
+            verdict = gl2z_equivalent(alpha, beta)
+        except ValueError as exc:
+            return ClassifyVerdict("unknown-open", True, detail=str(exc))
+        if verdict.equivalent:
+            morphism = pres_mod.monomial_morphism(verdict.witness, alpha)
+            if morphism.beta != beta:
+                raise ArithmeticError("witness parameter mismatch")
+            return ClassifyVerdict("valued-isomorphic", False, morphism,
+                                   verdict.detail)
+        return ClassifyVerdict("not-valued-isomorphic", False,
+                               detail=verdict.detail)
 
     if isinstance(caseA.field, (PrimeField, ExtensionField)):
-        W = _finite_field_orbit_witness(alpha, beta)
-        if W is not None:
-            morphism = pres_mod.monomial_morphism(W, alpha)
-            return ClassifyVerdict("isomorphic-sufficient", True, morphism,
-                                   "orbit witness over the prime field")
-        return ClassifyVerdict("unknown-open", True,
-                               detail="no orbit witness; necessity is open")
-    W = _search_small_matrices(alpha, beta, search_bound)
-    if W is not None:
-        morphism = pres_mod.monomial_morphism(W, alpha)
-        return ClassifyVerdict("isomorphic-sufficient", True, morphism,
-                               "small-entry unimodular witness found")
-    return ClassifyVerdict("unknown-open", True,
-                           detail=f"no unimodular witness with entries <= {search_bound}")
+        candidates = _group_matrices(char, "slpm")
+        found, missing = ("orbit witness over the prime field",
+                          "no orbit witness; necessity is open")
+    else:
+        rng = range(-search_bound, search_bound + 1)
+        candidates = (M for M in itertools.product(rng, repeat=4)
+                      if M[0] * M[3] - M[1] * M[2] in (1, -1))
+        found, missing = ("small-entry unimodular witness found",
+                          f"no unimodular witness with entries <= {search_bound}")
+    W = _first_witness(alpha, beta, candidates)
+    if W is None:
+        return ClassifyVerdict("unknown-open", True, detail=missing)
+    return ClassifyVerdict("isomorphic-sufficient", True,
+                           pres_mod.monomial_morphism(W, alpha), found)

@@ -2,13 +2,15 @@
 skew polynomials, shared across the test modules, and slow reference
 copies of kernel routines that the fast ones must agree with."""
 
+import itertools
 import math
 from fractions import Fraction
 
 from orefields.fields import (
-    ExtensionField, ParameterField, PrimeField, QuadraticField, RationalField,
-    _uadd, _udivmod, _ugcd, _umul,
+    GF, ExtensionField, ParameterField, PrimeField, QuadraticField, RationalField,
+    _uadd, _udivmod, _ugcd, _umul, in_prime_subfield,
 )
+from orefields.orbits import FiniteOrbitReport, Mat2Z, OrbitData, _group_matrices
 from orefields.pdo import PdoSeries
 from orefields.ratfunc import FunctionField2, RatFunc2, _pmul
 from orefields.skewpoly import SkewPoly
@@ -274,3 +276,80 @@ def ref_skew_mul(f, g):
                 prev = out.get(k)
                 out[k] = c if prev is None else prev + c
     return SkewPoly(D, out)
+
+
+# ---------------------------------------------------------------------------
+# reference orbit searches: the witness searches that divide in the field
+# for every candidate matrix, and the orbit enumeration on FieldElem
+# arithmetic with a memo of inverses.  orefields.orbits tests candidates
+# with integer dot products and builds orbits from raw-rep tables; both
+# must return the same witness and the same orbit list.
+
+def ref_search_small_matrices(alpha, beta, bound):
+    rng = range(-bound, bound + 1)
+    k = alpha.field
+    for n, q, m, r in itertools.product(rng, repeat=4):
+        if n * r - q * m not in (1, -1):
+            continue
+        den = alpha * k.from_int(m) + k.from_int(r)
+        if den.is_zero():
+            continue
+        if (alpha * k.from_int(n) + k.from_int(q)) / den == beta:
+            return Mat2Z(n, q, m, r)
+    return None
+
+
+def ref_finite_field_orbit_witness(alpha, beta):
+    ell = alpha.field.char
+    for a, b, c, d in _group_matrices(ell, "slpm"):
+        k = alpha.field
+        den = alpha * k.from_int(c) + k.from_int(d)
+        if den.is_zero():
+            continue
+        if (alpha * k.from_int(a) + k.from_int(b)) / den == beta:
+            return Mat2Z(a, b, c, d)
+    return None
+
+
+def ref_finite_orbits(ell, k, group="sl", bound=13):
+    if k not in (2, 3):
+        raise ValueError("extension degree must be 2 or 3")
+    if group not in ("sl", "slpm"):
+        raise ValueError("group must be 'sl' or 'slpm'")
+    if ell > bound:
+        raise ValueError(f"l = {ell} exceeds the enumeration bound {bound}")
+    field = GF(ell, k)
+    mats = _group_matrices(ell, group)
+    order = len(mats)
+    points = [e for e in field.all_elements() if not in_prime_subfield(e)]
+    inv_memo = {}
+
+    def act(mat, theta):
+        a, b, c, d = mat
+        den = theta * c + d
+        key = den.rep
+        inv = inv_memo.get(key)
+        if inv is None:
+            inv = den.inverse()
+            inv_memo[key] = inv
+        return (theta * a + b) * inv
+
+    seen = set()
+    orbits = []
+    for point in points:
+        if point.rep in seen:
+            continue
+        orbit = set()
+        stab = 0
+        for mat in mats:
+            image = act(mat, point)
+            orbit.add(image.rep)
+            if image.rep == point.rep:
+                stab += 1
+        if len(orbit) * stab != order:
+            raise ArithmeticError("orbit-stabilizer count mismatch")
+        seen |= orbit
+        orbits.append(OrbitData(str(point), len(orbit), stab))
+    if sum(o.size for o in orbits) != len(points):
+        raise ArithmeticError("orbits do not partition the point set")
+    return FiniteOrbitReport(ell, k, group, order, orbits, len(points))

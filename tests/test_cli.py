@@ -204,6 +204,65 @@ class TestDriver:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the JSON report (with its final newline), taken before the
+    # witness searches became a linear test over the prime field
+    @pytest.mark.parametrize("char, case_a, case_b, digest", [
+        ("13", "g:ff:13^3:5,7,4", "g:ff:13^3:9,2,8",
+         "6dd2968c46dfe77d067b69ef4c226595d732c41bbdaa5678a0301450036aec94"),
+        ("0", "g:param:((1)*a^0+(-1)*a^1)/((1)*a^1)",
+         "g:param:((2)*a^0+(-3)*a^1)/((1)*a^0+(-1)*a^1)",
+         "133e81eafc210a8d0424951e67cde342d230bd1075793eb191d29adb0b680304"),
+        ("0", "g:param:((1)*a^0+(2)*a^1)/((3)*a^1)", "g:param:(-3)*a^0+(-2)*a^1+(2)*a^2",
+         "1f6a9bac8e92e804d87b87392aa27fc39cda3b741f96bc617050acfcbbcb85b2"),
+        ("5", "g:param:((4)*a^0+(4)*a^1)/((3)*a^0+(2)*a^1)",
+         "g:param:((3)*a^0+(4)*a^1)/((3)*a^0+(1)*a^1)",
+         "f1f96da81d3240cd4c0be38a0360fa2e4ce10ca7875f7b12f63e495492947fa1"),
+    ])
+    def test_classify_json_is_pinned(self, char, case_a, case_b, digest):
+        code, out = run_main(["classify", "--char", char, "--caseA", case_a,
+                              "--caseB", case_b, "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # taken before the transitive record learned the scope of the claim
+    @pytest.mark.parametrize("ell, ext, group, digest", [
+        ("2", "3", "sl", "f636b94964abe29ee114038708b9410830e3696a30a22f3a3881feec1b5da469"),
+        ("7", "3", "slpm", "d62c5e10ef6247f4ffb639aa9b934d0782b53f18ec00b193ac15966ce2dd7860"),
+        ("13", "2", "sl", "8ee2f641a914539111a07d1fd7969ae1ee4ca39c9f690a6a85c0144e55780586"),
+        ("11", "3", "slpm", "580a1d73314bca8d938ff5f274a7e9610f39ca7446ba83cc8e92a59b906c11e0"),
+    ])
+    def test_transitive_orbits_json_is_pinned(self, ell, ext, group, digest):
+        code, out = run_main(["orbits", "finite", "--ell", ell, "--ext", ext,
+                              "--group", group, "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("ell, group", [
+        ("3", "sl"), ("5", "sl"), ("5", "slpm"), ("7", "sl"), ("11", "sl"),
+        ("13", "sl"), ("13", "slpm"),
+    ])
+    def test_unclaimed_transitivity_is_out_of_scope(self, ell, group):
+        code, out = run_main(["orbits", "finite", "--ell", ell, "--ext", "3",
+                              "--group", group])
+        assert code == 0
+        record = json.loads(out)["checks"][-1]
+        assert record["name"] == "transitive"
+        assert record["status"] == "out-of-scope"
+        assert record["claim"].startswith("single orbit: False (transitivity ")
+        assert "orbit sizes=[" in record["claim"]
+
+    @pytest.mark.parametrize("argv", [
+        ["orbits", "cf", "--alpha", "quad:(0+1*sqrt(99991))/1"],
+        ["orbits", "equiv", "--alpha", "quad:(0+1*sqrt(99991))/1",
+         "--beta", "quad:(1+1*sqrt(99991))/1"],
+        ["classify", "--caseA", "g:quad:(0+1*sqrt(99991))/1",
+         "--caseB", "g:quad:(1+1*sqrt(99991))/1"],
+    ])
+    def test_long_period_commands_exit_0(self, argv):
+        code, out = run_main(argv)
+        assert code == 0
+        assert json.loads(out)["summary"]["fail"] == 0
+
     @pytest.mark.parametrize("alpha", [
         "rat:1/0", "quad:(1+1*sqrt(2))/0", "param:1/(a-a)",
     ])

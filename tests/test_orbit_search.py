@@ -1,0 +1,219 @@
+"""The orbit witness search and the finite orbit enumeration against the
+reference copies in tests/_support.py, the transitivity scope of
+`orbits finite`, and continued fractions with long periods."""
+
+import random
+
+import pytest
+
+from orefields.fields import GF, QQ, Qsqrt, in_prime_subfield, with_parameter
+from orefields.orbits import (
+    Mat2Z, QuadIrr, _first_witness, _group_matrices, cf_expand, finite_orbits,
+    homographic, transitivity_scope, valued_iso_classify,
+)
+from orefields.presentations import CaseSpec
+
+from _support import (
+    rand_elem, ref_finite_field_orbit_witness, ref_finite_orbits,
+    ref_search_small_matrices,
+)
+
+
+def classify_witness(alpha, beta):
+    """The witness matrix of valued_iso_classify, or None."""
+    K = alpha.field
+    verdict = valued_iso_classify(CaseSpec("g", K, alpha), CaseSpec("g", K, beta))
+    if verdict.verdict == "unknown-open":
+        return None
+    assert verdict.verdict == "isomorphic-sufficient"
+    return verdict.witness.matrix
+
+
+def rand_box_matrix(rng, bound):
+    while True:
+        W = Mat2Z(*(rng.randint(-bound, bound) for _ in range(4)))
+        if W.unimodular:
+            return W
+
+
+def rand_outside_prime(rng, field):
+    while True:
+        e = rand_elem(rng, field)
+        if not in_prime_subfield(e):
+            return e
+
+
+PARAM_BASES = [
+    pytest.param(QQ, id="QQ"),
+    pytest.param(lambda: GF(3), id="GF3"),
+    pytest.param(lambda: GF(7), id="GF7"),
+    pytest.param(lambda: Qsqrt(2), id="Qsqrt2"),
+    pytest.param(lambda: GF(3, 2), id="GF9"),
+]
+
+
+class TestParameterFieldSearch:
+    @pytest.mark.parametrize("make_base", PARAM_BASES)
+    def test_same_witness_as_reference(self, make_base):
+        K = with_parameter(make_base())
+        rng = random.Random(71)
+        for trial in range(6):
+            alpha = rand_outside_prime(rng, K)
+            kind = trial % 3
+            if kind == 0:
+                W = rand_box_matrix(rng, 3)
+                try:
+                    beta = homographic(W, alpha)
+                except ZeroDivisionError:
+                    continue
+            elif kind == 1:
+                beta = rand_outside_prime(rng, K)
+            else:
+                beta = alpha
+            if in_prime_subfield(beta):
+                continue
+            want = ref_search_small_matrices(alpha, beta, 3)
+            assert classify_witness(alpha, beta) == want
+            if kind != 1:
+                assert want is not None
+
+    @pytest.mark.parametrize("make_base", PARAM_BASES)
+    def test_non_constant_denominators(self, make_base):
+        K = with_parameter(make_base())
+        a = K.gen()
+        one = K.one()
+        two = K.from_int(2)
+        alphas = [(a + one) / (a - two), (a * a + one) / (a + one), a / (a * a + two)]
+        for alpha in alphas:
+            if in_prime_subfield(alpha):
+                continue
+            for W in (Mat2Z(2, 1, 1, 1), Mat2Z(0, -1, 1, 3), Mat2Z(-3, 2, -1, 1)):
+                beta = homographic(W, alpha)
+                want = ref_search_small_matrices(alpha, beta, 3)
+                assert want is not None
+                assert classify_witness(alpha, beta) == want
+
+    def test_rational_witness_denominators_are_cleared(self):
+        K = with_parameter(QQ())
+        a = K.gen()
+        alpha = (a * K.coerce(2) / 3 + K.coerce(1) / 5) / (a + K.coerce(7) / 4)
+        beta = homographic(Mat2Z(1, -2, 1, -1), alpha)
+        assert classify_witness(alpha, beta) == ref_search_small_matrices(alpha, beta, 3)
+
+    @pytest.mark.parametrize("base", [Qsqrt(2), GF(3, 2)], ids=str)
+    def test_base_field_generator_in_coefficients(self, base):
+        K = with_parameter(base)
+        g = K.coerce(base.gen())
+        alpha = (K.gen() + g) / (K.gen() * g - 1)
+        for W in (Mat2Z(3, 1, 2, 1), Mat2Z(1, 1, 0, 1), Mat2Z(1, 3, 1, 2)):
+            beta = homographic(W, alpha)
+            want = ref_search_small_matrices(alpha, beta, 3)
+            assert want is not None
+            assert classify_witness(alpha, beta) == want
+
+
+FINITE_FIELDS = [(ell, k) for ell in (2, 3, 5, 7, 11, 13) for k in (2, 3)]
+
+
+class TestFiniteFieldSearch:
+    @pytest.mark.parametrize("ell, k", FINITE_FIELDS)
+    def test_image_under_random_matrix(self, ell, k):
+        F = GF(ell, k)
+        rng = random.Random(ell * 10 + k)
+        for _ in range(2):
+            alpha = rand_outside_prime(rng, F)
+            W = rand_box_matrix(rng, 5)
+            beta = homographic(W, alpha)
+            want = ref_finite_field_orbit_witness(alpha, beta)
+            assert want is not None
+            assert classify_witness(alpha, beta) == want
+
+    @pytest.mark.parametrize("ell, k", FINITE_FIELDS)
+    def test_beta_equal_to_alpha(self, ell, k):
+        F = GF(ell, k)
+        alpha = rand_outside_prime(random.Random(ell + k), F)
+        want = ref_finite_field_orbit_witness(alpha, alpha)
+        assert want is not None
+        assert classify_witness(alpha, alpha) == want
+
+    @pytest.mark.parametrize("ell", [5, 13])
+    def test_beta_outside_the_orbit(self, ell):
+        # GF(l^3) minus GF(l) splits into two slpm orbits for l = 1 mod 4
+        F = GF(ell, 3)
+        rng = random.Random(ell)
+        alpha = rand_outside_prime(rng, F)
+        found = 0
+        for _ in range(40):
+            beta = rand_outside_prime(rng, F)
+            want = ref_finite_field_orbit_witness(alpha, beta)
+            assert classify_witness(alpha, beta) == want
+            if want is None:
+                found += 1
+                if found == 2:
+                    break
+        assert found == 2
+
+    @pytest.mark.parametrize("ell, k", [(3, 2), (7, 3), (13, 3)])
+    def test_first_witness_walks_the_group_order(self, ell, k):
+        F = GF(ell, k)
+        rng = random.Random(3)
+        alpha = rand_outside_prime(rng, F)
+        beta = rand_outside_prime(rng, F)
+        mats = _group_matrices(ell, "slpm")
+        assert (_first_witness(alpha, beta, mats)
+                == ref_finite_field_orbit_witness(alpha, beta))
+        assert _first_witness(alpha, beta, mats[::-1]) == next(
+            (Mat2Z(*M) for M in mats[::-1] if homographic(Mat2Z(*M), alpha) == beta), None)
+
+    @pytest.mark.parametrize("field", [GF(5, 2), with_parameter(QQ())], ids=str)
+    def test_match_without_exact_witness_is_refused(self, field):
+        # the zero matrix satisfies every linear row but is no witness;
+        # exact re-verification refuses it
+        alpha = field.gen()
+        with pytest.raises(ArithmeticError):
+            _first_witness(alpha, alpha + 1, [(0, 0, 0, 0)])
+
+
+class TestFiniteOrbits:
+    @pytest.mark.parametrize("ell, k", FINITE_FIELDS)
+    @pytest.mark.parametrize("group", ["sl", "slpm"])
+    def test_same_orbits_as_reference(self, ell, k, group):
+        assert finite_orbits(ell, k, group) == ref_finite_orbits(ell, k, group)
+
+
+NOT_TRANSITIVE = [(3, 3, "sl"), (5, 3, "sl"), (5, 3, "slpm"), (7, 3, "sl"),
+                  (11, 3, "sl"), (13, 3, "sl"), (13, 3, "slpm")]
+
+
+class TestTransitivityScope:
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("group", ["sl", "slpm"])
+    def test_claimed_exactly_where_transitive(self, ell, k, group):
+        claimed = transitivity_scope(ell, k, group) is None
+        assert claimed == ((ell, k, group) not in NOT_TRANSITIVE)
+        if claimed:
+            assert finite_orbits(ell, k, group).transitive
+
+    def test_reason_names_the_condition(self):
+        assert transitivity_scope(5, 3, "slpm") == \
+            "transitivity is only claimed for l = 3 mod 4; l = 5"
+        assert "slpm" in transitivity_scope(7, 3, "sl")
+
+
+class TestLongPeriods:
+    @pytest.mark.parametrize("D, period", [(99991, 436), (1000003, 458)])
+    def test_sqrt_against_sympy(self, D, period):
+        sympy_cf = pytest.importorskip("sympy.ntheory.continued_fraction")
+        expected = sympy_cf.continued_fraction_periodic(0, 1, D)
+        cf = cf_expand(QuadIrr(0, D, 1))
+        assert len(cf.period) == period
+        assert list(cf.preperiod) == expected[:-1]
+        assert list(cf.period) == expected[-1]
+
+    def test_shifted_surd_against_sympy(self):
+        sympy_cf = pytest.importorskip("sympy.ntheory.continued_fraction")
+        expected = sympy_cf.continued_fraction_periodic(-7, 3, 1726)
+        cf = cf_expand(QuadIrr(-7, 1726, 3))
+        assert list(cf.preperiod) == expected[:-1]
+        assert list(cf.period) == expected[-1]
