@@ -19,13 +19,13 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 from . import __version__, fields, orbits, presentations
 from .fields import FieldElem, GF, QQ
 from .literals import parse_field_literal, parse_matrix
 from .pdo import PdoSeries, leading_constraint_check, pdo_from_skew, pdo_inv
-from .skewpoly import SkewPoly, commutator
+from .skewpoly import commutator
 
 
 @dataclass
@@ -44,9 +44,11 @@ class Report:
     checks: list = dc_field(default_factory=list)
 
     def run(self, name, claim, fn, witness=None):
-        """Execute fn; a truthy result is a pass, falsy or raising is a fail."""
+        """Execute fn; a truthy result is a pass, falsy or raising is a fail.
+        Returns fn's result on a pass, else None."""
         start = time.perf_counter()
         note = witness
+        result = None
         try:
             result = fn()
             status = "pass" if result or result is None else "fail"
@@ -54,6 +56,7 @@ class Report:
             status, note = "fail", str(exc)
         ms = (time.perf_counter() - start) * 1000.0
         self.checks.append(Check(name, claim, status, note, ms))
+        return result if status == "pass" else None
 
     def record(self, name, claim, status, witness=None):
         self.checks.append(Check(name, claim, status, witness, 0.0))
@@ -149,12 +152,14 @@ def _q_case(cfg: Config):
 # suites
 
 def suite_presentations(cfg: Config, report: Report):
+    # a Presentation verifies its brackets when it is constructed
     gcase = _g_case(cfg)
+    pres = None
     if gcase is not None:
-        pres = presentations.algebra_make(gcase)
-        report.run("g-brackets",
-                   "generators satisfy [x,y]=y, [x,z]=alpha z, [y,z]=0",
-                   lambda: pres is not None)
+        pres = report.run("g-brackets",
+                          "generators satisfy [x,y]=y, [x,z]=alpha z, [y,z]=0",
+                          lambda: presentations.algebra_make(gcase))
+    if pres is not None:
         x, y, z = pres.gens
         for i in range(1, 7):
             xi = x ** i
@@ -176,14 +181,12 @@ def suite_presentations(cfg: Config, report: Report):
                        f"(x^{ell}-alpha^{ell - 1}x) z = z (x^{ell}-alpha^{ell - 1}x)",
                        lambda: commutator(ta, z).is_zero())
     qcase = _q_case(cfg)
-    presq = presentations.algebra_make(qcase)
     report.run("q-brackets",
                "generators satisfy [x,y]=y, [x,z]=y+z, [y,z]=0",
-               lambda: presq is not None)
-    presqt = presentations.algebra_make(qcase, coords="yt")
-    report.run("q-t-bracket", "in (y,t) coordinates [x,t]=1",
-               lambda: commutator(presqt.x, presqt.z) == SkewPoly.one(presqt.D))
-    if cfg.char:
+               lambda: presentations.algebra_make(qcase))
+    presqt = report.run("q-t-bracket", "in (y,t) coordinates [x,t]=1",
+                        lambda: presentations.algebra_make(qcase, coords="yt"))
+    if presqt is not None and cfg.char:
         ell = cfg.char
         xq, tq = presqt.x, presqt.z
         report.run("q-invariant-shift", f"(x^{ell}-x) t = t (x^{ell}-x) - 1",
@@ -203,11 +206,16 @@ def suite_centers(cfg: Config, report: Report):
         report.run(f"{label}-center",
                    f"claimed center generators all central: {names}",
                    lambda center=center: center.all_central)
-        verdict = presentations.gk_classify(case)
+        try:
+            verdict = presentations.gk_classify(case)
+        except (ValueError, ArithmeticError) as exc:
+            report.record(f"{label}-weyl-classification",
+                          "Weyl presentation and center classified", "fail", str(exc))
+            continue
         report.run(f"{label}-weyl-classification",
                    f"Weyl presentation exists: {verdict.weyl_equivalent}; "
                    f"center {verdict.center_description}",
-                   lambda verdict=verdict: verdict is not None)
+                   lambda verdict=verdict: verdict.weyl_equivalent == (verdict.weyl is not None))
         if verdict.dimension_over_center:
             report.record(
                 f"{label}-dimension-over-center",
@@ -438,18 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orefields",
         description="verification suites and orbit classification for "
                     "skew polynomial skewfields")
+    d = Config()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", dest="fmt", choices=("json", "text"),
-                        default="json")
-    common.add_argument("--char", type=int, default=0)
-    common.add_argument("--alpha")
-    common.add_argument("--beta")
-    common.add_argument("--matrix", default="1,1,0,1")
-    common.add_argument("--ell", type=int, default=3)
-    common.add_argument("--ext", type=int, default=2)
-    common.add_argument("--group", choices=("sl", "slpm"), default="sl")
-    common.add_argument("--precision", type=int, default=8)
-    common.add_argument("--seed", type=int, default=0)
+                        default=d.fmt)
+    common.add_argument("--char", type=int, default=d.char)
+    common.add_argument("--alpha", default=d.alpha)
+    common.add_argument("--beta", default=d.beta)
+    common.add_argument("--matrix", default=d.matrix)
+    common.add_argument("--ell", type=int, default=d.ell)
+    common.add_argument("--ext", type=int, default=d.ext)
+    common.add_argument("--group", choices=("sl", "slpm"), default=d.group)
+    common.add_argument("--precision", type=int, default=d.precision)
+    common.add_argument("--seed", type=int, default=d.seed)
 
     sub = parser.add_subparsers(dest="command", required=True)
     p_verify = sub.add_parser("verify", parents=[common])
@@ -468,18 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = Config(
-        char=getattr(args, "char", 0),
-        alpha=getattr(args, "alpha", None),
-        beta=getattr(args, "beta", None),
-        matrix=getattr(args, "matrix", "1,1,0,1"),
-        ell=getattr(args, "ell", 3),
-        ext=getattr(args, "ext", 2),
-        group=getattr(args, "group", "sl"),
-        precision=getattr(args, "precision", 8),
-        seed=getattr(args, "seed", 0),
-        fmt=args.fmt,
-    )
+    # every subparser inherits the common options, one per Config field
+    cfg = Config(**{f.name: getattr(args, f.name) for f in dc_fields(Config)})
     try:
         if cfg.precision < 1:
             raise ValueError(f"--precision must be at least 1, got {cfg.precision}")

@@ -125,15 +125,8 @@ class FieldElem:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return (self.inverse()) ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return _power(self.inverse(), -n, self.field.one())
+        return _power(self, n, self.field.one())
 
     def inverse(self):
         if self.is_zero():
@@ -166,6 +159,41 @@ class FieldElem:
 
     def __str__(self):
         return self.field._str(self.rep)
+
+
+def _power(base, n, one):
+    """base^n for n >= 0 by square and multiply, starting from one."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+# ---------------------------------------------------------------------------
+# printing sums of terms
+
+def _coeff_term(s, mono):
+    """The term with coefficient string s and monomial mono ("" for 1)."""
+    if not mono:
+        return s
+    if s == "1":
+        return mono
+    if s == "-1":
+        return f"-{mono}"
+    if any(op in s[1:] for op in "+-/"):
+        s = f"({s})"
+    return f"{s}*{mono}"
+
+
+def _join_terms(parts):
+    """Join term strings with "+", except before a term that starts with "-"."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(t if t.startswith("-") else "+" + t for t in parts[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +275,14 @@ def _ugcd(K, a, b):
     return _umonic(K, a)[0]
 
 
+def _ucancel(K, a, b):
+    """a and b divided by their gcd."""
+    g = _ugcd(K, a, b)
+    if len(g) > 1:
+        return _udivmod(K, a, g)[0], _udivmod(K, b, g)[0]
+    return a, b
+
+
 def _uxgcd(K, a, b):
     """Extended gcd: returns (g, s, t) with g monic and s*a + t*b = g."""
     r0, r1 = _utrim(K, a), _utrim(K, b)
@@ -265,30 +301,12 @@ def _uxgcd(K, a, b):
 
 
 def _ustr(K, c, var):
-    if not c:
-        return "0"
     parts = []
     for i in range(len(c) - 1, -1, -1):
-        x = c[i]
-        if K._is_zero(x):
-            continue
-        s = K._str(x)
-        if i == 0:
-            parts.append(s)
-            continue
-        xvar = var if i == 1 else f"{var}^{i}"
-        if s == "1":
-            parts.append(xvar)
-        elif s == "-1":
-            parts.append(f"-{xvar}")
-        else:
-            if any(op in s[1:] for op in "+-/"):
-                s = f"({s})"
-            parts.append(f"{s}*{xvar}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+        if not K._is_zero(c[i]):
+            mono = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+            parts.append(_coeff_term(K._str(c[i]), mono))
+    return _join_terms(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +736,7 @@ class ParameterField(Field):
             raise ZeroDivisionError("zero denominator")
         if not num:
             return ((), (K._one_rep(),))
-        g = _ugcd(K, num, den)
-        if len(g) > 1:
-            num = _udivmod(K, num, g)[0]
-            den = _udivmod(K, den, g)[0]
+        num, den = _ucancel(K, num, den)
         den, lead = _umonic(K, den)
         num = _uscale(K, num, K._inv(lead))
         return (num, den)
@@ -747,13 +762,7 @@ class ParameterField(Field):
             num = _uadd(K, n1, n2)
             if not num:
                 return self._zero_rep()
-            h = _ugcd(K, num, d1)
-            if len(h) > 1:
-                num = _udivmod(K, num, h)[0]
-                den = _udivmod(K, d1, h)[0]
-            else:
-                den = d1
-            return self._monic(num, den)
+            return self._monic(*_ucancel(K, num, d1))
         g = _ugcd(K, d1, d2)
         if len(g) > 1:
             d1p = _udivmod(K, d1, g)[0]
@@ -786,14 +795,8 @@ class ParameterField(Field):
             return (_uscale(K, n2, n1[0]), d2)
         if len(d2) == 1 and len(n2) == 1:
             return (_uscale(K, n1, n2[0]), d1)
-        g1 = _ugcd(K, n1, d2)
-        if len(g1) > 1:
-            n1 = _udivmod(K, n1, g1)[0]
-            d2 = _udivmod(K, d2, g1)[0]
-        g2 = _ugcd(K, n2, d1)
-        if len(g2) > 1:
-            n2 = _udivmod(K, n2, g2)[0]
-            d1 = _udivmod(K, d1, g2)[0]
+        n1, d2 = _ucancel(K, n1, d2)
+        n2, d1 = _ucancel(K, n2, d1)
         return self._monic(_umul(K, n1, n2), _umul(K, d1, d2))
 
     def _monic(self, num, den):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fields import _join_terms, _power
 from .ratfunc import Derivation, RatFunc2
 from .skewpoly import SkewPoly
 
@@ -163,14 +164,7 @@ class PdoSeries:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("series powers take nonnegative integer exponents")
-        result = PdoSeries.one(self.derivation, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, PdoSeries.one(self.derivation, self.prec))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -201,10 +195,7 @@ class PdoSeries:
                 us = "u" if n == 1 else f"u^{n}"
                 parts.append(us if c == "1" else f"{c}*{us}")
         parts.append(f"O(u^{self.prec + 1})")
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        return _join_terms(parts)
 
     def __repr__(self):
         return f"<pdo {self}>"

@@ -4,6 +4,12 @@ Elements of k(v1, v2) are kept as reduced fractions of polynomial dicts
 {(i, j): coefficient} with the denominator normalized to leading
 coefficient 1 under graded lexicographic order (v1 > v2), so the
 representation of each value is unique and equality is structural.
+The coefficients are raw reps of k (Fraction, int, tuple, or a K(a) pair),
+operated on by the field's payload methods; the `_p*` helpers take k
+explicitly, and `FieldElem` appears only where a value enters or leaves
+(`const`, `monomial`, coercion, `constant_value`).  The gcd views a
+polynomial as one in v1 over k[v2] and runs the primitive PRS (Brown
+1971) on the univariate helpers of `fields`.
 
 Derivations are determined by their images on the two variables and
 extend to fractions by the quotient rule, taken in one step on the
@@ -22,7 +28,10 @@ fraction times a unit stays reduced.
 
 from __future__ import annotations
 
-from .fields import Field, FieldElem, FieldError
+from .fields import (
+    Field, FieldElem, FieldError, _coeff_term, _join_terms, _power, _udivmod, _ugcd, _umul,
+    _usub,
+)
 
 
 def _grlex(ij):
@@ -30,43 +39,43 @@ def _grlex(ij):
 
 
 # ---------------------------------------------------------------------------
-# polynomial dicts: {(i, j): FieldElem}, no zero values, exponents >= 0
+# polynomial dicts: {(i, j): rep of K}, no zero values, exponents >= 0
 
-def _ptrim(p):
-    return {ij: c for ij, c in p.items() if not c.is_zero()}
+def _ptrim(K, p):
+    return {ij: c for ij, c in p.items() if not K._is_zero(c)}
 
 
-def _padd(p, q):
+def _padd(K, p, q):
     out = dict(p)
     for ij, c in q.items():
         s = out.get(ij)
-        s = c if s is None else s + c
-        if s.is_zero():
+        s = c if s is None else K._add(s, c)
+        if K._is_zero(s):
             out.pop(ij, None)
         else:
             out[ij] = s
     return out
 
 
-def _pneg(p):
-    return {ij: -c for ij, c in p.items()}
+def _pneg(K, p):
+    return {ij: K._neg(c) for ij, c in p.items()}
 
 
-def _pmul(p, q):
+def _pmul(K, p, q):
     out = {}
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in q.items():
             ij = (i1 + i2, j1 + j2)
             s = out.get(ij)
-            s = c1 * c2 if s is None else s + c1 * c2
-            out[ij] = s
-    return _ptrim(out)
+            t = K._mul(c1, c2)
+            out[ij] = t if s is None else K._add(s, t)
+    return _ptrim(K, out)
 
 
-def _pscale(p, c):
-    if c.is_zero():
+def _pscale(K, p, c):
+    if K._is_zero(c):
         return {}
-    return {ij: v * c for ij, v in p.items()}
+    return {ij: K._mul(v, c) for ij, v in p.items()}
 
 
 def _plead(p):
@@ -78,22 +87,17 @@ def _pshift(p, di, dj):
     return {(i + di, j + dj): c for (i, j), c in p.items()}
 
 
-def _ppartial(p, axis, field):
+def _ppartial(K, p, axis):
+    # (i, j) -> (i - 1, j) or (i, j - 1) is injective, so terms never collide
     out = {}
     for (i, j), c in p.items():
         e = i if axis == 0 else j
         if e == 0:
             continue
-        k = field.from_int(e) * c
-        if k.is_zero():
-            continue
-        ij = (i - 1, j) if axis == 0 else (i, j - 1)
-        out[ij] = out.get(ij, field.zero()) + k
-    return _ptrim(out)
-
-
-def _is_monomial(p):
-    return len(p) == 1
+        k = K._mul(K._from_int(e), c)
+        if not K._is_zero(k):
+            out[(i - 1, j) if axis == 0 else (i, j - 1)] = k
+    return out
 
 
 def _is_one(g):
@@ -102,95 +106,24 @@ def _is_one(g):
 
 
 # recursive view: polynomial in v1 with coefficients in k[v2], used for gcd.
-# v2-polynomials are trimmed little-endian tuples of FieldElem.
+# v2-polynomials are the trimmed little-endian tuples of reps that the
+# univariate helpers of `fields` work on; the top row of a view is nonzero.
 
-def _ztrim(c):
-    c = list(c)
-    while c and c[-1].is_zero():
-        c.pop()
-    return tuple(c)
-
-
-def _zadd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return _ztrim(out)
-
-
-def _zmul(a, b, zero):
-    if not a or not b:
-        return ()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _ztrim(out)
-
-
-def _zscale(a, s):
-    if s.is_zero():
-        return ()
-    return _ztrim([x * s for x in a])
-
-
-def _zdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    a = list(a)
-    inv = b[-1].inverse()
-    db = len(b) - 1
-    quo = [b[-1].field.zero()] * max(len(a) - db, 0)
-    while a and len(a) - 1 >= db:
-        da = len(a) - 1
-        c = a[-1] * inv
-        quo[da - db] = c
-        for i in range(len(b)):
-            a[da - db + i] = a[da - db + i] - c * b[i]
-        while a and a[-1].is_zero():
-            a.pop()
-    return _ztrim(quo), _ztrim(a)
-
-
-def _zgcd(a, b):
-    a, b = _ztrim(a), _ztrim(b)
-    while b:
-        a, b = b, _zdivmod(a, b)[1]
-    if not a:
-        return ()
-    return _zscale(a, a[-1].inverse())
-
-
-def _to_rec(p, field):
-    if not p:
-        return []
-    dy = max(i for (i, j) in p)
-    dz = {}
+def _to_rec(K, p):
+    rows = {}
     for (i, j), c in p.items():
-        dz.setdefault(i, {})[j] = c
+        rows.setdefault(i, {})[j] = c
+    zero = K._zero_rep()
     rec = []
-    zero = field.zero()
-    for i in range(dy + 1):
-        row = dz.get(i, {})
-        if row:
-            m = max(row)
-            rec.append(tuple(row.get(j, zero) for j in range(m + 1)))
-        else:
-            rec.append(())
+    for i in range(max(rows) + 1 if rows else 0):
+        row = rows.get(i, {})
+        rec.append(tuple(row.get(j, zero) for j in range(max(row) + 1)) if row else ())
     return rec
 
 
-def _from_rec(rec):
-    out = {}
-    for i, row in enumerate(rec):
-        for j, c in enumerate(row):
-            if not c.is_zero():
-                out[(i, j)] = c
-    return out
+def _from_rec(K, rec):
+    return {(i, j): c for i, row in enumerate(rec) for j, c in enumerate(row)
+            if not K._is_zero(c)}
 
 
 def _rec_trim(rec):
@@ -200,147 +133,108 @@ def _rec_trim(rec):
     return rec
 
 
-def _rec_content(rec):
+def _rec_content(K, rec):
     g = ()
     for row in rec:
-        g = _zgcd(g, row)
+        g = _ugcd(K, g, row)
         if len(g) == 1:
             break
     return g
 
 
-def _rec_primitive(rec, field):
-    g = _rec_content(rec)
+def _rec_primitive(K, rec):
+    g = _rec_content(K, rec)
     if len(g) <= 1:
         return rec, g
-    return [_zdivmod(row, g)[0] for row in rec], g
+    return [_udivmod(K, row, g)[0] for row in rec], g
 
 
-def _rec_prem(A, B, field):
+def _rec_sub_shifted(K, A, B, c):
+    """A - v1^(deg A - deg B) * c * B, with the top row cancelled away."""
+    shift = len(A) - len(B)
+    sub = [()] * shift + [_umul(K, row, c) for row in B]
+    return _rec_trim([_usub(K, a, s) for a, s in zip(A, sub)])
+
+
+def _rec_prem(K, A, B):
     """Pseudo-remainder of A by B in (k[v2])[v1]: repeatedly scale by the
     leading coefficient of B and cancel; the degree drops every step."""
-    A = _rec_trim(list(A))
-    B = _rec_trim(list(B))
     lb = B[-1]
-    zero = field.zero()
-    minus_one = field.from_int(-1)
     while A and len(A) >= len(B):
         la = A[-1]
-        shift = len(A) - len(B)
-        A = [_zmul(row, lb, zero) for row in A]
-        sub = [()] * shift + [_zmul(row, la, zero) for row in B]
-        A = [_zadd(a, _zscale(s, minus_one)) for a, s in zip(A, sub)]
-        A = _rec_trim(A)
+        A = _rec_sub_shifted(K, [_umul(K, row, lb) for row in A], B, la)
     return A
 
 
-def _pgcd(p, q, field):
+def _pgcd(K, p, q):
     """gcd in k[v1, v2], normalized with leading grlex coefficient 1."""
-    p, q = _ptrim(p), _ptrim(q)
-    if not p:
-        src = q
-    elif not q:
-        src = p
-    else:
-        src = None
-    if src is not None:
+    p, q = _ptrim(K, p), _ptrim(K, q)
+    if not p or not q:
+        src = p or q
         if not src:
             return {}
-        _, lead = _plead(src)
-        return _pscale(src, lead.inverse())
+        return _pscale(K, src, K._inv(_plead(src)[1]))
 
-    if _is_monomial(p) or _is_monomial(q):
+    if len(p) == 1 or len(q) == 1:
         mi = min(min(i for (i, _) in p), min(i for (i, _) in q))
         mj = min(min(j for (_, j) in p), min(j for (_, j) in q))
-        return {(mi, mj): field.one()}
+        return {(mi, mj): K._one_rep()}
 
-    A = _rec_trim(_to_rec(p, field))
-    B = _rec_trim(_to_rec(q, field))
+    A, B = _to_rec(K, p), _to_rec(K, q)
     if len(A) < len(B):
         A, B = B, A
-    A, ca = _rec_primitive(A, field)
-    B, cb = _rec_primitive(B, field)
-    cont = _zgcd(ca, cb)
+    A, ca = _rec_primitive(K, A)
+    B, cb = _rec_primitive(K, B)
+    cont = _ugcd(K, ca, cb)
     # primitive PRS
     while True:
         if len(B) == 1:
             # B is a v2-polynomial; primitive => gcd of the y-parts is 1
-            g = [(field.one(),)]
+            g = [(K._one_rep(),)]
             break
-        R = _rec_prem(A, B, field)
+        R = _rec_prem(K, A, B)
         if not R:
-            g, _ = _rec_primitive(B, field)
+            g, _ = _rec_primitive(K, B)
             break
-        R, _ = _rec_primitive(R, field)
+        R, _ = _rec_primitive(K, R)
         A, B = B, R
-    zero = field.zero()
-    g = [_zmul(row, cont, zero) for row in g] if len(cont) != 1 else g
-    out = _from_rec(g)
-    if not out:
-        return {}
-    _, lead = _plead(out)
-    return _pscale(out, lead.inverse())
+    if len(cont) != 1:
+        g = [_umul(K, row, cont) for row in g]
+    out = _from_rec(K, g)
+    return _pscale(K, out, K._inv(_plead(out)[1]))
 
 
-def _pdivexact(p, g, field):
+def _pdivexact(K, p, g):
     """Exact division p / g in k[v1, v2] (g must divide p)."""
     if len(g) == 1:
         (gi, gj), gc = next(iter(g.items()))
-        if gc.is_one():
+        if gc == K._one_rep():
             return _pshift(p, -gi, -gj)
-        inv = gc.inverse()
-        return {(i - gi, j - gj): c * inv for (i, j), c in p.items()}
-    A = _rec_trim(_to_rec(p, field))
-    B = _rec_trim(_to_rec(g, field))
-    zero = field.zero()
+        inv = K._inv(gc)
+        return {(i - gi, j - gj): K._mul(c, inv) for (i, j), c in p.items()}
+    A, B = _to_rec(K, p), _to_rec(K, g)
     Q = [()] * (len(A) - len(B) + 1)
     while A and len(A) >= len(B):
-        qrow, rrow = _zdivmod(A[-1], B[-1])
+        qrow, rrow = _udivmod(K, A[-1], B[-1])
         if rrow:
             raise ArithmeticError("inexact polynomial division")
-        shift = len(A) - len(B)
-        Q[shift] = qrow
-        sub = [()] * shift + [_zmul(row, qrow, zero) for row in B]
-        A = [_zadd(a, _zscale(s, field.from_int(-1))) for a, s in zip(A, sub)]
-        A = _rec_trim(A)
+        Q[len(A) - len(B)] = qrow
+        A = _rec_sub_shifted(K, A, B, qrow)
     if A:
         raise ArithmeticError("inexact polynomial division")
-    return _from_rec(Q)
+    return _from_rec(K, Q)
 
 
-def _pstr(p, vars):
-    if not p:
-        return "0"
+def _pstr(K, p, vars):
     parts = []
-    for ij in sorted(p, key=_grlex, reverse=True):
-        c = p[ij]
-        i, j = ij
+    for i, j in sorted(p, key=_grlex, reverse=True):
         mono = []
-        if i == 1:
-            mono.append(vars[0])
-        elif i > 1:
-            mono.append(f"{vars[0]}^{i}")
-        if j == 1:
-            mono.append(vars[1])
-        elif j > 1:
-            mono.append(f"{vars[1]}^{j}")
-        m = "*".join(mono)
-        s = str(c)
-        if not m:
-            parts.append(s)
-            continue
-        if s == "1":
-            parts.append(m)
-        elif s == "-1":
-            parts.append(f"-{m}")
-        else:
-            if any(op in s[1:] for op in "+-/"):
-                s = f"({s})"
-            parts.append(f"{s}*{m}")
-    out = parts[0]
-    for t in parts[1:]:
-        out += t if t.startswith("-") else "+" + t
-    return out
+        if i:
+            mono.append(vars[0] if i == 1 else f"{vars[0]}^{i}")
+        if j:
+            mono.append(vars[1] if j == 1 else f"{vars[1]}^{j}")
+        parts.append(_coeff_term(K._str(p[(i, j)]), "*".join(mono)))
+    return _join_terms(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -368,23 +262,25 @@ class FunctionField2:
         return f"{self.field}({self.vars[0]},{self.vars[1]})"
 
     def zero(self):
-        return RatFunc2(self, {}, {(0, 0): self.field.one()}, _normalized=True)
+        return RatFunc2(self, {}, {(0, 0): self.field._one_rep()}, _normalized=True)
 
     def one(self):
-        one = self.field.one()
-        return RatFunc2(self, {(0, 0): one}, {(0, 0): one}, _normalized=True)
+        return self._const(self.field._one_rep())
+
+    def _const(self, c) -> RatFunc2:
+        """The constant with rep c."""
+        if self.field._is_zero(c):
+            return self.zero()
+        return RatFunc2(self, {(0, 0): c}, {(0, 0): self.field._one_rep()}, _normalized=True)
 
     def const(self, value) -> RatFunc2:
-        c = self.field.coerce(value)
-        if c.is_zero():
-            return self.zero()
-        return RatFunc2(self, {(0, 0): c}, {(0, 0): self.field.one()}, _normalized=True)
+        return self._const(self.field.coerce(value).rep)
 
     def monomial(self, i: int, j: int, coeff=1) -> RatFunc2:
-        c = self.field.coerce(coeff)
-        if c.is_zero():
+        c = self.field.coerce(coeff).rep
+        if self.field._is_zero(c):
             return self.zero()
-        one = self.field.one()
+        one = self.field._one_rep()
         num = {(max(i, 0), max(j, 0)): c}
         den = {(max(-i, 0), max(-j, 0)): one}
         return RatFunc2(self, num, den, _normalized=True)
@@ -414,27 +310,24 @@ class RatFunc2:
 
     @staticmethod
     def _normalize(ctx, num, den):
-        field = ctx.field
-        num, den = _ptrim(num), _ptrim(den)
+        K = ctx.field
+        num, den = _ptrim(K, num), _ptrim(K, den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return {}, {(0, 0): field.one()}
+            return {}, {(0, 0): K._one_rep()}
         # cheap common monomial factor first
         mi = min(min(i for (i, _) in num), min(i for (i, _) in den))
         mj = min(min(j for (_, j) in num), min(j for (_, j) in den))
         if mi or mj:
             num = _pshift(num, -mi, -mj)
             den = _pshift(den, -mi, -mj)
-        g = _pgcd(num, den, field)
-        if g and not _is_one(g):
-            num = _pdivexact(num, g, field)
-            den = _pdivexact(den, g, field)
+        num, den = RatFunc2._cancel(num, den, K)
         _, lead = _plead(den)
-        if not lead.is_one():
-            inv = lead.inverse()
-            num = _pscale(num, inv)
-            den = _pscale(den, inv)
+        if lead != K._one_rep():
+            inv = K._inv(lead)
+            num = _pscale(K, num, inv)
+            den = _pscale(K, den, inv)
         return num, den
 
     # -- construction helpers ------------------------------------------------
@@ -444,54 +337,53 @@ class RatFunc2:
                 raise ValueError("mixed rational-function contexts")
             return other
         c = self.ctx.field.try_coerce(other)
-        if c is None:
-            return None
-        return self.ctx.const(FieldElem(self.ctx.field, c))
+        return None if c is None else self.ctx._const(c)
 
     # -- arithmetic ----------------------------------------------------------
     # products and sums of reduced fractions are re-reduced by operand-size
     # gcds (cross-cancellation), never by a gcd of the full products
 
     @staticmethod
-    def _cancel(p, q, field):
-        g = _pgcd(p, q, field)
+    def _cancel(p, q, K):
+        g = _pgcd(K, p, q)
         if g and not _is_one(g):
-            return _pdivexact(p, g, field), _pdivexact(q, g, field)
+            return _pdivexact(K, p, g), _pdivexact(K, q, g)
         return p, q
 
     def _combined(self, o, negate):
-        field = self.ctx.field
+        K = self.ctx.field
         d1, d2 = self.den, o.den
         if d1 == d2:
-            rhs = _pneg(o.num) if negate else o.num
-            num = _padd(self.num, rhs)
+            rhs = _pneg(K, o.num) if negate else o.num
+            num = _padd(K, self.num, rhs)
             if not num:
                 return self.ctx.zero()
-            num, den = self._cancel(num, d1, field)
+            num, den = self._cancel(num, d1, K)
             return RatFunc2(self.ctx, num, den, _normalized=True)._monic()
-        g = _pgcd(d1, d2, field)
+        g = _pgcd(K, d1, d2)
         trivial = _is_one(g)
-        d1p = d1 if trivial else _pdivexact(d1, g, field)
-        d2p = d2 if trivial else _pdivexact(d2, g, field)
-        rhs = _pmul(o.num, d1p)
-        num = _padd(_pmul(self.num, d2p), _pneg(rhs) if negate else rhs)
+        d1p = d1 if trivial else _pdivexact(K, d1, g)
+        d2p = d2 if trivial else _pdivexact(K, d2, g)
+        rhs = _pmul(K, o.num, d1p)
+        num = _padd(K, _pmul(K, self.num, d2p), _pneg(K, rhs) if negate else rhs)
         if not num:
             return self.ctx.zero()
-        den = _pmul(_pmul(g, d1p), d2p)
+        den = _pmul(K, _pmul(K, g, d1p), d2p)
         if not trivial:
-            h = _pgcd(num, g, field)
+            h = _pgcd(K, num, g)
             if not _is_one(h):
-                num = _pdivexact(num, h, field)
-                den = _pdivexact(den, h, field)
+                num = _pdivexact(K, num, h)
+                den = _pdivexact(K, den, h)
         return RatFunc2(self.ctx, num, den, _normalized=True)._monic()
 
     def _monic(self):
+        K = self.ctx.field
         _, lead = _plead(self.den)
-        if lead.is_one():
+        if lead == K._one_rep():
             return self
-        inv = lead.inverse()
-        return RatFunc2(self.ctx, _pscale(self.num, inv),
-                        _pscale(self.den, inv), _normalized=True)
+        inv = K._inv(lead)
+        return RatFunc2(self.ctx, _pscale(K, self.num, inv),
+                        _pscale(K, self.den, inv), _normalized=True)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -521,16 +413,16 @@ class RatFunc2:
             return self.ctx.zero()
         # a nonzero constant scales the other numerator; a reduced fraction
         # times a unit stays reduced, and its denominator stays monic
+        K = self.ctx.field
         if o.is_constant():
-            return RatFunc2(self.ctx, _pscale(self.num, o.num[(0, 0)]), self.den,
+            return RatFunc2(self.ctx, _pscale(K, self.num, o.num[(0, 0)]), self.den,
                             _normalized=True)
         if self.is_constant():
-            return RatFunc2(self.ctx, _pscale(o.num, self.num[(0, 0)]), o.den,
+            return RatFunc2(self.ctx, _pscale(K, o.num, self.num[(0, 0)]), o.den,
                             _normalized=True)
-        field = self.ctx.field
-        n1, d2 = self._cancel(self.num, o.den, field)
-        n2, d1 = self._cancel(o.num, self.den, field)
-        return RatFunc2(self.ctx, _pmul(n1, n2), _pmul(d1, d2),
+        n1, d2 = self._cancel(self.num, o.den, K)
+        n2, d1 = self._cancel(o.num, self.den, K)
+        return RatFunc2(self.ctx, _pmul(K, n1, n2), _pmul(K, d1, d2),
                         _normalized=True)._monic()
 
     __rmul__ = __mul__
@@ -543,10 +435,10 @@ class RatFunc2:
             raise ZeroDivisionError("division by zero rational function")
         if self.is_zero():
             return self.ctx.zero()
-        field = self.ctx.field
-        n1, n2 = self._cancel(self.num, o.num, field)
-        d1, d2 = self._cancel(o.den, self.den, field)
-        return RatFunc2(self.ctx, _pmul(n1, d1), _pmul(d2, n2),
+        K = self.ctx.field
+        n1, n2 = self._cancel(self.num, o.num, K)
+        d1, d2 = self._cancel(o.den, self.den, K)
+        return RatFunc2(self.ctx, _pmul(K, n1, d1), _pmul(K, d2, n2),
                         _normalized=True)._monic()
 
     def __rtruediv__(self, other):
@@ -556,21 +448,15 @@ class RatFunc2:
         return o / self
 
     def __neg__(self):
-        return RatFunc2(self.ctx, _pneg(self.num), dict(self.den), _normalized=True)
+        return RatFunc2(self.ctx, _pneg(self.ctx.field, self.num), dict(self.den),
+                        _normalized=True)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return _power(self.inverse(), -n, self.ctx.one())
+        return _power(self, n, self.ctx.one())
 
     def inverse(self):
         if self.is_zero():
@@ -596,16 +482,16 @@ class RatFunc2:
     def constant_value(self) -> FieldElem | None:
         if not self.is_constant():
             return None
-        if not self.num:
-            return self.ctx.field.zero()
-        return self.num[(0, 0)]
+        K = self.ctx.field
+        return FieldElem(K, self.num[(0, 0)] if self.num else K._zero_rep())
 
     def partial(self, axis: int) -> RatFunc2:
         """Partial derivative with respect to variable 0 or 1."""
-        dn = _ppartial(self.num, axis, self.ctx.field)
-        dd = _ppartial(self.den, axis, self.ctx.field)
-        num = _padd(_pmul(dn, self.den), _pneg(_pmul(self.num, dd)))
-        return RatFunc2(self.ctx, num, _pmul(self.den, self.den))
+        K = self.ctx.field
+        dn = _ppartial(K, self.num, axis)
+        dd = _ppartial(K, self.den, axis)
+        num = _padd(K, _pmul(K, dn, self.den), _pneg(K, _pmul(K, self.num, dd)))
+        return RatFunc2(self.ctx, num, _pmul(K, self.den, self.den))
 
     def subst_powers(self, e1, e2) -> RatFunc2:
         """Substitute v1 -> v1^a1 v2^b1 and v2 -> v1^a2 v2^b2 where
@@ -621,12 +507,14 @@ class RatFunc2:
         si = -min(0, min(i for (i, _) in everything))
         sj = -min(0, min(j for (_, j) in everything))
 
+        K = self.ctx.field
+
         def collect(terms):
             out = {}
             for (i, j), c in terms:
                 ij = (i + si, j + sj)
-                out[ij] = out.get(ij, self.ctx.field.zero()) + c
-            return _ptrim(out)
+                out[ij] = K._add(out[ij], c) if ij in out else c
+            return _ptrim(K, out)
 
         return RatFunc2(self.ctx, collect(mn), collect(md))
 
@@ -638,10 +526,11 @@ class RatFunc2:
         return RatFunc2(ctx, dict(self.num), dict(self.den), _normalized=True)
 
     def __str__(self):
-        ns = _pstr(self.num, self.ctx.vars)
-        if self.den.keys() == {(0, 0)} and self.den[(0, 0)].is_one():
+        K, vars = self.ctx.field, self.ctx.vars
+        ns = _pstr(K, self.num, vars)
+        if _is_one(self.den):
             return ns
-        ds = _pstr(self.den, self.ctx.vars)
+        ds = _pstr(K, self.den, vars)
         if any(op in ns[1:] for op in "+-"):
             ns = f"({ns})"
         if any(op in ds[1:] for op in "+-*"):
@@ -669,17 +558,17 @@ class Derivation:
         self.image_of_y = image_of_y
         self.image_of_z = image_of_z
         # E = lcm of the image denominators, and E*D(v1), E*D(v2) as polynomials
-        field = ctx.field
+        K = ctx.field
         ey, ez = image_of_y.den, image_of_z.den
-        self._e = _pmul(ey, _pdivexact(ez, _pgcd(ey, ez, field), field))
-        self._wy = _pmul(image_of_y.num, _pdivexact(self._e, ey, field))
-        self._wz = _pmul(image_of_z.num, _pdivexact(self._e, ez, field))
+        self._e = _pmul(K, ey, _pdivexact(K, ez, _pgcd(K, ey, ez)))
+        self._wy = _pmul(K, image_of_y.num, _pdivexact(K, self._e, ey))
+        self._wz = _pmul(K, image_of_z.num, _pdivexact(K, self._e, ez))
 
     def _scaled(self, p):
         """E*D(p) for a polynomial p, itself a polynomial."""
-        field = self.ctx.field
-        return _padd(_pmul(_ppartial(p, 0, field), self._wy),
-                     _pmul(_ppartial(p, 1, field), self._wz))
+        K = self.ctx.field
+        return _padd(K, _pmul(K, _ppartial(K, p, 0), self._wy),
+                     _pmul(K, _ppartial(K, p, 1), self._wz))
 
     def __call__(self, f: RatFunc2) -> RatFunc2:
         """D(n/d) = N / (E d^2) with N = E*D(n)*d - n*E*D(d), reduced.
@@ -694,24 +583,25 @@ class Derivation:
         denominator.  d, the gcds and E are monic, so the denominator is."""
         if f.ctx != self.ctx:
             raise ValueError("element from a different context")
-        field = self.ctx.field
+        K = self.ctx.field
         n, d = f.num, f.den
         if _is_one(d):
             num, den = self._scaled(n), d
         else:
-            num = _padd(_pmul(self._scaled(n), d), _pneg(_pmul(n, self._scaled(d))))
+            num = _padd(K, _pmul(K, self._scaled(n), d),
+                        _pneg(K, _pmul(K, n, self._scaled(d))))
             if not num:
                 return self.ctx.zero()
-            g1 = _pgcd(num, d, field)
-            num = _pdivexact(num, g1, field)
-            g2 = _pgcd(num, g1, field)
-            num = _pdivexact(num, g2, field)
-            den = _pmul(_pdivexact(d, g1, field), _pdivexact(d, g2, field))
+            g1 = _pgcd(K, num, d)
+            num = _pdivexact(K, num, g1)
+            g2 = _pgcd(K, num, g1)
+            num = _pdivexact(K, num, g2)
+            den = _pmul(K, _pdivexact(K, d, g1), _pdivexact(K, d, g2))
         if not num:
             return self.ctx.zero()
         if not _is_one(self._e):
-            num, e = RatFunc2._cancel(num, self._e, field)
-            den = _pmul(den, e)
+            num, e = RatFunc2._cancel(num, self._e, K)
+            den = _pmul(K, den, e)
         return RatFunc2(self.ctx, num, den, _normalized=True)
 
     def iterate(self, f: RatFunc2, n: int) -> RatFunc2:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from .fields import _coeff_term, _join_terms, _power
 from .ratfunc import Derivation, RatFunc2
 
 
@@ -146,14 +147,7 @@ class SkewPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("skew powers take nonnegative integer exponents")
-        result = SkewPoly.one(self.derivation)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, SkewPoly.one(self.derivation))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -164,8 +158,6 @@ class SkewPoly:
     __hash__ = None
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for i in sorted(self.coeffs, reverse=True):
             c = str(self.coeffs[i])
@@ -173,20 +165,9 @@ class SkewPoly:
                 if any(op in c[1:] for op in "+-") and not c.startswith("("):
                     c = f"({c})"
                 parts.append(c)
-                continue
-            xs = "x" if i == 1 else f"x^{i}"
-            if c == "1":
-                parts.append(xs)
-            elif c == "-1":
-                parts.append(f"-{xs}")
             else:
-                if any(op in c[1:] for op in "+-/"):
-                    c = f"({c})"
-                parts.append(f"{c}*{xs}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+                parts.append(_coeff_term(c, "x" if i == 1 else f"x^{i}"))
+        return _join_terms(parts)
 
     def __repr__(self):
         return f"<skew {self}>"

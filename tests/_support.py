@@ -42,6 +42,20 @@ def rand_elem(rng, field):
     raise TypeError(f"no generator for {field}")
 
 
+def rand_param_elem(rng, field):
+    """A random element of the parameter field K(a) whose coefficients are
+    drawn from all of K (rand_elem's K(a) branch draws them from the prime
+    field only), so that w turns up over GF(3^2) and sqrt(2) over QQ(sqrt 2)."""
+    a = field.gen()
+    num = field.zero()
+    for i in range(rng.randint(1, 3)):
+        num = num + a ** i * field.coerce(rand_elem(rng, field.base))
+    den = field.one()
+    if rng.random() < 0.4:
+        den = a + field.coerce(rand_nonzero(rng, field.base))
+    return num / den
+
+
 def rand_base_int(rng, field):
     if field.char:
         return field.from_int(rng.randrange(field.char))
@@ -247,7 +261,7 @@ def ref_ratfunc_mul(f, g):
     field = f.ctx.field
     n1, d2 = RatFunc2._cancel(f.num, g.den, field)
     n2, d1 = RatFunc2._cancel(g.num, f.den, field)
-    return RatFunc2(f.ctx, _pmul(n1, n2), _pmul(d1, d2), _normalized=True)._monic()
+    return RatFunc2(f.ctx, _pmul(field, n1, n2), _pmul(field, d1, d2), _normalized=True)._monic()
 
 
 def ref_derivation(D, f):

@@ -316,3 +316,39 @@ class TestElementExpressions:
         pres = algebra_make(CaseSpec("q", GF(3)), coords="yt")
         f = parse_skew("x*t - t*x", pres)
         assert f == pres.embed(pres.ctx.one())
+
+
+class TestConstructionFailuresAreChecks:
+    """A construction that raises inside a check is that check's `fail`
+    (exit 1), and the checks that need its result are skipped."""
+
+    @staticmethod
+    def _raise(*args, **kwargs):
+        raise ArithmeticError("injected failure")
+
+    def _checks(self, argv):
+        code, out = run_main(argv)
+        return code, {c["name"]: c for c in json.loads(out)["checks"]}
+
+    def test_bracket_failure_fails_the_bracket_checks(self, monkeypatch):
+        from orefields import presentations
+        monkeypatch.setattr(presentations.Presentation, "_verify_brackets", self._raise)
+        code, checks = self._checks(["verify", "presentations", "--char", "3",
+                                     "--alpha", "param"])
+        assert code == 1
+        for name in ("g-brackets", "q-brackets", "q-t-bracket"):
+            assert checks[name]["status"] == "fail"
+            assert checks[name]["witness"] == "injected failure"
+        assert not any(name.startswith(("shift-identity", "invariant-commutes", "q-invariant"))
+                       for name in checks)
+
+    def test_classification_failure_fails_its_check(self, monkeypatch):
+        from orefields import presentations
+        monkeypatch.setattr(presentations, "gk_classify", self._raise)
+        code, checks = self._checks(["verify", "centers", "--char", "0", "--alpha", "rat:2"])
+        assert code == 1
+        for label in ("g", "q"):
+            assert checks[f"{label}-center"]["status"] == "pass"
+            assert checks[f"{label}-weyl-classification"]["status"] == "fail"
+            assert checks[f"{label}-weyl-classification"]["witness"] == "injected failure"
+        assert not any(name.endswith(("weyl-pair", "dimension-over-center")) for name in checks)
