@@ -136,9 +136,6 @@ class FieldElem:
     def is_zero(self):
         return self.field._is_zero(self.rep)
 
-    def is_one(self):
-        return self.rep == self.field.one().rep
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -214,17 +214,6 @@ class ContFrac:
             out.extend(self.period)
         return out[:count]
 
-    def convergents(self, count: int):
-        """(p_i, q_i) for i = 0..count-1 via the standard recurrence."""
-        ps, qs = [], []
-        p1, p2, q1, q2 = 1, 0, 0, 1
-        for a in self.digits(count):
-            p1, p2 = a * p1 + p2, p1
-            q1, q2 = a * q1 + q2, q1
-            ps.append(p1)
-            qs.append(q1)
-        return ps, qs
-
     def convergent_matrix(self, i: int) -> Mat2Z:
         """The unimodular matrix taking the i-th complete quotient back to
         the value: columns (p_{i-1}, p_{i-2}; q_{i-1}, q_{i-2})."""

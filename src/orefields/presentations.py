@@ -53,11 +53,6 @@ class CaseSpec:
             return "char0-rational" if rational else "char0-irrational"
         return "charl-prime-subfield" if rational else "charl-generic"
 
-    def describe(self) -> str:
-        if self.algebra == "q":
-            return f"q over {self.field}"
-        return f"g_alpha over {self.field} with alpha={self.alpha}"
-
 
 class Presentation:
     """Generators x, y, z of one skewfield presentation, with the ambient

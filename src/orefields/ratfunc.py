@@ -24,6 +24,16 @@ its divisors, never by a gcd against d^2 or a full normalization (see
 
 Products with a constant factor only scale a numerator: a reduced
 fraction times a unit stays reduced.
+
+Laurent elements, those with a monomial denominator v1^p v2^q, never need
+a gcd: v1 and v2 are the only primes of the denominator, so the only
+common factor a numerator can share with it is a monomial, found from the
+least exponents.  A one-term factor of a product shifts exponents (and
+scales unless its coefficient is 1), a sum of Laurent elements goes over
+the monomial lcm, and a scaling derivation D(v1) = c1 v1, D(v2) = c2 v2
+(the family g_alpha and its series derivation -D) is diagonal on
+monomials: D(v1^i v2^j) = (i c1 + j c2) v1^i v2^j.  Each derivation
+detects that once, from its images, and caches the eigenvalues it meets.
 """
 
 from __future__ import annotations
@@ -62,6 +72,14 @@ def _pneg(K, p):
 
 
 def _pmul(K, p, q):
+    if len(p) == 1:
+        p, q = q, p
+    if len(q) == 1:
+        # a one-term operand shifts the exponents, and scales unless it is 1
+        ((di, dj), c), = q.items()
+        if c == K._one_rep():
+            return _pshift(p, di, dj)
+        return {(i + di, j + dj): K._mul(v, c) for (i, j), v in p.items()}
     out = {}
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in q.items():
@@ -103,6 +121,17 @@ def _ppartial(K, p, axis):
 def _is_one(g):
     """Whether a monic polynomial (a normalized gcd, say) is 1."""
     return len(g) == 1 and (0, 0) in g
+
+
+def _over_monomial(ctx, num, p, q):
+    """The reduced fraction num / (v1^p v2^q) for a nonzero polynomial num.
+    v1 and v2 are the only primes of the denominator, so the common factor
+    is the monomial of least exponents: no gcd is needed."""
+    mi = min(p, min(i for i, _ in num))
+    mj = min(q, min(j for _, j in num))
+    if mi or mj:
+        num = _pshift(num, -mi, -mj)
+    return RatFunc2(ctx, num, {(p - mi, q - mj): ctx.field._one_rep()}, _normalized=True)
 
 
 # recursive view: polynomial in v1 with coefficients in k[v2], used for gcd.
@@ -253,7 +282,8 @@ class FunctionField2:
         return (self.field._key(), self.vars)
 
     def __eq__(self, other):
-        return isinstance(other, FunctionField2) and self._key() == other._key()
+        return self is other or (isinstance(other, FunctionField2)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -353,6 +383,15 @@ class RatFunc2:
     def _combined(self, o, negate):
         K = self.ctx.field
         d1, d2 = self.den, o.den
+        if len(d1) == 1 and len(d2) == 1:
+            # Laurent operands: both numerators over the monomial lcm
+            (p1, q1), = d1
+            (p2, q2), = d2
+            p, q = max(p1, p2), max(q1, q2)
+            rhs = _pshift(o.num, p - p2, q - q2)
+            num = _padd(K, _pshift(self.num, p - p1, q - q1),
+                        _pneg(K, rhs) if negate else rhs)
+            return _over_monomial(self.ctx, num, p, q) if num else self.ctx.zero()
         if d1 == d2:
             rhs = _pneg(K, o.num) if negate else o.num
             num = _padd(K, self.num, rhs)
@@ -420,6 +459,10 @@ class RatFunc2:
         if self.is_constant():
             return RatFunc2(self.ctx, _pscale(K, o.num, self.num[(0, 0)]), o.den,
                             _normalized=True)
+        if len(self.den) == 1 and len(o.den) == 1:
+            (p1, q1), = self.den
+            (p2, q2), = o.den
+            return _over_monomial(self.ctx, _pmul(K, self.num, o.num), p1 + p2, q1 + q2)
         n1, d2 = self._cancel(self.num, o.den, K)
         n2, d1 = self._cancel(o.num, self.den, K)
         return RatFunc2(self.ctx, _pmul(K, n1, n2), _pmul(K, d1, d2),
@@ -549,7 +592,7 @@ class Derivation:
     context variables; image_of_y and image_of_z refer to the first and
     second variable of the context in order."""
 
-    __slots__ = ("ctx", "image_of_y", "image_of_z", "_wy", "_wz", "_e")
+    __slots__ = ("ctx", "image_of_y", "image_of_z", "_wy", "_wz", "_e", "_eigen")
 
     def __init__(self, ctx: FunctionField2, image_of_y: RatFunc2, image_of_z: RatFunc2):
         if image_of_y.ctx != ctx or image_of_z.ctx != ctx:
@@ -563,9 +606,36 @@ class Derivation:
         self._e = _pmul(K, ey, _pdivexact(K, ez, _pgcd(K, ey, ez)))
         self._wy = _pmul(K, image_of_y.num, _pdivexact(K, self._e, ey))
         self._wz = _pmul(K, image_of_z.num, _pdivexact(K, self._e, ez))
+        # a scaling derivation, D(v1) = c1 v1 and D(v2) = c2 v2 (c1 or c2 may
+        # be 0), has each Laurent monomial v1^i v2^j as an eigenvector with
+        # eigenvalue i c1 + j c2; those are cached by (i, j)
+        self._eigen = None
+        if (_is_one(self._e) and self._wy.keys() <= {(1, 0)}
+                and self._wz.keys() <= {(0, 1)}):
+            zero = K._zero_rep()
+            self._eigen = ({}, self._wy.get((1, 0), zero), self._wz.get((0, 1), zero))
+
+    def _diagonal(self, n, p, q):
+        """v1^p v2^q D(n / (v1^p v2^q)) for a scaling derivation: each term
+        c v1^i v2^j of n times its eigenvalue (i - p) c1 + (j - q) c2, with
+        the terms whose eigenvalue vanishes dropped."""
+        K = self.ctx.field
+        cache, c1, c2 = self._eigen
+        out = {}
+        for (i, j), c in n.items():
+            key = (i - p, j - q)
+            lam = cache.get(key)
+            if lam is None:
+                lam = cache[key] = K._add(K._mul(K._from_int(key[0]), c1),
+                                          K._mul(K._from_int(key[1]), c2))
+            if not K._is_zero(lam):
+                out[(i, j)] = K._mul(c, lam)
+        return out
 
     def _scaled(self, p):
         """E*D(p) for a polynomial p, itself a polynomial."""
+        if self._eigen is not None:
+            return self._diagonal(p, 0, 0)
         K = self.ctx.field
         return _padd(K, _pmul(K, _ppartial(K, p, 0), self._wy),
                      _pmul(K, _ppartial(K, p, 1), self._wz))
@@ -580,11 +650,18 @@ class Derivation:
         the denominator left is (d/g1)*(d/g2).  (Repeating g <- gcd(N, g)
         beyond g2 would take more factors than d^2 holds when m > 2e.)
         One more gcd cancels against E, which is 1 unless an image has a
-        denominator.  d, the gcds and E are monic, so the denominator is."""
+        denominator.  d, the gcds and E are monic, so the denominator is.
+
+        A scaling derivation maps n / (v1^p v2^q) to a numerator over the
+        same monomial, from which only a monomial can cancel."""
         if f.ctx != self.ctx:
             raise ValueError("element from a different context")
         K = self.ctx.field
         n, d = f.num, f.den
+        if self._eigen is not None and len(d) == 1:
+            (p, q), = d
+            num = self._diagonal(n, p, q)
+            return _over_monomial(self.ctx, num, p, q) if num else self.ctx.zero()
         if _is_one(d):
             num, den = self._scaled(n), d
         else:
@@ -613,9 +690,9 @@ class Derivation:
         return Derivation(self.ctx, -self.image_of_y, -self.image_of_z)
 
     def __eq__(self, other):
-        return (isinstance(other, Derivation) and self.ctx == other.ctx
-                and self.image_of_y == other.image_of_y
-                and self.image_of_z == other.image_of_z)
+        return self is other or (
+            isinstance(other, Derivation) and self.ctx == other.ctx
+            and self.image_of_y == other.image_of_y and self.image_of_z == other.image_of_z)
 
     __hash__ = None
 

@@ -3,7 +3,12 @@
 Elements are finite sums sum_i f_i * x^i with left coefficients f_i in
 k(v1, v2) and the twisted multiplication x*f = f*x + D(f).  Powers of x
 are pushed past coefficients with the iterated-derivation binomial
-expansion, so products are exact.
+expansion,
+
+    x^i g = sum_{s <= i} C(i, s) D^s(g) x^(i - s),
+
+so products are exact.  In characteristic l the binomials are taken mod l
+by Lucas' theorem, and the chain D^s(g) stops at its first zero.
 """
 
 from __future__ import annotations
@@ -12,6 +17,21 @@ import math
 
 from .fields import _coeff_term, _join_terms, _power
 from .ratfunc import Derivation, RatFunc2
+
+
+def binomial_mod(n: int, k: int, ell: int) -> int:
+    """C(n, k) for ell = 0, else C(n, k) mod the prime ell by Lucas'
+    theorem: the product of the binomials of the base-ell digits."""
+    if not ell:
+        return math.comb(n, k)
+    out = 1
+    while k:
+        n, ni = divmod(n, ell)
+        k, ki = divmod(k, ell)
+        if ki > ni:
+            return 0
+        out = out * math.comb(ni, ki) % ell
+    return out
 
 
 class SkewPoly:
@@ -76,9 +96,6 @@ class SkewPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def constant_coefficient(self):
-        return self.coefficient(0)
-
     # -- ring operations --------------------------------------------------------
     def __add__(self, other):
         o = self._coerce(other)
@@ -116,23 +133,38 @@ class SkewPoly:
         if o is None:
             return NotImplemented
         D = self.derivation
-        field = self.ctx.field
-        out = {}
         if not self.coeffs or not o.coeffs:
             return SkewPoly(D, {})
         imax = max(self.coeffs)
+        chains = []
         for j, gj in o.coeffs.items():
-            # iterated derivatives D^s(gj) for s up to imax
+            # D^s(gj) for s up to imax, ending before the first zero
             ders = [gj]
-            for _ in range(imax):
-                ders.append(D(ders[-1]))
+            while len(ders) <= imax:
+                d = D(ders[-1])
+                if d.is_zero():
+                    break
+                ders.append(d)
+            chains.append((j, ders))
+        # the C(i, s) that do not vanish in the characteristic, for the
+        # orders s some chain reaches; None stands for 1
+        field = self.ctx.field
+        top = max(len(ders) for _, ders in chains) - 1
+        weights = {}
+        for i in self.coeffs:
+            row = []
+            for s in range(min(i, top) + 1):
+                b = binomial_mod(i, s, field.char)
+                if b:
+                    row.append((s, None if b == 1 else field.from_int(b)))
+            weights[i] = row
+        out = {}
+        for j, ders in chains:
             for i, fi in self.coeffs.items():
-                for s in range(i + 1):
-                    # C(i, s) may vanish in the characteristic
-                    scale = field.from_int(math.comb(i, s))
-                    if scale.is_zero() or ders[s].is_zero():
-                        continue
-                    c = fi * ders[s] * scale
+                for s, scale in weights[i]:
+                    if s >= len(ders):
+                        break
+                    c = fi * ders[s] if scale is None else fi * ders[s] * scale
                     k = i - s + j
                     prev = out.get(k)
                     out[k] = c if prev is None else prev + c

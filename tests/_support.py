@@ -12,7 +12,9 @@ from orefields.fields import (
 )
 from orefields.orbits import FiniteOrbitReport, Mat2Z, OrbitData, _group_matrices
 from orefields.pdo import PdoSeries
-from orefields.ratfunc import FunctionField2, RatFunc2, _pmul
+from orefields.ratfunc import (
+    FunctionField2, RatFunc2, _is_one, _padd, _pdivexact, _pgcd, _pmul, _pneg, _ppartial,
+)
 from orefields.skewpoly import SkewPoly
 
 
@@ -198,9 +200,10 @@ def ref_pdo_inv(a, prec=None):
 # reference kernel bodies: the ParameterField product and sum with a gcd on
 # every call and the integer embedding through a full normalization; the
 # RatFunc2 product by cross-cancellation whatever its factors; the
-# derivation as two partials, two products and a sum; and the skew product
-# that forms every (i, s) term.  The fast paths in orefields must return
-# the same canonical reps.
+# derivation as two partials, two products and a sum; the skew product
+# that forms every (i, s) term; and the general polynomial product, sum
+# and quotient rule that the Laurent paths bypass.  The fast paths in
+# orefields must return the same canonical reps.
 
 def ref_param_mul(F, a, b):
     K = F.base
@@ -267,6 +270,64 @@ def ref_ratfunc_mul(f, g):
 def ref_derivation(D, f):
     return (ref_ratfunc_mul(f.partial(0), D.image_of_y)
             + ref_ratfunc_mul(f.partial(1), D.image_of_z))
+
+
+def ref_pmul(K, p, q):
+    """The product of polynomial dicts term by term, whatever their sizes."""
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            ij = (i1 + i2, j1 + j2)
+            t = K._mul(c1, c2)
+            out[ij] = K._add(out[ij], t) if ij in out else t
+    return {ij: c for ij, c in out.items() if not K._is_zero(c)}
+
+
+def ref_combined(f, g, negate=False):
+    """f + g (f - g with negate) by the denominator gcd and a gcd of the
+    numerator against it, whatever the denominators."""
+    ctx, K = f.ctx, f.ctx.field
+    d1, d2 = f.den, g.den
+    if d1 == d2:
+        num = _padd(K, f.num, _pneg(K, g.num) if negate else g.num)
+        if not num:
+            return ctx.zero()
+        num, den = RatFunc2._cancel(num, d1, K)
+        return RatFunc2(ctx, num, den, _normalized=True)._monic()
+    h = _pgcd(K, d1, d2)
+    d1p, d2p = _pdivexact(K, d1, h), _pdivexact(K, d2, h)
+    rhs = ref_pmul(K, g.num, d1p)
+    num = _padd(K, ref_pmul(K, f.num, d2p), _pneg(K, rhs) if negate else rhs)
+    if not num:
+        return ctx.zero()
+    den = ref_pmul(K, ref_pmul(K, h, d1p), d2p)
+    c = _pgcd(K, num, h)
+    num, den = _pdivexact(K, num, c), _pdivexact(K, den, c)
+    return RatFunc2(ctx, num, den, _normalized=True)._monic()
+
+
+def ref_quotient_rule(D, f):
+    """D(n/d) = (E D(n) d - n E D(d)) / (E d^2) from the partials of n and d,
+    whatever D is, reduced by gcds against d and E."""
+    ctx, K = f.ctx, f.ctx.field
+
+    def scaled(p):
+        return _padd(K, ref_pmul(K, _ppartial(K, p, 0), D._wy),
+                     ref_pmul(K, _ppartial(K, p, 1), D._wz))
+
+    n, d = f.num, f.den
+    num = _padd(K, ref_pmul(K, scaled(n), d), _pneg(K, ref_pmul(K, n, scaled(d))))
+    if not num:
+        return ctx.zero()
+    g1 = _pgcd(K, num, d)
+    num = _pdivexact(K, num, g1)
+    g2 = _pgcd(K, num, g1)
+    num = _pdivexact(K, num, g2)
+    den = ref_pmul(K, _pdivexact(K, d, g1), _pdivexact(K, d, g2))
+    if not _is_one(D._e):
+        num, e = RatFunc2._cancel(num, D._e, K)
+        den = ref_pmul(K, den, e)
+    return RatFunc2(ctx, num, den, _normalized=True)
 
 
 def ref_skew_mul(f, g):

@@ -189,6 +189,22 @@ class TestDriver:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the JSON report (with its final newline) of the four
+    # benchmark pdo cases at the benchmark's precisions, taken before the
+    # Laurent paths of RatFunc2, Derivation and SkewPoly
+    @pytest.mark.parametrize("char, alpha, precision, digest", [
+        ("0", "rat:2", "24", "9b5cf1366840bda5d6cb3ad3196e726b68ced1bc464b32caec06226afed704aa"),
+        ("3", "param", "16", "6cde25f11c7fb9cbe85e06509fe41878c4a379e6f7fc5fce2c734924335c6f8b"),
+        ("7", "rat:3", "24", "13dc98a3ba4daa67140650605f7c60e71384b96fd1c5b9d739670e38ce80813a"),
+        ("0", "quad:(0+1*sqrt(2))/1", "16",
+         "676cba74fa73d566b06b9c5193689a9a86e51243ff06a96d0d8bca3f8f547d45"),
+    ])
+    def test_pdo_json_at_benchmark_precision_is_pinned(self, char, alpha, precision, digest):
+        code, out = run_main(["pdo", "--char", char, "--alpha", alpha,
+                              "--precision", precision, "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # sha256 of the JSON report (with its final newline), taken before the
     # gcd-free fast paths in ParameterField, RatFunc2 and Derivation
     @pytest.mark.parametrize("char, alpha, seed, digest", [
@@ -352,3 +368,24 @@ class TestConstructionFailuresAreChecks:
             assert checks[f"{label}-weyl-classification"]["status"] == "fail"
             assert checks[f"{label}-weyl-classification"]["witness"] == "injected failure"
         assert not any(name.endswith(("weyl-pair", "dimension-over-center")) for name in checks)
+
+    def test_arithmetic_failure_fails_the_leading_constraint(self, monkeypatch):
+        from orefields import cli
+        monkeypatch.setattr(cli, "leading_constraint_check", self._raise)
+        code, checks = self._checks(["pdo", "--char", "0", "--alpha", "rat:2",
+                                     "--precision", "4"])
+        assert code == 1
+        assert checks["leading-constraint"]["status"] == "fail"
+        assert checks["leading-constraint"]["witness"] == "injected failure"
+        assert checks["inverse-roundtrip"]["status"] == "pass"
+
+    def test_value_error_leaves_the_leading_constraint_out_of_scope(self, monkeypatch):
+        from orefields import cli
+
+        def raise_value_error(*args, **kwargs):
+            raise ValueError("injected scope")
+        monkeypatch.setattr(cli, "leading_constraint_check", raise_value_error)
+        code, checks = self._checks(["pdo", "--char", "0", "--alpha", "rat:2",
+                                     "--precision", "4"])
+        assert code == 0
+        assert checks["leading-constraint"]["status"] == "out-of-scope"

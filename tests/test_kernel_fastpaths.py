@@ -1,21 +1,26 @@
 """The gcd-free fast paths of the arithmetic kernel against reference copies
 of the bodies that ran a gcd on every call (tests/_support.py): the
 ParameterField product, sum and embeddings, the RatFunc2 product with a
-constant factor, the one-step quotient rule of Derivation, and the skew
-product that skips the binomials vanishing in the characteristic."""
+constant factor, the one-step quotient rule of Derivation, the skew
+product that skips the binomials vanishing in the characteristic, and the
+Laurent paths: the product by a one-term polynomial, the sum over a
+monomial lcm, the diagonal action of a scaling derivation, and the skew
+product whose derivative chains stop at zero."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from orefields.fields import GF, QQ, ParameterField, Qsqrt, with_parameter
-from orefields.ratfunc import Derivation, FunctionField2, scaling_derivation
-from orefields.skewpoly import SkewPoly
+from orefields.ratfunc import Derivation, FunctionField2, _pmul, scaling_derivation
+from orefields.skewpoly import SkewPoly, binomial_mod
 
 from _support import (
-    rand_laurent_monomial, rand_nonzero, rand_ratfunc, ref_derivation,
-    ref_param_add, ref_param_from_int, ref_param_mul, ref_ratfunc_mul, ref_skew_mul,
+    rand_laurent_monomial, rand_nonzero, rand_poly2, rand_ratfunc, ref_combined,
+    ref_derivation, ref_param_add, ref_param_from_int, ref_param_mul, ref_pmul,
+    ref_quotient_rule, ref_ratfunc_mul, ref_skew_mul,
 )
 
 BASES = {
@@ -193,3 +198,167 @@ def test_skew_mul_matches_reference_where_binomials_vanish(field, maxdeg):
             got, want = f * g, ref_skew_mul(f, g)
             assert got == want
             assert str(got) == str(want)
+
+
+# ---------------------------------------------------------------------------
+# Laurent elements: monomial denominators
+
+def rand_laurent(rng, ctx, terms=3):
+    """A sum of up to `terms` Laurent monomials, so a monomial denominator."""
+    f = ctx.zero()
+    for _ in range(rng.randint(1, terms)):
+        f = f + rand_laurent_monomial(rng, ctx)
+    return f
+
+
+def scaling_derivations(ctx):
+    """Scaling derivations with distinct eigenvalues on the same monomials,
+    one with a zero image, and the series derivation -D of the first."""
+    K = ctx.field
+    alpha = K.gen() if isinstance(K, ParameterField) else K.from_int(2)
+    D = scaling_derivation(ctx, 1, alpha)
+    return {"(1, alpha)": D, "-(1, alpha)": D.negate(),
+            "(1, 3)": scaling_derivation(ctx, 1, 3), "(2, 0)": scaling_derivation(ctx, 2, 0)}
+
+
+def assert_same(got, want, *context):
+    assert (got.num, got.den) == (want.num, want.den), context
+    assert str(got) == str(want), context
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_FIELDS))
+def test_pmul_by_one_term_matches_reference(name):
+    ctx = FunctionField2(COEFF_FIELDS[name]())
+    K = ctx.field
+    rng = random.Random(f"pmul-{name}")
+    for _ in range(20):
+        p = rand_poly2(rng, ctx, maxdeg=3, terms=4).num
+        for q in (rand_laurent_monomial(rng, ctx).num, ctx.monomial(2, 1).num,
+                  ctx.one().num, {}):
+            want = ref_pmul(K, p, q)
+            assert _pmul(K, p, q) == want
+            assert _pmul(K, q, p) == want
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_FIELDS))
+def test_laurent_sums_match_reference(name):
+    ctx = FunctionField2(COEFF_FIELDS[name]())
+    rng = random.Random(f"laurent-sum-{name}")
+    for _ in range(40):
+        f, g = rand_laurent(rng, ctx), rand_laurent(rng, ctx)
+        for h in (g, -f, ctx.zero(), f * rand_laurent_monomial(rng, ctx)):
+            assert_same(f + h, ref_combined(f, h), str(f), str(h))
+            assert_same(f - h, ref_combined(f, h, negate=True), str(f), str(h))
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_FIELDS))
+def test_laurent_sums_strip_the_common_monomial(name):
+    ctx = FunctionField2(COEFF_FIELDS[name]())
+    y, z = ctx.gens()
+    c = ctx.const(rand_nonzero(random.Random(name), ctx.field))
+    for f, g, want in (((y + z) / y, -z / y, ctx.one()),
+                       (y / z ** 2, (z - y) / z ** 2, 1 / z),
+                       (c * y ** 2 / z, (y * z - c * y ** 2) / z, y),
+                       ((y + z) / (y * z), -(y + c * z) / (y * z), (1 - c) / y)):
+        got = f + g
+        assert_same(got, want, str(f), str(g))
+        assert_same(got, ref_combined(f, g), str(f), str(g))
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_FIELDS))
+def test_scaling_derivations_act_diagonally(name):
+    ctx = FunctionField2(COEFF_FIELDS[name]())
+    y, z = ctx.gens()
+    rng = random.Random(f"diag-{name}")
+    inputs = [rand_laurent(rng, ctx) for _ in range(12)]
+    inputs += [ctx.zero(), ctx.one(), y ** 3 / z ** 2, (y + z) / (y ** 2 * z), z ** 2 / y]
+    Ds = scaling_derivations(ctx)
+    for label, D in Ds.items():
+        assert D._eigen is not None, label
+        # the same inputs under each derivation in turn: the eigenvalues of
+        # one derivation must not leak into another's
+        for f in inputs:
+            got = D(f)
+            assert_same(got, ref_quotient_rule(D, f), label, str(f))
+            assert_same(got, ref_derivation(D, f), label, str(f))
+    # the chain D^s(f) of a skew product, each step on a Laurent element
+    D = Ds["-(1, alpha)"]
+    f = want = inputs[0]
+    for s in range(6):
+        f, want = D(f), ref_quotient_rule(D, want)
+        assert_same(f, want, s)
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_FIELDS))
+def test_only_scaling_derivations_are_diagonal(name):
+    ctx = FunctionField2(COEFF_FIELDS[name]())
+    y, z = ctx.gens()
+    for D in (Derivation(ctx, y, y + z), Derivation(ctx, y, ctx.one()),
+              Derivation(ctx, y * z, z), Derivation(ctx, y / (z + 1), z)):
+        assert D._eigen is None
+        f = (y + z) / (y * z ** 2)
+        assert_same(D(f), ref_quotient_rule(D, f), str(D))
+
+
+@pytest.mark.parametrize("field, alpha, f", [
+    (QQ(), 2, (2, -1)),            # lambda = 2 + (-1)*2 = 0
+    (QQ(), Fraction(1, 3), (-1, 3)),
+    (GF(7), 3, (1, 2)),            # 1 + 2*3 = 7 = 0 mod 7
+    (GF(7), 3, (-3, 1)),
+    (GF(3), 1, (3, 0)),
+    (GF(3, 2), 2, (4, -2)),
+])
+def test_vanishing_eigenvalues(field, alpha, f):
+    ctx = FunctionField2(field)
+    y, z = ctx.gens()
+    D = scaling_derivation(ctx, 1, alpha)
+    i, j = f
+    const = ctx.monomial(i, j, 5)
+    assert D(const).is_zero()
+    assert D.negate()(const).is_zero()
+    # only the term with a nonzero eigenvalue survives, and it keeps its
+    # monomial denominator
+    g = const + y / z
+    assert_same(D(g), ref_quotient_rule(D, g), str(g))
+    assert_same(D(g), D(y / z), str(g))
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_FIELDS))
+def test_skew_mul_by_constant_coefficients_matches_reference(name):
+    ctx = FunctionField2(COEFF_FIELDS[name]())
+    y, z = ctx.gens()
+    rng = random.Random(f"skew-const-{name}")
+    for D in (scaling_derivations(ctx)["(1, alpha)"], Derivation(ctx, y, y + z)):
+        for _ in range(3):
+            f = SkewPoly(D, {i: rand_laurent_monomial(rng, ctx)
+                             for i in range(rng.randint(3, 7)) if rng.random() < 0.7})
+            f = f + SkewPoly(D, {0: rand_laurent_monomial(rng, ctx)})
+            c = SkewPoly(D, {i: ctx.const(rand_nonzero(rng, ctx.field))
+                             for i in range(rng.randint(1, 9)) if rng.random() < 0.6})
+            c = c + SkewPoly.x(D) ** 3
+            for got, want in ((f * c, ref_skew_mul(f, c)), (c * f, ref_skew_mul(c, f)),
+                              (c * c, ref_skew_mul(c, c))):
+                assert got == want
+                assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 7, 31])
+def test_binomials_mod_l_by_lucas(ell):
+    rng = random.Random(ell)
+    for i in range(ell * ell + 1):
+        orders = range(i + 1)
+        if ell > 7:
+            # math.comb over every pair takes seconds at l = 31: the orders
+            # within one digit of either end, those whose low digit is 0 or
+            # that of i, and a seeded sample
+            orders = {s for s in orders if s < ell or i - s < ell or s % ell in (0, i % ell)}
+            orders = sorted(orders | set(rng.sample(range(i + 1), min(i + 1, 8))))
+        for s in orders:
+            assert binomial_mod(i, s, ell) == math.comb(i, s) % ell, (i, s)
+    assert binomial_mod(ell, ell + 1, ell) == 0
+
+
+def test_binomials_in_characteristic_0_are_exact():
+    for i in range(40):
+        assert [binomial_mod(i, s, 0) for s in range(i + 1)] == [
+            math.comb(i, s) for s in range(i + 1)]
