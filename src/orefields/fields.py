@@ -13,6 +13,7 @@ there is no floating point anywhere.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -158,15 +159,16 @@ class FieldElem:
         return self.field._str(self.rep)
 
 
-def _power(base, n, one):
-    """base^n for n >= 0 by square and multiply, starting from one."""
+def _power(base, n, one, mul=operator.mul):
+    """base^n for n >= 0 by square and multiply, starting from one; mul
+    multiplies two values (a field's `_mul` for raw reps)."""
     result = one
     while n:
         if n & 1:
-            result = result * base
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return result
 
 

@@ -225,12 +225,16 @@ class WeylTriple:
     recipe: str
 
 
-def _check_weyl(pres, P, Q, centrals):
-    if commutator(P, Q) != SkewPoly.one(pres.D):
+def check_weyl(triple: WeylTriple) -> bool:
+    """Recompute [P, Q] = 1 and the commutators of P and Q with each listed
+    central element; True, or ArithmeticError naming the first failure."""
+    P, Q = triple.P, triple.Q
+    if commutator(P, Q) != SkewPoly.one(P.derivation):
         raise ArithmeticError("[P, Q] != 1")
-    for label, c in centrals:
+    for label, c in triple.centrals:
         if not commutator(P, c).is_zero() or not commutator(Q, c).is_zero():
             raise ArithmeticError(f"{label} is not annihilated by the pair")
+    return True
 
 
 def weyl_triple(case: CaseSpec) -> WeylTriple:
@@ -284,7 +288,7 @@ def weyl_triple(case: CaseSpec) -> WeylTriple:
         triple = WeylTriple(case, P, Q, centrals, "centralizer-factor")
     else:
         raise UnsupportedCaseError(f"no Weyl pair exists for case {cls}")
-    _check_weyl(pres, triple.P, triple.Q, triple.centrals)
+    check_weyl(triple)
     return triple
 
 

@@ -34,6 +34,8 @@ the monomial lcm, and a scaling derivation D(v1) = c1 v1, D(v2) = c2 v2
 (the family g_alpha and its series derivation -D) is diagonal on
 monomials: D(v1^i v2^j) = (i c1 + j c2) v1^i v2^j.  Each derivation
 detects that once, from its images, and caches the eigenvalues it meets.
+`Derivation.power` takes D^s of a Laurent element under such a derivation
+in one step, as lambda^s times each term.
 """
 
 from __future__ import annotations
@@ -615,10 +617,11 @@ class Derivation:
             zero = K._zero_rep()
             self._eigen = ({}, self._wy.get((1, 0), zero), self._wz.get((0, 1), zero))
 
-    def _diagonal(self, n, p, q):
-        """v1^p v2^q D(n / (v1^p v2^q)) for a scaling derivation: each term
-        c v1^i v2^j of n times its eigenvalue (i - p) c1 + (j - q) c2, with
-        the terms whose eigenvalue vanishes dropped."""
+    def _diagonal(self, n, p, q, s=1):
+        """v1^p v2^q D^s(n / (v1^p v2^q)) for a scaling derivation and
+        s >= 1: each term c v1^i v2^j of n times lambda^s, where lambda =
+        (i - p) c1 + (j - q) c2 is its eigenvalue, with the terms whose
+        eigenvalue vanishes dropped."""
         K = self.ctx.field
         cache, c1, c2 = self._eigen
         out = {}
@@ -629,8 +632,31 @@ class Derivation:
                 lam = cache[key] = K._add(K._mul(K._from_int(key[0]), c1),
                                           K._mul(K._from_int(key[1]), c2))
             if not K._is_zero(lam):
+                if s != 1:
+                    lam = _power(lam, s, K._one_rep(), K._mul)
                 out[(i, j)] = K._mul(c, lam)
         return out
+
+    def is_diagonal_on(self, f: RatFunc2) -> bool:
+        """Whether D is a scaling derivation and f a Laurent element, so
+        that `power` takes D^s(f) term by term."""
+        return self._eigen is not None and len(f.den) == 1
+
+    def power(self, f: RatFunc2, s: int) -> RatFunc2:
+        """D^s(f).  Where D is diagonal on f, each term c v1^i v2^j of
+        f = n / (v1^p v2^q) is multiplied by lambda^s, with lambda^s by
+        square and multiply; D^0 is the identity even where lambda = 0.
+        Otherwise D is applied s times."""
+        if f.ctx != self.ctx:
+            raise ValueError("element from a different context")
+        if s == 0 or not self.is_diagonal_on(f):
+            return self.iterate(f, s)
+        return self._laurent_power(f, s)
+
+    def _laurent_power(self, f, s):
+        (p, q), = f.den
+        num = self._diagonal(f.num, p, q, s)
+        return _over_monomial(self.ctx, num, p, q) if num else self.ctx.zero()
 
     def _scaled(self, p):
         """E*D(p) for a polynomial p, itself a polynomial."""
@@ -658,10 +684,8 @@ class Derivation:
             raise ValueError("element from a different context")
         K = self.ctx.field
         n, d = f.num, f.den
-        if self._eigen is not None and len(d) == 1:
-            (p, q), = d
-            num = self._diagonal(n, p, q)
-            return _over_monomial(self.ctx, num, p, q) if num else self.ctx.zero()
+        if self.is_diagonal_on(f):
+            return self._laurent_power(f, 1)
         if _is_one(d):
             num, den = self._scaled(n), d
         else:

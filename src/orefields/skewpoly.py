@@ -7,8 +7,14 @@ expansion,
 
     x^i g = sum_{s <= i} C(i, s) D^s(g) x^(i - s),
 
-so products are exact.  In characteristic l the binomials are taken mod l
-by Lucas' theorem, and the chain D^s(g) stops at its first zero.
+so products are exact.  In characteristic l only the orders s with
+C(i, s) != 0 mod l are formed, read off the base-l digits of i by Lucas'
+theorem.  Where D scales each term of a Laurent coefficient g (the
+family g_alpha), D^s(g) is taken directly at those orders, as lambda^s
+times each term; otherwise the chain D^s(g) is built up to the highest
+order needed and stops at its first zero.  A commutator fg - gf leaves
+out the order-0 terms f_i g_j x^(i+j) of both products, which are equal
+because k(v1, v2) is commutative.
 """
 
 from __future__ import annotations
@@ -32,6 +38,30 @@ def binomial_mod(n: int, k: int, ell: int) -> int:
             return 0
         out = out * math.comb(ni, ki) % ell
     return out
+
+
+def binomial_orders(i: int, ell: int, lowest: int = 0, top: int | None = None):
+    """The pairs (s, C(i, s)) with lowest <= s <= min(i, top) and C(i, s)
+    nonzero in characteristic ell, in ascending s, the binomial taken mod
+    ell.  By Lucas' theorem those s are the ones whose every base-ell digit
+    is at most the digit of i, so they are read off the digits of i, not
+    found by a scan over 0..i."""
+    top = i if top is None else min(i, top)
+    if top < lowest:
+        return []
+    if not ell:
+        return [(s, math.comb(i, s)) for s in range(lowest, top + 1)]
+    digits = []                     # base-ell digits of i, lowest first
+    while i:
+        i, d = divmod(i, ell)
+        digits.append(d)
+    # (s, C(i, s) mod ell) over the digits seen so far, ascending in s
+    orders, place = [(0, 1)], 1
+    for d in digits:
+        orders = [(s + t * place, b * math.comb(d, t) % ell)
+                  for t in range(d + 1) for s, b in orders if s + t * place <= top]
+        place *= ell
+    return [(s, b) for s, b in orders if s >= lowest]
 
 
 class SkewPoly:
@@ -132,43 +162,7 @@ class SkewPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        D = self.derivation
-        if not self.coeffs or not o.coeffs:
-            return SkewPoly(D, {})
-        imax = max(self.coeffs)
-        chains = []
-        for j, gj in o.coeffs.items():
-            # D^s(gj) for s up to imax, ending before the first zero
-            ders = [gj]
-            while len(ders) <= imax:
-                d = D(ders[-1])
-                if d.is_zero():
-                    break
-                ders.append(d)
-            chains.append((j, ders))
-        # the C(i, s) that do not vanish in the characteristic, for the
-        # orders s some chain reaches; None stands for 1
-        field = self.ctx.field
-        top = max(len(ders) for _, ders in chains) - 1
-        weights = {}
-        for i in self.coeffs:
-            row = []
-            for s in range(min(i, top) + 1):
-                b = binomial_mod(i, s, field.char)
-                if b:
-                    row.append((s, None if b == 1 else field.from_int(b)))
-            weights[i] = row
-        out = {}
-        for j, ders in chains:
-            for i, fi in self.coeffs.items():
-                for s, scale in weights[i]:
-                    if s >= len(ders):
-                        break
-                    c = fi * ders[s] if scale is None else fi * ders[s] * scale
-                    k = i - s + j
-                    prev = out.get(k)
-                    out[k] = c if prev is None else prev + c
-        return SkewPoly(D, out)
+        return SkewPoly(self.derivation, _product(self, o, 0))
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -205,6 +199,67 @@ class SkewPoly:
         return f"<skew {self}>"
 
 
+def _product(f: SkewPoly, g: SkewPoly, lowest: int) -> dict:
+    """The terms of order s >= lowest of f g, as {degree: coefficient}:
+    each x^i g_j is expanded as sum_s C(i, s) D^s(g_j) x^(i - s), at the
+    orders s whose binomial does not vanish in the characteristic.  Where D
+    is diagonal on g_j, D^s(g_j) is taken only at those orders, each from
+    the one before it by D^gap, which `Derivation.power` takes directly.
+    Otherwise it comes from the chain g_j, D(g_j), D^2(g_j), ..., which
+    ends before its first zero or at the highest order needed.  A constant
+    g_j has no order above 0."""
+    if not f.coeffs or not g.coeffs:
+        return {}
+    D = f.derivation
+    field = f.ctx.field
+    imax = max(f.coeffs)
+    derivs = []                     # (j, {s: D^s(g_j)} for the orders formed)
+    diagonal = []
+    top = 0
+    for j, gj in g.coeffs.items():
+        if gj.is_constant():
+            derivs.append((j, {0: gj}))
+        elif D.is_diagonal_on(gj):
+            diagonal.append((j, gj))
+            top = imax
+        else:
+            chain = [gj]
+            while len(chain) <= imax:
+                d = D(chain[-1])
+                if d.is_zero():
+                    break
+                chain.append(d)
+            derivs.append((j, dict(enumerate(chain))))
+            top = max(top, len(chain) - 1)
+    # the binomials of each f_i up to the highest order any g_j reaches;
+    # None stands for 1
+    weights = {i: [(s, None if b == 1 else field.from_int(b))
+                   for s, b in binomial_orders(i, field.char, lowest, top)]
+               for i in f.coeffs}
+    if diagonal:
+        needed = sorted({s for row in weights.values() for s, _ in row})
+        for j, gj in diagonal:
+            ders, d, at = {}, gj, 0
+            for s in needed:
+                d, at = D.power(d, s - at), s
+                if d.is_zero():
+                    break
+                ders[s] = d
+            derivs.append((j, ders))
+    out = {}
+    for j, ders in derivs:
+        for i, fi in f.coeffs.items():
+            for s, scale in weights[i]:
+                d = ders.get(s)
+                if d is None:
+                    break
+                c = fi * d if scale is None else fi * d * scale
+                k = i - s + j
+                prev = out.get(k)
+                out[k] = c if prev is None else prev + c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # operation-style entry points
 
@@ -217,7 +272,14 @@ def skew_pow(f: SkewPoly, n: int) -> SkewPoly:
 
 
 def commutator(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    return f * g - g * f
+    """fg - gf.  The order-0 terms f_i g_j x^(i+j) of the two products are
+    equal, k(v1, v2) being commutative, so neither product forms them."""
+    g = f._coerce(g)
+    out = _product(f, g, 1)
+    for k, c in _product(g, f, 1).items():
+        prev = out.get(k)
+        out[k] = -c if prev is None else prev - c
+    return SkewPoly(f.derivation, out)
 
 
 def valuation_v(f: SkewPoly):

@@ -201,8 +201,9 @@ def ref_pdo_inv(a, prec=None):
 # every call and the integer embedding through a full normalization; the
 # RatFunc2 product by cross-cancellation whatever its factors; the
 # derivation as two partials, two products and a sum; the skew product
-# that forms every (i, s) term; and the general polynomial product, sum
-# and quotient rule that the Laurent paths bypass.  The fast paths in
+# that forms every (i, s) term, and the commutator from two full
+# products; and the general polynomial product, sum and quotient rule
+# that the Laurent paths bypass.  The fast paths in
 # orefields must return the same canonical reps.
 
 def ref_param_mul(F, a, b):
@@ -351,6 +352,11 @@ def ref_skew_mul(f, g):
                 prev = out.get(k)
                 out[k] = c if prev is None else prev + c
     return SkewPoly(D, out)
+
+
+def ref_commutator(f, g):
+    """fg - gf from two full products, the order-0 terms included."""
+    return f * g - g * f
 
 
 # ---------------------------------------------------------------------------

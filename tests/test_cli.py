@@ -1,11 +1,14 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 
 import pytest
 
-from orefields.cli import Config, Report, build_parser, emit, main, run_suite
+from orefields.cli import (
+    MAX_SKEW_CHAR, Config, Report, build_parser, emit, main, run_suite,
+)
 from orefields.literals import (
     ExprError, parse_expression, parse_field_literal, parse_matrix,
 )
@@ -220,6 +223,36 @@ class TestDriver:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the JSON report (with its final newline) at characteristics
+    # where products by x^l and x^(l^2) dominate, taken before skew products
+    # took D^s only at the orders whose binomial survives mod l
+    @pytest.mark.parametrize("char, alpha, seed, digest", [
+        ("31", "param", "0", "f3d994f43d1cc46f29fe44981b1ed57bca1832d1afc769c24ab097dd492e2ce2"),
+        ("41", "rat:2", "0", "1f38335f5603b40fa35710b489999d57bc2a8429ebd5e97cc53faaf421071bb0"),
+    ])
+    def test_verify_all_json_at_large_char_is_pinned(self, char, alpha, seed, digest):
+        code, out = run_main(["verify", "all", "--char", char, "--alpha", alpha,
+                              "--seed", seed, "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("suite", ["all", "presentations", "centers", "morphisms"])
+    def test_char_above_the_skew_bound_is_a_usage_error(self, suite, capsys):
+        char = next(p for p in range(MAX_SKEW_CHAR + 1, 2 * MAX_SKEW_CHAR)
+                    if all(p % d for d in range(2, p)))
+        for argv in (["verify", suite, "--char", str(char)],
+                     ["verify", suite, "--char", "1000000007", "--alpha", "param"]):
+            code, out = run_main(argv)
+            assert code == 2 and out == ""
+            assert "exceeds the bound" in capsys.readouterr().err
+
+    def test_suites_without_skew_powers_ignore_the_bound(self):
+        for argv in (["verify", "pdo", "--char", "1000000007"],
+                     ["verify", "orbits", "--char", "1000000007"]):
+            code, out = run_main(argv)
+            assert code == 0
+            assert json.loads(out)["summary"]["fail"] == 0
+
     # sha256 of the JSON report (with its final newline), taken before the
     # witness searches became a linear test over the prime field
     @pytest.mark.parametrize("char, case_a, case_b, digest", [
@@ -368,6 +401,23 @@ class TestConstructionFailuresAreChecks:
             assert checks[f"{label}-weyl-classification"]["status"] == "fail"
             assert checks[f"{label}-weyl-classification"]["witness"] == "injected failure"
         assert not any(name.endswith(("weyl-pair", "dimension-over-center")) for name in checks)
+
+    @pytest.mark.parametrize("broken, witness", [
+        (lambda t: dataclasses.replace(t, Q=t.P), "[P, Q] != 1"),
+        (lambda t: dataclasses.replace(t, centrals=t.centrals + [("QP", t.Q * t.P)]),
+         "QP is not annihilated by the pair"),
+    ])
+    def test_weyl_pair_failure_fails_the_weyl_pair(self, monkeypatch, broken, witness):
+        from orefields import presentations
+        weyl_triple = presentations.weyl_triple
+        monkeypatch.setattr(presentations, "weyl_triple",
+                            lambda case: broken(weyl_triple(case)))
+        code, checks = self._checks(["verify", "centers", "--char", "0",
+                                     "--alpha", "rat:2/3"])
+        assert code == 1
+        assert checks["g-weyl-classification"]["status"] == "pass"
+        assert checks["g-weyl-pair"]["status"] == "fail"
+        assert checks["g-weyl-pair"]["witness"] == witness
 
     def test_arithmetic_failure_fails_the_leading_constraint(self, monkeypatch):
         from orefields import cli

@@ -5,7 +5,10 @@ constant factor, the one-step quotient rule of Derivation, the skew
 product that skips the binomials vanishing in the characteristic, and the
 Laurent paths: the product by a one-term polynomial, the sum over a
 monomial lcm, the diagonal action of a scaling derivation, and the skew
-product whose derivative chains stop at zero."""
+product whose derivative chains stop at zero; and the skew product on the
+orders a binomial keeps, with D^s taken directly on Laurent elements,
+against the full product, and the commutator that leaves out the order-0
+terms against the difference of two full products."""
 
 import math
 import random
@@ -14,13 +17,13 @@ from fractions import Fraction
 import pytest
 
 from orefields.fields import GF, QQ, ParameterField, Qsqrt, with_parameter
-from orefields.ratfunc import Derivation, FunctionField2, _pmul, scaling_derivation
-from orefields.skewpoly import SkewPoly, binomial_mod
+from orefields.ratfunc import Derivation, FunctionField2, RatFunc2, _pmul, scaling_derivation
+from orefields.skewpoly import SkewPoly, binomial_mod, binomial_orders, commutator
 
 from _support import (
     rand_laurent_monomial, rand_nonzero, rand_poly2, rand_ratfunc, ref_combined,
     ref_derivation, ref_param_add, ref_param_from_int, ref_param_mul, ref_pmul,
-    ref_quotient_rule, ref_ratfunc_mul, ref_skew_mul,
+    ref_commutator, ref_quotient_rule, ref_ratfunc_mul, ref_skew_mul,
 )
 
 BASES = {
@@ -362,3 +365,157 @@ def test_binomials_in_characteristic_0_are_exact():
     for i in range(40):
         assert [binomial_mod(i, s, 0) for s in range(i + 1)] == [
             math.comb(i, s) for s in range(i + 1)]
+
+
+# ---------------------------------------------------------------------------
+# SkewPoly: the orders s >= 1 only in commutators, the orders a binomial
+# keeps, and D^s taken directly on Laurent elements
+
+SKEW_FIELDS = {
+    "QQ": QQ,
+    "GF3": lambda: GF(3),
+    "GF7": lambda: GF(7),
+    "GF3(a)": lambda: with_parameter(GF(3)),
+    "QQsqrt2": lambda: Qsqrt(2),
+    "GF9(a)": lambda: with_parameter(GF(3, 2)),
+}
+
+
+def skew_derivations(ctx):
+    """Scaling derivations (1, 2), (1, alpha) and its negation, and three
+    that are not scaling: (y, y + z), (y, 1) and one with a rational image."""
+    K = ctx.field
+    y, z = ctx.gens()
+    alpha = K.gen() if isinstance(K, ParameterField) else K.from_int(3)
+    D = scaling_derivation(ctx, 1, alpha)
+    return {"(1, 2)": scaling_derivation(ctx, 1, 2), "(1, alpha)": D,
+            "-(1, alpha)": D.negate(), "(y, y + z)": Derivation(ctx, y, y + z),
+            "(y, 1)": Derivation(ctx, y, ctx.one()),
+            "(y / z, z)": Derivation(ctx, y / z, z)}
+
+
+def rand_coeffs_skew(rng, D, maxdeg, laurent=True):
+    ctx = D.ctx
+    draw = rand_laurent if laurent else rand_ratfunc
+    coeffs = {i: draw(rng, ctx) for i in range(maxdeg + 1) if rng.random() < 0.7}
+    coeffs[maxdeg] = draw(rng, ctx)
+    return SkewPoly(D, coeffs)
+
+
+def assert_same_skew(got, want, *context):
+    assert got == want, context
+    assert str(got) == str(want), context
+
+
+@pytest.mark.parametrize("name", sorted(SKEW_FIELDS))
+def test_commutator_and_product_match_reference(name):
+    ctx = FunctionField2(SKEW_FIELDS[name]())
+    rng = random.Random(f"commutator-{name}")
+    for label, D in skew_derivations(ctx).items():
+        consts = SkewPoly(D, {0: ctx.const(rand_nonzero(rng, ctx.field))})
+        for _ in range(2):
+            pairs = [
+                # degree 0 against degree 0
+                (rand_coeffs_skew(rng, D, 0), rand_coeffs_skew(rng, D, 0, laurent=False)),
+                (rand_coeffs_skew(rng, D, 2), rand_coeffs_skew(rng, D, 1)),
+                (rand_coeffs_skew(rng, D, 1), rand_coeffs_skew(rng, D, 2)),
+                (SkewPoly.x(D) ** 3 + consts, rand_coeffs_skew(rng, D, 1)),
+                (consts, rand_coeffs_skew(rng, D, 2)),
+                (SkewPoly.zero(D), rand_coeffs_skew(rng, D, 1)),
+            ]
+            for f, g in pairs:
+                for a, b in ((f, g), (g, f), (f, f)):
+                    assert_same_skew(commutator(a, b), ref_commutator(a, b), label, str(a), str(b))
+                    assert_same_skew(a * b, ref_skew_mul(a, b), label, str(a), str(b))
+
+
+@pytest.mark.parametrize("field, alpha, vanishing", [
+    # Laurent monomials whose eigenvalue i + j alpha is 0 in the field
+    (GF(3), 2, [(3, 0), (1, 1), (-1, 2)]),
+    (GF(7), 3, [(1, 2), (-3, 1), (7, -7)]),
+    (with_parameter(GF(3)), None, [(3, 0), (0, -3), (3, 6)]),
+    (with_parameter(GF(3, 2)), None, [(-3, 3), (6, 0)]),
+], ids=["GF3", "GF7", "GF3(a)", "GF9(a)"])
+def test_central_elements_against_laurent_coefficients(field, alpha, vanishing):
+    ctx = FunctionField2(field)
+    ell = field.char
+    y, z = ctx.gens()
+    alpha = field.gen() if alpha is None else alpha
+    D = scaling_derivation(ctx, 1, alpha)
+    x = SkewPoly.x(D)
+    rng = random.Random(f"central-{field}")
+    coeffs = [ctx.monomial(i, j, rand_nonzero(rng, field)) for i, j in vanishing]
+    # and one whose terms do not all vanish: y has eigenvalue 1
+    mixed = sum(coeffs[1:], coeffs[0]) + y / z ** 2 + y
+    for c in (x ** (ell * ell), x ** ell - x):
+        for g in coeffs + [mixed]:
+            g = SkewPoly(D, {0: g})
+            for a, b in ((c, g), (g, c)):
+                assert_same_skew(commutator(a, b), ref_commutator(a, b), str(a), str(b))
+                assert_same_skew(a * b, ref_skew_mul(a, b), str(a), str(b))
+        assert all(commutator(c, SkewPoly(D, {0: g})).is_zero() for g in coeffs)
+    assert not commutator(x ** (ell * ell), SkewPoly(D, {0: mixed})).is_zero()
+
+
+def test_commutator_skips_the_order_0_terms(monkeypatch):
+    """[y, z] and [x, x] form no coefficient product and [x, y] one, where
+    the two full products would form two, two and three."""
+    ctx = FunctionField2(QQ())
+    D = scaling_derivation(ctx, 1, 2)
+    x, y, z = SkewPoly.x(D), SkewPoly(D, {0: ctx.gens()[0]}), SkewPoly(D, {0: ctx.gens()[1]})
+    products = []
+    mul = RatFunc2.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(RatFunc2, "__mul__", counted)
+    for f, g, n in ((y, z, 0), (x, y, 1), (y, x, 1), (x, x, 0)):
+        want = ref_commutator(f, g)
+        products.clear()
+        assert commutator(f, g) == want
+        assert len(products) == n, (str(f), str(g))
+
+
+@pytest.mark.parametrize("name", ["GF3", "GF7", "GF3(a)", "GF9(a)", "QQ", "QQsqrt2"])
+def test_derivation_power_matches_iterate(name):
+    field = SKEW_FIELDS[name]()
+    ctx = FunctionField2(field)
+    y, z = ctx.gens()
+    ell = field.char or 5
+    rng = random.Random(f"power-{name}")
+    # y^l and z^-l have eigenvalue 0 under (1, 2) in characteristic l
+    inputs = [rand_laurent(rng, ctx) for _ in range(3)]
+    inputs += [ctx.monomial(ell, 0, 2), ctx.monomial(ell, -ell) + y ** ell,
+               ctx.zero(), ctx.one(), (y + z) / (y ** 2 * z)]
+    for label, D in skew_derivations(ctx).items():
+        diagonal = label in ("(1, 2)", "(1, alpha)", "-(1, alpha)")
+        top = ell * ell if diagonal else 3
+        for f in inputs:
+            assert D.is_diagonal_on(f) == (diagonal and len(f.den) == 1), label
+            want = f
+            for s in range(top + 1):
+                assert_same(D.power(f, s), want, label, str(f), s)
+                want = D(want)
+    # D^0 is the identity where every eigenvalue vanishes
+    D = scaling_derivation(ctx, 1, 2)
+    f = ctx.monomial(ell, 0, 3) if field.char else ctx.monomial(2, -1, 3)
+    assert D(f).is_zero()
+    assert_same(D.power(f, 0), f)
+    assert D.power(f, 1).is_zero() and D.power(f, ell * ell).is_zero()
+
+
+@pytest.mark.parametrize("ell", [0, 2, 3, 7, 31])
+def test_binomial_orders_by_lucas_match_a_scan(ell):
+    rng = random.Random(f"orders-{ell}")
+    for i in range(max(ell, 5) ** 2 + 1):
+        scan = [(s, binomial_mod(i, s, ell)) for s in range(i + 1)]
+        scan = [(s, b) for s, b in scan if b]
+        assert binomial_orders(i, ell) == scan, i
+        lowest, top = rng.randint(0, i + 1), rng.randint(0, i + 1)
+        assert binomial_orders(i, ell, lowest, top) == [
+            (s, b) for s, b in scan if lowest <= s <= top], (i, lowest, top)
+    if ell:
+        # l^2 keeps only its two ends; l^2 - 1 keeps every order
+        assert binomial_orders(ell * ell, ell) == [(0, 1), (ell * ell, 1)]
+        assert len(binomial_orders(ell * ell - 1, ell)) == ell * ell
