@@ -151,7 +151,28 @@ def _q_case(cfg: Config):
 # ---------------------------------------------------------------------------
 # suites
 
+# The largest characteristic l at which the suites that build x^l and
+# x^(l^2) (presentations, centers and, given --alpha, morphisms, for
+# its Frobenius embedding) run.  Their cost grows about as l^3, from the K(a) elements
+# of degree l^2 in a under --alpha param, the slowest case: `verify all
+# --alpha param` took 1.3 s at l = 101, 3.6 s at l = 151, 7.4 s at
+# l = 199 and 16.7 s at l = 251 (one run each, Python 3.11, a 2-vCPU VM;
+# --alpha rat:2 took 0.6, 1.1, 2.6 and 3.6 s).  151 keeps those suites
+# within a few seconds; above it they exit 2 instead of running for
+# minutes (or, at l near 10^9, for ever).
+MAX_SKEW_CHAR = 151
+
+
+def _check_skew_char(cfg: Config):
+    """Refuse a characteristic above MAX_SKEW_CHAR, for a suite about to
+    build x^l and x^(l^2)."""
+    if cfg.char > MAX_SKEW_CHAR:
+        raise ValueError(f"characteristic {cfg.char} exceeds the bound {MAX_SKEW_CHAR} "
+                         "of the suites that build x^l and x^(l^2)")
+
+
 def suite_presentations(cfg: Config, report: Report):
+    _check_skew_char(cfg)
     # a Presentation verifies its brackets when it is constructed
     gcase = _g_case(cfg)
     pres = None
@@ -194,6 +215,7 @@ def suite_presentations(cfg: Config, report: Report):
 
 
 def suite_centers(cfg: Config, report: Report):
+    _check_skew_char(cfg)
     for case in filter(None, (_g_case(cfg), _q_case(cfg))):
         label = case.algebra
         try:
@@ -258,6 +280,7 @@ def suite_morphisms(cfg: Config, report: Report):
     if alpha is None:
         report.record("monomial-morphism", "no --alpha given", "out-of-scope")
         return
+    _check_skew_char(cfg)
     M = parse_matrix(cfg.matrix)
     report.run("monomial-morphism",
                f"matrix {M} induces an embedding preserving all three brackets",
@@ -363,23 +386,7 @@ SUITES = {
     "orbits": suite_orbits,
 }
 
-# The largest characteristic l at which the suites that build x^l and
-# x^(l^2) (presentations, centers and the Frobenius embedding of
-# morphisms) run.  Their cost grows about as l^3, from the K(a) elements
-# of degree l^2 in a under --alpha param, the slowest case: `verify all
-# --alpha param` took 1.3 s at l = 101, 3.6 s at l = 151, 7.4 s at
-# l = 199 and 16.7 s at l = 251 (one run each, Python 3.11, a 2-vCPU VM;
-# --alpha rat:2 took 0.6, 1.1, 2.6 and 3.6 s).  151 keeps those suites
-# within a few seconds; above it they exit 2 instead of running for
-# minutes (or, at l near 10^9, for ever).
-MAX_SKEW_CHAR = 151
-SKEW_SUITES = ("presentations", "centers", "morphisms")
-
-
 def run_suite(name: str, cfg: Config) -> Report:
-    if cfg.char > MAX_SKEW_CHAR and name in SKEW_SUITES + ("all",):
-        raise ValueError(f"characteristic {cfg.char} exceeds the bound {MAX_SKEW_CHAR} "
-                         "of the suites that build x^l and x^(l^2)")
     report = Report(name, cfg.case_dict())
     if name == "all":
         for suite in SUITES.values():

@@ -646,7 +646,7 @@ class Derivation:
         """D^s(f).  Where D is diagonal on f, each term c v1^i v2^j of
         f = n / (v1^p v2^q) is multiplied by lambda^s, with lambda^s by
         square and multiply; D^0 is the identity even where lambda = 0.
-        Otherwise D is applied s times."""
+        Otherwise D is applied s times, or until it gives 0."""
         if f.ctx != self.ctx:
             raise ValueError("element from a different context")
         if s == 0 or not self.is_diagonal_on(f):
@@ -706,7 +706,10 @@ class Derivation:
         return RatFunc2(self.ctx, num, den, _normalized=True)
 
     def iterate(self, f: RatFunc2, n: int) -> RatFunc2:
+        """D^n(f) by n applications of D, stopping at a zero."""
         for _ in range(n):
+            if f.is_zero():
+                break
             f = self(f)
         return f
 

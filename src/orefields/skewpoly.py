@@ -9,12 +9,12 @@ expansion,
 
 so products are exact.  In characteristic l only the orders s with
 C(i, s) != 0 mod l are formed, read off the base-l digits of i by Lucas'
-theorem.  Where D scales each term of a Laurent coefficient g (the
-family g_alpha), D^s(g) is taken directly at those orders, as lambda^s
-times each term; otherwise the chain D^s(g) is built up to the highest
-order needed and stops at its first zero.  A commutator fg - gf leaves
-out the order-0 terms f_i g_j x^(i+j) of both products, which are equal
-because k(v1, v2) is commutative.
+theorem, and D^s(g) is taken only at those orders, each from the one
+before by `Derivation.power`, until it vanishes.  Where D scales each
+term of a Laurent coefficient g (the family g_alpha), that is one step,
+lambda^s times each term, not a chain of derivatives.  A commutator
+fg - gf leaves out the order-0 terms f_i g_j x^(i+j) of both products,
+which are equal because k(v1, v2) is commutative.
 """
 
 from __future__ import annotations
@@ -23,21 +23,6 @@ import math
 
 from .fields import _coeff_term, _join_terms, _power
 from .ratfunc import Derivation, RatFunc2
-
-
-def binomial_mod(n: int, k: int, ell: int) -> int:
-    """C(n, k) for ell = 0, else C(n, k) mod the prime ell by Lucas'
-    theorem: the product of the binomials of the base-ell digits."""
-    if not ell:
-        return math.comb(n, k)
-    out = 1
-    while k:
-        n, ni = divmod(n, ell)
-        k, ki = divmod(k, ell)
-        if ki > ni:
-            return 0
-        out = out * math.comb(ni, ki) % ell
-    return out
 
 
 def binomial_orders(i: int, ell: int, lowest: int = 0, top: int | None = None):
@@ -202,52 +187,30 @@ class SkewPoly:
 def _product(f: SkewPoly, g: SkewPoly, lowest: int) -> dict:
     """The terms of order s >= lowest of f g, as {degree: coefficient}:
     each x^i g_j is expanded as sum_s C(i, s) D^s(g_j) x^(i - s), at the
-    orders s whose binomial does not vanish in the characteristic.  Where D
-    is diagonal on g_j, D^s(g_j) is taken only at those orders, each from
-    the one before it by D^gap, which `Derivation.power` takes directly.
-    Otherwise it comes from the chain g_j, D(g_j), D^2(g_j), ..., which
-    ends before its first zero or at the highest order needed.  A constant
-    g_j has no order above 0."""
+    orders s whose binomial does not vanish in the characteristic, and only
+    at order 0 where every g_j is constant.  D^s(g_j) is taken only at
+    those orders, each from the one before it by `Derivation.power`, and
+    not past its first zero."""
     if not f.coeffs or not g.coeffs:
         return {}
     D = f.derivation
     field = f.ctx.field
-    imax = max(f.coeffs)
-    derivs = []                     # (j, {s: D^s(g_j)} for the orders formed)
-    diagonal = []
-    top = 0
-    for j, gj in g.coeffs.items():
-        if gj.is_constant():
-            derivs.append((j, {0: gj}))
-        elif D.is_diagonal_on(gj):
-            diagonal.append((j, gj))
-            top = imax
-        else:
-            chain = [gj]
-            while len(chain) <= imax:
-                d = D(chain[-1])
-                if d.is_zero():
-                    break
-                chain.append(d)
-            derivs.append((j, dict(enumerate(chain))))
-            top = max(top, len(chain) - 1)
-    # the binomials of each f_i up to the highest order any g_j reaches;
-    # None stands for 1
+    # D kills constants, so against constant g_j only order 0 is listed;
+    # all the orders of a dense f of degree near l cost more than the product
+    top = 0 if all(gj.is_constant() for gj in g.coeffs.values()) else None
+    # the binomials of each f_i, None standing for 1
     weights = {i: [(s, None if b == 1 else field.from_int(b))
                    for s, b in binomial_orders(i, field.char, lowest, top)]
                for i in f.coeffs}
-    if diagonal:
-        needed = sorted({s for row in weights.values() for s, _ in row})
-        for j, gj in diagonal:
-            ders, d, at = {}, gj, 0
-            for s in needed:
-                d, at = D.power(d, s - at), s
-                if d.is_zero():
-                    break
-                ders[s] = d
-            derivs.append((j, ders))
+    needed = sorted({s for row in weights.values() for s, _ in row})
     out = {}
-    for j, ders in derivs:
+    for j, gj in g.coeffs.items():
+        ders, d, at = {}, gj, 0
+        for s in needed:
+            d, at = D.power(d, s - at), s
+            if d.is_zero():
+                break
+            ders[s] = d
         for i, fi in f.coeffs.items():
             for s, scale in weights[i]:
                 d = ders.get(s)
@@ -272,9 +235,16 @@ def skew_pow(f: SkewPoly, n: int) -> SkewPoly:
 
 
 def commutator(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    """fg - gf.  The order-0 terms f_i g_j x^(i+j) of the two products are
-    equal, k(v1, v2) being commutative, so neither product forms them."""
+    """fg - gf, where f or g may be a coefficient.  The order-0 terms
+    f_i g_j x^(i+j) of the two products are equal, k(v1, v2) being
+    commutative, so neither product forms them."""
+    if not isinstance(f, SkewPoly):
+        if not isinstance(g, SkewPoly):
+            raise TypeError("a commutator needs a skew polynomial")
+        return -commutator(g, f)
     g = f._coerce(g)
+    if g is None:
+        raise TypeError("cannot take a commutator with a non-coefficient")
     out = _product(f, g, 1)
     for k, c in _product(g, f, 1).items():
         prev = out.get(k)

@@ -201,10 +201,11 @@ def ref_pdo_inv(a, prec=None):
 # every call and the integer embedding through a full normalization; the
 # RatFunc2 product by cross-cancellation whatever its factors; the
 # derivation as two partials, two products and a sum; the skew product
-# that forms every (i, s) term, and the commutator from two full
-# products; and the general polynomial product, sum and quotient rule
-# that the Laurent paths bypass.  The fast paths in
-# orefields must return the same canonical reps.
+# that forms every (i, s) term, the scalar binomial mod l whose nonzero
+# orders it enumerates, and the commutator from two full products; and
+# the general polynomial product, sum and quotient rule that the Laurent
+# paths bypass.  The fast paths in orefields must return the same
+# canonical reps.
 
 def ref_param_mul(F, a, b):
     K = F.base
@@ -329,6 +330,21 @@ def ref_quotient_rule(D, f):
         num, e = RatFunc2._cancel(num, D._e, K)
         den = ref_pmul(K, den, e)
     return RatFunc2(ctx, num, den, _normalized=True)
+
+
+def ref_binomial_mod(n, k, ell):
+    """C(n, k) for ell = 0, else C(n, k) mod the prime ell by Lucas'
+    theorem: the product of the binomials of the base-ell digits."""
+    if not ell:
+        return math.comb(n, k)
+    out = 1
+    while k:
+        n, ni = divmod(n, ell)
+        k, ki = divmod(k, ell)
+        if ki > ni:
+            return 0
+        out = out * math.comb(ni, ki) % ell
+    return out
 
 
 def ref_skew_mul(f, g):

@@ -240,15 +240,19 @@ class TestDriver:
     def test_char_above_the_skew_bound_is_a_usage_error(self, suite, capsys):
         char = next(p for p in range(MAX_SKEW_CHAR + 1, 2 * MAX_SKEW_CHAR)
                     if all(p % d for d in range(2, p)))
-        for argv in (["verify", suite, "--char", str(char)],
-                     ["verify", suite, "--char", "1000000007", "--alpha", "param"]):
+        argvs = [["verify", suite, "--char", str(char), "--alpha", "rat:2"],
+                 ["verify", suite, "--char", "1000000007", "--alpha", "param"]]
+        if suite != "morphisms":    # without --alpha, morphisms builds nothing
+            argvs.append(["verify", suite, "--char", "1000000007"])
+        for argv in argvs:
             code, out = run_main(argv)
             assert code == 2 and out == ""
             assert "exceeds the bound" in capsys.readouterr().err
 
     def test_suites_without_skew_powers_ignore_the_bound(self):
         for argv in (["verify", "pdo", "--char", "1000000007"],
-                     ["verify", "orbits", "--char", "1000000007"]):
+                     ["verify", "orbits", "--char", "1000000007"],
+                     ["verify", "morphisms", "--char", "1000000007"]):
             code, out = run_main(argv)
             assert code == 0
             assert json.loads(out)["summary"]["fail"] == 0

@@ -18,12 +18,12 @@ import pytest
 
 from orefields.fields import GF, QQ, ParameterField, Qsqrt, with_parameter
 from orefields.ratfunc import Derivation, FunctionField2, RatFunc2, _pmul, scaling_derivation
-from orefields.skewpoly import SkewPoly, binomial_mod, binomial_orders, commutator
+from orefields.skewpoly import SkewPoly, binomial_orders, commutator
 
 from _support import (
     rand_laurent_monomial, rand_nonzero, rand_poly2, rand_ratfunc, ref_combined,
     ref_derivation, ref_param_add, ref_param_from_int, ref_param_mul, ref_pmul,
-    ref_commutator, ref_quotient_rule, ref_ratfunc_mul, ref_skew_mul,
+    ref_binomial_mod, ref_commutator, ref_quotient_rule, ref_ratfunc_mul, ref_skew_mul,
 )
 
 BASES = {
@@ -357,13 +357,13 @@ def test_binomials_mod_l_by_lucas(ell):
             orders = {s for s in orders if s < ell or i - s < ell or s % ell in (0, i % ell)}
             orders = sorted(orders | set(rng.sample(range(i + 1), min(i + 1, 8))))
         for s in orders:
-            assert binomial_mod(i, s, ell) == math.comb(i, s) % ell, (i, s)
-    assert binomial_mod(ell, ell + 1, ell) == 0
+            assert ref_binomial_mod(i, s, ell) == math.comb(i, s) % ell, (i, s)
+    assert ref_binomial_mod(ell, ell + 1, ell) == 0
 
 
 def test_binomials_in_characteristic_0_are_exact():
     for i in range(40):
-        assert [binomial_mod(i, s, 0) for s in range(i + 1)] == [
+        assert [ref_binomial_mod(i, s, 0) for s in range(i + 1)] == [
             math.comb(i, s) for s in range(i + 1)]
 
 
@@ -477,6 +477,18 @@ def test_commutator_skips_the_order_0_terms(monkeypatch):
         assert len(products) == n, (str(f), str(g))
 
 
+def test_commutator_takes_coefficients_on_either_side():
+    ctx = FunctionField2(QQ())
+    D = scaling_derivation(ctx, 1, 2)
+    x, y = SkewPoly.x(D), ctx.gens()[0]
+    assert commutator(x, y) == SkewPoly(D, {0: y})
+    assert commutator(y, x) == SkewPoly(D, {0: -y})
+    assert commutator(x, 3).is_zero() and commutator(3, x).is_zero()
+    for a, b in ((x, "y"), ("y", x), (y, y)):
+        with pytest.raises(TypeError):
+            commutator(a, b)
+
+
 @pytest.mark.parametrize("name", ["GF3", "GF7", "GF3(a)", "GF9(a)", "QQ", "QQsqrt2"])
 def test_derivation_power_matches_iterate(name):
     field = SKEW_FIELDS[name]()
@@ -509,7 +521,7 @@ def test_derivation_power_matches_iterate(name):
 def test_binomial_orders_by_lucas_match_a_scan(ell):
     rng = random.Random(f"orders-{ell}")
     for i in range(max(ell, 5) ** 2 + 1):
-        scan = [(s, binomial_mod(i, s, ell)) for s in range(i + 1)]
+        scan = [(s, ref_binomial_mod(i, s, ell)) for s in range(i + 1)]
         scan = [(s, b) for s, b in scan if b]
         assert binomial_orders(i, ell) == scan, i
         lowest, top = rng.randint(0, i + 1), rng.randint(0, i + 1)
