@@ -6,8 +6,11 @@ with d a squarefree integer (positive or negative); and rational-function
 fields K(a) in one transcendental parameter over any of the previous.
 
 Every element is stored in a canonical normal form, so equality is
-structural and decidable.  All integer arithmetic is arbitrary precision;
-there is no floating point anywhere.
+structural and decidable.  A rational value, an element of QQ or a
+component of a QQ(sqrt(d)) pair, is an int exactly when it is integral and
+otherwise a Fraction with denominator greater than 1; `_qq` and `_qdiv`
+keep it so.  All integer arithmetic is arbitrary precision; there is no
+floating point anywhere, so raw reps are never divided with `/`.
 """
 
 from __future__ import annotations
@@ -23,18 +26,37 @@ class FieldError(ValueError):
     """Invalid field specification, or arithmetic between mixed fields."""
 
 
+# Miller-Rabin on these bases is exact below the least strong pseudoprime
+# to all of them (Sorenson and Webster 2017, Math. Comp. 86).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the bases 2, 3, ..., 41.  An n at or
+    above MR_EXACT_BELOW with no factor among those bases is a FieldError,
+    since the test no longer decides it."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MR_EXACT_BELOW:
+        raise FieldError(f"{n} is beyond the exact primality bound {MR_EXACT_BELOW}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -311,6 +333,22 @@ def _ustr(K, c, var):
 # ---------------------------------------------------------------------------
 # field classes
 
+def _qq(x):
+    """The canonical rational rep of an int or Fraction x: an int when x is
+    integral, otherwise the Fraction itself, so that integral values add
+    and multiply as ints, with no gcd."""
+    if x.__class__ is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
+def _qdiv(a, b):
+    """a / b as a canonical rational rep, for int or Fraction a and b != 0.
+    Raw rational reps are never divided with `/`, which gives a float on
+    two ints."""
+    return _qq(Fraction(a, b))
+
+
 class Field:
     """Base class.  Subclasses implement payload-level arithmetic on reps."""
 
@@ -390,7 +428,9 @@ class Field:
         raise NotImplementedError
 
     def prime_subfield_value(self, rep):
-        """The element as a Fraction (char 0) or int (char l), else None."""
+        """The element as a value of the prime field, else None: in char 0
+        the canonical rational rep (an int when integral, else a Fraction),
+        in char l an int in [0, l)."""
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -401,36 +441,38 @@ class Field:
 
 
 class RationalField(Field):
-    """The rational numbers, elements stored as Fraction."""
+    """The rational numbers, elements stored in the canonical rational rep:
+    an int when the value is integral, otherwise a Fraction whose
+    denominator is greater than 1 (see `_qq`)."""
 
     char = 0
 
     def _zero_rep(self):
-        return Fraction(0)
+        return 0
 
     def _one_rep(self):
-        return Fraction(1)
+        return 1
 
     def _add(self, a, b):
-        return a + b
+        return _qq(a + b)
 
     def _neg(self, a):
         return -a
 
     def _mul(self, a, b):
-        return a * b
+        return _qq(a * b)
 
     def _inv(self, a):
-        return 1 / a
+        return _qdiv(1, a)
 
     def _is_zero(self, a):
         return a == 0
 
     def _from_int(self, n):
-        return Fraction(n)
+        return _qq(n)
 
     def _from_fraction(self, f):
-        return Fraction(f)
+        return _qq(f)
 
     def in_prime_subfield(self, rep):
         return True
@@ -630,51 +672,58 @@ class ExtensionField(Field):
         return f"GF({self.char}^{self.degree})"
 
 
+# is_squarefree is trial division up to sqrt|d|, about 10^6 steps at the bound
+MAX_RADICAND = 10**12
+
+
 class QuadraticField(Field):
     """QQ(sqrt(d)) for a squarefree integer d (d < 0 allowed), elements
-    stored as pairs (a, b) of Fractions meaning a + b*sqrt(d)."""
+    stored as pairs (a, b) meaning a + b*sqrt(d), each component in the
+    canonical rational rep of RationalField."""
 
     char = 0
 
     def __init__(self, d: int):
         if d in (0, 1):
             raise FieldError("radicand must not be 0 or 1")
+        if abs(d) > MAX_RADICAND:
+            raise FieldError(f"radicand {d} exceeds the bound {MAX_RADICAND} in absolute value")
         if not is_squarefree(d):
             raise FieldError(f"radicand {d} is not squarefree")
         self.d = d
 
     def _zero_rep(self):
-        return (Fraction(0), Fraction(0))
+        return (0, 0)
 
     def _one_rep(self):
-        return (Fraction(1), Fraction(0))
+        return (1, 0)
 
     def _add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
+        return (_qq(a[0] + b[0]), _qq(a[1] + b[1]))
 
     def _neg(self, a):
         return (-a[0], -a[1])
 
     def _mul(self, a, b):
-        return (a[0] * b[0] + a[1] * b[1] * self.d, a[0] * b[1] + a[1] * b[0])
+        return (_qq(a[0] * b[0] + a[1] * b[1] * self.d), _qq(a[0] * b[1] + a[1] * b[0]))
 
     def _inv(self, a):
         nrm = a[0] * a[0] - a[1] * a[1] * self.d
         if nrm == 0:
             raise ZeroDivisionError("inverse of zero")
-        return (a[0] / nrm, -a[1] / nrm)
+        return (_qdiv(a[0], nrm), _qdiv(-a[1], nrm))
 
     def _is_zero(self, a):
         return a[0] == 0 and a[1] == 0
 
     def _from_int(self, n):
-        return (Fraction(n), Fraction(0))
+        return (_qq(n), 0)
 
     def _from_fraction(self, f):
-        return (Fraction(f), Fraction(0))
+        return (_qq(f), 0)
 
     def gen(self):
-        return FieldElem(self, (Fraction(0), Fraction(1)))
+        return FieldElem(self, (0, 1))
 
     def conjugate(self, elem: FieldElem) -> FieldElem:
         return FieldElem(self, (elem.rep[0], -elem.rep[1]))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .fields import FieldElem, GF, QQ, Qsqrt, with_parameter
+from .fields import FieldElem, GF, QQ, Qsqrt, _qdiv, with_parameter
 from .orbits import Mat2Z
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
@@ -180,7 +180,7 @@ def _parse_field_literal(text: str, char: int) -> FieldElem:
         if sign == "-":
             b = -b
         field = Qsqrt(d)
-        return FieldElem(field, (Fraction(a, c), Fraction(b, c)))
+        return FieldElem(field, (_qdiv(a, c), _qdiv(b, c)))
     if head == "param":
         base = QQ() if char == 0 else GF(char)
         field = with_parameter(base)

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from . import fields
 from .fields import (
-    GF, ExtensionField, FieldElem, ParameterField, PrimeField, QuadraticField, _umul,
+    GF, ExtensionField, FieldElem, ParameterField, PrimeField, QuadraticField, _qdiv,
+    _umul,
 )
 
 
@@ -157,7 +158,7 @@ class QuadIrr:
             field = QuadraticField(d0)
         elif field.d != d0:
             raise ValueError("field radicand does not match")
-        return FieldElem(field, (Fraction(self.P, self.Q), Fraction(f, self.Q)))
+        return FieldElem(field, (_qdiv(self.P, self.Q), _qdiv(f, self.Q)))
 
     @classmethod
     def from_field_elem(cls, elem: FieldElem) -> "QuadIrr":

@@ -138,7 +138,7 @@ def claimed_center(case: CaseSpec) -> CenterReport:
     notes = ""
     cls = case.classification
     if cls == "char0-rational":
-        frac: Fraction = case.field.prime_subfield_value(case.alpha.rep)
+        frac: Fraction | int = case.field.prime_subfield_value(case.alpha.rep)
         p, q = frac.numerator, frac.denominator
         gens.append((f"y^{p}*z^{-q}", pres.coeff_monomial(p, -q)))
     elif cls == "char0-irrational":
@@ -244,7 +244,7 @@ def weyl_triple(case: CaseSpec) -> WeylTriple:
     ell = case.field.char
     if cls == "char0-rational":
         pres = algebra_make(case)
-        frac: Fraction = case.field.prime_subfield_value(case.alpha.rep)
+        frac: Fraction | int = case.field.prime_subfield_value(case.alpha.rep)
         p, q = frac.numerator, frac.denominator
         u = pow(p % q, -1, q) if q > 1 else 0
         v = (1 - p * u) // q

@@ -4,7 +4,8 @@ Elements of k(v1, v2) are kept as reduced fractions of polynomial dicts
 {(i, j): coefficient} with the denominator normalized to leading
 coefficient 1 under graded lexicographic order (v1 > v2), so the
 representation of each value is unique and equality is structural.
-The coefficients are raw reps of k (Fraction, int, tuple, or a K(a) pair),
+The coefficients are raw reps of k (an int or a Fraction over QQ, an int
+over GF(l), a tuple over GF(l^n) or QQ(sqrt d), or a K(a) pair),
 operated on by the field's payload methods; the `_p*` helpers take k
 explicitly, and `FieldElem` appears only where a value enters or leaves
 (`const`, `monomial`, coercion, `constant_value`).  The gcd views a

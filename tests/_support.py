@@ -7,8 +7,8 @@ import math
 from fractions import Fraction
 
 from orefields.fields import (
-    GF, ExtensionField, ParameterField, PrimeField, QuadraticField, RationalField,
-    _uadd, _udivmod, _ugcd, _umul, in_prime_subfield,
+    GF, ExtensionField, Field, FieldElem, ParameterField, PrimeField, QuadraticField,
+    RationalField, _uadd, _udivmod, _ugcd, _umul, in_prime_subfield,
 )
 from orefields.orbits import FiniteOrbitReport, Mat2Z, OrbitData, _group_matrices
 from orefields.pdo import PdoSeries
@@ -450,3 +450,105 @@ def ref_finite_orbits(ell, k, group="sl", bound=13):
     if sum(o.size for o in orbits) != len(points):
         raise ArithmeticError("orbits do not partition the point set")
     return FiniteOrbitReport(ell, k, group, order, orbits, len(points))
+
+
+# ---------------------------------------------------------------------------
+# reference rational fields: the RationalField and QuadraticField bodies
+# with every rational value stored as a Fraction, integral or not.  The
+# fields of orefields store an integral value as an int; both must give
+# equal values.  Their keys differ from those of QQ and QQ(sqrt d), so that
+# elements of the two never mix.
+
+class RefRationalField(Field):
+    char = 0
+
+    def _zero_rep(self):
+        return Fraction(0)
+
+    def _one_rep(self):
+        return Fraction(1)
+
+    def _add(self, a, b):
+        return a + b
+
+    def _neg(self, a):
+        return -a
+
+    def _mul(self, a, b):
+        return a * b
+
+    def _inv(self, a):
+        return 1 / a
+
+    def _is_zero(self, a):
+        return a == 0
+
+    def _from_int(self, n):
+        return Fraction(n)
+
+    def _from_fraction(self, f):
+        return Fraction(f)
+
+    def in_prime_subfield(self, rep):
+        return True
+
+    def prime_subfield_value(self, rep):
+        return rep
+
+    def _key(self):
+        return ("ref-QQ",)
+
+    def __str__(self):
+        return "refQQ"
+
+
+class RefQuadraticField(Field):
+    char = 0
+
+    def __init__(self, d):
+        self.d = d
+
+    def _zero_rep(self):
+        return (Fraction(0), Fraction(0))
+
+    def _one_rep(self):
+        return (Fraction(1), Fraction(0))
+
+    def _add(self, a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    def _neg(self, a):
+        return (-a[0], -a[1])
+
+    def _mul(self, a, b):
+        return (a[0] * b[0] + a[1] * b[1] * self.d, a[0] * b[1] + a[1] * b[0])
+
+    def _inv(self, a):
+        nrm = a[0] * a[0] - a[1] * a[1] * self.d
+        if nrm == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return (a[0] / nrm, -a[1] / nrm)
+
+    def _is_zero(self, a):
+        return a[0] == 0 and a[1] == 0
+
+    def _from_int(self, n):
+        return (Fraction(n), Fraction(0))
+
+    def _from_fraction(self, f):
+        return (Fraction(f), Fraction(0))
+
+    def gen(self):
+        return FieldElem(self, (Fraction(0), Fraction(1)))
+
+    def in_prime_subfield(self, rep):
+        return rep[1] == 0
+
+    def prime_subfield_value(self, rep):
+        return rep[0] if rep[1] == 0 else None
+
+    def _key(self):
+        return ("ref-quad", self.d)
+
+    def __str__(self):
+        return f"refQQ(sqrt({self.d}))"

@@ -249,6 +249,22 @@ class TestDriver:
             assert code == 2 and out == ""
             assert "exceeds the bound" in capsys.readouterr().err
 
+    def test_large_prime_characteristic_finishes(self):
+        code, out = run_main(["pdo", "--char", "1000000000000000003", "--precision", "2"])
+        assert code == 0
+        assert json.loads(out)["summary"]["fail"] == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pdo", "--char", "3317044064679887385962123", "--precision", "2"],
+         "primality bound"),
+        (["orbits", "cf", "--alpha", "quad:(0+1*sqrt(1000000000000000003))/1"],
+         "exceeds the bound"),
+    ])
+    def test_arguments_beyond_the_field_bounds_are_usage_errors(self, argv, message, capsys):
+        code, out = run_main(argv)
+        assert code == 2 and out == ""
+        assert message in capsys.readouterr().err
+
     def test_suites_without_skew_powers_ignore_the_bound(self):
         for argv in (["verify", "pdo", "--char", "1000000007"],
                      ["verify", "orbits", "--char", "1000000007"],

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -60,6 +61,96 @@ class TestMakeField:
     def test_composite_characteristic_rejected(self):
         with pytest.raises(FieldError):
             make_field(FieldSpec(characteristic=6))
+
+
+def trial_division_primes(limit):
+    """The primes up to limit, each checked by trial division by the primes
+    before it up to its square root."""
+    primes = []
+    for n in range(2, limit + 1):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, primes)):
+            primes.append(n)
+    return primes
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestPrimality:
+    def test_matches_trial_division_up_to_1e5(self):
+        primes = set(trial_division_primes(10**5))
+        for n in range(-5, 10**5 + 1):
+            assert fields.is_prime(n) == (n in primes), n
+
+    # Carmichael numbers: Fermat pseudoprimes to every base prime to them
+    CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+                  41041, 62745, 63973, 75361, 101101, 115921, 126217, 162401,
+                  172081, 188461, 252601, 278545, 294409, 314821, 334153,
+                  340561, 399001, 410041, 449065, 488881, 512461, 3215031751]
+
+    def test_carmichael_numbers_are_composite(self):
+        for n in self.CARMICHAEL:
+            assert not fields.is_prime(n), n
+
+    # the least strong pseudoprime to all the prime bases up to the last one
+    # given (Jaeschke 1993; Sorenson and Webster 2017)
+    STRONG_PSEUDOPRIMES = [
+        (2047, 2), (1373653, 3), (25326001, 5), (3215031751, 7),
+        (2152302898747, 11), (3474749660383, 13), (341550071728321, 17),
+        (3825123056546413051, 23), (318665857834031151167461, 37),
+    ]
+
+    @pytest.mark.parametrize("n, last", STRONG_PSEUDOPRIMES)
+    def test_strong_pseudoprimes_to_small_bases_are_composite(self, n, last):
+        assert all(strong_probable_prime(n, a) for a in trial_division_primes(last))
+        assert not fields.is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 10**9 + 7, 10**18 + 3, 2**61 - 1,
+                                   3317044064679887385961813])
+    def test_large_primes(self, n):
+        assert fields.is_prime(n)
+
+    @pytest.mark.parametrize("p, q", [(10**9 + 7, 10**9 + 9), (2**31 - 1, 10**9 + 7),
+                                      (10**18 + 3, 1000003)])
+    def test_large_semiprimes(self, p, q):
+        assert not fields.is_prime(p * q)
+
+    def test_beyond_the_exact_bound_is_an_error(self):
+        bound = fields.MR_EXACT_BELOW
+        assert all(strong_probable_prime(bound, a) for a in fields._MR_BASES)
+        for n in (bound, 3317044064679887385962123):
+            with pytest.raises(FieldError, match="primality bound"):
+                fields.is_prime(n)
+        assert not fields.is_prime(2 * bound)
+        with pytest.raises(FieldError):
+            GF(3317044064679887385962123)
+
+
+class TestRadicandBound:
+    def test_radicands_beyond_the_bound_are_rejected(self):
+        for d in (fields.MAX_RADICAND + 1, -fields.MAX_RADICAND - 1, 10**18 + 3):
+            with pytest.raises(FieldError, match="exceeds the bound"):
+                Qsqrt(d)
+            with pytest.raises(FieldError):
+                make_field(FieldSpec(sqrt_d=d))
+
+    def test_squarefree_radicands_within_the_bound_are_accepted(self):
+        # 2*3*5*...*31 is squarefree, below the bound, and quick to certify
+        primorial = 200560490130
+        for d in (primorial, -primorial):
+            K = Qsqrt(d)
+            assert K.gen() * K.gen() == K.from_int(d)
 
 
 class TestArith:

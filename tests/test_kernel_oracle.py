@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from orefields.fields import GF, QQ, Qsqrt, with_parameter
+from orefields.fields import GF, QQ, QuadraticField, Qsqrt, with_parameter
 from orefields.ratfunc import (
     Derivation, FunctionField2, RatFunc2, _grlex, _pgcd, _pscale, scaling_derivation,
 )
@@ -34,19 +34,19 @@ FIELDS = {
 def to_sympy(K, rep):
     if K.char:
         return sympy.Integer(rep)
-    if isinstance(rep, Fraction):
-        return sympy.Rational(rep.numerator, rep.denominator)
-    return to_sympy(K, rep[0]) + to_sympy(K, rep[1]) * SQRT2
+    if isinstance(K, QuadraticField):
+        return to_sympy(QQ(), rep[0]) + to_sympy(QQ(), rep[1]) * SQRT2
+    return sympy.Rational(rep.numerator, rep.denominator)
 
 
 def from_sympy(K, c):
     if K.char:
         return int(c) % K.char
-    if isinstance(K._zero_rep(), Fraction):
-        return Fraction(int(c.p), int(c.q))
-    c = sympy.expand(c)
-    b = c.coeff(SQRT2)
-    return (from_sympy(QQ(), sympy.expand(c - b * SQRT2)), from_sympy(QQ(), b))
+    if isinstance(K, QuadraticField):
+        c = sympy.expand(c)
+        b = c.coeff(SQRT2)
+        return (from_sympy(QQ(), sympy.expand(c - b * SQRT2)), from_sympy(QQ(), b))
+    return K._from_fraction(Fraction(int(c.p), int(c.q)))
 
 
 def poly_to_sympy(K, p, opts):
