@@ -104,7 +104,7 @@ class TestPrimality:
             assert not fields.is_prime(n), n
 
     # the least strong pseudoprime to all the prime bases up to the last one
-    # given (Jaeschke 1993; Sorenson and Webster 2017)
+    # given (OEIS A014233)
     STRONG_PSEUDOPRIMES = [
         (2047, 2), (1373653, 3), (25326001, 5), (3215031751, 7),
         (2152302898747, 11), (3474749660383, 13), (341550071728321, 17),
