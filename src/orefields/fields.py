@@ -569,6 +569,15 @@ def least_irreducible(ell: int, n: int) -> tuple:
     raise FieldError(f"no irreducible polynomial of degree {n} over GF({ell})")
 
 
+# the largest l^n an ExtensionField accepts.  Two costs grow with it: the
+# search for the defining polynomial, which trial-divides by the sum over
+# d <= n/2 of l^d monic divisors, and the orbit witness of
+# `orbits.valued_iso_classify`, which tries up to l^2 <= l^n kernel
+# vectors.  On a 2-vCPU x86_64 VM at l^n near 10^6 the first took 0.1 s or
+# less for every n from 2 to 19, and all l^2 tries at l = 997 took 0.44 s
+MAX_EXTENSION_ORDER = 10**6
+
+
 class ExtensionField(Field):
     """GF(l^n), elements stored as length-n tuples of ints (ascending powers
     of the generator w, reduced modulo the defining polynomial)."""
@@ -578,6 +587,9 @@ class ExtensionField(Field):
             raise FieldError(f"characteristic {ell} is not prime")
         if degree < 2:
             raise FieldError("extension degree must be at least 2")
+        # 2^degree > the bound from this degree on, so l^degree is not formed
+        if degree >= MAX_EXTENSION_ORDER.bit_length() or ell ** degree > MAX_EXTENSION_ORDER:
+            raise FieldError(f"GF({ell}^{degree}) has more than {MAX_EXTENSION_ORDER} elements")
         self.char = ell
         self.degree = degree
         self.base = PrimeField(ell)

@@ -559,16 +559,59 @@ def _group_matrices(ell: int, group: str):
     return mats
 
 
+def _prime_divisors(n: int) -> list:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _discrete_logs(field: ExtensionField) -> dict:
+    """The discrete-log table of GF(q)^*, q = l^k: a dict from each nonzero
+    rep to its exponent in 0..q-2.
+
+    The base g is the first element in `all_elements` order with
+    g^((q-1)/p) != 1 for every prime p dividing q - 1, a generator of the
+    cyclic group GF(q)^*.  Its q - 1 powers are checked to be distinct and
+    to return to 1, so the table is a bijection onto 0..q-2 and
+    log(xy) = log x + log y mod q - 1."""
+    n = field.char ** field.degree - 1
+    one, mul = field._one_rep(), field._mul
+    primes = _prime_divisors(n)
+    g = next((e.rep for e in field.all_elements()
+              if not field._is_zero(e.rep)
+              and all(fields._power(e.rep, n // p, one, mul) != one for p in primes)),
+             None)
+    if g is None:
+        raise ArithmeticError(f"no element of {field} passes the generator test")
+    logs = {}
+    x = one
+    for i in range(n):
+        logs[x] = i
+        x = mul(x, g)
+    if len(logs) != n or x != one:
+        raise ArithmeticError(f"the powers of {field._str(g)} do not cycle through {field}^*")
+    return logs
+
+
 def finite_orbits(ell: int, k: int, group: str = "sl",
                   bound: int = 13) -> FiniteOrbitReport:
     """Decompose GF(l^k) minus GF(l) into orbits of SL2 (or SL2 with
     determinant +-1) over GF(l) acting by homography, with stabilizer
     orders; the orbit-stabilizer product is asserted for every orbit.
 
-    Orbits are built on raw reps.  For each orbit representative theta the
-    l^2 values a*theta + b and the l^2 - 1 inverses 1/(c*theta + d) are
-    tabulated once, so each image (a*theta + b)/(c*theta + d) is one field
-    product of two table entries."""
+    Orbits are built on discrete logs (`_discrete_logs`, one table per
+    call).  For each orbit representative theta the logs L[a, b] of the
+    l^2 - 1 values a*theta + b are tabulated once, so the image
+    (a*theta + b)/(c*theta + d) is the integer (L[a, b] - L[c, d]) mod
+    q - 1: no field product or inverse per matrix.  Orbits, the points
+    already seen and stabilizers are kept as logs."""
     if k not in (2, 3):
         raise ValueError("extension degree must be 2 or 3")
     if group not in ("sl", "slpm"):
@@ -578,26 +621,27 @@ def finite_orbits(ell: int, k: int, group: str = "sl",
     field = GF(ell, k)
     mats = _group_matrices(ell, group)
     order = len(mats)
+    # (a*l + b, c*l + d): indices of numerator and denominator in the table
+    pairs = [(a * ell + b, c * ell + d) for a, b, c, d in mats]
     points = [e.rep for e in field.all_elements() if not field.in_prime_subfield(e.rep)]
+    logs = _discrete_logs(field)
+    n = len(logs)
     consts = [field._from_int(b) for b in range(ell)]
     mul = field._mul
 
     seen = set()
     orbits = []
     for theta in points:
-        if theta in seen:
+        t = logs[theta]
+        if t in seen:
             continue
-        # affine[a*l + b] = a*theta + b; c*theta + d = 0 with theta outside
+        # L[a*l + b] = log(a*theta + b); c*theta + d = 0 with theta outside
         # GF(l) forces c = d = 0, which is excluded by invertibility
         affine = [field._add(mul(a, theta), b) for a in consts for b in consts]
-        inverses = [None] + [field._inv(x) for x in affine[1:]]
-        orbit = set()
-        stab = 0
-        for a, b, c, d in mats:
-            image = mul(affine[a * ell + b], inverses[c * ell + d])
-            orbit.add(image)
-            if image == theta:
-                stab += 1
+        L = [None] + [logs[x] for x in affine[1:]]
+        images = [(L[i] - L[j]) % n for i, j in pairs]
+        orbit = set(images)
+        stab = images.count(t)
         if len(orbit) * stab != order:
             raise ArithmeticError("orbit-stabilizer count mismatch")
         seen |= orbit
@@ -732,7 +776,10 @@ def _witness_rows(alpha: FieldElem, beta: FieldElem) -> list:
 
 def _first_witness(alpha: FieldElem, beta: FieldElem, candidates) -> Mat2Z | None:
     """The first (n, q, m, r) among the candidates with
-    (n*alpha + q)/(m*alpha + r) = beta, as a Mat2Z, or None.
+    (n*alpha + q)/(m*alpha + r) = beta, as a Mat2Z, or None.  This is the
+    witness search over K(a), where the candidates are the small-entry
+    unimodular integer matrices; over GF(l^k) `_solved_witness` solves the
+    rows instead of scanning.
 
     alpha must lie outside the prime field and every candidate must have
     (m, r) != (0, 0) over the prime field (det = +-1 ensures it), so that
@@ -755,10 +802,80 @@ def _first_witness(alpha: FieldElem, beta: FieldElem, candidates) -> Mat2Z | Non
     return None
 
 
+def _rref(rows, ell: int) -> tuple:
+    """Reduced row echelon form mod l: (nonzero rows, pivot columns), each
+    row scaled to 1 at its pivot."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[i] = rows[i], rows[top]
+        inv = pow(rows[top][col], -1, ell)
+        rows[top] = [x * inv % ell for x in rows[top]]
+        for j, row in enumerate(rows):
+            if j != top and row[col]:
+                f = row[col]
+                rows[j] = [(x - f * y) % ell for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def _solved_witness(alpha: FieldElem, beta: FieldElem) -> Mat2Z | None:
+    """The lexicographically least (n, q, m, r) in [0, l)^4 with
+    det = +-1 mod l and (n*alpha + q)/(m*alpha + r) = beta, as a Mat2Z, or
+    None; alpha in GF(l^k) outside GF(l).  This is the first match of the
+    ordered scan of `_group_matrices(l, "slpm")`.
+
+    The matrices solving the rows of `_witness_rows` form the kernel of
+    those rows mod l.  The row from coordinate 0 has B = 1 and the row
+    from a coordinate where alpha lies outside GF(l) has B = 0 and A != 0,
+    so the kernel has dimension at most 2.  With the kernel basis v1, v2 in
+    reduced echelon form, s*v1 + t*v2 for s, t in [0, l) runs through the
+    kernel in lexicographic order, and det(s*v1 + t*v2) is the quadratic
+    form s^2 det v1 + s t P(v1, v2) + t^2 det v2, P the polarization of
+    det.  At most l^2 values of the form are tried; a match is re-verified
+    by exact application, and a mismatch raises ArithmeticError."""
+    ell = alpha.field.char
+    rows, pivots = _rref(_witness_rows(alpha, beta), ell)
+    free = [c for c in range(4) if c not in pivots]
+    kernel = []
+    for f in free:
+        v = [0] * 4
+        v[f] = 1
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] % ell
+        kernel.append(v)
+    basis, _ = _rref(kernel, ell)
+    if len(basis) > 2:
+        raise ArithmeticError("witness rows of rank below 2")
+    v1, v2 = (basis + [[0] * 4] * 2)[:2]
+    det1 = v1[0] * v1[3] - v1[1] * v1[2]
+    det2 = v2[0] * v2[3] - v2[1] * v2[2]
+    polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
+    units = {1 % ell, -1 % ell}
+    s_range, t_range = (range(ell if len(basis) > i else 1) for i in (0, 1))
+    for s in s_range:
+        for t in t_range:
+            if (s * (s * det1 + t * polar) + t * t * det2) % ell in units:
+                W = Mat2Z(*((s * x + t * y) % ell for x, y in zip(v1, v2)))
+                if homographic(W, alpha) != beta:
+                    raise ArithmeticError("witness verification failed")
+                return W
+    return None
+
+
 def valued_iso_classify(caseA, caseB, search_bound: int = 3) -> ClassifyVerdict:
     """Decide (valued) isomorphism of the two cases where the theory
     decides it, and report one-sided or open verdicts elsewhere.  Positive
-    orbit verdicts return the verified monomial morphism as witness."""
+    orbit verdicts return the verified monomial morphism as witness.
+
+    Over GF(l^k) the orbit witness is solved from the linear rows of
+    `_witness_rows` mod l (`_solved_witness`), not searched among the l^4
+    matrices; over K(a) the small-entry unimodular matrices are scanned
+    in order (`_first_witness`)."""
     from . import presentations as pres_mod
 
     char = caseA.field.char
@@ -819,16 +936,16 @@ def valued_iso_classify(caseA, caseB, search_bound: int = 3) -> ClassifyVerdict:
                                detail=verdict.detail)
 
     if isinstance(caseA.field, (PrimeField, ExtensionField)):
-        candidates = _group_matrices(char, "slpm")
+        W = _solved_witness(alpha, beta)
         found, missing = ("orbit witness over the prime field",
                           "no orbit witness; necessity is open")
     else:
         rng = range(-search_bound, search_bound + 1)
         candidates = (M for M in itertools.product(rng, repeat=4)
                       if M[0] * M[3] - M[1] * M[2] in (1, -1))
+        W = _first_witness(alpha, beta, candidates)
         found, missing = ("small-entry unimodular witness found",
                           f"no unimodular witness with entries <= {search_bound}")
-    W = _first_witness(alpha, beta, candidates)
     if W is None:
         return ClassifyVerdict("unknown-open", True, detail=missing)
     return ClassifyVerdict("isomorphic-sufficient", True,

@@ -259,11 +259,21 @@ class TestDriver:
          "primality bound"),
         (["orbits", "cf", "--alpha", "quad:(0+1*sqrt(1000000000000000003))/1"],
          "exceeds the bound"),
+        (["classify", "--char", "1000003", "--caseA", "g:ff:1000003^2:1,1",
+          "--caseB", "g:ff:1000003^2:2,1"],
+         "more than"),
     ])
     def test_arguments_beyond_the_field_bounds_are_usage_errors(self, argv, message, capsys):
         code, out = run_main(argv)
         assert code == 2 and out == ""
         assert message in capsys.readouterr().err
+
+    def test_orbit_witness_over_a_large_prime_field_finishes(self):
+        code, out = run_main(["classify", "--char", "101", "--caseA", "g:ff:101^2:1,1",
+                              "--caseB", "g:ff:101^2:3,1"])
+        assert code == 0
+        check, = json.loads(out)["checks"]
+        assert check["status"] == "pass" and check["witness"] == "[1 2; 0 1]"
 
     def test_suites_without_skew_powers_ignore_the_bound(self):
         for argv in (["verify", "pdo", "--char", "1000000007"],

@@ -153,6 +153,24 @@ class TestRadicandBound:
             assert K.gen() * K.gen() == K.from_int(d)
 
 
+class TestExtensionOrderBound:
+    def test_orders_beyond_the_bound_are_rejected(self):
+        # 2^(10^9) is never formed: the degree alone exceeds the bound
+        for ell, n in ((1009, 2), (101, 3), (2, 20), (1000003, 2), (2, 10**9)):
+            assert ell ** min(n, 64) > fields.MAX_EXTENSION_ORDER
+            with pytest.raises(FieldError, match="more than"):
+                GF(ell, n)
+            with pytest.raises(FieldError, match="more than"):
+                make_field(FieldSpec(characteristic=ell, ext_degree=n))
+
+    def test_orders_within_the_bound_are_accepted(self):
+        for ell, n in ((997, 2), (97, 3), (31, 4), (2, 19)):
+            assert ell ** n <= fields.MAX_EXTENSION_ORDER
+            F = GF(ell, n)
+            w = F.gen()
+            assert w * w.inverse() == F.one()
+
+
 class TestArith:
     def test_f9_defining_relation(self):
         F9 = GF(3, 2)

@@ -1,15 +1,17 @@
 """The orbit witness search and the finite orbit enumeration against the
-reference copies in tests/_support.py, the transitivity scope of
-`orbits finite`, and continued fractions with long periods."""
+reference copies in tests/_support.py, the discrete-log table behind the
+enumeration, the transitivity scope of `orbits finite`, and continued
+fractions with long periods."""
 
+import itertools
 import random
 
 import pytest
 
 from orefields.fields import GF, QQ, Qsqrt, in_prime_subfield, with_parameter
 from orefields.orbits import (
-    Mat2Z, QuadIrr, _first_witness, _group_matrices, cf_expand, finite_orbits,
-    homographic, transitivity_scope, valued_iso_classify,
+    Mat2Z, QuadIrr, _discrete_logs, _first_witness, _group_matrices, _solved_witness,
+    cf_expand, finite_orbits, homographic, transitivity_scope, valued_iso_classify,
 )
 from orefields.presentations import CaseSpec
 
@@ -153,6 +155,41 @@ class TestFiniteFieldSearch:
                     break
         assert found == 2
 
+    @pytest.mark.parametrize("ell, k", FINITE_FIELDS)
+    def test_random_pairs(self, ell, k):
+        # for l = 1 mod 4 at k = 3 the two slpm orbits make some pairs
+        # separated, which the loop must meet
+        F = GF(ell, k)
+        rng = random.Random(1000 * ell + k)
+        separated = 0
+        for _ in range(6):
+            alpha, beta = rand_outside_prime(rng, F), rand_outside_prime(rng, F)
+            want = ref_finite_field_orbit_witness(alpha, beta)
+            assert _solved_witness(alpha, beta) == want
+            assert classify_witness(alpha, beta) == want
+            separated += want is None
+        assert (separated > 0) == (k == 3 and ell % 4 == 1)
+
+    def test_random_pairs_at_ell_101(self):
+        # _group_matrices(101) has 10^8 entries; for k = 2 the lexicographic
+        # scan is walked lazily instead: each (n, q) fixes m*alpha + r as
+        # (n*alpha + q)/beta, whose coordinates in the basis (alpha, 1) are m, r
+        F = GF(101, 2)
+        rng = random.Random(101)
+        for _ in range(3):
+            alpha, beta = rand_outside_prime(rng, F), rand_outside_prime(rng, F)
+            (a0, a1), want = alpha.rep, None
+            for n, q in itertools.product(range(101), repeat=2):
+                g0, g1 = ((alpha * n + q) / beta).rep
+                m = g1 * pow(a1, -1, 101) % 101
+                r = (g0 - m * a0) % 101
+                if (n * r - q * m) % 101 in (1, 100):
+                    want = Mat2Z(n, q, m, r)
+                    break
+            assert want is not None and homographic(want, alpha) == beta
+            assert _solved_witness(alpha, beta) == want
+            assert classify_witness(alpha, beta) == want
+
     @pytest.mark.parametrize("ell, k", [(3, 2), (7, 3), (13, 3)])
     def test_first_witness_walks_the_group_order(self, ell, k):
         F = GF(ell, k)
@@ -179,6 +216,21 @@ class TestFiniteOrbits:
     @pytest.mark.parametrize("group", ["sl", "slpm"])
     def test_same_orbits_as_reference(self, ell, k, group):
         assert finite_orbits(ell, k, group) == ref_finite_orbits(ell, k, group)
+
+
+class TestDiscreteLogs:
+    @pytest.mark.parametrize("ell, k", FINITE_FIELDS)
+    def test_bijection_and_homomorphism(self, ell, k):
+        F = GF(ell, k)
+        q = ell ** k
+        logs = _discrete_logs(F)
+        nonzero = [e.rep for e in F.all_elements() if not e.is_zero()]
+        assert sorted(logs) == sorted(nonzero)
+        assert sorted(logs.values()) == list(range(q - 1))
+        rng = random.Random(q)
+        for _ in range(50):
+            x, y = rng.choice(nonzero), rng.choice(nonzero)
+            assert logs[F._mul(x, y)] == (logs[x] + logs[y]) % (q - 1)
 
 
 NOT_TRANSITIVE = [(3, 3, "sl"), (5, 3, "sl"), (5, 3, "slpm"), (7, 3, "sl"),
