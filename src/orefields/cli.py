@@ -387,14 +387,15 @@ SUITES = {
 }
 
 def run_suite(name: str, cfg: Config) -> Report:
-    report = Report(name, cfg.case_dict())
-    if name == "all":
-        for suite in SUITES.values():
-            suite(cfg, report)
-    elif name in SUITES:
-        SUITES[name](cfg, report)
-    else:
+    """Run one suite, or all of them, as one verification run: each
+    presentation, claimed center and central element is built and verified
+    once, at its first use, and reused for the rest of the run."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    report = Report(name, cfg.case_dict())
+    with presentations.verification_run():
+        for suite in SUITES.values() if name == "all" else [SUITES[name]]:
+            suite(cfg, report)
     return report
 
 

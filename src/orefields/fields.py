@@ -594,14 +594,16 @@ class ExtensionField(Field):
         self.degree = degree
         self.base = PrimeField(ell)
         if modulus is None:
+            # irreducible by construction: certified when it was found
             modulus = least_irreducible(ell, degree)
-        modulus = tuple(c % ell for c in modulus)
-        if len(_utrim(self.base, modulus)) - 1 != degree:
-            raise FieldError("defining polynomial has the wrong degree")
-        if modulus[-1] != 1:
-            raise FieldError("defining polynomial must be monic")
-        if not _poly_is_irreducible(self.base, modulus):
-            raise FieldError("defining polynomial is reducible")
+        else:
+            modulus = tuple(c % ell for c in modulus)
+            if len(_utrim(self.base, modulus)) - 1 != degree:
+                raise FieldError("defining polynomial has the wrong degree")
+            if modulus[-1] != 1:
+                raise FieldError("defining polynomial must be monic")
+            if not _poly_is_irreducible(self.base, modulus):
+                raise FieldError("defining polynomial is reducible")
         self.modulus = modulus
 
     def _pad(self, c):

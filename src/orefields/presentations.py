@@ -3,12 +3,17 @@ structure: claimed central elements, Weyl-generator triples, the explicit
 embeddings between presentations, mutual-centralizer checks, and the
 Weyl-skewfield classification table.
 
-Every constructed object re-verifies its defining bracket relations with
+Every constructed object verifies its defining bracket relations with
 exact skew arithmetic; nothing here is trusted without a computation.
+Inside `verification_run()` a presentation, claimed center or central
+element c is built and verified once, at its first construction, and the
+verified object is reused for the rest of the run; outside a run every
+call builds and verifies afresh.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -21,6 +26,36 @@ from .skewpoly import SkewPoly, commutator, is_central_against, subst_x_shift
 
 class UnsupportedCaseError(ValueError):
     """The requested construction does not exist for this case."""
+
+
+# verified objects of the current verification run, by construction and
+# arguments; None outside a run
+_run_store: dict | None = None
+
+
+@contextmanager
+def verification_run():
+    """Scope in which `algebra_make`, `claimed_center` and
+    `central_element_c` build and verify each distinct argument tuple once
+    and return the same verified object on later calls.  The store is
+    dropped on exit, also on an exception, so nothing outlives the run."""
+    global _run_store
+    outer, _run_store = _run_store, {}
+    try:
+        yield
+    finally:
+        _run_store = outer
+
+
+def _once_per_run(key, build):
+    """build() outside a run; inside one, build() at the first call with
+    this key and its stored result after.  A build that raises stores
+    nothing, so the next call raises again."""
+    if _run_store is None:
+        return build()
+    if key not in _run_store:
+        _run_store[key] = build()
+    return _run_store[key]
 
 
 @dataclass(frozen=True)
@@ -56,7 +91,8 @@ class CaseSpec:
 
 class Presentation:
     """Generators x, y, z of one skewfield presentation, with the ambient
-    derivation; bracket relations are verified at construction."""
+    derivation; bracket relations are verified at construction, which
+    `algebra_make` does once per verification run."""
 
     def __init__(self, case: CaseSpec, coords: str = "yz"):
         self.case = case
@@ -114,7 +150,7 @@ class Presentation:
 
 
 def algebra_make(case: CaseSpec, coords: str = "yz") -> Presentation:
-    return Presentation(case, coords)
+    return _once_per_run(("presentation", case, coords), lambda: Presentation(case, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +168,10 @@ def claimed_center(case: CaseSpec) -> CenterReport:
     """The generating set of the center for the given case, with every
     generator checked to commute with x, y and z.  Maximality of the
     center is recorded, not recomputed."""
+    return _once_per_run(("center", case), lambda: _claimed_center(case))
+
+
+def _claimed_center(case: CaseSpec) -> CenterReport:
     pres = algebra_make(case)
     ell = case.field.char
     gens: list = []
@@ -168,6 +208,12 @@ def central_element_c(ell: int, alpha: FieldElem) -> SkewPoly:
     mu = (alpha^l - alpha)^(l-1) and lambda = -mu - 1; also certifies the
     product form (x^l - x)^l - mu*(x^l - x) and centrality against
     {x, y, z}."""
+    # the field is part of the key: alpha compares equal to its lift into
+    # a larger field
+    return _once_per_run(("c", ell, alpha.field, alpha), lambda: _central_element_c(ell, alpha))
+
+
+def _central_element_c(ell: int, alpha: FieldElem) -> SkewPoly:
     k = alpha.field
     if k.char != ell:
         raise FieldError(f"alpha must live in characteristic {ell}")

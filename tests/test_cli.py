@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -7,7 +8,7 @@ import json
 import pytest
 
 from orefields.cli import (
-    MAX_SKEW_CHAR, Config, Report, build_parser, emit, main, run_suite,
+    MAX_SKEW_CHAR, SUITES, Config, Report, build_parser, emit, main, run_suite,
 )
 from orefields.literals import (
     ExprError, parse_expression, parse_field_literal, parse_matrix,
@@ -231,6 +232,20 @@ class TestDriver:
         ("41", "rat:2", "0", "1f38335f5603b40fa35710b489999d57bc2a8429ebd5e97cc53faaf421071bb0"),
     ])
     def test_verify_all_json_at_large_char_is_pinned(self, char, alpha, seed, digest):
+        code, out = run_main(["verify", "all", "--char", char, "--alpha", alpha,
+                              "--seed", seed, "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of the JSON report (with its final newline), taken before a
+    # verification run built each presentation, claimed center and central
+    # element once; char 5 rat:2 is charl-prime-subfield, whose Weyl
+    # classification reuses the claimed center
+    @pytest.mark.parametrize("char, alpha, seed, digest", [
+        ("5", "rat:2", "0", "21004cdb95199ce42c73adc47c7873c9cba6a14099b22e8eaefd15b79e17f066"),
+        ("2", "param", "19", "7a02b11ed64f4fa9ee9c6aaa5de35c5094bf08cadd4080240610c3e3d43fab68"),
+    ])
+    def test_verify_all_json_with_reused_objects_is_pinned(self, char, alpha, seed, digest):
         code, out = run_main(["verify", "all", "--char", char, "--alpha", alpha,
                               "--seed", seed, "--format", "json"])
         assert code == 0
@@ -469,3 +484,55 @@ class TestConstructionFailuresAreChecks:
                                      "--precision", "4"])
         assert code == 0
         assert checks["leading-constraint"]["status"] == "out-of-scope"
+
+
+class TestVerificationRunScope:
+    """One `run_suite` call builds and verifies each presentation, claimed
+    center and central element c once; nothing it built outlives it."""
+
+    def test_each_key_is_built_once(self, monkeypatch):
+        from orefields import presentations
+        builds = collections.Counter()
+        init = presentations.Presentation.__init__
+
+        def counting_init(self, case, coords="yz"):
+            builds[(case, coords)] += 1
+            init(self, case, coords)
+        certified = []
+        certify = presentations._central_element_c
+
+        def counting_certify(ell, alpha):
+            certified.append((ell, alpha))
+            return certify(ell, alpha)
+        monkeypatch.setattr(presentations.Presentation, "__init__", counting_init)
+        monkeypatch.setattr(presentations, "_central_element_c", counting_certify)
+        report = run_suite("all", Config(char=7, alpha="param"))
+        assert not report.failures
+        # g at alpha and at the morphisms' betas, q in (y, z) and (y, t)
+        assert len(builds) >= 4
+        assert set(builds.values()) == {1}
+        assert len(certified) == 1
+
+    def test_a_later_run_verifies_afresh(self, monkeypatch):
+        from orefields import presentations
+        assert not run_suite("presentations", Config(char=3, alpha="param")).failures
+
+        def broken(self):
+            raise ArithmeticError("injected failure")
+        monkeypatch.setattr(presentations.Presentation, "_verify_brackets", broken)
+        checks = {c.name: c for c in
+                  run_suite("presentations", Config(char=3, alpha="param")).checks}
+        for name in ("g-brackets", "q-brackets", "q-t-bracket"):
+            assert checks[name].status == "fail"
+            assert checks[name].witness == "injected failure"
+
+    def test_the_store_is_dropped_when_a_run_raises(self, monkeypatch):
+        from orefields import presentations
+
+        def raising_suite(cfg, report):
+            presentations.algebra_make(presentations.CaseSpec("q", GF(3)))
+            raise RuntimeError("suite crashed")
+        monkeypatch.setitem(SUITES, "presentations", raising_suite)
+        with pytest.raises(RuntimeError):
+            run_suite("presentations", Config(char=3))
+        assert presentations._run_store is None

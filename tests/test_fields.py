@@ -52,6 +52,23 @@ class TestMakeField:
         with pytest.raises(FieldError):
             make_field(FieldSpec(characteristic=3, ext_degree=2, ext_poly=(2, 0, 1)))
 
+    @pytest.mark.parametrize("ell, modulus", [
+        (3, (2, 0, 1)),          # w^2 + 2 = (w + 1)(w + 2)
+        (5, (6, 5, 1)),          # w^2 + 1 mod 5, after reduction of the coefficients
+        (2, (1, 0, 1, 0, 1)),    # (w^2 + w + 1)^2: reducible without a root
+    ])
+    def test_reducible_supplied_modulus_raises(self, ell, modulus):
+        with pytest.raises(FieldError, match="reducible"):
+            GF(ell, len(modulus) - 1, modulus)
+
+    def test_default_modulus_is_not_recertified(self, monkeypatch):
+        least_irreducible(7, 3)             # found, and certified, once
+
+        def refuse(*args):
+            raise AssertionError("the default modulus was certified again")
+        monkeypatch.setattr(fields, "_poly_is_irreducible", refuse)
+        assert GF(7, 3).modulus == least_irreducible(7, 3)
+
     def test_non_squarefree_radicand_rejected(self):
         with pytest.raises(FieldError):
             make_field(FieldSpec(sqrt_d=12))

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from orefields import presentations
 from orefields.fields import GF, QQ, Qsqrt, with_parameter
 from orefields.orbits import Mat2Z, homographic
 from orefields.presentations import (
-    CaseSpec, Morphism, UnsupportedCaseError, algebra_make, central_element_c,
-    centralizer_pair_check, claimed_center, frobenius_embedding, gk_classify,
-    monomial_morphism, translation_invariant_t, weyl_triple,
+    CaseSpec, Morphism, Presentation, UnsupportedCaseError, algebra_make,
+    central_element_c, centralizer_pair_check, claimed_center, frobenius_embedding,
+    gk_classify, monomial_morphism, translation_invariant_t, verification_run,
+    weyl_triple,
 )
 from orefields.skewpoly import SkewPoly, commutator, is_central_against, subst_x_shift
 
@@ -46,6 +48,57 @@ class TestAlgebraMake:
         assert g_case(K, K.gen()).classification == "charl-generic"
         assert CaseSpec("q", QQ()).classification == "q-char0"
         assert CaseSpec("q", GF(3)).classification == "q-charl"
+
+
+class TestVerificationRun:
+    def test_outside_a_run_every_call_builds_afresh(self):
+        case = CaseSpec("q", GF(3))
+        assert algebra_make(case) is not algebra_make(case)
+        assert claimed_center(case) is not claimed_center(case)
+
+    def test_inside_a_run_equal_arguments_share_one_object(self):
+        K = with_parameter(GF(3))
+        with verification_run():
+            # equal by value, built from distinct field objects
+            pres = algebra_make(g_case(K, K.gen()))
+            assert algebra_make(g_case(with_parameter(GF(3)), K.gen())) is pres
+            assert algebra_make(CaseSpec("q", GF(3)), "yt") is not algebra_make(
+                CaseSpec("q", GF(3)))
+            c = central_element_c(3, K.gen())
+            assert central_element_c(3, K.gen()) is c
+            center = claimed_center(g_case(K, K.gen()))
+            assert claimed_center(g_case(K, K.gen())) is center
+            assert center.generators[-1][1] is c
+        assert algebra_make(g_case(K, K.gen())) is not pres
+
+    def test_a_raising_construction_raises_again(self, monkeypatch):
+        calls = []
+
+        def broken(self):
+            calls.append(self.case)
+            raise ArithmeticError("injected failure")
+        case = CaseSpec("q", GF(3))
+        with verification_run():
+            with pytest.raises(UnsupportedCaseError):
+                central_element_c(5, GF(5).coerce(2))
+            with pytest.raises(UnsupportedCaseError):
+                central_element_c(5, GF(5).coerce(2))
+            monkeypatch.setattr(Presentation, "_verify_brackets", broken)
+            for _ in range(2):
+                with pytest.raises(ArithmeticError, match="injected"):
+                    algebra_make(case)
+        assert calls == [case, case]
+
+    def test_runs_nest_and_the_store_is_dropped_on_exit(self):
+        case = CaseSpec("q", GF(3))
+        with pytest.raises(RuntimeError):
+            with verification_run():
+                outer = algebra_make(case)
+                with verification_run():
+                    assert algebra_make(case) is not outer
+                assert algebra_make(case) is outer
+                raise RuntimeError("run crashed")
+        assert presentations._run_store is None
 
 
 class TestClaimedCenter:
