@@ -19,7 +19,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 from . import __version__, fields, orbits, presentations
 from .fields import FieldElem, GF, QQ
@@ -28,20 +27,25 @@ from .pdo import PdoSeries, leading_constraint_check, pdo_from_skew, pdo_inv
 from .skewpoly import commutator
 
 
-@dataclass
 class Check:
-    name: str
-    claim: str
-    status: str               # pass | fail | out-of-scope | open-question
-    witness: str | None = None
-    runtime_ms: float | None = None
+    __slots__ = ("name", "claim", "status", "witness", "runtime_ms")
+
+    def __init__(self, name: str, claim: str, status: str, witness: str | None = None,
+                 runtime_ms: float | None = None):
+        self.name = name
+        self.claim = claim
+        self.status = status          # pass | fail | out-of-scope | open-question
+        self.witness = witness
+        self.runtime_ms = runtime_ms
 
 
-@dataclass
 class Report:
-    suite: str
-    case: dict
-    checks: list = dc_field(default_factory=list)
+    __slots__ = ("suite", "case", "checks")
+
+    def __init__(self, suite: str, case: dict, checks: list | None = None):
+        self.suite = suite
+        self.case = case
+        self.checks = [] if checks is None else checks
 
     def run(self, name, claim, fn, witness=None):
         """Execute fn; a truthy result is a pass, falsy or raising is a fail.
@@ -102,18 +106,24 @@ def emit(report: Report, fmt: str = "json") -> str:
 # ---------------------------------------------------------------------------
 # configuration
 
-@dataclass
 class Config:
-    char: int = 0
-    alpha: str | None = None
-    beta: str | None = None
-    matrix: str = "1,1,0,1"
-    ell: int = 3
-    ext: int = 2
-    group: str = "sl"
-    precision: int = 8
-    seed: int = 0
-    fmt: str = "json"
+    # one common command-line option per field, under the same name
+    __slots__ = ("char", "alpha", "beta", "matrix", "ell", "ext", "group", "precision",
+                 "seed", "fmt")
+
+    def __init__(self, char: int = 0, alpha: str | None = None, beta: str | None = None,
+                 matrix: str = "1,1,0,1", ell: int = 3, ext: int = 2, group: str = "sl",
+                 precision: int = 8, seed: int = 0, fmt: str = "json"):
+        self.char = char
+        self.alpha = alpha
+        self.beta = beta
+        self.matrix = matrix
+        self.ell = ell
+        self.ext = ext
+        self.group = group
+        self.precision = precision
+        self.seed = seed
+        self.fmt = fmt
 
     def alpha_elem(self) -> FieldElem | None:
         if self.alpha is None:
@@ -503,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # every subparser inherits the common options, one per Config field
-    cfg = Config(**{f.name: getattr(args, f.name) for f in dc_fields(Config)})
+    cfg = Config(**{name: getattr(args, name) for name in Config.__slots__})
     try:
         if cfg.precision < 1:
             raise ValueError(f"--precision must be at least 1, got {cfg.precision}")

@@ -16,8 +16,8 @@ floating point anywhere, so raw reps are never divided with `/`.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -60,18 +60,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        while n % f == 0:
-            n //= f
-        f += 1
-    return True
+def squarefree_core(n: int) -> tuple:
+    """n = core * f^2 for n >= 1, with core squarefree; returns (core, f).
+
+    Trial division runs only while p^3 <= n.  The cofactor left then has
+    every prime factor above its cube root, so it is 1, a prime, a product
+    of two distinct primes or the square of a prime, and only a square is
+    not squarefree."""
+    core, f = 1, 1
+    p = 2
+    while p * p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e % 2:
+            core *= p
+        f *= p ** (e // 2)
+        p += 1
+    r = math.isqrt(n)
+    if r * r == n:
+        return core, f * r
+    return core * n, f
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +696,8 @@ class ExtensionField(Field):
         return f"GF({self.char}^{self.degree})"
 
 
-# is_squarefree is trial division up to sqrt|d|, about 10^6 steps at the bound
+# squarefree_core trial-divides up to the cube root of |d|, about 10^4 steps
+# at the bound
 MAX_RADICAND = 10**12
 
 
@@ -702,7 +713,7 @@ class QuadraticField(Field):
             raise FieldError("radicand must not be 0 or 1")
         if abs(d) > MAX_RADICAND:
             raise FieldError(f"radicand {d} exceeds the bound {MAX_RADICAND} in absolute value")
-        if not is_squarefree(d):
+        if squarefree_core(abs(d))[1] != 1:
             raise FieldError(f"radicand {d} is not squarefree")
         self.d = d
 
@@ -931,8 +942,35 @@ class ParameterField(Field):
 # ---------------------------------------------------------------------------
 # field descriptions and element-level operations
 
-@dataclass(frozen=True)
-class FieldSpec:
+class ValueRecord:
+    """Base of the immutable records: equal and hashed by the tuple that
+    `_fields` returns, with assignment and deletion raising
+    AttributeError.  A subclass declares its fields in __slots__ and sets
+    each one in __init__ through object.__setattr__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable "
+                             f"{type(self).__name__}")
+
+
+class FieldSpec(ValueRecord):
     """Describes one member of the supported tower.
 
     characteristic: 0 or a prime l.
@@ -943,11 +981,21 @@ class FieldSpec:
     parameter: adjoin one transcendental parameter a on top.
     """
 
-    characteristic: int = 0
-    ext_degree: int | None = None
-    ext_poly: tuple | None = None
-    sqrt_d: int | None = None
-    parameter: bool = False
+    __slots__ = ("characteristic", "ext_degree", "ext_poly", "sqrt_d", "parameter")
+
+    def __init__(self, characteristic: int = 0, ext_degree: int | None = None,
+                 ext_poly: tuple | None = None, sqrt_d: int | None = None,
+                 parameter: bool = False):
+        init = object.__setattr__
+        init(self, "characteristic", characteristic)
+        init(self, "ext_degree", ext_degree)
+        init(self, "ext_poly", ext_poly)
+        init(self, "sqrt_d", sqrt_d)
+        init(self, "parameter", parameter)
+
+    def _fields(self):
+        return (self.characteristic, self.ext_degree, self.ext_poly, self.sqrt_d,
+                self.parameter)
 
 
 def make_field(spec: FieldSpec) -> Field:

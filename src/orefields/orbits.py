@@ -9,25 +9,30 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fields
 from .fields import (
-    GF, ExtensionField, FieldElem, ParameterField, PrimeField, QuadraticField, _qdiv,
-    _umul,
+    GF, ExtensionField, FieldElem, ParameterField, PrimeField, QuadraticField, ValueRecord,
+    _qdiv, _umul, squarefree_core,
 )
 
 
 # ---------------------------------------------------------------------------
 # integer 2x2 matrices acting by (n*w + q)/(m*w + r)
 
-@dataclass(frozen=True)
-class Mat2Z:
-    n: int
-    q: int
-    m: int
-    r: int
+class Mat2Z(ValueRecord):
+    """The integer matrix [n q; m r]; immutable, equal and hashed by its
+    entries."""
+
+    __slots__ = ("n", "q", "m", "r")
+
+    def __init__(self, n: int, q: int, m: int, r: int):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "q", q)
+        init(self, "m", m)
+        init(self, "r", r)
 
     @property
     def det(self) -> int:
@@ -72,8 +77,12 @@ class Mat2Z:
     def entries(self):
         return (self.n, self.q, self.m, self.r)
 
+    _fields = entries
+
     def __str__(self):
         return f"[{self.n} {self.q}; {self.m} {self.r}]"
+
+    __repr__ = __str__
 
 
 def homographic(M: Mat2Z, alpha: FieldElem) -> FieldElem:
@@ -87,24 +96,6 @@ def homographic(M: Mat2Z, alpha: FieldElem) -> FieldElem:
 
 # ---------------------------------------------------------------------------
 # real quadratic irrationals and continued fractions
-
-def _squarefree_core(D: int):
-    """D = core * f^2 with core squarefree; returns (core, f)."""
-    core, f = 1, 1
-    n = D
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e % 2:
-            core *= p
-        f *= p ** (e // 2)
-        p += 1
-    core *= n
-    return core, f
-
 
 class QuadIrr:
     """(P + sqrt(D))/Q with integer P, Q, D; D > 0 not a square, Q != 0,
@@ -150,7 +141,7 @@ class QuadIrr:
         return a, QuadIrr(P1, self.D, Q1)
 
     def core(self):
-        return _squarefree_core(self.D)
+        return squarefree_core(self.D)
 
     def to_field_elem(self, field: QuadraticField | None = None) -> FieldElem:
         d0, f = self.core()
@@ -198,16 +189,18 @@ class PeriodNotFound(RuntimeError):
     """The continued fraction did not close within the term bound."""
 
 
-@dataclass
 class ContFrac:
     """Continued fraction of a quadratic irrational: digits are
     preperiod + (period repeated); period detected as the first recurring
     complete-quotient state, hence minimal."""
 
-    value: QuadIrr
-    preperiod: tuple
-    period: tuple
-    states: tuple             # complete quotients tau_0, tau_1, ...
+    __slots__ = ("value", "preperiod", "period", "states")
+
+    def __init__(self, value: QuadIrr, preperiod: tuple, period: tuple, states: tuple):
+        self.value = value
+        self.preperiod = preperiod
+        self.period = period
+        self.states = states          # complete quotients tau_0, tau_1, ...
 
     def digits(self, count: int):
         out = list(self.preperiod)
@@ -401,12 +394,14 @@ def fundamental_domain_reduce(tau: ImagQuadPoint):
 # ---------------------------------------------------------------------------
 # equivalence under the homographic action of integer matrices
 
-@dataclass
 class EquivVerdict:
-    equivalent: bool
-    witness: Mat2Z | None
-    kind: str
-    detail: str = ""
+    __slots__ = ("equivalent", "witness", "kind", "detail")
+
+    def __init__(self, equivalent: bool, witness: Mat2Z | None, kind: str, detail: str = ""):
+        self.equivalent = equivalent
+        self.witness = witness
+        self.kind = kind
+        self.detail = detail
 
     def __bool__(self):
         return self.equivalent
@@ -529,21 +524,40 @@ def brute_force_witness(a: FieldElem, b: FieldElem, bound: int) -> Mat2Z | None:
 # ---------------------------------------------------------------------------
 # finite-field orbit enumeration
 
-@dataclass
 class OrbitData:
-    representative: str
-    size: int
-    stabilizer_order: int
+    __slots__ = ("representative", "size", "stabilizer_order")
+
+    def __init__(self, representative: str, size: int, stabilizer_order: int):
+        self.representative = representative
+        self.size = size
+        self.stabilizer_order = stabilizer_order
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.representative, self.size, self.stabilizer_order)
+                == (other.representative, other.size, other.stabilizer_order))
 
 
-@dataclass
 class FiniteOrbitReport:
-    ell: int
-    ext_degree: int
-    group: str
-    group_order: int
-    orbits: list
-    point_count: int
+    __slots__ = ("ell", "ext_degree", "group", "group_order", "orbits", "point_count")
+
+    def __init__(self, ell: int, ext_degree: int, group: str, group_order: int,
+                 orbits: list, point_count: int):
+        self.ell = ell
+        self.ext_degree = ext_degree
+        self.group = group
+        self.group_order = group_order
+        self.orbits = orbits
+        self.point_count = point_count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ell, self.ext_degree, self.group, self.group_order, self.orbits,
+                 self.point_count)
+                == (other.ell, other.ext_degree, other.group, other.group_order,
+                    other.orbits, other.point_count))
 
     @property
     def transitive(self) -> bool:
@@ -651,10 +665,12 @@ def finite_orbits(ell: int, k: int, group: str = "sl",
     return FiniteOrbitReport(ell, k, group, order, orbits, len(points))
 
 
-@dataclass
 class TransitivityReport:
-    ell: int
-    checks: list              # (name, status, detail), status pass/fail/out-of-scope
+    __slots__ = ("ell", "checks")
+
+    def __init__(self, ell: int, checks: list):
+        self.ell = ell
+        self.checks = checks          # (name, status, detail), status pass/fail/out-of-scope
 
     @property
     def ok(self) -> bool:
@@ -721,13 +737,16 @@ def transitivity_report(ell: int, bound: int = 13) -> TransitivityReport:
 # ---------------------------------------------------------------------------
 # classification wrapper
 
-@dataclass
 class ClassifyVerdict:
-    verdict: str              # isomorphic | valued-isomorphic | not-isomorphic |
-                              # not-valued-isomorphic | isomorphic-sufficient | unknown-open
-    one_sided: bool
-    witness: object = None    # Morphism or Mat2Z
-    detail: str = ""
+    __slots__ = ("verdict", "one_sided", "witness", "detail")
+
+    def __init__(self, verdict: str, one_sided: bool, witness=None, detail: str = ""):
+        # isomorphic | valued-isomorphic | not-isomorphic | not-valued-isomorphic |
+        # isomorphic-sufficient | unknown-open
+        self.verdict = verdict
+        self.one_sided = one_sided
+        self.witness = witness        # Morphism or Mat2Z
+        self.detail = detail
 
 
 def _prime_coords(K, x) -> tuple:

@@ -21,7 +21,6 @@ so all stored coefficients are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .fields import _join_terms, _power
 from .ratfunc import Derivation, RatFunc2
@@ -336,16 +335,19 @@ def pdo_inv(a: PdoSeries, prec: int | None = None) -> PdoSeries:
     return PdoSeries(a.derivation, terms, target)
 
 
-@dataclass
 class LeadingConstraintReport:
     """Outcome of the lowest-order consistency extraction on a candidate
     generator triple (X^{-1}, Y, Z) for target bracket scalar beta."""
 
-    ok: bool
-    c1: RatFunc2 | None
-    y0: RatFunc2 | None
-    z0: RatFunc2 | None
-    failures: list
+    __slots__ = ("ok", "c1", "y0", "z0", "failures")
+
+    def __init__(self, ok: bool, c1: RatFunc2 | None, y0: RatFunc2 | None,
+                 z0: RatFunc2 | None, failures: list):
+        self.ok = ok
+        self.c1 = c1
+        self.y0 = y0
+        self.z0 = z0
+        self.failures = failures
 
     def __bool__(self):
         return self.ok

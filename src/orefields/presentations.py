@@ -14,11 +14,10 @@ call builds and verifies afresh.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import fields
-from .fields import Field, FieldElem, FieldError
+from .fields import Field, FieldElem, FieldError, ValueRecord
 from .orbits import Mat2Z, homographic
 from .ratfunc import Derivation, FunctionField2, RatFunc2, scaling_derivation
 from .skewpoly import SkewPoly, commutator, is_central_against, subst_x_shift
@@ -58,25 +57,30 @@ def _once_per_run(key, build):
     return _run_store[key]
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(ValueRecord):
     """One algebra case: the scaling family ('g', with parameter alpha) or
-    the unipotent family ('q')."""
+    the unipotent family ('q').  Immutable, equal and hashed by value, so
+    equal cases share the objects of a verification run."""
 
-    algebra: str
-    field: Field
-    alpha: FieldElem | None = None
+    __slots__ = ("algebra", "field", "alpha")
 
-    def __post_init__(self):
-        if self.algebra not in ("g", "q"):
+    def __init__(self, algebra: str, field: Field, alpha: FieldElem | None = None):
+        if algebra not in ("g", "q"):
             raise ValueError("algebra must be 'g' or 'q'")
-        if self.algebra == "g":
-            if self.alpha is None or self.alpha.field != self.field:
+        if algebra == "g":
+            if alpha is None or alpha.field != field:
                 raise ValueError("the 'g' family needs alpha in the coefficient field")
-            if self.alpha.is_zero():
+            if alpha.is_zero():
                 raise ValueError("alpha must be nonzero")
-        elif self.alpha is not None:
+        elif alpha is not None:
             raise ValueError("the 'q' algebra takes no parameter")
+        init = object.__setattr__
+        init(self, "algebra", algebra)
+        init(self, "field", field)
+        init(self, "alpha", alpha)
+
+    def _fields(self):
+        return (self.algebra, self.field, self.alpha)
 
     @property
     def classification(self) -> str:
@@ -156,12 +160,14 @@ def algebra_make(case: CaseSpec, coords: str = "yz") -> Presentation:
 # ---------------------------------------------------------------------------
 # centers
 
-@dataclass
 class CenterReport:
-    case: CaseSpec
-    generators: list          # (label, SkewPoly) pairs
-    all_central: bool
-    notes: str = ""
+    __slots__ = ("case", "generators", "all_central", "notes")
+
+    def __init__(self, case: CaseSpec, generators: list, all_central: bool, notes: str = ""):
+        self.case = case
+        self.generators = generators  # (label, SkewPoly) pairs
+        self.all_central = all_central
+        self.notes = notes
 
 
 def claimed_center(case: CaseSpec) -> CenterReport:
@@ -262,13 +268,15 @@ def translation_invariant_t(gamma: FieldElem, ell: int) -> SkewPoly:
 # ---------------------------------------------------------------------------
 # Weyl triples
 
-@dataclass
 class WeylTriple:
-    case: CaseSpec
-    P: SkewPoly
-    Q: SkewPoly
-    centrals: list            # (label, SkewPoly) pairs
-    recipe: str
+    __slots__ = ("case", "P", "Q", "centrals", "recipe")
+
+    def __init__(self, case: CaseSpec, P: SkewPoly, Q: SkewPoly, centrals: list, recipe: str):
+        self.case = case
+        self.P = P
+        self.Q = Q
+        self.centrals = centrals      # (label, SkewPoly) pairs
+        self.recipe = recipe
 
 
 def check_weyl(triple: WeylTriple) -> bool:
@@ -341,22 +349,24 @@ def weyl_triple(case: CaseSpec) -> WeylTriple:
 # ---------------------------------------------------------------------------
 # morphisms between presentations
 
-@dataclass
 class Morphism:
     """An algebra morphism into a 'g'-presentation, recorded by the images
     of the source generators; the source bracket relations are verified at
     construction."""
 
-    target: Presentation
-    beta: FieldElem
-    x_img: SkewPoly
-    y_img: SkewPoly
-    z_img: SkewPoly
-    tag: str
-    matrix: Mat2Z | None = None
-    invertible: bool | None = None
+    __slots__ = ("target", "beta", "x_img", "y_img", "z_img", "tag", "matrix", "invertible")
 
-    def __post_init__(self):
+    def __init__(self, target: Presentation, beta: FieldElem, x_img: SkewPoly,
+                 y_img: SkewPoly, z_img: SkewPoly, tag: str, matrix: Mat2Z | None = None,
+                 invertible: bool | None = None):
+        self.target = target
+        self.beta = beta
+        self.x_img = x_img
+        self.y_img = y_img
+        self.z_img = z_img
+        self.tag = tag
+        self.matrix = matrix
+        self.invertible = invertible
         self.verify_relations()
 
     def verify_relations(self):
@@ -463,12 +473,14 @@ def frobenius_embedding(alpha: FieldElem, beta: FieldElem, ell: int) -> Morphism
 # ---------------------------------------------------------------------------
 # mutual centralizers
 
-@dataclass
 class CentralizerReport:
-    case: CaseSpec
-    cross_commutators: list   # (label_L, label_Lp, vanishes)
-    witnesses: list           # (label, nonzero)
-    ok: bool
+    __slots__ = ("case", "cross_commutators", "witnesses", "ok")
+
+    def __init__(self, case: CaseSpec, cross_commutators: list, witnesses: list, ok: bool):
+        self.case = case
+        self.cross_commutators = cross_commutators  # (label_L, label_Lp, vanishes)
+        self.witnesses = witnesses                  # (label, nonzero)
+        self.ok = ok
 
 
 def centralizer_pair_check(case: CaseSpec) -> CentralizerReport:
@@ -517,14 +529,19 @@ def centralizer_pair_check(case: CaseSpec) -> CentralizerReport:
 # ---------------------------------------------------------------------------
 # classification table
 
-@dataclass
 class GKVerdict:
-    case: CaseSpec
-    weyl_equivalent: bool
-    center_description: str
-    dimension_over_center: str | None
-    weyl: WeylTriple | None
-    center: CenterReport = dc_field(repr=False, default=None)
+    __slots__ = ("case", "weyl_equivalent", "center_description", "dimension_over_center",
+                 "weyl", "center")
+
+    def __init__(self, case: CaseSpec, weyl_equivalent: bool, center_description: str,
+                 dimension_over_center: str | None, weyl: WeylTriple | None,
+                 center: CenterReport | None = None):
+        self.case = case
+        self.weyl_equivalent = weyl_equivalent
+        self.center_description = center_description
+        self.dimension_over_center = dimension_over_center
+        self.weyl = weyl
+        self.center = center
 
 
 def gk_classify(case: CaseSpec) -> GKVerdict:

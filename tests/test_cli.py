@@ -1,9 +1,11 @@
 import collections
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +17,7 @@ from orefields.literals import (
 )
 from orefields.fields import GF, Qsqrt, with_parameter
 from orefields.orbits import Mat2Z
+from orefields.presentations import WeylTriple
 
 
 def run_main(argv):
@@ -448,8 +451,8 @@ class TestConstructionFailuresAreChecks:
         assert not any(name.endswith(("weyl-pair", "dimension-over-center")) for name in checks)
 
     @pytest.mark.parametrize("broken, witness", [
-        (lambda t: dataclasses.replace(t, Q=t.P), "[P, Q] != 1"),
-        (lambda t: dataclasses.replace(t, centrals=t.centrals + [("QP", t.Q * t.P)]),
+        (lambda t: WeylTriple(t.case, t.P, t.P, t.centrals, t.recipe), "[P, Q] != 1"),
+        (lambda t: WeylTriple(t.case, t.P, t.Q, t.centrals + [("QP", t.Q * t.P)], t.recipe),
          "QP is not annihilated by the pair"),
     ])
     def test_weyl_pair_failure_fails_the_weyl_pair(self, monkeypatch, broken, witness):
@@ -536,3 +539,17 @@ class TestVerificationRunScope:
         with pytest.raises(RuntimeError):
             run_suite("presentations", Config(char=3))
         assert presentations._run_store is None
+
+
+class TestStartup:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # every verdict pays the import of the CLI in a fresh process, and
+        # these two are what a dataclass decoration costs there
+        import orefields
+        src = os.path.dirname(os.path.dirname(os.path.abspath(orefields.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, orefields.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"

@@ -170,6 +170,55 @@ class TestRadicandBound:
             assert K.gen() * K.gen() == K.from_int(d)
 
 
+def _trial_division_core(n):
+    """n = core * f^2 by plain trial division up to sqrt(n)."""
+    core, f, p = 1, 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        core *= p ** (e % 2)
+        f *= p ** (e // 2)
+        p += 1
+    return core * n, f
+
+
+def _next_prime(n):
+    while not fields.is_prime(n):
+        n += 1
+    return n
+
+
+class TestSquarefreeCore:
+    def test_matches_trial_division_on_random_inputs(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            n = rng.randrange(1, 10**6) * rng.choice((1, 1, rng.randrange(1, 300) ** 2))
+            assert fields.squarefree_core(n) == _trial_division_core(n)
+
+    def test_matches_trial_division_near_10_to_the_12(self):
+        # p^2*q with the square prime on either side of the cube root, and
+        # the cofactors the cube-root bound leaves: p*q and p^2
+        ns = []
+        for p0, q0 in ((10**6, 2), (10**4, 10**4), (10**3, 10**6), (100, 10**8),
+                       (2, 25 * 10**10)):
+            p, q = _next_prime(p0), _next_prime(q0 + 1)
+            ns.append(p * p * q)
+        big, bigger = _next_prime(10**6), _next_prime(10**6 + 100)
+        ns += [big * bigger, big * big, 8 * big * big]
+        for n in ns:
+            core, f = fields.squarefree_core(n)
+            assert (core, f) == _trial_division_core(n)
+            assert core * f * f == n
+
+    def test_radicand_with_a_square_above_the_cube_root_is_rejected(self):
+        p = _next_prime(10**5)
+        with pytest.raises(FieldError, match="not squarefree"):
+            Qsqrt(-3 * p * p)
+        assert Qsqrt(3 * p * _next_prime(p + 1)).d == 3 * p * _next_prime(p + 1)
+
+
 class TestExtensionOrderBound:
     def test_orders_beyond_the_bound_are_rejected(self):
         # 2^(10^9) is never formed: the degree alone exceeds the bound

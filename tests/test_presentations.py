@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orefields import presentations
-from orefields.fields import GF, QQ, Qsqrt, with_parameter
+from orefields.fields import GF, QQ, FieldSpec, Qsqrt, with_parameter
 from orefields.orbits import Mat2Z, homographic
 from orefields.presentations import (
     CaseSpec, Morphism, Presentation, UnsupportedCaseError, algebra_make,
@@ -50,6 +50,30 @@ class TestAlgebraMake:
         assert CaseSpec("q", GF(3)).classification == "q-charl"
 
 
+class TestValueRecords:
+    @pytest.mark.parametrize("make, field", [
+        (lambda: Mat2Z(2, 1, 1, 1), "q"),
+        (lambda: CaseSpec("g", QQ(), QQ().from_int(2)), "alpha"),
+        (lambda: FieldSpec(characteristic=3, ext_degree=2), "ext_degree"),
+    ])
+    def test_immutable_and_equal_by_value(self, make, field):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert a == b
+
+    def test_fields_in_order_with_defaults(self):
+        assert Mat2Z(1, 2, 3, 4).entries() == (1, 2, 3, 4)
+        assert CaseSpec("q", GF(3)).alpha is None
+        spec = FieldSpec(5)
+        assert (spec.characteristic, spec.ext_degree, spec.ext_poly, spec.sqrt_d,
+                spec.parameter) == (5, None, None, None, False)
+        assert FieldSpec(5) != FieldSpec(5, parameter=True)
+
+
 class TestVerificationRun:
     def test_outside_a_run_every_call_builds_afresh(self):
         case = CaseSpec("q", GF(3))
@@ -70,6 +94,12 @@ class TestVerificationRun:
             assert claimed_center(g_case(K, K.gen())) is center
             assert center.generators[-1][1] is c
         assert algebra_make(g_case(K, K.gen())) is not pres
+
+    def test_equal_distinct_cases_share_one_presentation(self):
+        a, b = CaseSpec("q", GF(3)), CaseSpec("q", GF(3))
+        assert a is not b and a == b
+        with verification_run():
+            assert algebra_make(a) is algebra_make(b)
 
     def test_a_raising_construction_raises_again(self, monkeypatch):
         calls = []
