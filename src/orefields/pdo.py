@@ -387,10 +387,11 @@ def leading_constraint_check(Xinv: PdoSeries, Y: PdoSeries, Z: PdoSeries,
             failures.append("c1 != D(y0)/y0")
         if D(z0) / z0 != beta * c1:
             failures.append("beta*c1 != D(z0)/z0")
-    rel_y = Y * Xinv - Xinv * Y - Xinv * Y * Xinv
+    XY, XZ = Xinv * Y, Xinv * Z
+    rel_y = Y * Xinv - XY - XY * Xinv
     if not rel_y.is_zero_mod_prec():
         failures.append("Y-relation fails at some computed order")
-    rel_z = Z * Xinv - Xinv * Z - (Xinv * Z * Xinv) * beta
+    rel_z = Z * Xinv - XZ - (XZ * Xinv) * beta
     if not rel_z.is_zero_mod_prec():
         failures.append("Z-relation fails at some computed order")
     return LeadingConstraintReport(not failures, c1, y0, z0, failures)

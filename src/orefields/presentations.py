@@ -306,30 +306,18 @@ def weyl_triple(case: CaseSpec) -> WeylTriple:
         lam = case.field.coerce(Fraction(v)) + case.alpha * case.field.from_int(u)
         P = SkewPoly(pres.D, {1: yprime.inverse() * lam.inverse()})
         Q = pres.embed(yprime)
-        centrals = [(f"y^{p}*z^{-q}", pres.coeff_monomial(p, -q))]
-        triple = WeylTriple(case, P, Q, centrals, "rational-reparametrization")
+        recipe = "rational-reparametrization"
     elif cls == "charl-prime-subfield":
         pres = algebra_make(case)
-        a = case.field.prime_subfield_value(case.alpha.rep)
         P = pres.x * pres.ctx.monomial(-1, 0)
         Q = pres.y
-        centrals = [
-            (f"x^{ell}-x", pres.x ** ell - pres.x),
-            (f"y^{ell}", pres.coeff_monomial(ell, 0)),
-            (f"y^-{a}*z", pres.coeff_monomial(-a, 1)),
-        ]
-        triple = WeylTriple(case, P, Q, centrals, "prime-subfield")
+        recipe = "prime-subfield"
     elif cls == "charl-generic":
         pres = algebra_make(case)
         gamma = case.alpha ** ell - case.alpha
         tprime = (pres.x ** ell - pres.x) * pres.ctx.monomial(0, -1, gamma.inverse())
         P, Q = tprime, pres.z
-        centrals = [
-            (f"y^{ell}", pres.coeff_monomial(ell, 0)),
-            (f"z^{ell}", pres.coeff_monomial(0, ell)),
-            ("c", central_element_c(ell, case.alpha)),
-        ]
-        triple = WeylTriple(case, P, Q, centrals, "centralizer-factor")
+        recipe = "centralizer-factor"
     elif cls == "q-charl":
         pres = algebra_make(case, coords="yt")
         P = pres.z                     # the variable t in (y, t) coordinates
@@ -339,9 +327,12 @@ def weyl_triple(case: CaseSpec) -> WeylTriple:
             (f"t^{ell}", pres.coeff_monomial(0, ell)),
             (f"(x^{ell}-x)^{ell}", Q ** ell),
         ]
-        triple = WeylTriple(case, P, Q, centrals, "centralizer-factor")
+        recipe = "centralizer-factor"
     else:
         raise UnsupportedCaseError(f"no Weyl pair exists for case {cls}")
+    if cls != "q-charl":    # the central data are the claimed center's generators
+        centrals = list(claimed_center(case).generators)
+    triple = WeylTriple(case, P, Q, centrals, recipe)
     check_weyl(triple)
     return triple
 

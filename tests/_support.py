@@ -375,6 +375,24 @@ def ref_commutator(f, g):
     return f * g - g * f
 
 
+def ref_floor(q):
+    """floor((P + sqrt(D))/Q) of a QuadIrr by exact sign comparisons: from
+    the guess (P + isqrt(D)) // Q, step down while the value is not above
+    the guess and up while it is above guess + 1."""
+    def above(n):
+        # value > n; sign of (P + sqrt(D)) - n*Q, never zero
+        s = n * q.Q - q.P
+        positive = s < 0 or q.D > s * s
+        return positive if q.Q > 0 else not positive
+
+    a = (q.P + math.isqrt(q.D)) // q.Q
+    while not above(a):
+        a -= 1
+    while above(a + 1):
+        a += 1
+    return a
+
+
 # ---------------------------------------------------------------------------
 # reference orbit searches: the witness searches that divide in the field
 # for every candidate matrix, and the orbit enumeration on FieldElem

@@ -360,6 +360,42 @@ class TestDriver:
         assert code == 0
         assert json.loads(out)["summary"]["fail"] == 0
 
+    # sha256 of the JSON report (with its final newline), taken before the
+    # continued-fraction floor became a closed form and tails were matched
+    # by period rotation alone; a negative Q with D scaled by Q^2, an
+    # equivalent real pair, an imaginary pair on opposite sides of the
+    # real axis, and the real pair as a classification
+    @pytest.mark.parametrize("argv, digest", [
+        (["orbits", "cf", "--alpha", "quad:(3+2*sqrt(7))/-5"],
+         "bd61d8a777a70e0b6e94c7803a03d35bf7fb07718ae7f9599a6c15035d9e8c69"),
+        (["orbits", "equiv", "--alpha", "quad:(3+2*sqrt(7))/-5",
+          "--beta", "quad:(80+2*sqrt(7))/135"],
+         "1c4c2a79dd7571a579db7098c953e0e05a76929ffea1a891045aeebd2360a60d"),
+        (["orbits", "equiv", "--alpha", "quad:(2+1*sqrt(-7))/5",
+          "--beta", "quad:(112-5*sqrt(-7))/161"],
+         "341cda2cb559def79a33a65acdf79b9e576c7e34fb6989b0796b5416ffea0d73"),
+        (["classify", "--char", "0", "--caseA", "g:quad:(3+2*sqrt(7))/-5",
+          "--caseB", "g:quad:(80+2*sqrt(7))/135"],
+         "d796c6a66999c2b61f2971e0dd2aa283b5f5a6b5dd9d6524ad6c5332aba0b8a9"),
+    ])
+    def test_quadratic_orbit_json_is_pinned(self, argv, digest):
+        code, out = run_main(argv + ["--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["orbits", "cf", "--alpha", "quad:(0+1000000007*sqrt(2))/1"],
+        ["orbits", "equiv", "--alpha", "quad:(0+1000000007*sqrt(2))/1",
+         "--beta", "quad:(1+1*sqrt(2))/1"],
+        ["classify", "--caseA", "g:quad:(0+1000000007*sqrt(2))/1",
+         "--caseB", "g:quad:(1+1*sqrt(2))/1"],
+        ["orbits", "cf", "--alpha", "quad:(1+1*sqrt(2))/100000000"],
+    ])
+    def test_discriminant_above_the_bound_is_a_usage_error(self, argv, capsys):
+        code, out = run_main(argv)
+        assert code == 2 and out == ""
+        assert "exceeds the bound 4000000000000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", [
         "rat:1/0", "quad:(1+1*sqrt(2))/0", "param:1/(a-a)",
     ])

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from _support import ref_floor
+from orefields import orbits
 from orefields.fields import FieldElem, GF, QQ, Qsqrt, with_parameter
 from orefields.orbits import (
     ContFrac, ImagQuadPoint, Mat2Z, PeriodNotFound, QuadIrr,
@@ -442,3 +445,62 @@ def test_cf_certificate_fuzz():
         i0 = len(cf.preperiod)
         assert cf.complete_quotient(i0) == cf.complete_quotient(i0 + len(cf.period))
         checked += 1
+
+
+class TestFloor:
+    def test_closed_form_matches_sign_comparisons(self):
+        """Large surds, half of them within about 1/(2k|Q|) of an integer
+        (D = k^2 +- 1, P = m*Q - k), with negative Q and with D scaled by
+        Q^2 where Q does not divide D - P^2."""
+        rng = random.Random(31)
+        scaled = negative = 0
+        for i in range(4000):
+            Q = rng.choice((-1, 1)) * rng.randint(1, 10 ** 9)
+            if i % 2:
+                k = rng.randint(2, 10 ** 15)
+                D = k * k + rng.choice((-1, 1))
+                P = rng.randint(-10 ** 3, 10 ** 3) * Q - k
+            else:
+                D = rng.randint(2, 10 ** 30)
+                if math.isqrt(D) ** 2 == D:
+                    continue
+                P = rng.randint(-10 ** 12, 10 ** 12)
+            q = QuadIrr(P, D, Q)
+            scaled += q.D != D
+            negative += q.Q < 0
+            assert q.floor() == ref_floor(q)
+        assert scaled > 1000 and negative > 1000
+
+    def test_small_surds(self):
+        for D in range(2, 60):
+            if math.isqrt(D) ** 2 == D:
+                continue
+            for P in range(-8, 9):
+                for Q in (*range(-7, 0), *range(1, 8)):
+                    q = QuadIrr(P, D, Q)
+                    assert q.floor() == ref_floor(q)
+
+
+class TestDiscriminantBound:
+    # the discriminant of the primitive minimal polynomial over ZZ
+    @pytest.mark.parametrize("surd, disc", [
+        (QuadIrr(0, 2, 1), 8),          # x^2 - 2
+        (QuadIrr(1, 5, 2), 5),          # x^2 - x - 1
+        (QuadIrr(2, 20, 4), 5),         # the same number
+        (QuadIrr(1, 8, 3), 288),        # 9x^2 - 6x - 7, D rescaled to 72
+        (QuadIrr(5, 19, -2), 76),       # 2x^2 + 10x + 3
+        (QuadIrr(-7, 13, 3), 52),       # 3x^2 + 14x + 12
+    ])
+    def test_bound_is_on_the_primitive_discriminant(self, surd, disc, monkeypatch):
+        """Every complete quotient has the discriminant of the value: each
+        expands at the bound disc and is refused at disc - 1."""
+        cf = cf_expand(surd)
+        quotients = [cf.complete_quotient(i)
+                     for i in range(len(cf.preperiod) + len(cf.period) + 1)]
+        monkeypatch.setattr(orbits, "MAX_CF_DISCRIMINANT", disc)
+        for tau in quotients:
+            cf_expand(tau)
+        monkeypatch.setattr(orbits, "MAX_CF_DISCRIMINANT", disc - 1)
+        for tau in quotients:
+            with pytest.raises(ValueError, match=f"discriminant {disc} of "):
+                cf_expand(tau)

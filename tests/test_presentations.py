@@ -250,6 +250,33 @@ class TestWeylTriple:
         triple = weyl_triple(CaseSpec("q", GF(3)))
         assert triple.recipe == "centralizer-factor"
 
+    @pytest.mark.parametrize("make_case, recipe, labels", [
+        (lambda: g_case(QQ(), Fraction(2, 3)), "rational-reparametrization", ["y^2*z^-3"]),
+        (lambda: g_case(GF(5), 2), "prime-subfield", ["x^5-x", "y^5", "y^-2*z"]),
+        (lambda: g_case(with_parameter(GF(3)), with_parameter(GF(3)).gen()),
+         "centralizer-factor", ["y^3", "z^3", "c"]),
+        (lambda: CaseSpec("q", GF(3)), "centralizer-factor", ["y^3", "t^3", "(x^3-x)^3"]),
+    ])
+    def test_central_data(self, make_case, recipe, labels):
+        case = make_case()
+        triple = weyl_triple(case)
+        pres = algebra_make(case, coords="yt" if case.algebra == "q" else "yz")
+        ell = case.field.char
+        x = pres.x
+        expected = {
+            "y^2*z^-3": pres.coeff_monomial(2, -3),
+            "x^5-x": x ** 5 - x, "y^5": pres.coeff_monomial(5, 0),
+            "y^-2*z": pres.coeff_monomial(-2, 1),
+            "y^3": pres.coeff_monomial(3, 0), "z^3": pres.coeff_monomial(0, 3),
+            "t^3": pres.coeff_monomial(0, 3), "(x^3-x)^3": (x ** 3 - x) ** 3,
+        }
+        if "c" in labels:
+            expected["c"] = central_element_c(ell, case.alpha)
+        assert triple.recipe == recipe
+        assert [label for label, _ in triple.centrals] == labels
+        for label, c in triple.centrals:
+            assert c == expected[label]
+
     def test_char0_irrational_rejected(self):
         K = Qsqrt(2)
         with pytest.raises(UnsupportedCaseError):
