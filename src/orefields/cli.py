@@ -463,10 +463,7 @@ def cmd_classify(args, cfg: Config) -> Report:
     caseB = _parse_case(args.caseB, cfg.char)
     verdict = orbits.valued_iso_classify(caseA, caseB)
     status = "open-question" if verdict.verdict == "unknown-open" else "pass"
-    witness = None
-    if verdict.witness is not None:
-        matrix = getattr(verdict.witness, "matrix", verdict.witness)
-        witness = str(matrix)
+    witness = str(verdict.witness.matrix) if verdict.witness is not None else None
     report.record("verdict",
                   f"{verdict.verdict}"
                   f"{' (one-sided)' if verdict.one_sided else ''}: {verdict.detail}",

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import fields
 from .fields import (
-    GF, ExtensionField, FieldElem, ParameterField, PrimeField, QuadraticField, ValueRecord,
+    GF, ExtensionField, FieldElem, ParameterField, QuadraticField, ValueRecord,
     _qdiv, _umul, squarefree_core,
 )
 
@@ -23,7 +23,6 @@ from .fields import (
 # (Python 3.11, 2-vCPU VM).
 MAX_CF_DISCRIMINANT = 4 * fields.MAX_RADICAND
 MAX_ORBIT_ELL = 13          # the largest l whose orbits `finite_orbits` enumerates
-WITNESS_SEARCH_BOUND = 3    # the largest |entry| of a witness tried over K(a)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +717,7 @@ class ClassifyVerdict:
         # isomorphic-sufficient | unknown-open
         self.verdict = verdict
         self.one_sided = one_sided
-        self.witness = witness        # Morphism or Mat2Z
+        self.witness = witness        # Morphism, on every positive orbit verdict
         self.detail = detail
 
 
@@ -766,37 +765,16 @@ def _witness_rows(alpha: FieldElem, beta: FieldElem) -> list:
     return rows
 
 
-def _first_witness(alpha: FieldElem, beta: FieldElem, candidates) -> Mat2Z | None:
-    """The first (n, q, m, r) among the candidates with
-    (n*alpha + q)/(m*alpha + r) = beta, as a Mat2Z, or None.  This is the
-    witness search over K(a), where the candidates are the small-entry
-    unimodular integer matrices; over GF(l^k) `_solved_witness` solves the
-    rows instead of scanning.
-
-    alpha must lie outside the prime field and every candidate must have
-    (m, r) != (0, 0) over the prime field (det = +-1 ensures it), so that
-    m*alpha + r never vanishes.  Each candidate then costs a few integer
-    multiply-adds against the rows of `_witness_rows` instead of a field
-    division; a match is re-verified by exact application, and a mismatch
-    raises ArithmeticError."""
-    rows = _witness_rows(alpha, beta)
-    ell = alpha.field.char
-    for n, q, m, r in candidates:
-        for A, B, C, D in rows:
-            s = n * A + q * B + m * C + r * D
-            if s % ell if ell else s:
-                break
-        else:
-            W = Mat2Z(n, q, m, r)
-            if homographic(W, alpha) != beta:
-                raise ArithmeticError("witness verification failed")
-            return W
-    return None
-
-
 def _rref(rows, ell: int) -> tuple:
-    """Reduced row echelon form mod l: (nonzero rows, pivot columns), each
-    row scaled to 1 at its pivot."""
+    """Reduced row echelon form over the prime field, QQ in Fractions for
+    l = 0 and GF(l) otherwise: (nonzero rows, pivot columns), each row
+    scaled to 1 at its pivot."""
+    if ell:
+        def inv(x): return pow(x, -1, ell)
+        def red(x): return x % ell
+    else:
+        def inv(x): return 1 / Fraction(x)
+        def red(x): return x
     rows = [list(r) for r in rows]
     pivots = []
     for col in range(len(rows[0]) if rows else 0):
@@ -805,58 +783,118 @@ def _rref(rows, ell: int) -> tuple:
             continue
         top = len(pivots)
         rows[top], rows[i] = rows[i], rows[top]
-        inv = pow(rows[top][col], -1, ell)
-        rows[top] = [x * inv % ell for x in rows[top]]
+        scale = inv(rows[top][col])
+        rows[top] = [red(x * scale) for x in rows[top]]
         for j, row in enumerate(rows):
             if j != top and row[col]:
                 f = row[col]
-                rows[j] = [(x - f * y) % ell for x, y in zip(row, rows[top])]
+                rows[j] = [red(x - f * y) for x, y in zip(row, rows[top])]
         pivots.append(col)
     return rows[:len(pivots)], pivots
 
 
-def _solved_witness(alpha: FieldElem, beta: FieldElem) -> Mat2Z | None:
-    """The lexicographically least (n, q, m, r) in [0, l)^4 with
-    det = +-1 mod l and (n*alpha + q)/(m*alpha + r) = beta, as a Mat2Z, or
-    None; alpha in GF(l^k) outside GF(l).  This is the first match of the
-    ordered scan of `_group_matrices(l, "slpm")`.
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo the prime p, or None when a is not a
+    square mod p (Tonelli-Shanks: O(log p) products mod p after the search
+    for a non-square z, which meets one after two tries on average)."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    # invariant: r^2 = a*t with t of order dividing 2^e, c of order 2^e
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
-    The matrices solving the rows of `_witness_rows` form the kernel of
-    those rows mod l.  The row from coordinate 0 has B = 1 and the row
-    from a coordinate where alpha lies outside GF(l) has B = 0 and A != 0,
-    so the kernel has dimension at most 2.  With the kernel basis v1, v2 in
-    reduced echelon form, s*v1 + t*v2 for s, t in [0, l) runs through the
-    kernel in lexicographic order, and det(s*v1 + t*v2) is the quadratic
-    form s^2 det v1 + s t P(v1, v2) + t^2 det v2, P the polarization of
-    det.  At most l^2 values of the form are tried; a match is re-verified
-    by exact application, and a mismatch raises ArithmeticError."""
+
+def _solved_witness(alpha: FieldElem, beta: FieldElem) -> Mat2Z | None:
+    """The orbit witness [n q; m r] with (n*alpha + q)/(m*alpha + r) = beta,
+    as a Mat2Z, or None; alpha and beta lie outside the prime field of one
+    field, GF(l^k) or K(a).  A match is re-verified by exact application,
+    and a mismatch raises ArithmeticError.
+
+    The candidates are the kernel of the rows of `_witness_rows` over the
+    prime field.  Each nonzero kernel vector is an invertible matrix:
+    m*alpha + r != 0 for (m, r) != (0, 0), so (n, q) = c*(m, r) would make
+    beta = c a prime-field element.  With W0 in the kernel, the kernel is
+    W0 times the matrices M with M . alpha = alpha (and 0), which solve
+    m*alpha^2 + (r - n)*alpha - q = 0.  So the kernel is a plane when alpha
+    has degree 2 over the prime field (in GF(l^2), or a constant of K(a)
+    in a quadratic K), and at most a line otherwise: in GF(l^3), and for a
+    non-constant alpha of K(a), which is transcendental, only the scalars
+    fix alpha.
+
+    In characteristic 0 (K(a) only) the integer points of a kernel line
+    are the multiples of its primitive integer vector v, so a GL2(Z)
+    witness exists exactly when det v = +-1, and it is then v or -v: the
+    one with negative first nonzero entry is returned.  A kernel plane
+    means that alpha and beta are constants in a quadratic K, and
+    `gl2z_equivalent` decides them.
+
+    In characteristic l the result is the lexicographically least matrix
+    in [0, l)^4 with det = +-1 mod l, whose integer det may be anything;
+    `valued_iso_classify` lifts it.  With the kernel basis in reduced
+    echelon form, s*v1 + t*v2 for s, t in [0, l) runs through the kernel
+    in lexicographic order, and det(s*v1 + t*v2) is the quadratic form
+    s^2 det v1 + s t P(v1, v2) + t^2 det v2, P the polarization of det.
+    On a line the least s with s^2 det v1 = +-1 is the least of the at most
+    four square roots (`_sqrt_mod`), at any l; on a plane, which needs
+    l^2 <= MAX_EXTENSION_ORDER field elements, at most l^2 values of the
+    form are tried."""
     ell = alpha.field.char
     rows, pivots = _rref(_witness_rows(alpha, beta), ell)
-    free = [c for c in range(4) if c not in pivots]
     kernel = []
-    for f in free:
+    for f in (c for c in range(4) if c not in pivots):
         v = [0] * 4
         v[f] = 1
         for row, p in zip(rows, pivots):
-            v[p] = -row[f] % ell
+            v[p] = -row[f] % ell if ell else -row[f]
         kernel.append(v)
-    basis, _ = _rref(kernel, ell)
-    if len(basis) > 2:
+    if len(kernel) > 2:
         raise ArithmeticError("witness rows of rank below 2")
-    v1, v2 = (basis + [[0] * 4] * 2)[:2]
-    det1 = v1[0] * v1[3] - v1[1] * v1[2]
-    det2 = v2[0] * v2[3] - v2[1] * v2[2]
-    polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
-    units = {1 % ell, -1 % ell}
-    s_range, t_range = (range(ell if len(basis) > i else 1) for i in (0, 1))
-    for s in s_range:
-        for t in t_range:
-            if (s * (s * det1 + t * polar) + t * t * det2) % ell in units:
+    W = None
+    if not ell and len(kernel) == 2:
+        K = alpha.field.base
+        W = gl2z_equivalent(FieldElem(K, alpha.rep[0][0]), FieldElem(K, beta.rep[0][0])).witness
+    elif not ell and kernel:
+        den = math.lcm(*(x.denominator for x in kernel[0]))
+        v = [int(x * den) for x in kernel[0]]
+        g = math.gcd(*v) * (1 if next(x for x in v if x) < 0 else -1)
+        M = Mat2Z(*(x // g for x in v))
+        W = M if M.unimodular else None
+    elif kernel:
+        basis, _ = _rref(kernel, ell)
+        v1 = basis[0]
+        det1 = v1[0] * v1[3] - v1[1] * v1[2]
+        units = {1 % ell, -1 % ell}
+        if len(basis) == 1:
+            roots = [_sqrt_mod(u * pow(det1, -1, ell), ell) for u in units] if det1 % ell else []
+            s = min((x for root in roots if root is not None for x in (root, -root % ell)),
+                    default=None)
+            if s is not None:
+                W = Mat2Z(*(s * x % ell for x in v1))
+        else:
+            v2 = basis[1]
+            det2 = v2[0] * v2[3] - v2[1] * v2[2]
+            polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
+            s, t = next(((s, t) for s in range(ell) for t in range(ell)
+                         if (s * (s * det1 + t * polar) + t * t * det2) % ell in units),
+                        (None, None))
+            if s is not None:
                 W = Mat2Z(*((s * x + t * y) % ell for x, y in zip(v1, v2)))
-                if homographic(W, alpha) != beta:
-                    raise ArithmeticError("witness verification failed")
-                return W
-    return None
+    if W is not None and homographic(W, alpha) != beta:
+        raise ArithmeticError("witness verification failed")
+    return W
 
 
 def valued_iso_classify(caseA, caseB) -> ClassifyVerdict:
@@ -864,10 +902,13 @@ def valued_iso_classify(caseA, caseB) -> ClassifyVerdict:
     decides it, and report one-sided or open verdicts elsewhere.  Positive
     orbit verdicts return the verified monomial morphism as witness.
 
-    Over GF(l^k) the orbit witness is solved from the linear rows of
-    `_witness_rows` mod l (`_solved_witness`), not searched among the l^4
-    matrices; over K(a) the small-entry unimodular matrices are scanned
-    in order (`_first_witness`)."""
+    Over GF(l^k) and K(a) the orbit witness is solved exactly from the
+    linear rows of `_witness_rows` over the prime field (`_solved_witness`).
+    In characteristic l the solved matrix W0 has entries in [0, l) and
+    det W0 = e mod l, e = +-1, and it is lifted to an integer matrix of
+    det e congruent to W0 mod l, which acts as W0 does; such a lift exists
+    because SL2(Z) -> SL2(Z/l) is onto.  So every positive verdict carries
+    a GL2(Z) witness, and `unknown-open` means that none exists."""
     from . import presentations as pres_mod
 
     char = caseA.field.char
@@ -925,18 +966,25 @@ def valued_iso_classify(caseA, caseB) -> ClassifyVerdict:
         return ClassifyVerdict("not-valued-isomorphic", False,
                                detail=verdict.detail)
 
-    if isinstance(caseA.field, (PrimeField, ExtensionField)):
-        W = _solved_witness(alpha, beta)
-        found, missing = ("orbit witness over the prime field",
-                          "no orbit witness; necessity is open")
-    else:
-        rng = range(-WITNESS_SEARCH_BOUND, WITNESS_SEARCH_BOUND + 1)
-        candidates = (M for M in itertools.product(rng, repeat=4)
-                      if M[0] * M[3] - M[1] * M[2] in (1, -1))
-        W = _first_witness(alpha, beta, candidates)
-        found, missing = ("small-entry unimodular witness found",
-                          f"no unimodular witness with entries <= {WITNESS_SEARCH_BOUND}")
+    W = _solved_witness(alpha, beta)
     if W is None:
-        return ClassifyVerdict("unknown-open", True, detail=missing)
-    return ClassifyVerdict("isomorphic-sufficient", True,
-                           pres_mod.monomial_morphism(W, alpha), found)
+        return ClassifyVerdict("unknown-open", True, detail="no orbit witness; necessity is open")
+    if not W.unimodular:
+        # m != 0 (replace 0 by l); r moved by multiples of l until it is
+        # prime to m, fewer than m steps as l is prime to m or r0 != 0 mod
+        # l; n*r - q*m = e from n = e/r mod m; then (n + t*m, q + t*r) keeps
+        # det e, and the t in [0, l) that puts n at n0 mod l (q at q0 if l
+        # divides m) gives the other entry too, as det = e mod l
+        n0, q0, m, r = W.entries()
+        e = 1 if W.det % char == 1 else -1
+        m = m or char
+        while math.gcd(m, r) != 1:
+            r += char
+        n = e * pow(r, -1, m) % m
+        q = (n * r - e) // m
+        t = ((n0 - n) * pow(m, -1, char) if m % char else (q0 - q) * pow(r, -1, char)) % char
+        W = Mat2Z(n + t * m, q + t * r, m, r)
+        if not W.unimodular or homographic(W, alpha) != beta:
+            raise ArithmeticError("lifted witness verification failed")
+    return ClassifyVerdict("isomorphic-sufficient", True, pres_mod.monomial_morphism(W, alpha),
+                           "orbit witness over the prime field")

@@ -27,6 +27,15 @@ def run_main(argv):
     return code, buf.getvalue()
 
 
+def run_python(args, timeout):
+    """A fresh interpreter on this checkout's orefields."""
+    import orefields
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orefields.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable] + args, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=timeout)
+
+
 class TestLiterals:
     def test_rat(self):
         assert parse_field_literal("rat:2/3").rep.numerator == 2
@@ -286,6 +295,33 @@ class TestDriver:
         assert code == 2 and out == ""
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, witness", [
+        (["--char", "0", "--caseA", "g:param:a", "--caseB", "g:param:(5*a+2)/(2*a+1)"],
+         "[-5 -2; -2 -1]"),
+        (["--char", "5", "--caseA", "g:ff:5^2:0,1", "--caseB", "g:ff:5^2:0,3"], "[5 6; 4 5]"),
+    ])
+    def test_orbit_witness_is_in_gl2z(self, argv, witness):
+        # outside the old box of entries <= 3, and the lift of the residue
+        # witness [0 1; 4 0], whose integer det is -4
+        code, out = run_main(["classify"] + argv)
+        assert code == 0
+        check, = json.loads(out)["checks"]
+        assert check["status"] == "pass" and check["witness"] == witness
+
+    def test_orbit_witness_over_a_parameter_field_at_large_char_finishes(self):
+        # the kernel line is solved by a square root mod l; a walk over its
+        # l multiples would not finish
+        out = run_python(["-m", "orefields.cli", "classify", "--char", "1000000007",
+                          "--caseA", "g:param:a", "--caseB", "g:param:(5*a+2)/(3*a+7)"], 30)
+        assert out.returncode == 0
+        check, = json.loads(out.stdout)["checks"]
+        W = Mat2Z(*map(int, check["witness"].strip("[]").replace(";", "").split()))
+        assert check["status"] == "pass" and W.unimodular
+        # a multiple of [5 2; 3 7] mod l, the only witnesses there are
+        ell = 1000000007
+        s = W.n * pow(5, -1, ell) % ell
+        assert [x % ell for x in W.entries()] == [s * x % ell for x in (5, 2, 3, 7)]
+
     def test_orbit_witness_over_a_large_prime_field_finishes(self):
         code, out = run_main(["classify", "--char", "101", "--caseA", "g:ff:101^2:1,1",
                               "--caseB", "g:ff:101^2:3,1"])
@@ -301,19 +337,22 @@ class TestDriver:
             assert code == 0
             assert json.loads(out)["summary"]["fail"] == 0
 
-    # sha256 of the JSON report (with its final newline), taken before the
-    # witness searches became a linear test over the prime field
+    # sha256 of the JSON report (with its final newline).  The ff: digest
+    # was taken before the witness searches became a linear test over the
+    # prime field; the param: digests when K(a) moved from a scan of small
+    # matrices to the exact solver (new detail strings, and the char-5
+    # witness is the least residue matrix, [1 1; 2 3], not [-3 2; -1 1])
     @pytest.mark.parametrize("char, case_a, case_b, digest", [
         ("13", "g:ff:13^3:5,7,4", "g:ff:13^3:9,2,8",
          "6dd2968c46dfe77d067b69ef4c226595d732c41bbdaa5678a0301450036aec94"),
         ("0", "g:param:((1)*a^0+(-1)*a^1)/((1)*a^1)",
          "g:param:((2)*a^0+(-3)*a^1)/((1)*a^0+(-1)*a^1)",
-         "133e81eafc210a8d0424951e67cde342d230bd1075793eb191d29adb0b680304"),
+         "044940d4d3b6491386da607349df397d680ce100a5dae2820d7ca22b992878d4"),
         ("0", "g:param:((1)*a^0+(2)*a^1)/((3)*a^1)", "g:param:(-3)*a^0+(-2)*a^1+(2)*a^2",
-         "1f6a9bac8e92e804d87b87392aa27fc39cda3b741f96bc617050acfcbbcb85b2"),
+         "f43d40e908ecb44fc78b4c296a6b7967c023cd084a31295472999e85151379a4"),
         ("5", "g:param:((4)*a^0+(4)*a^1)/((3)*a^0+(2)*a^1)",
          "g:param:((3)*a^0+(4)*a^1)/((3)*a^0+(1)*a^1)",
-         "f1f96da81d3240cd4c0be38a0360fa2e4ce10ca7875f7b12f63e495492947fa1"),
+         "5e179b009b34860670aa75227584d1acfe4437c6c240ee68dd31367df11083c5"),
     ])
     def test_classify_json_is_pinned(self, char, case_a, case_b, digest):
         code, out = run_main(["classify", "--char", char, "--caseA", case_a,
@@ -581,11 +620,8 @@ class TestStartup:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # every verdict pays the import of the CLI in a fresh process, and
         # these two are what a dataclass decoration costs there
-        import orefields
-        src = os.path.dirname(os.path.dirname(os.path.abspath(orefields.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import sys, orefields.cli; "
                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True, timeout=60, check=True)
+        out = run_python(["-c", code], 60)
+        assert out.returncode == 0
         assert out.stdout.strip() == "[]"

@@ -4,14 +4,16 @@ enumeration, the transitivity scope of `orbits finite`, and continued
 fractions with long periods."""
 
 import itertools
+import math
 import random
 
 import pytest
 
+from orefields import orbits
 from orefields.fields import GF, QQ, Qsqrt, in_prime_subfield, with_parameter
 from orefields.orbits import (
-    Mat2Z, QuadIrr, _discrete_logs, _first_witness, _group_matrices, _solved_witness,
-    cf_expand, finite_orbits, homographic, transitivity_scope, valued_iso_classify,
+    Mat2Z, QuadIrr, _discrete_logs, _solved_witness, _sqrt_mod, cf_expand, finite_orbits,
+    homographic, transitivity_scope, valued_iso_classify,
 )
 from orefields.presentations import CaseSpec
 
@@ -22,13 +24,33 @@ from _support import (
 
 
 def classify_witness(alpha, beta):
-    """The witness matrix of valued_iso_classify, or None."""
+    """The witness matrix of valued_iso_classify, reduced mod l in
+    characteristic l, or None.  Every witness must have integer det +-1,
+    make an invertible morphism and send alpha to beta."""
     K = alpha.field
     verdict = valued_iso_classify(CaseSpec("g", K, alpha), CaseSpec("g", K, beta))
     if verdict.verdict == "unknown-open":
         return None
     assert verdict.verdict == "isomorphic-sufficient"
-    return verdict.witness.matrix
+    W = verdict.witness.matrix
+    assert W.unimodular and verdict.witness.invertible
+    assert homographic(W, alpha) == beta
+    ell = K.char
+    return Mat2Z(*(x % ell for x in W.entries())) if ell else W
+
+
+def assert_box_witness(alpha, beta):
+    """Where the box scan with entries <= 3 finds a witness, the one
+    valued_iso_classify returns: the same matrix in characteristic 0, and
+    in characteristic l some witness (the lift's integers differ from the
+    box's)."""
+    want = ref_search_small_matrices(alpha, beta, 3)
+    got = classify_witness(alpha, beta)
+    if want is not None:
+        assert got is not None
+        if alpha.field.char == 0:
+            assert got == want
+    return want
 
 
 def rand_box_matrix(rng, bound):
@@ -74,8 +96,7 @@ class TestParameterFieldSearch:
                 beta = alpha
             if in_prime_subfield(beta):
                 continue
-            want = ref_search_small_matrices(alpha, beta, 3)
-            assert classify_witness(alpha, beta) == want
+            want = assert_box_witness(alpha, beta)
             if kind != 1:
                 assert want is not None
 
@@ -91,9 +112,7 @@ class TestParameterFieldSearch:
                 continue
             for W in (Mat2Z(2, 1, 1, 1), Mat2Z(0, -1, 1, 3), Mat2Z(-3, 2, -1, 1)):
                 beta = homographic(W, alpha)
-                want = ref_search_small_matrices(alpha, beta, 3)
-                assert want is not None
-                assert classify_witness(alpha, beta) == want
+                assert assert_box_witness(alpha, beta) is not None
 
     def test_rational_witness_denominators_are_cleared(self):
         K = with_parameter(QQ())
@@ -109,9 +128,7 @@ class TestParameterFieldSearch:
         alpha = (K.gen() + g) / (K.gen() * g - 1)
         for W in (Mat2Z(3, 1, 2, 1), Mat2Z(1, 1, 0, 1), Mat2Z(1, 3, 1, 2)):
             beta = homographic(W, alpha)
-            want = ref_search_small_matrices(alpha, beta, 3)
-            assert want is not None
-            assert classify_witness(alpha, beta) == want
+            assert assert_box_witness(alpha, beta) is not None
 
 
 FINITE_FIELDS = [(ell, k) for ell in (2, 3, 5, 7, 11, 13) for k in (2, 3)]
@@ -190,25 +207,101 @@ class TestFiniteFieldSearch:
             assert _solved_witness(alpha, beta) == want
             assert classify_witness(alpha, beta) == want
 
-    @pytest.mark.parametrize("ell, k", [(3, 2), (7, 3), (13, 3)])
-    def test_first_witness_walks_the_group_order(self, ell, k):
-        F = GF(ell, k)
-        rng = random.Random(3)
-        alpha = rand_outside_prime(rng, F)
-        beta = rand_outside_prime(rng, F)
-        mats = _group_matrices(ell, "slpm")
-        assert (_first_witness(alpha, beta, mats)
-                == ref_finite_field_orbit_witness(alpha, beta))
-        assert _first_witness(alpha, beta, mats[::-1]) == next(
-            (Mat2Z(*M) for M in mats[::-1] if homographic(Mat2Z(*M), alpha) == beta), None)
-
     @pytest.mark.parametrize("field", [GF(5, 2), with_parameter(QQ())], ids=str)
-    def test_match_without_exact_witness_is_refused(self, field):
-        # the zero matrix satisfies every linear row but is no witness;
-        # exact re-verification refuses it
+    def test_match_without_exact_witness_is_refused(self, field, monkeypatch):
+        # the rows of beta = alpha + 1 put x -> x + 1 in the kernel, which
+        # does not send alpha to alpha + 2; exact re-verification refuses it
+        rows = orbits._witness_rows
+        monkeypatch.setattr(orbits, "_witness_rows", lambda a, b: rows(a, a + 1))
         alpha = field.gen()
-        with pytest.raises(ArithmeticError):
-            _first_witness(alpha, alpha + 1, [(0, 0, 0, 0)])
+        with pytest.raises(ArithmeticError, match="verification"):
+            _solved_witness(alpha, alpha + 2)
+
+
+def primes_below(n):
+    return [p for p in range(2, n) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+class TestSqrtMod:
+    # the primes below 200 include p = 2 and the p = 1 mod 8 (17, 41, 73,
+    # 97, 113, 137, 193) on which Tonelli-Shanks takes more than one step
+    @pytest.mark.parametrize("p", primes_below(200))
+    def test_against_brute_force(self, p):
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            root = _sqrt_mod(a, p)
+            if a in squares:
+                assert root is not None and root * root % p == a
+            else:
+                assert root is None
+
+
+class TestExactSolver:
+    @pytest.mark.parametrize("W", [Mat2Z(5, 2, 2, 1), Mat2Z(55, 34, 34, 21)], ids=str)
+    def test_witness_outside_the_box(self, W):
+        # the sign twin with negative first entry, the first of +-W that a
+        # scan in lexicographic order would meet
+        K = with_parameter(QQ())
+        a = K.gen()
+        for alpha in (a, (a * a + 1) / (a + 3)):
+            beta = homographic(W, alpha)
+            assert ref_search_small_matrices(alpha, beta, 3) is None
+            assert classify_witness(alpha, beta) == Mat2Z(*(-x for x in W.entries()))
+
+    def test_no_witness_when_the_kernel_determinant_is_not_a_unit(self):
+        K = with_parameter(QQ())
+        alpha = K.gen()
+        assert classify_witness(alpha, homographic(Mat2Z(2, 1, 1, 1), alpha) * 2) is None
+        assert classify_witness(alpha, homographic(Mat2Z(2, 0, 0, 1), alpha)) is None
+
+    def test_constants_of_a_quadratic_parameter_field(self):
+        # a kernel plane: alpha and beta are constants, decided by gl2z_equivalent
+        K = with_parameter(Qsqrt(2))
+        root2 = K.coerce(Qsqrt(2).gen())
+        assert classify_witness(root2, root2 + 1) is not None
+        assert classify_witness(root2, (root2 * 5 + 2) / (root2 * 2 + 1)) is not None
+        assert classify_witness(root2, root2 / 3) is None
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11])
+    def test_witness_exactly_when_plus_or_minus_det_is_a_square(self, ell):
+        # beta = M . alpha for a residue matrix M of det d: the brute-force
+        # scan of every residue matrix of det +-1 finds a witness exactly
+        # when d or -d is a square mod l, and the solver returns its first
+        K = with_parameter(GF(ell))
+        alpha = K.gen()
+        rng = random.Random(ell)
+        squares = {x * x % ell for x in range(1, ell)}
+        for d in range(1, ell):
+            while True:
+                M = Mat2Z(*(rng.randrange(ell) for _ in range(4)))
+                if M.det % ell == d:
+                    break
+            beta = homographic(M, alpha)
+            want = ref_finite_field_orbit_witness(alpha, beta)
+            assert (want is not None) == (d in squares or -d % ell in squares)
+            assert classify_witness(alpha, beta) == want
+
+    @pytest.mark.parametrize("make_base", PARAM_BASES)
+    def test_every_parameter_field_witness_is_in_gl2z(self, make_base):
+        # images under matrices with entries up to 20, of det +-1 in the
+        # prime field but of any integer det in characteristic l
+        K = with_parameter(make_base())
+        ell = K.char
+        rng = random.Random(13)
+        for _ in range(4):
+            alpha = rand_outside_prime(rng, K)
+            while True:
+                M = Mat2Z(*(rng.randint(-20, 20) for _ in range(4)))
+                if (M.det % ell if ell else M.det) in ({1, ell - 1} if ell else {1, -1}):
+                    break
+            try:
+                beta = homographic(M, alpha)
+            except ZeroDivisionError:
+                continue
+            W = classify_witness(alpha, beta)
+            assert W is not None
+            if not ell:
+                assert W in (M, Mat2Z(*(-x for x in M.entries())))
 
 
 class TestFiniteOrbits:
