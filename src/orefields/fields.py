@@ -802,18 +802,6 @@ class ParameterField(Field):
         self.char = base.char
         self.varname = varname
 
-    def _normalize(self, num, den):
-        K = self.base
-        num, den = _utrim(K, num), _utrim(K, den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return ((), (K._one_rep(),))
-        num, den = _ucancel(K, num, den)
-        den, lead = _umonic(K, den)
-        num = _uscale(K, num, K._inv(lead))
-        return (num, den)
-
     def _zero_rep(self):
         return ((), (self.base._one_rep(),))
 
@@ -882,7 +870,7 @@ class ParameterField(Field):
     def _inv(self, a):
         if not a[0]:
             raise ZeroDivisionError("inverse of zero")
-        return self._normalize(a[1], a[0])
+        return self._monic(a[1], a[0])     # num and den are already coprime
 
     def _is_zero(self, a):
         return not a[0]

@@ -7,15 +7,12 @@ beyond.  The commutation law is
     u*a = a*u + sum_{j>=1} delta^j(a) u^{j+1}
 
 for coefficients a, and u^{-1}*a = a*u^{-1} - delta(a), which is exact.
-Every power of u pushes through a coefficient by one law,
-
-    u^m a = sum_{j>=0} c(m, j) delta^j(a) u^{m+j},   c(m, j) = (-1)^j C(-m, j),
-
-that is C(m-1+j, j) for m > 0, the finite alternating sum (-1)^j C(k, j)
-for m = -k, and [j = 0] for m = 0.  Products and inverses share one loop
-built on it (`_PushThrough`), which takes the coefficients of a*b one
-exponent at a time.  Every operation propagates precision pessimistically,
-so all stored coefficients are exact.
+So the series are the completion of the skew polynomials k(v1,v2)[x; D]
+at v = -deg_x, through the dictionary x = u^-1, D = -delta, and their
+products and inverses run the one Ore product loop of
+`orefields.skewpoly`, on {x-degree: coefficient} dicts with negative
+degrees, cut at x-degree -N.  Every operation propagates precision
+pessimistically, so all stored coefficients are exact.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import math
 
 from .fields import _join_terms, _power
 from .ratfunc import Derivation, RatFunc2
-from .skewpoly import SkewPoly
+from .skewpoly import SkewPoly, _product
 
 DEFAULT_PRECISION = 8
 
@@ -143,16 +140,8 @@ class PdoSeries:
         if self.terms:
             bounds.append(o.prec + min(self.terms))
         N = min(bounds)
-        out = {}
-        if self.terms and o.terms:
-            push = _PushThrough(self.terms, self.derivation)
-            for n, bn in o.terms.items():
-                push.add(n, bn)
-            for s in range(min(self.terms) + min(o.terms), N + 1):
-                c = push.coefficient(s)
-                if not c.is_zero():
-                    out[s] = c
-        return PdoSeries(self.derivation, out, N)
+        prod = _product(_flip(self.terms), _flip(o.terms), self.derivation.negate(), 0, -N)
+        return PdoSeries(self.derivation, _flip(prod), N)
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -200,85 +189,10 @@ class PdoSeries:
         return f"<pdo {self}>"
 
 
-# ---------------------------------------------------------------------------
-# the push-through loop
-
-def push_coefficient(m: int, j: int) -> int:
-    """c(m, j) = (-1)^j C(-m, j), the integer in u^m a = sum_j c(m, j)
-    delta^j(a) u^{m+j}: C(m-1+j, j) for m > 0, (-1)^j C(k, j) for m = -k,
-    and [j = 0] for m = 0."""
-    if m > 0:
-        return math.comb(m - 1 + j, j)
-    return -math.comb(-m, j) if j % 2 else math.comb(-m, j)
-
-
-class _Derivatives:
-    """delta^j(b) for j >= lo, each computed at most once, on demand."""
-
-    __slots__ = ("delta", "lo", "seq")
-
-    def __init__(self, delta: Derivation, b: RatFunc2):
-        self.delta = delta
-        self.lo = 0
-        self.seq = [b]
-
-    def get(self, j: int) -> RatFunc2:
-        seq = self.seq
-        while self.lo + len(seq) <= j:
-            if seq[-1].is_zero():
-                return seq[-1]
-            seq.append(self.delta(seq[-1]))
-        return seq[j - self.lo]
-
-    def forget_below(self, j: int):
-        """Drop delta^i(b) for i < j, keeping the last one computed so the
-        sequence can still be extended."""
-        cut = min(j - self.lo, len(self.seq) - 1)
-        if cut > 0:
-            del self.seq[:cut]
-            self.lo += cut
-
-
-class _PushThrough:
-    """The coefficients of a*b, one exponent s at a time and in increasing
-    order:  [u^s] a*b = sum a_m c(m, j) delta^j(b_n) over m in a, n in b,
-    j = s - m - n >= 0.
-
-    Terms of b may be added between coefficients, as an inversion solves
-    for them; coefficients already taken do not include them.  Each
-    delta^j(b_n) is computed once, and kept only while a later exponent
-    can still reach it (j >= s + 1 - max(a) - n)."""
-
-    def __init__(self, a_terms: dict, delta: Derivation):
-        self.a = sorted(a_terms.items())
-        self.top = self.a[-1][0]
-        self.delta = delta
-        self.field = delta.ctx.field
-        self.b = {}
-
-    def add(self, n: int, bn: RatFunc2):
-        self.b[n] = _Derivatives(self.delta, bn)
-
-    def coefficient(self, s: int) -> RatFunc2:
-        acc = None
-        for n, chain in self.b.items():
-            for m, am in self.a:
-                j = s - m - n
-                if j < 0:
-                    break
-                c = push_coefficient(m, j)
-                if c == 0:
-                    continue
-                scale = None if c == 1 else self.field.from_int(c)
-                if scale is not None and scale.is_zero():
-                    continue        # c vanishes in the characteristic
-                d = chain.get(j)
-                if d.is_zero():
-                    continue
-                t = am * d if scale is None else am * d * scale
-                acc = t if acc is None else acc + t
-            chain.forget_below(s + 1 - self.top - n)
-        return self.delta.ctx.zero() if acc is None else acc
+def _flip(terms: dict) -> dict:
+    """{-n: c} for {n: c}: u-exponents as x-degrees, x being u^-1, and
+    back."""
+    return {-n: c for n, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +211,19 @@ def pdo_from_skew(f: SkewPoly, prec: int = DEFAULT_PRECISION) -> PdoSeries:
     coefficients already sit on the left.  The series derivation is
     delta = -D for the skew derivation D, so that u^{-1} a = a u^{-1} + D(a)
     matches x a = a x + D(a)."""
-    return PdoSeries(f.derivation.negate(), {-i: c for i, c in f.coeffs.items()}, prec)
+    return PdoSeries(f.derivation.negate(), _flip(f.coeffs), prec)
 
 
 def pdo_inv(a: PdoSeries, prec: int | None = None) -> PdoSeries:
     """Two-sided inverse up to precision; valuation negates.
 
     Solves a * b = 1 one coefficient at a time.  With v = v(a), order e
-    needs only the coefficient s = e + v of a * (b_{-v} u^{-v} + ... +
+    needs only the coefficient e + v of a * (b_{-v} u^{-v} + ... +
     b_{e-1} u^{e-1}); b_e enters it through the leading term a_v alone, so
-    b_e = -a_v^{-1} [u^s] and the system is triangular over k(v1, v2).
-    Each order costs at most |a| * |b| ring products, and each delta^j(b_n)
-    is computed once (see `_PushThrough`).
+    b_e = -a_v^{-1} [u^(e + v)] and the system is triangular over
+    k(v1, v2).  That product is kept as a running sum, into which each new
+    b_e u^e is multiplied once, cut at u^(target + v); so each
+    delta^j(b_e) is formed once.
 
     a, known through u^N, determines its inverse through u^(N - 2v) and no
     further, which is the default precision and the largest one accepted.
@@ -323,15 +238,15 @@ def pdo_inv(a: PdoSeries, prec: int | None = None) -> PdoSeries:
     if target > known:
         raise ValueError(f"the inverse is determined only through u^{known}, "
                          f"not u^{target}")
+    D, ax, floor = a.derivation.negate(), _flip(a.terms), -(target + va)
     lead_inv = a.terms[va].inverse()
     terms = {-va: lead_inv}
-    push = _PushThrough(a.terms, a.derivation)
-    push.add(-va, lead_inv)
+    acc = _product(ax, {va: lead_inv}, D, 0, floor)
     for e in range(-va + 1, target + 1):
-        prod = push.coefficient(e + va)
-        if not prod.is_zero():
+        prod = acc.get(-e - va)
+        if prod is not None and not prod.is_zero():
             terms[e] = lead_inv * -prod
-            push.add(e, terms[e])
+            _product(ax, {-e: terms[e]}, D, 0, floor, acc)
     return PdoSeries(a.derivation, terms, target)
 
 

@@ -477,15 +477,7 @@ class RatFunc2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        if self.is_zero():
-            return self.ctx.zero()
-        K = self.ctx.field
-        n1, n2 = self._cancel(self.num, o.num, K)
-        d1, d2 = self._cancel(o.den, self.den, K)
-        return RatFunc2(self.ctx, _pmul(K, n1, d1), _pmul(K, d2, n2),
-                        _normalized=True)._monic()
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -595,7 +587,7 @@ class Derivation:
     context variables; image_of_y and image_of_z refer to the first and
     second variable of the context in order."""
 
-    __slots__ = ("ctx", "image_of_y", "image_of_z", "_wy", "_wz", "_e", "_eigen")
+    __slots__ = ("ctx", "image_of_y", "image_of_z", "_wy", "_wz", "_e", "_eigen", "_neg")
 
     def __init__(self, ctx: FunctionField2, image_of_y: RatFunc2, image_of_z: RatFunc2):
         if image_of_y.ctx != ctx or image_of_z.ctx != ctx:
@@ -612,7 +604,7 @@ class Derivation:
         # a scaling derivation, D(v1) = c1 v1 and D(v2) = c2 v2 (c1 or c2 may
         # be 0), has each Laurent monomial v1^i v2^j as an eigenvector with
         # eigenvalue i c1 + j c2; those are cached by (i, j)
-        self._eigen = None
+        self._eigen = self._neg = None
         if (_is_one(self._e) and self._wy.keys() <= {(1, 0)}
                 and self._wz.keys() <= {(0, 1)}):
             zero = K._zero_rep()
@@ -715,7 +707,11 @@ class Derivation:
         return f
 
     def negate(self) -> "Derivation":
-        return Derivation(self.ctx, -self.image_of_y, -self.image_of_z)
+        """-D, built once; -(-D) is D itself, so the two share their caches."""
+        if self._neg is None:
+            self._neg = Derivation(self.ctx, -self.image_of_y, -self.image_of_z)
+            self._neg._neg = self
+        return self._neg
 
     def __eq__(self, other):
         return self is other or (

@@ -1,15 +1,20 @@
-"""Skew polynomial arithmetic for an Ore extension k(v1,v2)[x; D].
+"""Skew polynomial arithmetic for an Ore extension k(v1,v2)[x; D], and
+the one Ore product loop, which the series of `orefields.pdo` share.
 
 Elements are finite sums sum_i f_i * x^i with left coefficients f_i in
 k(v1, v2) and the twisted multiplication x*f = f*x + D(f).  Powers of x
 are pushed past coefficients with the iterated-derivation binomial
-expansion,
+expansion (Ore 1933),
 
-    x^i g = sum_{s <= i} C(i, s) D^s(g) x^(i - s),
+    x^i g = sum_{s >= 0} C(i, s) D^s(g) x^(i - s),
 
-so products are exact.  In characteristic l only the orders s with
-C(i, s) != 0 mod l are formed, read off the base-l digits of i by Lucas'
-theorem, and D^s(g) is taken only at those orders, each from the one
+so products are exact.  For i >= 0 the sum ends at s = i.  For i < 0
+C(i, s) is the generalized binomial, the sum is infinite, and the product
+is that of the completion k(v1, v2)((u; delta)): series enter `_product`
+through the dictionary x = u^-1, D = -delta, and are cut at a floor on
+the x-degree.  In characteristic l only the orders s with C(i, s) != 0
+mod l are formed, read off the base-l digits of i by Lucas' theorem when
+i >= 0, and D^s(g) is taken only at those orders, each from the one
 before by `Derivation.power`, until it vanishes.  Where D scales each
 term of a Laurent coefficient g (the family g_alpha), that is one step,
 lambda^s times each term, not a chain of derivatives.  A commutator
@@ -30,7 +35,15 @@ def binomial_orders(i: int, ell: int, lowest: int = 0, top: int | None = None):
     nonzero in characteristic ell, in ascending s, the binomial taken mod
     ell.  By Lucas' theorem those s are the ones whose every base-ell digit
     is at most the digit of i, so they are read off the digits of i, not
-    found by a scan over 0..i."""
+    found by a scan over 0..i.
+
+    For i < 0, C(i, s) = (-1)^s C(s - i - 1, s) is nonzero for every s
+    over the integers, so top is required; the orders up to it are found
+    by a scan, top being bounded by a series precision."""
+    if i < 0:
+        orders = ((s, -math.comb(s - i - 1, s) if s % 2 else math.comb(s - i - 1, s))
+                  for s in range(lowest, top + 1))
+        return [(s, b % ell if ell else b) for s, b in orders if not ell or b % ell]
     top = i if top is None else min(i, top)
     if top < lowest:
         return []
@@ -147,7 +160,7 @@ class SkewPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return SkewPoly(self.derivation, _product(self, o, 0))
+        return SkewPoly(self.derivation, _product(self.coeffs, o.coeffs, self.derivation))
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -184,42 +197,57 @@ class SkewPoly:
         return f"<skew {self}>"
 
 
-def _product(f: SkewPoly, g: SkewPoly, lowest: int) -> dict:
-    """The terms of order s >= lowest of f g, as {degree: coefficient}:
-    each x^i g_j is expanded as sum_s C(i, s) D^s(g_j) x^(i - s), at the
-    orders s whose binomial does not vanish in the characteristic, and only
-    at order 0 where every g_j is constant.  D^s(g_j) is taken only at
-    those orders, each from the one before it by `Derivation.power`, and
-    not past its first zero."""
-    if not f.coeffs or not g.coeffs:
-        return {}
-    D = f.derivation
-    field = f.ctx.field
+def _product(f: dict, g: dict, D: Derivation, lowest: int = 0, floor: int = 0,
+             out: dict | None = None) -> dict:
+    """The terms of f g of order s >= lowest and x-degree >= floor, with f
+    and g given as {x-degree: coefficient}, added into out (a new dict by
+    default).  Each x^i g_j is expanded as sum_s C(i, s) D^s(g_j)
+    x^(i - s + j), at the orders s whose binomial does not vanish in the
+    characteristic, and only at order 0 where every g_j is constant.
+    D^s(g_j) is taken only at those orders, each from the one before it by
+    `Derivation.power`, not past its first zero and not past the floor.
+    The default floor 0 cuts nothing from a product of polynomials; a
+    negative x-degree needs the floor, as x^i g is an infinite sum."""
+    out = {} if out is None else out
+    if not f or not g:
+        return out
+    field = D.ctx.field
     # D kills constants, so against constant g_j only order 0 is listed;
     # all the orders of a dense f of degree near l cost more than the product
-    top = 0 if all(gj.is_constant() for gj in g.coeffs.values()) else None
-    # the binomials of each f_i, None standing for 1
-    weights = {i: [(s, None if b == 1 else field.from_int(b))
-                   for s, b in binomial_orders(i, field.char, lowest, top)]
-               for i in f.coeffs}
-    needed = sorted({s for row in weights.values() for s, _ in row})
-    out = {}
-    for j, gj in g.coeffs.items():
+    const = all(gj.is_constant() for gj in g.values())
+    gtop = max(g) - floor
+    # the binomials of each f_i up to the floor, as (s, minus, scale) with
+    # C(i, s) = -scale if minus else scale and None standing for 1: a
+    # binomial -1, as at each odd order of i = -1, is subtracted, not
+    # multiplied in
+    minus_one = field.char - 1 if field.char else -1
+    weights = {i: [(s, b != 1 and b == minus_one,
+                    None if b in (1, minus_one) else field.from_int(b))
+                   for s, b in binomial_orders(i, field.char, lowest, 0 if const else i + gtop)]
+               for i in f}
+    needed = sorted({s for row in weights.values() for s, _, _ in row})
+    ftop = max(f) - floor
+    for j, gj in g.items():
         ders, d, at = {}, gj, 0
         for s in needed:
+            if s > ftop + j:
+                break
             d, at = D.power(d, s - at), s
             if d.is_zero():
                 break
             ders[s] = d
-        for i, fi in f.coeffs.items():
-            for s, scale in weights[i]:
+        for i, fi in f.items():
+            for s, minus, scale in weights[i]:
+                k = i - s + j
                 d = ders.get(s)
-                if d is None:
+                if k < floor or d is None:
                     break
                 c = fi * d if scale is None else fi * d * scale
-                k = i - s + j
                 prev = out.get(k)
-                out[k] = c if prev is None else prev + c
+                if prev is None:
+                    out[k] = -c if minus else c
+                else:
+                    out[k] = prev - c if minus else prev + c
     return out
 
 
@@ -245,11 +273,12 @@ def commutator(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     g = f._coerce(g)
     if g is None:
         raise TypeError("cannot take a commutator with a non-coefficient")
-    out = _product(f, g, 1)
-    for k, c in _product(g, f, 1).items():
+    D = f.derivation
+    out = _product(f.coeffs, g.coeffs, D, 1)
+    for k, c in _product(g.coeffs, f.coeffs, D, 1).items():
         prev = out.get(k)
         out[k] = -c if prev is None else prev - c
-    return SkewPoly(f.derivation, out)
+    return SkewPoly(D, out)
 
 
 def valuation_v(f: SkewPoly):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from orefields.fields import (
     GF, ExtensionField, Field, FieldElem, ParameterField, PrimeField, QuadraticField,
-    RationalField, _uadd, _udivmod, _ugcd, _umul, in_prime_subfield,
+    RationalField, _uadd, _ucancel, _udivmod, _ugcd, _umul, _utrim, in_prime_subfield,
 )
 from orefields.orbits import FiniteOrbitReport, Mat2Z, OrbitData, _group_matrices
 from orefields.pdo import PdoSeries
@@ -122,8 +122,18 @@ def fmt_ctx(field, names=("y", "z")):
 # ---------------------------------------------------------------------------
 # reference series arithmetic: the term-by-term product with one branch per
 # sign of the u-exponent, and the inverse that forms one full product per
-# new coefficient.  Slow and independent of orefields.pdo's push-through
-# loop, which must agree with them exactly.
+# new coefficient.  Slow and independent of the Ore product loop
+# orefields.skewpoly._product, which the series run through x = u^-1 and
+# which must agree with them exactly.
+
+def ref_push_coefficient(m, j):
+    """c(m, j) = (-1)^j C(-m, j), the integer in u^m a = sum_j c(m, j)
+    delta^j(a) u^{m+j}: C(m-1+j, j) for m > 0, (-1)^j C(k, j) for m = -k,
+    and [j = 0] for m = 0."""
+    if m > 0:
+        return math.comb(m - 1 + j, j)
+    return -math.comb(-m, j) if j % 2 else math.comb(-m, j)
+
 
 def ref_pdo_mul(a, b):
     D = a.derivation
@@ -256,8 +266,21 @@ def ref_param_add(F, a, b):
     return F._monic(num, den)
 
 
+def ref_param_normalize(F, num, den):
+    """The reduced K(a) rep of num/den: trimmed, cancelled by a gcd, and
+    with a monic denominator."""
+    K = F.base
+    num, den = _utrim(K, num), _utrim(K, den)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return F._zero_rep()
+    num, den = _ucancel(K, num, den)
+    return F._monic(num, den)
+
+
 def ref_param_from_int(F, n):
-    return F._normalize((F.base._from_int(n),), (F.base._one_rep(),))
+    return ref_param_normalize(F, (F.base._from_int(n),), (F.base._one_rep(),))
 
 
 def ref_ratfunc_mul(f, g):

@@ -514,6 +514,21 @@ class TestConstructionFailuresAreChecks:
         assert not any(name.startswith(("shift-identity", "invariant-commutes", "q-invariant"))
                        for name in checks)
 
+    @pytest.mark.parametrize("argv", [
+        ["pdo", "--char", "0", "--alpha", "rat:2", "--precision", "4"],
+        ["verify", "all", "--char", "3", "--alpha", "param"],
+    ])
+    def test_bracket_failure_fails_the_relation_image(self, monkeypatch, argv):
+        # the series checks need the presentation, so they are skipped
+        from orefields import presentations
+        monkeypatch.setattr(presentations.Presentation, "_verify_brackets", self._raise)
+        code, checks = self._checks(argv)
+        assert code == 1
+        assert checks["relation-image"]["status"] == "fail"
+        assert checks["relation-image"]["witness"] == "injected failure"
+        assert not any(name in checks for name in (
+            "u-valuation", "uinv-u", "inverse-roundtrip", "leading-constraint"))
+
     def test_classification_failure_fails_its_check(self, monkeypatch):
         from orefields import presentations
         monkeypatch.setattr(presentations, "gk_classify", self._raise)

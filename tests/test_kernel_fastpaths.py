@@ -22,8 +22,8 @@ from orefields.skewpoly import SkewPoly, binomial_orders, commutator
 
 from _support import (
     rand_laurent_monomial, rand_nonzero, rand_poly2, rand_ratfunc, ref_combined,
-    ref_derivation, ref_param_add, ref_param_from_int, ref_param_mul, ref_pmul,
-    ref_binomial_mod, ref_commutator, ref_quotient_rule, ref_ratfunc_mul, ref_skew_mul,
+    ref_derivation, ref_param_add, ref_param_from_int, ref_param_mul, ref_param_normalize,
+    ref_pmul, ref_binomial_mod, ref_commutator, ref_quotient_rule, ref_ratfunc_mul, ref_skew_mul,
 )
 
 BASES = {
@@ -92,9 +92,28 @@ def test_param_embeddings_match_reference(base):
     for f in (Fraction(0), Fraction(2, 5), Fraction(-4, 11)):
         r = K._from_fraction(f)
         if r is not None:
-            assert F._from_fraction(f) == F._normalize((r,), (K._one_rep(),))
+            assert F._from_fraction(f) == ref_param_normalize(F, (r,), (K._one_rep(),))
     if K.char:
         assert F._from_fraction(Fraction(1, K.char)) is None
+
+
+@pytest.mark.parametrize("base", ["GF3", "QQsqrt2"])
+def test_param_inverse_takes_no_gcd(base, monkeypatch):
+    # num and den of a K(a) rep are coprime, so swapping them needs no gcd
+    from orefields import fields
+    K = {"GF3": lambda: GF(3), "QQsqrt2": lambda: Qsqrt(2)}[base]()
+    F = with_parameter(K)
+    rng = random.Random(f"param-inv-{base}")
+    elems = [rand_nonzero(rng, F) for _ in range(12)] + [F.gen(), F.gen() + 1, F.one()]
+
+    def no_gcd(*args):
+        raise AssertionError("a gcd in a K(a) inversion")
+    monkeypatch.setattr(fields, "_ugcd", no_gcd)
+    inverses = [e.inverse() for e in elems]
+    monkeypatch.undo()
+    for e, inv in zip(elems, inverses):
+        assert e * inv == F.one()
+        assert inv.rep == ref_param_normalize(F, e.rep[1], e.rep[0])
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +171,21 @@ def test_ratfunc_mul_matches_reference(name):
                 got, want = f * g, ref_ratfunc_mul(f, g)
                 assert (got.num, got.den) == (want.num, want.den)
                 assert str(got) == str(want)
+
+
+def test_laurent_division_by_a_laurent_monomial_takes_no_gcd(monkeypatch):
+    from orefields import ratfunc
+    ctx = FunctionField2(QQ())
+    y, z = ctx.gens()
+    f, g = 3 * y ** 2 / z + z, 5 * y * z ** 3
+
+    def no_gcd(*args):
+        raise AssertionError("a gcd in a Laurent division")
+    monkeypatch.setattr(ratfunc, "_pgcd", no_gcd)
+    q = f / g
+    monkeypatch.undo()
+    assert q * g == f
+    assert q == (3 * y ** 2 + z ** 2) / (5 * y * z ** 4)
 
 
 @pytest.mark.parametrize("name", sorted(COEFF_FIELDS))
@@ -531,3 +565,17 @@ def test_binomial_orders_by_lucas_match_a_scan(ell):
         # l^2 keeps only its two ends; l^2 - 1 keeps every order
         assert binomial_orders(ell * ell, ell) == [(0, 1), (ell * ell, 1)]
         assert len(binomial_orders(ell * ell - 1, ell)) == ell * ell
+
+
+@pytest.mark.parametrize("ell", [0, 2, 3, 7])
+def test_binomial_orders_of_negative_i_match_a_scan(ell):
+    # C(i, s) = i (i - 1) ... (i - s + 1) / s!, the generalized binomial
+    rng = random.Random(f"negative-orders-{ell}")
+    for i in range(-1, -3 * max(ell, 3), -1):
+        scan = [(s, math.prod(range(i - s + 1, i + 1)) // math.factorial(s))
+                for s in range(30)]
+        scan = [(s, b % ell if ell else b) for s, b in scan if (b % ell if ell else b)]
+        assert binomial_orders(i, ell, 0, 29) == scan, i
+        lowest, top = rng.randint(0, 30), rng.randint(-1, 29)
+        assert binomial_orders(i, ell, lowest, top) == [
+            (s, b) for s, b in scan if lowest <= s <= top], (i, lowest, top)

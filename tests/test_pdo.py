@@ -7,12 +7,13 @@ import pytest
 from orefields.fields import GF, QQ, Qsqrt, with_parameter
 from orefields.orbits import Mat2Z
 from orefields.pdo import (
-    PdoSeries, leading_constraint_check, pdo_from_skew, pdo_inv, pdo_mul,
-    pdo_valuation, push_coefficient,
+    PdoSeries, leading_constraint_check, pdo_from_skew, pdo_inv, pdo_mul, pdo_valuation,
 )
 from orefields.presentations import CaseSpec, algebra_make, monomial_morphism
+from orefields.skewpoly import _product, binomial_orders
 from _support import (
     rand_laurent_monomial, rand_poly2, rand_skew, ref_pdo_inv, ref_pdo_mul,
+    ref_push_coefficient,
 )
 
 
@@ -173,21 +174,33 @@ class TestInverse:
 
 
 class TestPushCoefficient:
+    """u^m a = sum_j c(m, j) delta^j(a) u^{m+j} is x^i a = sum_j C(i, j)
+    D^j(a) x^(i-j) read through x = u^-1, D = -delta: so c(m, j) is
+    (-1)^j C(-m, j), the binomial that `binomial_orders(-m, ...)` lists."""
+
     def test_closed_forms(self):
         for j in range(8):
-            assert push_coefficient(0, j) == (1 if j == 0 else 0)
+            assert ref_push_coefficient(0, j) == (1 if j == 0 else 0)
             for m in range(1, 6):
-                assert push_coefficient(m, j) == math.comb(m - 1 + j, j)
-                assert push_coefficient(-m, j) == (-1) ** j * math.comb(m, j)
+                assert ref_push_coefficient(m, j) == math.comb(m - 1 + j, j)
+                assert ref_push_coefficient(-m, j) == (-1) ** j * math.comb(m, j)
 
     def test_powers_compose(self):
         # u^(m1+m2) a = u^m1 (u^m2 a): the coefficients convolve
         for m1 in range(-3, 4):
             for m2 in range(-3, 4):
                 for j in range(8):
-                    assert push_coefficient(m1 + m2, j) == sum(
-                        push_coefficient(m1, i) * push_coefficient(m2, j - i)
+                    assert ref_push_coefficient(m1 + m2, j) == sum(
+                        ref_push_coefficient(m1, i) * ref_push_coefficient(m2, j - i)
                         for i in range(j + 1))
+
+    @pytest.mark.parametrize("ell", [0, 2, 3, 7])
+    def test_binomial_orders_are_the_push_coefficients(self, ell):
+        for m in range(-6, 7):
+            for top in range(9):
+                want = [(j, (-1) ** j * ref_push_coefficient(m, j)) for j in range(top + 1)]
+                want = [(j, c % ell if ell else c) for j, c in want if (c % ell if ell else c)]
+                assert binomial_orders(-m, ell, 0, top) == want, (m, top)
 
     def test_uinv_squared_truncates(self):
         # u^-2 y = y u^-2 - 2 delta(y) u^-1 + delta^2(y): the alternating sum
@@ -277,6 +290,29 @@ class TestAgainstReference:
             a = a.truncate(2)
             got, want = pdo_inv(a), ref_pdo_inv(a)
             assert (got.terms, got.prec) == (want.terms, want.prec)
+
+    @pytest.mark.parametrize("name", ["GF3", "GF3(a)"])
+    def test_binomials_that_vanish_mod_3(self, name):
+        # c(2, 2) = C(3, 2) and c(-3, 1) = -C(3, 1) vanish mod 3, so the
+        # terms of u^2 and u^-3 skip those orders and take the next ones;
+        # the loop's raw terms stop at the x-degree floor -N
+        field, alpha = (GF(3), 2) if name == "GF3" else _ref_field(name)
+        pres = g_pres(field, alpha)
+        d = delta(pres)
+        rng = random.Random(f"mod-3-{name}")
+        for v in range(-3, 3):
+            a = _series(rng, pres, d, -3, 9) + _series(rng, pres, d, 2, 9)
+            b = _series(rng, pres, d, v, rng.randint(9, 11))
+            for f, g in ((a, b), (b, a)):
+                got, want = f * g, ref_pdo_mul(f, g)
+                assert (got.terms, got.prec) == (want.terms, want.prec)
+                raw = _product({-n: c for n, c in f.terms.items()},
+                               {-n: c for n, c in g.terms.items()}, d.negate(), 0, -got.prec)
+                assert min(raw) >= -got.prec
+                assert {-k: c for k, c in raw.items() if not c.is_zero()} == want.terms
+            for s in (a, b):
+                got, want = pdo_inv(s), ref_pdo_inv(s)
+                assert (got.terms, got.prec) == (want.terms, want.prec)
 
 
 class TestLeadingConstraint:
