@@ -55,7 +55,7 @@ class Report:
         result = None
         try:
             result = fn()
-            status = "pass" if result or result is None else "fail"
+            status = "pass" if result else "fail"
         except (ArithmeticError, ValueError) as exc:
             status, note = "fail", str(exc)
         ms = (time.perf_counter() - start) * 1000.0
@@ -441,12 +441,16 @@ def cmd_orbits(args, cfg: Config) -> Report:
                           "out-of-scope")
     elif args.orbits_cmd == "cf":
         alpha = cfg.alpha_elem()
+        if alpha is None:
+            raise ValueError("orbits cf needs --alpha")
         q = orbits.QuadIrr.from_field_elem(alpha)
         cf = orbits.cf_expand(q)
         report.record("expansion", f"{q} = {cf}", "pass",
                       witness=str(cf))
     elif args.orbits_cmd == "equiv":
         alpha, beta = cfg.alpha_elem(), cfg.beta_elem()
+        if alpha is None or beta is None:
+            raise ValueError("orbits equiv needs --alpha and --beta")
         verdict = orbits.gl2z_equivalent(alpha, beta)
         report.record("equivalence",
                       f"equivalent: {verdict.equivalent} ({verdict.detail})",

@@ -5,7 +5,7 @@ Field-element literals accepted on the command line:
     rat:p | rat:p/q              rational (reduced mod l in characteristic l)
     quad:(a+b*sqrt(d))/c         element of QQ(sqrt(d)), integer a, b, d, c
     param:<expr in a>            rational function in the parameter a
-    ff:l^n:c0,c1,...             element of GF(l^n), ascending coefficients
+    ff:l^n:c0,c1,...             element of GF(l^n), n >= 2, ascending coefficients
 
 Infix expressions (for param literals and for elements in x, y, z, t) use
 integer literals, named atoms, +, -, *, /, ^ and parentheses; see the
@@ -194,6 +194,8 @@ def _parse_field_literal(text: str, char: int) -> FieldElem:
         if char and char != ell:
             raise ValueError(f"ff literal characteristic {ell} != --char {char}")
         field = GF(ell, n)
+        if n < 2:       # GF(l) itself is written rat:
+            raise ValueError("extension degree must be at least 2")
         vec = [int(c) % ell for c in coeffs.split(",")]
         if len(vec) > n:
             raise ValueError(f"coefficient vector longer than degree {n}")

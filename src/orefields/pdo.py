@@ -11,25 +11,29 @@ So the series are the completion of the skew polynomials k(v1,v2)[x; D]
 at v = -deg_x, through the dictionary x = u^-1, D = -delta, and their
 products and inverses run the one Ore product loop of
 `orefields.skewpoly`, on {x-degree: coefficient} dicts with negative
-degrees, cut at x-degree -N.  Every operation propagates precision
-pessimistically, so all stored coefficients are exact.
+degrees, cut at x-degree -N.  Coercion, sums, negation and powers are
+those of `skewpoly.OreSum`, as for skew polynomials.  Every operation
+propagates precision pessimistically, so all stored coefficients are
+exact.
 """
 
 from __future__ import annotations
 
 import math
 
-from .fields import _join_terms, _power
+from .fields import _join_terms
 from .ratfunc import Derivation, RatFunc2
-from .skewpoly import SkewPoly, _product
+from .skewpoly import OreSum, SkewPoly, _product
 
 DEFAULT_PRECISION = 8
 
 
-class PdoSeries:
+class PdoSeries(OreSum):
     """sum_n a_n u^n with left coefficients, exact through exponent prec."""
 
-    __slots__ = ("derivation", "terms", "prec")
+    __slots__ = ("prec",)
+    _noun = _adjective = "series"
+    terms = OreSum.coeffs       # the series' name for {exponent: coefficient}
 
     def __init__(self, derivation: Derivation, terms=None, prec: int = DEFAULT_PRECISION):
         self.derivation = derivation
@@ -57,30 +61,15 @@ class PdoSeries:
     def from_ratfunc(cls, derivation, f: RatFunc2, prec=DEFAULT_PRECISION):
         return cls(derivation, {0: f}, prec)
 
-    @property
-    def ctx(self):
-        return self.derivation.ctx
-
-    def _coerce(self, other):
-        if isinstance(other, PdoSeries):
-            if other.derivation != self.derivation:
-                raise ValueError("series over different derivations")
-            return other
-        if isinstance(other, RatFunc2):
-            return PdoSeries(self.derivation, {0: other}, self.prec)
-        c = self.ctx.field.try_coerce(other)
-        if c is None:
-            return None
-        return PdoSeries(self.derivation, {0: self.ctx.const(other)}, self.prec)
+    def _like(self, terms, other=None):
+        prec = self.prec if other is None else min(self.prec, other.prec)
+        return PdoSeries(self.derivation, terms, prec)
 
     # -- structure ---------------------------------------------------------------
     def valuation(self):
         """Least exponent with a (known) nonzero coefficient; +infinity if
         the series is zero through its precision."""
         return min(self.terms) if self.terms else math.inf
-
-    def coefficient(self, n: int) -> RatFunc2:
-        return self.terms.get(n, self.ctx.zero())
 
     def truncate(self, prec: int) -> PdoSeries:
         return PdoSeries(self.derivation, self.terms, min(self.prec, prec))
@@ -97,38 +86,11 @@ class PdoSeries:
         return all(self.terms.get(k, zero) == o.terms.get(k, zero) for k in keys)
 
     # -- arithmetic ----------------------------------------------------------------
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = min(self.prec, o.prec)
-        out = dict(self.terms)
-        for n, c in o.terms.items():
-            s = out.get(n)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
-        return PdoSeries(self.derivation, out, prec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return PdoSeries(self.derivation,
-                         {n: -c for n, c in self.terms.items()}, self.prec)
+    # bound here, not only inherited, for the tracer of perfbench/spans.py
+    # (see SkewPoly)
+    __add__ = __radd__ = OreSum.__add__
+    __sub__, __rsub__, __neg__ = OreSum.__sub__, OreSum.__rsub__, OreSum.__neg__
+    __rmul__, __pow__ = OreSum.__rmul__, OreSum.__pow__
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -142,17 +104,6 @@ class PdoSeries:
         N = min(bounds)
         prod = _product(_flip(self.terms), _flip(o.terms), self.derivation.negate(), 0, -N)
         return PdoSeries(self.derivation, _flip(prod), N)
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers take nonnegative integer exponents")
-        return _power(self, n, PdoSeries.one(self.derivation, self.prec))
 
     def __eq__(self, other):
         o = self._coerce(other)

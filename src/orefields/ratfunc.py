@@ -524,12 +524,11 @@ class RatFunc2:
         return FieldElem(K, self.num[(0, 0)] if self.num else K._zero_rep())
 
     def partial(self, axis: int) -> RatFunc2:
-        """Partial derivative with respect to variable 0 or 1."""
-        K = self.ctx.field
-        dn = _ppartial(K, self.num, axis)
-        dd = _ppartial(K, self.den, axis)
-        num = _padd(K, _pmul(K, dn, self.den), _pneg(K, _pmul(K, self.num, dd)))
-        return RatFunc2(self.ctx, num, _pmul(K, self.den, self.den))
+        """Partial derivative with respect to variable 0 or 1: the
+        coordinate derivation, D(v1) = 1 and D(v2) = 0 or the reverse."""
+        ctx = self.ctx
+        one, zero = ctx.one(), ctx.zero()
+        return Derivation(ctx, *((one, zero) if axis == 0 else (zero, one)))(self)
 
     def subst_powers(self, e1, e2) -> RatFunc2:
         """Substitute v1 -> v1^a1 v2^b1 and v2 -> v1^a2 v2^b2 where

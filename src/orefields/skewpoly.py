@@ -1,5 +1,6 @@
-"""Skew polynomial arithmetic for an Ore extension k(v1,v2)[x; D], and
-the one Ore product loop, which the series of `orefields.pdo` share.
+"""Skew polynomial arithmetic for an Ore extension k(v1,v2)[x; D], with
+the ring surface (`OreSum`) and the one Ore product loop, which the
+series of `orefields.pdo` share.
 
 Elements are finite sums sum_i f_i * x^i with left coefficients f_i in
 k(v1, v2) and the twisted multiplication x*f = f*x + D(f).  Powers of x
@@ -62,10 +63,83 @@ def binomial_orders(i: int, ell: int, lowest: int = 0, top: int | None = None):
     return [(s, b) for s, b in orders if s >= lowest]
 
 
-class SkewPoly:
-    """sum_i f_i x^i, stored as {degree: coefficient} with no zero values."""
+class OreSum:
+    """What skew polynomials and series share: sum_i f_i x^i (or u^i) over
+    one derivation, stored as {exponent: coefficient} with no zero values,
+    coerced, added, negated, multiplied from the right and raised to
+    powers alike.  A subclass gives `_like(coeffs, other)`, an element of
+    its own class with those coefficients (a series takes the weaker
+    precision of self and other), its own `__mul__` and `__eq__`, and the
+    nouns of its error messages."""
 
     __slots__ = ("derivation", "coeffs")
+
+    @property
+    def ctx(self):
+        return self.derivation.ctx
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            if other.derivation != self.derivation:
+                raise ValueError(f"{self._noun} over different derivations")
+            return other
+        if isinstance(other, RatFunc2):
+            if other.ctx != self.ctx:
+                raise ValueError("coefficient from a different context")
+            return self._like({0: other})
+        if self.ctx.field.try_coerce(other) is None:
+            return None
+        return self._like({0: self.ctx.const(other)})
+
+    def coefficient(self, i: int) -> RatFunc2:
+        return self.coeffs.get(i, self.ctx.zero())
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self.coeffs)
+        for i, c in o.coeffs.items():
+            s = out.get(i)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(i, None)
+            else:
+                out[i] = s
+        return self._like(out, o)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __neg__(self):
+        return self._like({i: -c for i, c in self.coeffs.items()})
+
+    def __rmul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"{self._adjective} powers take nonnegative integer exponents")
+        return _power(self, n, self._like({0: self.ctx.one()}))
+
+
+class SkewPoly(OreSum):
+    """sum_i f_i x^i, stored as {degree: coefficient} with no zero values."""
+
+    __slots__ = ()
+    _noun, _adjective = "skew polynomials", "skew"
 
     def __init__(self, derivation: Derivation, coeffs=None):
         self.derivation = derivation
@@ -97,81 +171,28 @@ class SkewPoly:
         return cls(derivation, {0: f})
 
     # -- helpers ---------------------------------------------------------------
-    @property
-    def ctx(self):
-        return self.derivation.ctx
-
-    def _coerce(self, other):
-        if isinstance(other, SkewPoly):
-            if other.derivation != self.derivation:
-                raise ValueError("skew polynomials over different derivations")
-            return other
-        if isinstance(other, RatFunc2):
-            if other.ctx != self.ctx:
-                raise ValueError("coefficient from a different context")
-            return SkewPoly(self.derivation, {0: other})
-        c = self.ctx.field.try_coerce(other)
-        if c is None:
-            return None
-        return SkewPoly.from_coeff(self.derivation, self.ctx.const(other))
+    def _like(self, coeffs, other=None):
+        return SkewPoly(self.derivation, coeffs)
 
     def degree(self):
         return max(self.coeffs) if self.coeffs else -math.inf
-
-    def coefficient(self, i: int) -> RatFunc2:
-        return self.coeffs.get(i, self.ctx.zero())
 
     def is_zero(self):
         return not self.coeffs
 
     # -- ring operations --------------------------------------------------------
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for i, c in o.coeffs.items():
-            s = out.get(i)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return SkewPoly(self.derivation, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return SkewPoly(self.derivation, {i: -c for i, c in self.coeffs.items()})
+    # The shared operations are bound in the class body, not only
+    # inherited: the tracer of perfbench/spans.py finds each entry point in
+    # the class's own __dict__.
+    __add__ = __radd__ = OreSum.__add__
+    __sub__, __rsub__, __neg__ = OreSum.__sub__, OreSum.__rsub__, OreSum.__neg__
+    __rmul__, __pow__ = OreSum.__rmul__, OreSum.__pow__
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return SkewPoly(self.derivation, _product(self.coeffs, o.coeffs, self.derivation))
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("skew powers take nonnegative integer exponents")
-        return _power(self, n, SkewPoly.one(self.derivation))
 
     def __eq__(self, other):
         o = self._coerce(other)

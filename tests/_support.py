@@ -292,9 +292,18 @@ def ref_ratfunc_mul(f, g):
     return RatFunc2(f.ctx, _pmul(field, n1, n2), _pmul(field, d1, d2), _normalized=True)._monic()
 
 
+def ref_partial(f, axis):
+    """The partial derivative (D(n) d - n D(d)) / d^2 by a full
+    normalization, independent of `Derivation`."""
+    K = f.ctx.field
+    dn, dd = _ppartial(K, f.num, axis), _ppartial(K, f.den, axis)
+    num = _padd(K, ref_pmul(K, dn, f.den), _pneg(K, ref_pmul(K, f.num, dd)))
+    return RatFunc2(f.ctx, num, ref_pmul(K, f.den, f.den))
+
+
 def ref_derivation(D, f):
-    return (ref_ratfunc_mul(f.partial(0), D.image_of_y)
-            + ref_ratfunc_mul(f.partial(1), D.image_of_z))
+    return (ref_ratfunc_mul(ref_partial(f, 0), D.image_of_y)
+            + ref_ratfunc_mul(ref_partial(f, 1), D.image_of_z))
 
 
 def ref_pmul(K, p, q):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from orefields.cli import (
     MAX_SKEW_CHAR, SUITES, Config, Report, build_parser, emit, main, run_suite,
@@ -91,6 +92,13 @@ class TestEmit:
         report.run("ok", "one equals one", lambda: 1 == 1)
         payload = json.loads(emit(report, "json"))
         assert payload["checks"][0]["status"] == "pass"
+
+    def test_check_returning_none_fails(self):
+        # a check lambda that forgets its return verifies nothing
+        report = Report("demo", {})
+        assert report.run("silent", "checks nothing", lambda: None) is None
+        assert [c.status for c in report.checks] == ["fail"]
+        assert report.failures
 
     def test_failing_check_sets_failures(self):
         report = Report("demo", {})
@@ -294,6 +302,28 @@ class TestDriver:
         code, out = run_main(argv)
         assert code == 2 and out == ""
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["orbits", "cf", "--char", "0"], "orbits cf needs --alpha"),
+        (["orbits", "equiv", "--alpha", "quad:(0+1*sqrt(-1))/1"],
+         "orbits equiv needs --alpha and --beta"),
+        (["pdo", "--char", "0", "--alpha", "ff:13^1:1"],
+         "extension degree must be at least 2"),
+        (["classify", "--char", "13", "--caseA", "g:ff:13^1:5", "--caseB", "q"],
+         "extension degree must be at least 2"),
+    ])
+    def test_missing_element_or_degree_one_ff_is_a_usage_error(self, argv, message, capsys):
+        code, out = run_main(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_equivalence_across_the_unit_circle(self):
+        code, out = run_main(["orbits", "equiv", "--alpha", "quad:(-5+12*sqrt(-1))/13",
+                              "--beta", "quad:(5+12*sqrt(-1))/13"])
+        assert code == 0
+        (check,) = json.loads(out)["checks"]
+        assert check["claim"] == "equivalent: True (reduced points coincide)"
+        assert check["witness"] == "[0 -1; 1 0]"
 
     @pytest.mark.parametrize("argv, witness", [
         (["--char", "0", "--caseA", "g:param:a", "--caseB", "g:param:(5*a+2)/(2*a+1)"],
@@ -640,3 +670,74 @@ class TestStartup:
         out = run_python(["-c", code], 60)
         assert out.returncode == 0
         assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# main(argv) over random subcommands, flags and literals.  Characteristics,
+# radicands and extension orders stay far inside the stated bounds
+# (MAX_SKEW_CHAR, MAX_ORBIT_ELL, MAX_RADICAND, MAX_EXTENSION_ORDER), so every
+# draw is quick; what is drawn is the grammar, not the size.
+
+SMALL = st.integers(-12, 12)
+PARAM_EXPR = st.recursive(
+    st.sampled_from(["a", "1", "2", "(a+1)", "(a-a)"]),
+    lambda e: st.builds("({}{}{})".format, e, st.sampled_from("+-*/"), e)
+    | st.builds("{}^{}".format, e, st.integers(-3, 3)),
+    max_leaves=4)
+QUAD = st.builds("quad:({}{}{}*sqrt({}))/{}".format, SMALL, st.sampled_from("+-"),
+                 st.integers(0, 6), st.integers(-30, 30), st.integers(0, 6))
+IRRATIONAL_QUAD = st.builds(
+    "quad:({}{}{}*sqrt({}))/{}".format, SMALL, st.sampled_from("+-"), st.integers(1, 6),
+    st.sampled_from([d for d in sorted(range(-30, 31), key=lambda d: (d < 0, abs(d)))
+                     if d not in (0, 1) and all(d % (p * p) for p in (2, 3, 5))]),
+    st.integers(1, 6))
+LITERAL = st.one_of(
+    st.builds("rat:{}".format, SMALL),
+    st.builds("rat:{}/{}".format, SMALL, st.integers(0, 6)),
+    QUAD,
+    st.just("param"),
+    st.builds("param:{}".format, PARAM_EXPR),
+    st.builds("ff:{}^{}:{}".format, st.sampled_from([2, 3, 4, 5, 7, 13]), st.integers(0, 3),
+              st.lists(st.integers(-3, 14), min_size=1, max_size=4).map(
+                  lambda v: ",".join(map(str, v)))),
+    st.sampled_from(["", "garbage", "rat:", "quad:(1+1*sqrt(2))", "ff:3^2", "param:(a+"]),
+)
+MATRIX = st.lists(st.integers(-3, 3), min_size=3, max_size=5).map(
+    lambda v: ",".join(map(str, v)))
+FLAGS = st.fixed_dictionaries({}, optional={
+    "--char": st.integers(-2, 31),
+    "--alpha": LITERAL,
+    "--beta": LITERAL,
+    "--matrix": MATRIX,
+    "--ell": st.integers(-1, 13),
+    "--ext": st.integers(-1, 4),
+    "--group": st.sampled_from(["sl", "slpm"]),
+    "--precision": st.integers(-1, 6),
+    "--seed": st.integers(0, 50),
+    "--format": st.sampled_from(["json", "text"]),
+}).map(lambda flags: [f"{k}={v}" for k, v in flags.items()])
+CASE = st.just("q") | st.builds("g:{}".format, LITERAL)
+COMMAND = st.one_of(
+    st.sampled_from(sorted(SUITES) + ["all"]).map(lambda s: ["verify", s]),
+    # quadratic elements first, as cf and equiv need; a drawn flag may override them
+    st.builds(lambda c, a, b: ["orbits", c, f"--alpha={a}", f"--beta={b}"],
+              st.sampled_from(["finite", "cf", "equiv"]), IRRATIONAL_QUAD, IRRATIONAL_QUAD),
+    st.builds(lambda a, b: ["classify", f"--caseA={a}", f"--caseB={b}"], CASE, CASE),
+    st.just(["pdo"]),
+)
+
+
+@given(argv=st.builds(list.__add__, COMMAND, FLAGS))
+@example(argv=["orbits", "cf", "--char", "0"])
+@example(argv=["orbits", "equiv", "--alpha", "quad:(0+1*sqrt(-1))/1"])
+@example(argv=["pdo", "--char", "0", "--alpha", "ff:13^1:1"])
+@example(argv=["classify", "--char", "13", "--caseA", "g:ff:13^1:5", "--caseB", "q"])
+def test_main_ends_in_a_verdict_or_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+    else:
+        assert out.getvalue() and err.getvalue() == "", argv

@@ -23,7 +23,8 @@ from orefields.skewpoly import SkewPoly, binomial_orders, commutator
 from _support import (
     rand_laurent_monomial, rand_nonzero, rand_poly2, rand_ratfunc, ref_combined,
     ref_derivation, ref_param_add, ref_param_from_int, ref_param_mul, ref_param_normalize,
-    ref_pmul, ref_binomial_mod, ref_commutator, ref_quotient_rule, ref_ratfunc_mul, ref_skew_mul,
+    ref_partial, ref_pmul, ref_binomial_mod, ref_commutator, ref_quotient_rule, ref_ratfunc_mul,
+    ref_skew_mul,
 )
 
 BASES = {
@@ -202,6 +203,18 @@ def test_derivation_matches_reference(name):
             got, want = D(f), ref_derivation(D, f)
             assert (got.num, got.den) == (want.num, want.den), (label, str(f))
             assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_FIELDS))
+def test_partial_is_the_coordinate_derivation(name):
+    ctx = FunctionField2(COEFF_FIELDS[name]())
+    y, z = ctx.gens()
+    rng = random.Random(f"partial-{name}")
+    inputs = [rand_shape(rng, ctx, s) for s in SHAPES for _ in range(4)]
+    inputs += [1 / y ** 2, z / (y * y * (y * z + 2)), (y + z) / (y * z + 2) ** 2]
+    for f in inputs:
+        for axis in (0, 1):
+            assert_same(f.partial(axis), ref_partial(f, axis), axis, str(f))
 
 
 def test_iterated_derivation_of_a_non_monomial_denominator():

@@ -150,6 +150,19 @@ class TestFundamentalDomain:
         red, M = fundamental_domain_reduce(tau)
         assert red == tau and M == Mat2Z.identity()
 
+    def test_unit_circle_left_of_the_axis_inverts(self):
+        # |tau| = 1 with Re tau < 0 is the one boundary arc outside the
+        # domain: -1/tau = -conj(tau) is its mirror image
+        K = Qsqrt(-1)
+        tau = ImagQuadPoint((K.coerce(-5) + K.gen() * 12) / 13)
+        red, M = fundamental_domain_reduce(tau)
+        assert red.elem == (K.coerce(5) + K.gen() * 12) / 13
+        assert M == Mat2Z.inversion() and red.is_reduced()
+        shifted = ImagQuadPoint((K.coerce(8) + K.gen() * 12) / 13)
+        red, M = fundamental_domain_reduce(shifted)
+        assert red.elem == (K.coerce(5) + K.gen() * 12) / 13
+        assert M == Mat2Z.inversion() * Mat2Z.translation(-1)
+
     def test_idempotent(self):
         rng = random.Random(51)
         for d in (-1, -2, -3, -7, -11):

@@ -10,7 +10,7 @@ from orefields.pdo import (
     PdoSeries, leading_constraint_check, pdo_from_skew, pdo_inv, pdo_mul, pdo_valuation,
 )
 from orefields.presentations import CaseSpec, algebra_make, monomial_morphism
-from orefields.skewpoly import _product, binomial_orders
+from orefields.skewpoly import SkewPoly, _product, binomial_orders
 from _support import (
     rand_laurent_monomial, rand_poly2, rand_skew, ref_pdo_inv, ref_pdo_mul,
     ref_push_coefficient,
@@ -73,6 +73,41 @@ class TestMul:
             b = _rand_series(rng, gen3, d)
             s = a + b
             assert pdo_valuation(s) >= min(pdo_valuation(a), pdo_valuation(b))
+
+
+class TestRingSurface:
+    """Coercion, sums, negation and powers, which series share with skew
+    polynomials."""
+
+    def test_coefficient_from_another_context_is_refused(self, gen3):
+        t = algebra_make(CaseSpec("q", gen3.case.field), "yt").ctx.monomial(0, 1)
+        series = PdoSeries.u(delta(gen3), 4)
+        for element in (series, gen3.x):
+            for op in (lambda a: a + t, lambda a: t + a, lambda a: a - t,
+                       lambda a: t - a, lambda a: a * t, lambda a: t * a):
+                with pytest.raises(ValueError, match="coefficient from a different context"):
+                    op(element)
+
+    def test_results_carry_the_weaker_precision(self, gen3):
+        d = delta(gen3)
+        y = gen3.ctx.monomial(1, 0)
+        a, b = PdoSeries.u(d, 5), PdoSeries.from_ratfunc(d, y, 3)
+        for s in (a + b, b + a, a - b, b - a):
+            assert s.prec == 3
+        assert (-a).prec == (a + 1).prec == (1 - a).prec == (2 * a).prec == 5
+        assert a ** 0 == PdoSeries.one(d, 5)
+        assert (y + a).terms == {0: y, 1: gen3.ctx.one()}
+
+    def test_powers_and_derivations_are_checked(self, gen3):
+        d = delta(gen3)
+        with pytest.raises(ValueError, match="series powers take nonnegative"):
+            PdoSeries.u(d, 4) ** -1
+        with pytest.raises(ValueError, match="skew powers take nonnegative"):
+            gen3.x ** -1
+        with pytest.raises(ValueError, match="series over different derivations"):
+            PdoSeries.u(d, 4) + PdoSeries.u(gen3.D, 4)
+        with pytest.raises(ValueError, match="skew polynomials over different derivations"):
+            gen3.x + SkewPoly.x(d)
 
 
 def _rand_series(rng, pres, d, prec=8):
