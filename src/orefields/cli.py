@@ -146,18 +146,6 @@ class Config:
         }
 
 
-def _g_case(cfg: Config):
-    alpha = cfg.alpha_elem()
-    if alpha is None:
-        return None
-    return presentations.CaseSpec("g", alpha.field, alpha)
-
-
-def _q_case(cfg: Config):
-    field = QQ() if cfg.char == 0 else GF(cfg.char)
-    return presentations.CaseSpec("q", field)
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -184,7 +172,7 @@ def _check_skew_char(cfg: Config):
 def suite_presentations(cfg: Config, report: Report):
     _check_skew_char(cfg)
     # a Presentation verifies its brackets when it is constructed
-    gcase = _g_case(cfg)
+    gcase = None if cfg.alpha is None else _parse_case("g:" + cfg.alpha, cfg.char)
     pres = None
     if gcase is not None:
         pres = report.run("g-brackets",
@@ -211,7 +199,7 @@ def suite_presentations(cfg: Config, report: Report):
             report.run("invariant-commutes-z",
                        f"(x^{ell}-alpha^{ell - 1}x) z = z (x^{ell}-alpha^{ell - 1}x)",
                        lambda: commutator(ta, z).is_zero())
-    qcase = _q_case(cfg)
+    qcase = _parse_case("q", cfg.char)
     report.run("q-brackets",
                "generators satisfy [x,y]=y, [x,z]=y+z, [y,z]=0",
                lambda: presentations.algebra_make(qcase))
@@ -226,7 +214,8 @@ def suite_presentations(cfg: Config, report: Report):
 
 def suite_centers(cfg: Config, report: Report):
     _check_skew_char(cfg)
-    for case in filter(None, (_g_case(cfg), _q_case(cfg))):
+    texts = ["q"] if cfg.alpha is None else ["g:" + cfg.alpha, "q"]
+    for case in [_parse_case(text, cfg.char) for text in texts]:
         label = case.algebra
         try:
             center = presentations.claimed_center(case)
@@ -258,7 +247,9 @@ def suite_centers(cfg: Config, report: Report):
             report.run(f"{label}-weyl-pair",
                        "[P,Q]=1 and the listed central elements commute with both",
                        lambda verdict=verdict: presentations.check_weyl(verdict.weyl))
-        if case.algebra == "g" and cfg.char and case.classification == "charl-generic":
+        # without --char an ff: alpha is charl-generic, but its suite has no l
+        classification = case.classification if cfg.char else None
+        if classification == "charl-generic":
             ell = cfg.char
             report.run("central-element-forms",
                        "both closed forms of the degree-l^2 central element agree "
@@ -273,16 +264,15 @@ def suite_centers(cfg: Config, report: Report):
             report.run("centralizer-pair",
                        "all nine cross-commutators vanish, both inner witnesses nonzero",
                        lambda case=case: presentations.centralizer_pair_check(case).ok)
-        if case.algebra == "q" and cfg.char:
-            report.run("q-centralizer-pair",
-                       "all nine cross-commutators vanish, both inner witnesses nonzero",
-                       lambda case=case: presentations.centralizer_pair_check(case).ok)
-        if case.algebra == "g" and cfg.char and case.classification == "charl-generic":
             report.record(
                 "brauer-class-order",
                 "order of the skewfield class in the Brauer group of the center: "
                 "recorded, not recomputed",
                 "out-of-scope")
+        elif classification == "q-charl":
+            report.run("q-centralizer-pair",
+                       "all nine cross-commutators vanish, both inner witnesses nonzero",
+                       lambda case=case: presentations.centralizer_pair_check(case).ok)
 
 
 def suite_morphisms(cfg: Config, report: Report):

@@ -795,12 +795,11 @@ class ParameterField(Field):
     reduced with a monic denominator, so they are returned as they are;
     that rep is the canonical one, because it is unique."""
 
-    def __init__(self, base: Field, varname: str = "a"):
+    def __init__(self, base: Field):
         if isinstance(base, ParameterField):
             raise FieldError("only one transcendental parameter is supported")
         self.base = base
         self.char = base.char
-        self.varname = varname
 
     def _zero_rep(self):
         return ((), (self.base._one_rep(),))
@@ -910,10 +909,10 @@ class ParameterField(Field):
 
     def _str(self, a):
         num, den = a
-        ns = _ustr(self.base, num, self.varname)
+        ns = _ustr(self.base, num, "a")
         if den == (self.base._one_rep(),):
             return ns
-        ds = _ustr(self.base, den, self.varname)
+        ds = _ustr(self.base, den, "a")
         if any(op in ns[1:] for op in "+-"):
             ns = f"({ns})"
         if any(op in ds[1:] for op in "+-*"):
@@ -921,10 +920,10 @@ class ParameterField(Field):
         return f"{ns}/{ds}"
 
     def _key(self):
-        return ("param", self.base._key(), self.varname)
+        return ("param", self.base._key())
 
     def __str__(self):
-        return f"{self.base}({self.varname})"
+        return f"{self.base}(a)"
 
 
 # ---------------------------------------------------------------------------
@@ -1064,5 +1063,5 @@ def Qsqrt(d: int) -> QuadraticField:
     return QuadraticField(d)
 
 
-def with_parameter(base: Field, varname: str = "a") -> ParameterField:
-    return ParameterField(base, varname)
+def with_parameter(base: Field) -> ParameterField:
+    return ParameterField(base)

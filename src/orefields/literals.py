@@ -2,14 +2,16 @@
 
 Field-element literals accepted on the command line:
 
-    rat:p | rat:p/q              rational (reduced mod l in characteristic l)
+    rat:p | rat:p/q              integer p, positive q (reduced mod l in characteristic l)
     quad:(a+b*sqrt(d))/c         element of QQ(sqrt(d)), integer a, b, d, c
     param:<expr in a>            rational function in the parameter a
     ff:l^n:c0,c1,...             element of GF(l^n), n >= 2, ascending coefficients
 
 Infix expressions (for param literals and for elements in x, y, z, t) use
 integer literals, named atoms, +, -, *, /, ^ and parentheses; see the
-README for the full grammar.
+README for the full grammar.  A run of signs applies to the whole power
+after it, wherever it stands, so a sign binds looser than ^ and tighter
+than * and /: -a^2 = -(a^2) and a*-a^2 = -(a^3).
 """
 
 from __future__ import annotations
@@ -20,128 +22,83 @@ from fractions import Fraction
 from .fields import FieldElem, GF, QQ, Qsqrt, _qdiv, with_parameter
 from .orbits import Mat2Z
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
+# one token per match: (integer, name, symbol), exactly one of them nonempty
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\S))")
 
 
 class ExprError(ValueError):
     pass
 
 
-def tokenize(text: str):
-    tokens = []
+def parse_expression(text: str, env: dict, one):
+    """Evaluate an infix expression against named atoms by recursive
+    descent over expression -> term -> factor -> atom (a factor reads its
+    signs and its power itself); `one` is the multiplicative unit used to
+    embed integer literals.  Products keep their left-to-right order, so
+    the same grammar evaluates field elements, rational functions and skew
+    polynomials.  Nesting deeper than the interpreter's stack allows is an
+    ExprError."""
+    tokens = _TOKEN.findall(text) + [("", "", None)]     # None marks the end
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            break
-        pos = m.end()
-        num, name, sym = m.groups()
-        if num is not None:
-            tokens.append(("int", int(num)))
-        elif name is not None:
-            tokens.append(("name", name))
-        elif sym.strip():
-            tokens.append(("op", sym))
-    return tokens
 
+    def take(*symbols):
+        # consume the next token and return its symbol if it is one of symbols
+        nonlocal pos
+        if tokens[pos][2] in symbols:
+            pos += 1
+            return tokens[pos - 1][2]
 
-class _Parser:
-    """Recursive-descent parser over +, -, *, /, ^ and parentheses; the
-    environment supplies the named atoms, so the same grammar evaluates
-    field elements, rational functions and skew polynomials (left-to-right
-    order of noncommuting products is preserved)."""
-
-    def __init__(self, tokens, env, one):
-        self.tokens = tokens
-        self.pos = 0
-        self.env = env
-        self.one = one
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, sym):
-        kind, val = self.take()
-        if kind != "op" or val != sym:
-            raise ExprError(f"expected {sym!r}")
-
-    def parse(self):
-        value = self.sum()
-        if self.pos != len(self.tokens):
-            raise ExprError("trailing input in expression")
+    def expression():
+        value = term()
+        while op := take("+", "-"):
+            value = value + term() if op == "+" else value - term()
         return value
 
-    def sum(self):
-        kind, val = self.peek()
+    def term():
+        value = factor()
+        while op := take("*", "/"):
+            value = value * factor() if op == "*" else value / factor()
+        return value
+
+    def factor():
+        # { "+" | "-" } power, with power = atom [ "^" ["-"] integer ]
+        nonlocal pos
         negate = False
-        if kind == "op" and val in "+-":
-            self.take()
-            negate = val == "-"
-        value = self.product()
-        if negate:
-            value = -value
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.product()
-                value = value + rhs if val == "+" else value - rhs
-            else:
-                return value
-
-    def product(self):
-        value = self.power()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.power()
-                value = value * rhs if val == "*" else value / rhs
-            else:
-                return value
-
-    def power(self):
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            sign = 1
-            kind, val = self.peek()
-            if kind == "op" and val == "-":
-                self.take()
-                sign = -1
-            kind, val = self.take()
-            if kind != "int":
+        while op := take("+", "-"):
+            negate ^= op == "-"
+        value = atom()
+        if take("^"):
+            sign = -1 if take("-") else 1
+            if not tokens[pos][0]:
                 raise ExprError("exponent must be an integer")
-            return base ** (sign * val)
-        return base
+            pos += 1
+            value = value ** (sign * int(tokens[pos - 1][0]))
+        return -value if negate else value
 
-    def atom(self):
-        kind, val = self.take()
-        if kind == "int":
-            return self.one * val
-        if kind == "name":
-            if val not in self.env:
-                raise ExprError(f"unknown name {val!r}")
-            return self.env[val]
-        if kind == "op" and val == "(":
-            value = self.sum()
-            self.expect(")")
+    def atom():
+        nonlocal pos
+        integer, name, symbol = tokens[pos]
+        pos += 1
+        if integer:
+            return one * int(integer)
+        if name:
+            if name not in env:
+                raise ExprError(f"unknown name {name!r}")
+            return env[name]
+        if symbol == "(":
+            value = expression()
+            if not take(")"):
+                raise ExprError("expected ')'")
             return value
-        if kind == "op" and val == "-":
-            return -self.atom()
-        raise ExprError(f"unexpected token {val!r}")
+        raise ExprError(f"unexpected token {symbol!r}")
 
-
-def parse_expression(text: str, env: dict, one):
-    """Evaluate an infix expression against named atoms; `one` is the
-    multiplicative unit used to embed integer literals."""
-    return _Parser(tokenize(text), env, one).parse()
+    try:
+        value = expression()
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
+    if pos != len(tokens) - 1:
+        raise ExprError("trailing input in expression")
+    return value
 
 
 _QUAD = re.compile(
@@ -165,9 +122,11 @@ def _parse_field_literal(text: str, char: int) -> FieldElem:
         raise ValueError(f"malformed element literal {text!r}")
     head, _, body = text.partition(":")
     if head == "rat":
-        frac = Fraction(body)
+        m = re.fullmatch(r"([+-]?\d+)(?:/(\d+))?", body.strip())
+        if not m:
+            raise ValueError(f"malformed rat literal {body!r}")
         field = QQ() if char == 0 else GF(char)
-        return field.coerce(frac)
+        return field.coerce(Fraction(int(m[1]), int(m[2] or 1)))
     if head == "quad":
         if char != 0:
             raise ValueError("quad literals require characteristic 0")

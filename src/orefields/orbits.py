@@ -222,7 +222,7 @@ class ContFrac:
         return f"[{pre};({per})]" if pre else f"[({per})]"
 
 
-def cf_expand(alpha: QuadIrr, max_terms: int | None = None) -> ContFrac:
+def cf_expand(alpha: QuadIrr) -> ContFrac:
     """Exact expansion with minimal period, by the P-Q recurrence on
     complete quotients; eventual periodicity is guaranteed for quadratic
     irrationals.
@@ -232,7 +232,7 @@ def cf_expand(alpha: QuadIrr, max_terms: int | None = None) -> ContFrac:
     substitutions keep it, so every complete quotient has it; above
     MAX_CF_DISCRIMINANT the expansion raises ValueError.
 
-    The default term bound comes from D and the starting (P, Q).  A
+    The term bound comes from D and the starting (P, Q).  A
     complete quotient (P + sqrt(D))/Q is reduced (greater than 1, with
     conjugate in (-1, 0)) after a number of steps logarithmic in |P| + |Q|,
     because the convergent denominators grow at least like the Fibonacci
@@ -244,8 +244,7 @@ def cf_expand(alpha: QuadIrr, max_terms: int | None = None) -> ContFrac:
     if disc > MAX_CF_DISCRIMINANT:
         raise ValueError(f"the discriminant {disc} of {alpha} exceeds the bound "
                          f"{MAX_CF_DISCRIMINANT} of the continued-fraction expansion")
-    if max_terms is None:
-        max_terms = 2 * alpha.D + 2 * (abs(alpha.P) + abs(alpha.Q)).bit_length() + 8
+    max_terms = 2 * alpha.D + 2 * (abs(alpha.P) + abs(alpha.Q)).bit_length() + 8
     # every complete quotient has the D of alpha, so (P, Q) is its state
     seen = {}
     digits = []

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -16,7 +17,7 @@ from orefields.cli import (
 from orefields.literals import (
     ExprError, parse_expression, parse_field_literal, parse_matrix,
 )
-from orefields.fields import GF, Qsqrt, with_parameter
+from orefields.fields import GF, QQ, Qsqrt, with_parameter
 from orefields.orbits import Mat2Z
 from orefields.presentations import WeylTriple
 
@@ -79,6 +80,59 @@ class TestLiterals:
             parse_expression("a +", env, K.one())
         with pytest.raises(ExprError):
             parse_expression("b", env, K.one())
+
+
+class TestExpressionGrammar:
+    # a run of signs applies to the whole power after it, wherever it stands
+    @pytest.mark.parametrize("text, value", [
+        ("-3^2", lambda a: QQ().from_int(-9)),
+        ("-a^2", lambda a: -(a ** 2)),
+        ("2*-3^2", lambda a: QQ().from_int(-18)),
+        ("a*-a^2", lambda a: -(a ** 3)),
+        ("a--a^2", lambda a: a + a ** 2),
+        ("a+-a^2", lambda a: a - a ** 2),
+        ("a/-a^2", lambda a: -a.inverse()),
+        ("2*+3", lambda a: QQ().from_int(6)),
+        ("--a", lambda a: a),
+        ("-a*a", lambda a: -(a ** 2)),
+        ("(-a)^2", lambda a: a ** 2),
+        ("a^-2", lambda a: a.inverse() ** 2),
+    ])
+    def test_sign_binds_looser_than_power_and_tighter_than_product(self, text, value):
+        a = with_parameter(QQ()).gen()
+        assert parse_field_literal("param:" + text) == value(a)
+
+    @pytest.mark.parametrize("depth", [300, 10 ** 4])
+    def test_deep_nesting_is_a_usage_error(self, depth, capsys):
+        alpha = "param:" + "(" * depth + "a" + ")" * depth
+        code, out = run_main(["orbits", "cf", "--alpha", alpha])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: expression nested too deeply\n"
+
+    def test_long_sign_runs_parse(self):
+        a = with_parameter(QQ()).gen()
+        assert parse_field_literal("param:" + "-" * 10 ** 4 + "a") == a
+        assert parse_field_literal("param:a*" + "-" * (10 ** 4 + 1) + "a^2") == -(a ** 3)
+
+    @pytest.mark.parametrize("text, value", [
+        ("rat:2/3", Fraction(2, 3)), ("rat:-7", -7), ("rat:+3", 3), ("rat: 4/6 ", Fraction(2, 3)),
+        ("rat:0/5", 0), ("rat:-12/8", Fraction(-3, 2)),
+    ])
+    def test_rat_grammar(self, text, value):
+        assert parse_field_literal(text) == QQ().coerce(value)
+
+    @pytest.mark.parametrize("body", [
+        "1e5", "1.5", "1_000", "-3/-4", "3/+4", "", "2/", "/3", "1 / 2", "2^3", "1e5000",
+    ])
+    def test_rat_outside_grammar_is_malformed(self, body):
+        with pytest.raises(ValueError, match="malformed rat literal"):
+            parse_field_literal("rat:" + body)
+
+    def test_huge_rat_exponent_is_a_usage_error(self, capsys):
+        # Fraction('1e5000') made an integer too long to print: a false fail
+        code, out = run_main(["verify", "centers", "--alpha", "rat:1e5000"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: malformed rat literal '1e5000'\n"
 
 
 class TestEmit:
@@ -681,8 +735,11 @@ class TestStartup:
 SMALL = st.integers(-12, 12)
 PARAM_EXPR = st.recursive(
     st.sampled_from(["a", "1", "2", "(a+1)", "(a-a)"]),
-    lambda e: st.builds("({}{}{})".format, e, st.sampled_from("+-*/"), e)
-    | st.builds("{}^{}".format, e, st.integers(-3, 3)),
+    # a sign may follow any operator; nesting goes past the interpreter's stack
+    lambda e: st.builds("({}{}{})".format, e,
+                        st.sampled_from(["+", "-", "*", "/", "+-", "--", "*-", "/-", "*+"]), e)
+    | st.builds("{}^{}".format, e, st.integers(-3, 3))
+    | st.builds(lambda e, n: "(" * n + e + ")" * n, e, st.sampled_from([1, 301, 10 ** 4])),
     max_leaves=4)
 QUAD = st.builds("quad:({}{}{}*sqrt({}))/{}".format, SMALL, st.sampled_from("+-"),
                  st.integers(0, 6), st.integers(-30, 30), st.integers(0, 6))
@@ -732,6 +789,9 @@ COMMAND = st.one_of(
 @example(argv=["orbits", "equiv", "--alpha", "quad:(0+1*sqrt(-1))/1"])
 @example(argv=["pdo", "--char", "0", "--alpha", "ff:13^1:1"])
 @example(argv=["classify", "--char", "13", "--caseA", "g:ff:13^1:5", "--caseB", "q"])
+@example(argv=["orbits", "cf", "--alpha", "param:" + "(" * 300 + "a" + ")" * 300])
+@example(argv=["pdo", "--alpha", "param:" + "-" * 3000 + "a"])
+@example(argv=["verify", "centers", "--alpha", "rat:1e5000"])
 def test_main_ends_in_a_verdict_or_a_usage_error(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

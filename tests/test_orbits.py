@@ -8,7 +8,7 @@ from _support import ref_floor
 from orefields import orbits
 from orefields.fields import FieldElem, GF, QQ, Qsqrt, with_parameter
 from orefields.orbits import (
-    ContFrac, ImagQuadPoint, Mat2Z, PeriodNotFound, QuadIrr,
+    ContFrac, ImagQuadPoint, Mat2Z, QuadIrr,
     brute_force_witness, cf_expand, finite_orbits, fundamental_domain_reduce,
     gl2z_equivalent, homographic, tail_equivalent, transitivity_report,
     valued_iso_classify,
@@ -103,10 +103,6 @@ class TestContFrac:
         cf = cf_expand(QuadIrr(-7, 13, 3))
         i0 = len(cf.preperiod)
         assert cf.complete_quotient(i0) == cf.complete_quotient(i0 + len(cf.period))
-
-    def test_max_terms_exhaustion(self):
-        with pytest.raises(PeriodNotFound):
-            cf_expand(QuadIrr(0, 1726, 1), max_terms=3)
 
     def test_normalization_invariant(self):
         q = QuadIrr(1, 8, 3)    # 3 does not divide 8 - 1; gets rescaled
@@ -444,7 +440,7 @@ def test_cf_certificate_fuzz():
         P = rng.randint(-15, 15)
         Q = rng.choice([1, -1, 2, -2, 3, 5])
         surd = QuadIrr(P, D, Q)
-        cf = cf_expand(surd, max_terms=400)
+        cf = cf_expand(surd)
         total = len(cf.preperiod) + len(cf.period)
         digits = cf.digits(total)
         assert all(a >= 1 for a in digits[1:])
