@@ -128,12 +128,12 @@ class Config:
     def alpha_elem(self) -> FieldElem | None:
         if self.alpha is None:
             return None
-        return parse_field_literal(self.alpha, self.char)
+        return _parse_literal(self.alpha, self.char)
 
     def beta_elem(self) -> FieldElem | None:
         if self.beta is None:
             return None
-        return parse_field_literal(self.beta, self.char)
+        return _parse_literal(self.beta, self.char)
 
     def case_dict(self) -> dict:
         return {
@@ -217,26 +217,20 @@ def suite_centers(cfg: Config, report: Report):
     texts = ["q"] if cfg.alpha is None else ["g:" + cfg.alpha, "q"]
     for case in [_parse_case(text, cfg.char) for text in texts]:
         label = case.algebra
-        try:
-            center = presentations.claimed_center(case)
-        except (ValueError, ArithmeticError) as exc:
-            report.record(f"{label}-center", "center generators commute with x, y, z",
-                          "fail", str(exc))
+        # a claim that names what its step built is set once the step returns
+        center = report.run(f"{label}-center", "center generators commute with x, y, z",
+                            lambda: presentations.claimed_center(case))
+        if center is None:
             continue
         names = ", ".join(lbl for lbl, _ in center.generators) or "(constants only)"
-        report.run(f"{label}-center",
-                   f"claimed center generators all central: {names}",
-                   lambda center=center: center.all_central)
-        try:
-            verdict = presentations.gk_classify(case)
-        except (ValueError, ArithmeticError) as exc:
-            report.record(f"{label}-weyl-classification",
-                          "Weyl presentation and center classified", "fail", str(exc))
+        report.checks[-1].claim = f"claimed center generators all central: {names}"
+        verdict = report.run(f"{label}-weyl-classification",
+                             "Weyl presentation and center classified",
+                             lambda: presentations.gk_classify(case))
+        if verdict is None:
             continue
-        report.run(f"{label}-weyl-classification",
-                   f"Weyl presentation exists: {verdict.weyl_equivalent}; "
-                   f"center {verdict.center_description}",
-                   lambda verdict=verdict: verdict.weyl_equivalent == (verdict.weyl is not None))
+        report.checks[-1].claim = (f"Weyl presentation exists: {verdict.weyl_equivalent}; "
+                                   f"center {verdict.center_description}")
         if verdict.dimension_over_center:
             report.record(
                 f"{label}-dimension-over-center",
@@ -246,24 +240,21 @@ def suite_centers(cfg: Config, report: Report):
         if verdict.weyl is not None:
             report.run(f"{label}-weyl-pair",
                        "[P,Q]=1 and the listed central elements commute with both",
-                       lambda verdict=verdict: presentations.check_weyl(verdict.weyl))
-        # without --char an ff: alpha is charl-generic, but its suite has no l
-        classification = case.classification if cfg.char else None
+                       lambda: presentations.check_weyl(verdict.weyl))
+        classification = case.classification
         if classification == "charl-generic":
-            ell = cfg.char
+            ell = case.field.char
             report.run("central-element-forms",
                        "both closed forms of the degree-l^2 central element agree "
                        "and it is central",
-                       lambda case=case: presentations.central_element_c(
-                           ell, case.alpha) is not None)
+                       lambda: presentations.central_element_c(ell, case.alpha))
             report.run("shift-invariant",
                        "x^l - gamma^(l-1) x is the product of the shifted copies "
                        "of x and is shift-invariant",
-                       lambda case=case: presentations.translation_invariant_t(
-                           case.alpha, ell) is not None)
+                       lambda: presentations.translation_invariant_t(case.alpha, ell))
             report.run("centralizer-pair",
                        "all nine cross-commutators vanish, both inner witnesses nonzero",
-                       lambda case=case: presentations.centralizer_pair_check(case).ok)
+                       lambda: presentations.centralizer_pair_check(case))
             report.record(
                 "brauer-class-order",
                 "order of the skewfield class in the Brauer group of the center: "
@@ -272,7 +263,7 @@ def suite_centers(cfg: Config, report: Report):
         elif classification == "q-charl":
             report.run("q-centralizer-pair",
                        "all nine cross-commutators vanish, both inner witnesses nonzero",
-                       lambda case=case: presentations.centralizer_pair_check(case).ok)
+                       lambda: presentations.centralizer_pair_check(case))
 
 
 def suite_morphisms(cfg: Config, report: Report):
@@ -284,7 +275,7 @@ def suite_morphisms(cfg: Config, report: Report):
     M = parse_matrix(cfg.matrix)
     report.run("monomial-morphism",
                f"matrix {M} induces an embedding preserving all three brackets",
-               lambda: presentations.monomial_morphism(M, alpha) is not None,
+               lambda: presentations.monomial_morphism(M, alpha),
                witness=str(M))
     rng = random.Random(cfg.seed)
     def random_unimodular():
@@ -323,8 +314,7 @@ def suite_morphisms(cfg: Config, report: Report):
             beta = cfg.beta_elem() or alpha
             report.run("frobenius-embedding",
                        "the x^l-combination embedding preserves all three brackets",
-                       lambda: presentations.frobenius_embedding(
-                           alpha, beta, cfg.char) is not None)
+                       lambda: presentations.frobenius_embedding(alpha, beta, cfg.char))
 
 
 def suite_pdo(cfg: Config, report: Report):
@@ -367,13 +357,15 @@ def suite_pdo(cfg: Config, report: Report):
         Xinv = pdo_inv(pdo_from_skew(phi.x_img, N))
         Y = pdo_from_skew(phi.y_img, N)
         Z = pdo_from_skew(phi.z_img, N)
-        lc = leading_constraint_check(Xinv, Y, Z, phi.beta, pres.D)
-        report.run("leading-constraint", claim, lambda: lc.ok, witness=f"c1={lc.c1}")
+        c1 = leading_constraint_check(Xinv, Y, Z, phi.beta, pres.D)
     except (ValueError, ZeroDivisionError) as exc:
         report.record("leading-constraint", str(exc), "out-of-scope")
     except ArithmeticError as exc:
-        # exact arithmetic that refutes itself (an inexact division, say)
+        # a constraint that fails, or exact arithmetic that refutes itself
+        # (an inexact division, say)
         report.record("leading-constraint", claim, "fail", witness=str(exc))
+    else:
+        report.record("leading-constraint", claim, "pass", witness=f"c1={c1}")
 
 
 def suite_orbits(cfg: Config, report: Report):
@@ -449,12 +441,21 @@ def cmd_orbits(args, cfg: Config) -> Report:
     return report
 
 
+def _parse_literal(text: str, char: int) -> FieldElem:
+    """An element literal of characteristic --char; an ff: literal of
+    another characteristic, also under --char 0, is a usage error."""
+    elem = parse_field_literal(text, char)
+    if elem.field.char != char:
+        raise ValueError(f"ff literal characteristic {elem.field.char} != --char {char}")
+    return elem
+
+
 def _parse_case(text: str, char: int) -> presentations.CaseSpec:
     if text == "q":
         field = QQ() if char == 0 else GF(char)
         return presentations.CaseSpec("q", field)
     if text.startswith("g:"):
-        alpha = parse_field_literal(text[2:], char)
+        alpha = _parse_literal(text[2:], char)
         return presentations.CaseSpec("g", alpha.field, alpha)
     raise ValueError(f"case literal must be 'q' or 'g:<alpha literal>', got {text!r}")
 

@@ -643,10 +643,6 @@ class TransitivityReport:
         self.ell = ell
         self.checks = checks          # (name, status, detail), status pass/fail/out-of-scope
 
-    @property
-    def ok(self) -> bool:
-        return all(s != "fail" for _, s, _ in self.checks)
-
 
 def transitivity_scope(ell: int, k: int, group: str) -> str | None:
     """None where the theory claims that the group acts transitively on

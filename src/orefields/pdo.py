@@ -201,32 +201,16 @@ def pdo_inv(a: PdoSeries, prec: int | None = None) -> PdoSeries:
     return PdoSeries(a.derivation, terms, target)
 
 
-class LeadingConstraintReport:
-    """Outcome of the lowest-order consistency extraction on a candidate
-    generator triple (X^{-1}, Y, Z) for target bracket scalar beta."""
-
-    __slots__ = ("ok", "c1", "y0", "z0", "failures")
-
-    def __init__(self, ok: bool, c1: RatFunc2 | None, y0: RatFunc2 | None,
-                 z0: RatFunc2 | None, failures: list):
-        self.ok = ok
-        self.c1 = c1
-        self.y0 = y0
-        self.z0 = z0
-        self.failures = failures
-
-    def __bool__(self):
-        return self.ok
-
-
 def leading_constraint_check(Xinv: PdoSeries, Y: PdoSeries, Z: PdoSeries,
-                             beta, D: Derivation) -> LeadingConstraintReport:
+                             beta, D: Derivation) -> RatFunc2:
     """Extract the leading data c1 = [u]Xinv, y0 = [1]Y, z0 = [1]Z and test
     the first-order constraints c1 = D(y0)/y0, beta*c1 = D(z0)/z0, along
     with the full commutation identities
         Y*Xinv - Xinv*Y = Xinv*Y*Xinv
         Z*Xinv - Xinv*Z = beta * Xinv*Z*Xinv
-    through the available precision."""
+    through the available precision.  Returns c1, or raises
+    ArithmeticError naming the first constraint that fails; inputs of the
+    wrong shape are a ValueError."""
     field = D.ctx.field
     beta = field.coerce(beta)
     delta = D.negate()
@@ -240,24 +224,20 @@ def leading_constraint_check(Xinv: PdoSeries, Y: PdoSeries, Z: PdoSeries,
     if Y.valuation() != 0 or Z.valuation() != 0:
         raise ValueError("Y and Z must have valuation 0")
 
-    failures = []
     c1 = Xinv.coefficient(1)
     y0 = Y.coefficient(0)
     z0 = Z.coefficient(0)
     if y0.is_constant():
-        failures.append("y0 is a constant; it must generate a nontrivial eigenline")
+        raise ArithmeticError("y0 is a constant; it must generate a nontrivial eigenline")
     if z0.is_constant():
-        failures.append("z0 is a constant; it must generate a nontrivial eigenline")
-    if not failures:
-        if D(y0) / y0 != c1:
-            failures.append("c1 != D(y0)/y0")
-        if D(z0) / z0 != beta * c1:
-            failures.append("beta*c1 != D(z0)/z0")
+        raise ArithmeticError("z0 is a constant; it must generate a nontrivial eigenline")
+    if D(y0) / y0 != c1:
+        raise ArithmeticError("c1 != D(y0)/y0")
+    if D(z0) / z0 != beta * c1:
+        raise ArithmeticError("beta*c1 != D(z0)/z0")
     XY, XZ = Xinv * Y, Xinv * Z
-    rel_y = Y * Xinv - XY - XY * Xinv
-    if not rel_y.is_zero_mod_prec():
-        failures.append("Y-relation fails at some computed order")
-    rel_z = Z * Xinv - XZ - (XZ * Xinv) * beta
-    if not rel_z.is_zero_mod_prec():
-        failures.append("Z-relation fails at some computed order")
-    return LeadingConstraintReport(not failures, c1, y0, z0, failures)
+    if not (Y * Xinv - XY - XY * Xinv).is_zero_mod_prec():
+        raise ArithmeticError("Y-relation fails at some computed order")
+    if not (Z * Xinv - XZ - (XZ * Xinv) * beta).is_zero_mod_prec():
+        raise ArithmeticError("Z-relation fails at some computed order")
+    return c1

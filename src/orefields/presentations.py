@@ -5,6 +5,10 @@ Weyl-skewfield classification table.
 
 Every constructed object verifies its defining bracket relations with
 exact skew arithmetic; nothing here is trusted without a computation.
+Every verifier has one contract: it returns the object it verified, or
+raises ArithmeticError naming the first identity that failed.  The
+command line runs each verifier inside its check, so that message is the
+check's witness.
 Inside `verification_run()` a presentation, claimed center or central
 element c is built and verified once, at its first construction, and the
 verified object is reused for the rest of the run; outside a run every
@@ -161,19 +165,18 @@ def algebra_make(case: CaseSpec, coords: str = "yz") -> Presentation:
 # centers
 
 class CenterReport:
-    __slots__ = ("case", "generators", "all_central", "notes")
+    __slots__ = ("case", "generators")
 
-    def __init__(self, case: CaseSpec, generators: list, all_central: bool, notes: str = ""):
+    def __init__(self, case: CaseSpec, generators: list):
         self.case = case
         self.generators = generators  # (label, SkewPoly) pairs
-        self.all_central = all_central
-        self.notes = notes
 
 
 def claimed_center(case: CaseSpec) -> CenterReport:
     """The generating set of the center for the given case, with every
-    generator checked to commute with x, y and z.  Maximality of the
-    center is recorded, not recomputed."""
+    generator checked to commute with x, y and z; ArithmeticError names
+    the first one that does not.  Maximality of the center is recorded,
+    not recomputed."""
     return _once_per_run(("center", case), lambda: _claimed_center(case))
 
 
@@ -181,14 +184,11 @@ def _claimed_center(case: CaseSpec) -> CenterReport:
     pres = algebra_make(case)
     ell = case.field.char
     gens: list = []
-    notes = ""
     cls = case.classification
     if cls == "char0-rational":
         frac: Fraction | int = case.field.prime_subfield_value(case.alpha.rep)
         p, q = frac.numerator, frac.denominator
         gens.append((f"y^{p}*z^{-q}", pres.coeff_monomial(p, -q)))
-    elif cls == "char0-irrational":
-        notes = "center reduces to the constants; no generators beyond k"
     elif cls == "charl-prime-subfield":
         a = case.field.prime_subfield_value(case.alpha.rep)
         gens.append((f"x^{ell}-x", pres.x ** ell - pres.x))
@@ -203,10 +203,11 @@ def _claimed_center(case: CaseSpec) -> CenterReport:
         gens.append((f"y^{ell}", pres.coeff_monomial(ell, 0)))
         gens.append((f"z^{ell}", pres.coeff_monomial(0, ell)))
         gens.append((f"(x^{ell}-x)^{ell}", (pres.x ** ell - pres.x) ** ell))
-    else:  # q-char0
-        notes = "center reduces to the constants; no generators beyond k"
-    ok = all(is_central_against(g, pres.gens) for _, g in gens)
-    return CenterReport(case, gens, ok, notes)
+    # char0-irrational and q-char0: the center reduces to the constants
+    for label, g in gens:
+        if not is_central_against(g, pres.gens):
+            raise ArithmeticError(f"center generator {label} fails to commute with x, y, z")
+    return CenterReport(case, gens)
 
 
 def central_element_c(ell: int, alpha: FieldElem) -> SkewPoly:
@@ -279,16 +280,17 @@ class WeylTriple:
         self.recipe = recipe
 
 
-def check_weyl(triple: WeylTriple) -> bool:
+def check_weyl(triple: WeylTriple) -> WeylTriple:
     """Recompute [P, Q] = 1 and the commutators of P and Q with each listed
-    central element; True, or ArithmeticError naming the first failure."""
+    central element; the triple, or ArithmeticError naming the first
+    failure."""
     P, Q = triple.P, triple.Q
     if commutator(P, Q) != SkewPoly.one(P.derivation):
         raise ArithmeticError("[P, Q] != 1")
     for label, c in triple.centrals:
         if not commutator(P, c).is_zero() or not commutator(Q, c).is_zero():
             raise ArithmeticError(f"{label} is not annihilated by the pair")
-    return True
+    return triple
 
 
 def weyl_triple(case: CaseSpec) -> WeylTriple:
@@ -332,9 +334,7 @@ def weyl_triple(case: CaseSpec) -> WeylTriple:
         raise UnsupportedCaseError(f"no Weyl pair exists for case {cls}")
     if cls != "q-charl":    # the central data are the claimed center's generators
         centrals = list(claimed_center(case).generators)
-    triple = WeylTriple(case, P, Q, centrals, recipe)
-    check_weyl(triple)
-    return triple
+    return check_weyl(WeylTriple(case, P, Q, centrals, recipe))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ class Morphism:
             raise ArithmeticError("morphism breaks [x', y'] = y'")
         if commutator(self.x_img, self.z_img) != self.z_img * self.beta:
             raise ArithmeticError("morphism breaks [x', z'] = beta z'")
-        return True
+        return self
 
     def apply(self, f: SkewPoly) -> SkewPoly:
         """Push a skew polynomial through the morphism.  Supported when
@@ -464,19 +464,11 @@ def frobenius_embedding(alpha: FieldElem, beta: FieldElem, ell: int) -> Morphism
 # ---------------------------------------------------------------------------
 # mutual centralizers
 
-class CentralizerReport:
-    __slots__ = ("case", "cross_commutators", "witnesses", "ok")
-
-    def __init__(self, case: CaseSpec, cross_commutators: list, witnesses: list, ok: bool):
-        self.case = case
-        self.cross_commutators = cross_commutators  # (label_L, label_Lp, vanishes)
-        self.witnesses = witnesses                  # (label, nonzero)
-        self.ok = ok
-
-
-def centralizer_pair_check(case: CaseSpec) -> CentralizerReport:
-    """All nine cross-commutators between the two centralizing factors
-    vanish, while each factor keeps one genuinely non-commuting pair."""
+def centralizer_pair_check(case: CaseSpec) -> tuple:
+    """The two centralizing factors, as lists of (label, SkewPoly)
+    generators: all nine cross-commutators between them vanish, while
+    each factor keeps one genuinely non-commuting pair.  ArithmeticError
+    names the first cross-commutator or inner witness that fails."""
     cls = case.classification
     ell = case.field.char
     if cls == "charl-generic":
@@ -509,41 +501,38 @@ def centralizer_pair_check(case: CaseSpec) -> CentralizerReport:
         ]
     else:
         raise UnsupportedCaseError(f"no centralizer pair for case {cls}")
-    cross = []
     for la, a in L:
         for lb, b in Lp:
-            cross.append((la, lb, commutator(a, b).is_zero()))
-    ok = all(v for _, _, v in cross) and all(v for _, v in witnesses)
-    return CentralizerReport(case, cross, witnesses, ok)
+            if not commutator(a, b).is_zero():
+                raise ArithmeticError(f"[{la}, {lb}] != 0")
+    for label, holds in witnesses:
+        if not holds:
+            raise ArithmeticError(f"inner witness fails: {label}")
+    return L, Lp
 
 
 # ---------------------------------------------------------------------------
 # classification table
 
 class GKVerdict:
-    __slots__ = ("case", "weyl_equivalent", "center_description", "dimension_over_center",
-                 "weyl", "center")
+    __slots__ = ("weyl_equivalent", "center_description", "dimension_over_center", "weyl")
 
-    def __init__(self, case: CaseSpec, weyl_equivalent: bool, center_description: str,
-                 dimension_over_center: str | None, weyl: WeylTriple | None,
-                 center: CenterReport | None = None):
-        self.case = case
+    def __init__(self, weyl_equivalent: bool, center_description: str,
+                 dimension_over_center: str | None, weyl: WeylTriple | None):
         self.weyl_equivalent = weyl_equivalent
         self.center_description = center_description
         self.dimension_over_center = dimension_over_center
         self.weyl = weyl
-        self.center = center
 
 
 def gk_classify(case: CaseSpec) -> GKVerdict:
     """Whether the skewfield of the case admits a Weyl presentation, with
-    the verified Weyl pair attached where it does.  The dimension claims
-    over the center are recorded metadata, not recomputed."""
+    the verified Weyl pair attached where it does.  The claimed center is
+    verified first; the dimension claims over the center are recorded
+    metadata, not recomputed."""
     cls = case.classification
     ell = case.field.char
-    center = claimed_center(case)
-    if not center.all_central:
-        raise ArithmeticError("claimed center failed its commutator checks")
+    claimed_center(case)
     table = {
         "char0-rational": (True, "k(y^p z^-q)", None),
         "char0-irrational": (False, "k", None),
@@ -553,5 +542,4 @@ def gk_classify(case: CaseSpec) -> GKVerdict:
         "q-charl": (False, f"k(y^{ell}, z^{ell}, (x^{ell}-x)^{ell})", f"{ell}^4"),
     }
     gk, desc, dim = table[cls]
-    triple = weyl_triple(case) if gk else None
-    return GKVerdict(case, gk, desc, dim, triple, center)
+    return GKVerdict(gk, desc, dim, weyl_triple(case) if gk else None)

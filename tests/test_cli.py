@@ -371,6 +371,24 @@ class TestDriver:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "centers", "--alpha", "ff:5^2:1,1"], "5 != --char 0"),
+        (["verify", "all", "--alpha", "ff:997^2:1,1"], "997 != --char 0"),
+        (["verify", "centers", "--char", "3", "--alpha", "ff:5^2:1,1"], "5 != --char 3"),
+        (["pdo", "--char", "0", "--alpha", "ff:5^2:1,1", "--precision", "2"], "5 != --char 0"),
+        (["orbits", "equiv", "--alpha", "quad:(0+1*sqrt(2))/1", "--beta", "ff:5^2:1,1"],
+         "5 != --char 0"),
+        (["classify", "--caseA", "g:ff:5^2:1,1", "--caseB", "q"], "5 != --char 0"),
+        (["classify", "--char", "0", "--caseA", "q", "--caseB", "g:ff:7^2:1,1"],
+         "7 != --char 0"),
+    ])
+    def test_ff_literal_needs_its_characteristic_as_char(self, argv, message, capsys):
+        # an ff: literal never runs beside a q case built in characteristic
+        # 0, nor slips past the skew-power bound
+        code, out = run_main(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: ff literal characteristic {message}\n"
+
     def test_equivalence_across_the_unit_circle(self):
         code, out = run_main(["orbits", "equiv", "--alpha", "quad:(-5+12*sqrt(-1))/13",
                               "--beta", "quad:(5+12*sqrt(-1))/13"])
@@ -650,6 +668,54 @@ class TestConstructionFailuresAreChecks:
         assert checks["leading-constraint"]["status"] == "fail"
         assert checks["leading-constraint"]["witness"] == "injected failure"
         assert checks["inverse-roundtrip"]["status"] == "pass"
+
+    def test_wrong_z_series_fails_the_leading_constraint(self, monkeypatch):
+        from orefields import cli
+        from orefields.pdo import PdoSeries
+        check = cli.leading_constraint_check
+
+        def with_wrong_z(Xinv, Y, Z, beta, D):
+            return check(Xinv, Y, Z + PdoSeries.u(Z.derivation, Z.prec), beta, D)
+        monkeypatch.setattr(cli, "leading_constraint_check", with_wrong_z)
+        code, checks = self._checks(["pdo", "--char", "0", "--alpha", "rat:2",
+                                     "--precision", "4"])
+        assert code == 1
+        lc = checks["leading-constraint"]
+        assert lc["status"] == "fail"
+        assert lc["witness"] == "Z-relation fails at some computed order"
+        assert lc["claim"].startswith("the lowest-order data of the embedded generators")
+
+    def test_non_central_generator_fails_the_center(self, monkeypatch):
+        # c replaced by x, which does not commute with y
+        from orefields import presentations
+        monkeypatch.setattr(presentations, "central_element_c", lambda ell, alpha:
+                            presentations.algebra_make(
+                                presentations.CaseSpec("g", alpha.field, alpha)).x)
+        code, checks = self._checks(["verify", "centers", "--char", "3", "--alpha", "param"])
+        assert code == 1
+        center = checks["g-center"]
+        assert center["status"] == "fail"
+        assert center["witness"] == "center generator c fails to commute with x, y, z"
+        assert center["claim"] == "center generators commute with x, y, z"
+        assert not any(name.startswith("g-") and name != "g-center" for name in checks)
+        for name in ("central-element-forms", "shift-invariant", "centralizer-pair",
+                     "brauer-class-order"):
+            assert name not in checks
+        assert checks["q-center"]["status"] == "pass"
+        assert checks["q-centralizer-pair"]["status"] == "pass"
+
+    def test_broken_cross_commutator_fails_the_centralizer_pair(self, monkeypatch):
+        # [x^3 - x, y] = 0 made to read y
+        from orefields import presentations
+        commutator = presentations.commutator
+        monkeypatch.setattr(presentations, "commutator", lambda a, b:
+                            commutator(a, b) + b if a.degree() > 1 else commutator(a, b))
+        code, checks = self._checks(["verify", "centers", "--char", "3", "--alpha", "param"])
+        assert code == 1
+        for name in ("centralizer-pair", "q-centralizer-pair"):
+            assert checks[name]["status"] == "fail"
+            assert checks[name]["witness"] == "[x^3-x, y] != 0"
+        assert checks["central-element-forms"]["status"] == "pass"
 
     def test_value_error_leaves_the_leading_constraint_out_of_scope(self, monkeypatch):
         from orefields import cli

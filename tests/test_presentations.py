@@ -133,8 +133,8 @@ class TestVerificationRun:
 
 class TestClaimedCenter:
     def test_char0_rational(self):
+        # claimed_center raises unless every generator is central
         report = claimed_center(g_case(QQ(), Fraction(2, 3)))
-        assert report.all_central
         assert [label for label, _ in report.generators] == ["y^2*z^-3"]
         pres = algebra_make(g_case(QQ(), Fraction(2, 3)))
         assert report.generators[0][1] == pres.coeff_monomial(2, -3)
@@ -142,16 +142,14 @@ class TestClaimedCenter:
     def test_char0_irrational_empty(self):
         K = Qsqrt(2)
         report = claimed_center(g_case(K, K.gen()))
-        assert report.all_central and report.generators == []
+        assert report and report.generators == []
 
     def test_char5_prime_subfield(self):
         report = claimed_center(g_case(GF(5), 2))
-        assert report.all_central
         assert [label for label, _ in report.generators] == ["x^5-x", "y^5", "y^-2*z"]
 
     def test_q_char3(self):
         report = claimed_center(CaseSpec("q", GF(3)))
-        assert report.all_central
         assert [label for label, _ in report.generators] == ["y^3", "z^3", "(x^3-x)^3"]
 
 
@@ -420,15 +418,16 @@ class TestCentralizerPair:
     @pytest.mark.parametrize("ell", [2, 3])
     def test_scaling_generic(self, ell):
         K = with_parameter(GF(ell))
-        report = centralizer_pair_check(g_case(K, K.gen()))
-        assert report.ok
-        assert len(report.cross_commutators) == 9
-        assert all(v for _, _, v in report.cross_commutators)
+        # raises unless all nine cross-commutators vanish and both inner
+        # witnesses hold
+        L, Lp = centralizer_pair_check(g_case(K, K.gen()))
+        assert len(L) * len(Lp) == 9
+        assert all(commutator(a, b).is_zero() for _, a in L for _, b in Lp)
 
     @pytest.mark.parametrize("ell", [2, 3])
     def test_unipotent(self, ell):
-        report = centralizer_pair_check(CaseSpec("q", GF(ell)))
-        assert report.ok
+        L, Lp = centralizer_pair_check(CaseSpec("q", GF(ell)))
+        assert len(L) * len(Lp) == 9
 
     def test_x_cubed_t_commutes_char3(self):
         pres = algebra_make(CaseSpec("q", GF(3)), coords="yt")
