@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Time and count the series inverse on the cases of the pdo-precision
+benchmark: for each case and precision N, a = u + y in k(y,z)((u; delta))
+is inverted twice, pdo_inv(pdo_inv(a)), as the `inverse-roundtrip` check
+of `orefields.cli pdo` does.  One line per run: the best of --repeat
+timings, and, from one more run, the RatFunc2 products and the sums,
+pairwise (`RatFunc2._combined`) and n-ary (`RatFunc2.weighted_sum`, "-"
+where the sources have none).  The counts do not depend on the machine.
+
+    PYTHONPATH=src python scripts/probe_series.py --precisions 8,16,24,32,48
+"""
+
+import argparse
+import time
+
+from orefields import presentations
+from orefields.cli import Config
+from orefields.pdo import PdoSeries, pdo_inv
+from orefields.ratfunc import RatFunc2
+
+# (char, --alpha), as in the pdo-precision workload of perfbench/workloads.py
+CASES = [(0, "rat:2"), (3, "param"), (7, "rat:3"), (0, "quad:(0+1*sqrt(2))/1")]
+
+
+def series(char, alpha, prec):
+    alpha = Config(char=char, alpha=alpha).alpha_elem()
+    pres = presentations.algebra_make(presentations.CaseSpec("g", alpha.field, alpha))
+    y = PdoSeries.from_ratfunc(pres.D, pres.ctx.monomial(1, 0), prec)
+    return PdoSeries.u(pres.D, prec) + y
+
+
+def counted(names):
+    """Wrap the RatFunc2 attributes in names with call counters; returns
+    the counts, the names found and a function that restores them."""
+    counts = dict.fromkeys(names, 0)
+    saved = {n: RatFunc2.__dict__[n] for n in names if n in RatFunc2.__dict__}
+
+    def wrap(name, fn):
+        def inner(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return inner
+
+    for name, attr in saved.items():
+        if isinstance(attr, staticmethod):
+            setattr(RatFunc2, name, staticmethod(wrap(name, attr.__func__)))
+        else:
+            setattr(RatFunc2, name, wrap(name, attr))
+
+    def restore():
+        for name, attr in saved.items():
+            setattr(RatFunc2, name, attr)
+    return counts, saved.keys(), restore
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--precisions", default="8,16,24,32,48")
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+
+    print(f"{'char':>4} {'alpha':22} {'N':>3} {'ms':>9} {'products':>9} "
+          f"{'pairwise':>9} {'n-ary':>7}")
+    for char, alpha in CASES:
+        for prec in map(int, args.precisions.split(",")):
+            a = series(char, alpha, prec)
+            best = None
+            for _ in range(args.repeat):
+                start = time.perf_counter()
+                back = pdo_inv(pdo_inv(a))
+                t = time.perf_counter() - start
+                best = t if best is None else min(best, t)
+            if not back.approx_eq(a.truncate(back.prec)):
+                raise SystemExit(f"inverse roundtrip fails: char {char}, {alpha}, N = {prec}")
+            counts, present, restore = counted(
+                ("__mul__", "__rmul__", "_combined", "weighted_sum"))
+            try:
+                pdo_inv(pdo_inv(a))
+            finally:
+                restore()
+            nary = counts["weighted_sum"] if "weighted_sum" in present else "-"
+            print(f"{char:>4} {alpha:22} {prec:>3} {best * 1000:9.2f} "
+                  f"{counts['__mul__'] + counts['__rmul__']:>9} {counts['_combined']:>9} "
+                  f"{nary:>7}")
+
+
+if __name__ == "__main__":
+    main()

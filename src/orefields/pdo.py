@@ -23,7 +23,7 @@ import math
 
 from .fields import _join_terms
 from .ratfunc import Derivation, RatFunc2
-from .skewpoly import OreSum, SkewPoly, _product
+from .skewpoly import OreSum, SkewPoly, _product, _terms
 
 DEFAULT_PRECISION = 8
 
@@ -172,9 +172,11 @@ def pdo_inv(a: PdoSeries, prec: int | None = None) -> PdoSeries:
     needs only the coefficient e + v of a * (b_{-v} u^{-v} + ... +
     b_{e-1} u^{e-1}); b_e enters it through the leading term a_v alone, so
     b_e = -a_v^{-1} [u^(e + v)] and the system is triangular over
-    k(v1, v2).  That product is kept as a running sum, into which each new
-    b_e u^e is multiplied once, cut at u^(target + v); so each
-    delta^j(b_e) is formed once.
+    k(v1, v2).  Each new b_e u^e is multiplied by a once, cut at
+    u^(target + v), so each delta^j(b_e) is formed once; the terms of the
+    product wait in one list per exponent, which is summed once, when the
+    loop reads it.  The order-0 term a_v b_e would land on the exponent
+    just read, and is not formed.
 
     a, known through u^N, determines its inverse through u^(N - 2v) and no
     further, which is the default precision and the largest one accepted.
@@ -192,12 +194,13 @@ def pdo_inv(a: PdoSeries, prec: int | None = None) -> PdoSeries:
     D, ax, floor = a.derivation.negate(), _flip(a.terms), -(target + va)
     lead_inv = a.terms[va].inverse()
     terms = {-va: lead_inv}
-    acc = _product(ax, {va: lead_inv}, D, 0, floor)
+    pending = _terms(ax, {va: lead_inv}, D, {}, 0, floor, -1)
     for e in range(-va + 1, target + 1):
-        prod = acc.get(-e - va)
+        slot = pending.pop(-e - va, None)
+        prod = RatFunc2.weighted_sum(slot) if slot else None
         if prod is not None and not prod.is_zero():
             terms[e] = lead_inv * -prod
-            _product(ax, {-e: terms[e]}, D, 0, floor, acc)
+            _terms(ax, {-e: terms[e]}, D, pending, 0, floor, -e - va - 1)
     return PdoSeries(a.derivation, terms, target)
 
 

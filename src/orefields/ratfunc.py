@@ -31,7 +31,8 @@ a gcd: v1 and v2 are the only primes of the denominator, so the only
 common factor a numerator can share with it is a monomial, found from the
 least exponents.  A one-term factor of a product shifts exponents (and
 scales unless its coefficient is 1), a sum of Laurent elements goes over
-the monomial lcm, and a scaling derivation D(v1) = c1 v1, D(v2) = c2 v2
+the monomial lcm (an n-ary sum, `RatFunc2.weighted_sum`, in one pass and
+with one reduction), and a scaling derivation D(v1) = c1 v1, D(v2) = c2 v2
 (the family g_alpha and its series derivation -D) is diagonal on
 monomials: D(v1^i v2^j) = (i c1 + j c2) v1^i v2^j.  Each derivation
 detects that once, from its images, and caches the eigenvalues it meets.
@@ -435,6 +436,37 @@ class RatFunc2:
 
     __radd__ = __add__
 
+    @staticmethod
+    def weighted_sum(terms):
+        """sum c w over a nonempty list of pairs (c, w), c a fraction and w
+        a nonzero raw rep of k or None for 1, reduced once: the Laurent c go
+        over their monomial lcm in one pass, each numerator shifted and
+        scaled by w, then one `_over_monomial`; the others add pairwise."""
+        ctx = terms[0][0].ctx
+        K = ctx.field
+        if len(terms) == 1:
+            (c, w), = terms
+            return c if w is None else RatFunc2(ctx, _pscale(K, c.num, w), c.den,
+                                                _normalized=True)
+        mono = [(c, w) for c, w in terms if len(c.den) == 1]
+        out = None
+        if mono:
+            p, q = map(max, zip(*(next(iter(c.den)) for c, _ in mono)))
+            num = {}
+            for c, w in mono:
+                (pc, qc), = c.den
+                for (i, j), v in c.num.items():
+                    v = v if w is None else K._mul(v, w)
+                    ij = (i + p - pc, j + q - qc)
+                    num[ij] = K._add(num[ij], v) if ij in num else v
+            num = _ptrim(K, num)
+            out = _over_monomial(ctx, num, p, q) if num else ctx.zero()
+        for c, w in terms:
+            if len(c.den) != 1:
+                c = RatFunc2.weighted_sum([(c, w)])
+                out = c if out is None else out._combined(c, False)
+        return out
+
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -453,15 +485,17 @@ class RatFunc2:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return self.ctx.zero()
-        # a nonzero constant scales the other numerator; a reduced fraction
-        # times a unit stays reduced, and its denominator stays monic
+        # a nonzero constant scales the other numerator (1 returns it); a
+        # reduced fraction times a unit stays reduced, and its denominator
+        # stays monic
         K = self.ctx.field
+        if self.is_constant() and not o.is_constant():
+            self, o = o, self
         if o.is_constant():
-            return RatFunc2(self.ctx, _pscale(K, self.num, o.num[(0, 0)]), self.den,
-                            _normalized=True)
-        if self.is_constant():
-            return RatFunc2(self.ctx, _pscale(K, o.num, self.num[(0, 0)]), o.den,
-                            _normalized=True)
+            c = o.num[(0, 0)]
+            if c == K._one_rep():
+                return self
+            return RatFunc2(self.ctx, _pscale(K, self.num, c), self.den, _normalized=True)
         if len(self.den) == 1 and len(o.den) == 1:
             (p1, q1), = self.den
             (p2, q2), = o.den

@@ -18,9 +18,12 @@ mod l are formed, read off the base-l digits of i by Lucas' theorem when
 i >= 0, and D^s(g) is taken only at those orders, each from the one
 before by `Derivation.power`, until it vanishes.  Where D scales each
 term of a Laurent coefficient g (the family g_alpha), that is one step,
-lambda^s times each term, not a chain of derivatives.  A commutator
-fg - gf leaves out the order-0 terms f_i g_j x^(i+j) of both products,
-which are equal because k(v1, v2) is commutative.
+lambda^s times each term, not a chain of derivatives.  The terms of each
+power of x, coefficient products with binomial weights, are summed at
+once by `RatFunc2.weighted_sum`, so each coefficient is reduced once.  A
+commutator fg - gf leaves out the order-0 terms f_i g_j x^(i+j) of both
+products, which are equal because k(v1, v2) is commutative, and sums the
+terms of fg with those of gf, signs flipped, once per power of x.
 """
 
 from __future__ import annotations
@@ -218,35 +221,35 @@ class SkewPoly(OreSum):
         return f"<skew {self}>"
 
 
-def _product(f: dict, g: dict, D: Derivation, lowest: int = 0, floor: int = 0,
-             out: dict | None = None) -> dict:
+def _product(f: dict, g: dict, D: Derivation, lowest: int = 0, floor: int = 0) -> dict:
     """The terms of f g of order s >= lowest and x-degree >= floor, with f
-    and g given as {x-degree: coefficient}, added into out (a new dict by
-    default).  Each x^i g_j is expanded as sum_s C(i, s) D^s(g_j)
+    and g given as {x-degree: coefficient}, summed once per x-degree.  The
+    default floor 0 cuts nothing from a product of polynomials; a negative
+    x-degree needs the floor, as x^i g is an infinite sum."""
+    return _summed(_terms(f, g, D, {}, lowest, floor))
+
+
+def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
+           floor: int = 0, top: float = math.inf, sign: int = 1) -> dict:
+    """The terms of sign * f g of order s >= lowest and x-degree k in
+    [floor, top], appended to pending[k] as pairs (f_i D^s(g_j), w) for
+    `RatFunc2.weighted_sum`, where w is the raw rep of sign * C(i, s), or
+    None for 1.  Each x^i g_j is expanded as sum_s C(i, s) D^s(g_j)
     x^(i - s + j), at the orders s whose binomial does not vanish in the
     characteristic, and only at order 0 where every g_j is constant.
     D^s(g_j) is taken only at those orders, each from the one before it by
-    `Derivation.power`, not past its first zero and not past the floor.
-    The default floor 0 cuts nothing from a product of polynomials; a
-    negative x-degree needs the floor, as x^i g is an infinite sum."""
-    out = {} if out is None else out
+    `Derivation.power`, not past its first zero and not past the floor."""
     if not f or not g:
-        return out
-    field = D.ctx.field
+        return pending
+    K = D.ctx.field
     # D kills constants, so against constant g_j only order 0 is listed;
     # all the orders of a dense f of degree near l cost more than the product
     const = all(gj.is_constant() for gj in g.values())
     gtop = max(g) - floor
-    # the binomials of each f_i up to the floor, as (s, minus, scale) with
-    # C(i, s) = -scale if minus else scale and None standing for 1: a
-    # binomial -1, as at each odd order of i = -1, is subtracted, not
-    # multiplied in
-    minus_one = field.char - 1 if field.char else -1
-    weights = {i: [(s, b != 1 and b == minus_one,
-                    None if b in (1, minus_one) else field.from_int(b))
-                   for s, b in binomial_orders(i, field.char, lowest, 0 if const else i + gtop)]
+    weights = {i: [(s, None if sign * b == 1 else K._from_int(sign * b))
+                   for s, b in binomial_orders(i, K.char, lowest, 0 if const else i + gtop)]
                for i in f}
-    needed = sorted({s for row in weights.values() for s, _, _ in row})
+    needed = sorted({s for row in weights.values() for s, _ in row})
     ftop = max(f) - floor
     for j, gj in g.items():
         ders, d, at = {}, gj, 0
@@ -258,17 +261,23 @@ def _product(f: dict, g: dict, D: Derivation, lowest: int = 0, floor: int = 0,
                 break
             ders[s] = d
         for i, fi in f.items():
-            for s, minus, scale in weights[i]:
+            for s, w in weights[i]:
                 k = i - s + j
                 d = ders.get(s)
                 if k < floor or d is None:
                     break
-                c = fi * d if scale is None else fi * d * scale
-                prev = out.get(k)
-                if prev is None:
-                    out[k] = -c if minus else c
-                else:
-                    out[k] = prev - c if minus else prev + c
+                if k <= top:
+                    pending.setdefault(k, []).append((fi * d, w))
+    return pending
+
+
+def _summed(pending: dict) -> dict:
+    """{k: the sum of pending[k]}, leaving out the k whose terms cancel."""
+    out = {}
+    for k, terms in pending.items():
+        c = RatFunc2.weighted_sum(terms)
+        if not c.is_zero():
+            out[k] = c
     return out
 
 
@@ -295,11 +304,8 @@ def commutator(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     if g is None:
         raise TypeError("cannot take a commutator with a non-coefficient")
     D = f.derivation
-    out = _product(f.coeffs, g.coeffs, D, 1)
-    for k, c in _product(g.coeffs, f.coeffs, D, 1).items():
-        prev = out.get(k)
-        out[k] = -c if prev is None else prev - c
-    return SkewPoly(D, out)
+    pending = _terms(f.coeffs, g.coeffs, D, {}, 1)
+    return SkewPoly(D, _summed(_terms(g.coeffs, f.coeffs, D, pending, 1, sign=-1)))
 
 
 def valuation_v(f: SkewPoly):

@@ -7,8 +7,9 @@ import math
 from fractions import Fraction
 
 from orefields.fields import (
-    GF, ExtensionField, Field, FieldElem, ParameterField, PrimeField, QuadraticField,
-    RationalField, _uadd, _ucancel, _udivmod, _ugcd, _umul, _utrim, in_prime_subfield,
+    GF, QQ, ExtensionField, Field, FieldElem, ParameterField, PrimeField, QuadraticField,
+    Qsqrt, RationalField, _uadd, _ucancel, _udivmod, _ugcd, _umul, _utrim, in_prime_subfield,
+    with_parameter,
 )
 from orefields.orbits import FiniteOrbitReport, Mat2Z, OrbitData, _group_matrices
 from orefields.pdo import PdoSeries
@@ -125,6 +126,23 @@ def fmt_ctx(field, names=("y", "z")):
 # new coefficient.  Slow and independent of the Ore product loop
 # orefields.skewpoly._product, which the series run through x = u^-1 and
 # which must agree with them exactly.
+
+REF_FIELDS = ["QQ", "GF7", "GF3(a)", "QQ(sqrt2)"]
+
+
+def ref_field(name):
+    """The coefficient field and the alpha of g_alpha for each name of
+    REF_FIELDS, on which the series are checked against the references."""
+    if name == "QQ":
+        return QQ(), 2
+    if name == "GF7":
+        return GF(7), 3
+    if name == "GF3(a)":
+        K = with_parameter(GF(3))
+        return K, K.gen()
+    K = Qsqrt(2)
+    return K, K.gen()
+
 
 def ref_push_coefficient(m, j):
     """c(m, j) = (-1)^j C(-m, j), the integer in u^m a = sum_j c(m, j)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orefields.fields import GF, QQ, Qsqrt, with_parameter
+from orefields.fields import GF, QQ, with_parameter
 from orefields.orbits import Mat2Z
 from orefields.pdo import (
     PdoSeries, leading_constraint_check, pdo_from_skew, pdo_inv, pdo_mul, pdo_valuation,
@@ -12,8 +12,8 @@ from orefields.pdo import (
 from orefields.presentations import CaseSpec, algebra_make, monomial_morphism
 from orefields.skewpoly import SkewPoly, _product, binomial_orders
 from _support import (
-    rand_laurent_monomial, rand_poly2, rand_skew, ref_pdo_inv, ref_pdo_mul,
-    ref_push_coefficient,
+    REF_FIELDS, rand_laurent_monomial, rand_poly2, rand_skew, ref_field, ref_pdo_inv,
+    ref_pdo_mul, ref_push_coefficient,
 )
 
 
@@ -248,21 +248,6 @@ class TestPushCoefficient:
         assert prod.terms == {-2: y, -1: d(y) * -2, 0: d(d(y))}
 
 
-def _ref_field(name):
-    if name == "QQ":
-        return QQ(), 2
-    if name == "GF7":
-        return GF(7), 3
-    if name == "GF3(a)":
-        K = with_parameter(GF(3))
-        return K, K.gen()
-    K = Qsqrt(2)
-    return K, K.gen()
-
-
-REF_FIELDS = ["QQ", "GF7", "GF3(a)", "QQ(sqrt2)"]
-
-
 def _series(rng, pres, d, v, prec):
     """A series of valuation v, exact through prec >= v, with up to three
     more terms.  The leading coefficient is a Laurent monomial, the others
@@ -282,7 +267,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("name", REF_FIELDS)
     def test_mul(self, name):
-        field, alpha = _ref_field(name)
+        field, alpha = ref_field(name)
         pres = g_pres(field, alpha)
         d = delta(pres)
         rng = random.Random(REF_FIELDS.index(name))
@@ -295,7 +280,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("name", REF_FIELDS)
     def test_inv(self, name):
-        field, alpha = _ref_field(name)
+        field, alpha = ref_field(name)
         pres = g_pres(field, alpha)
         d = delta(pres)
         rng = random.Random(10 + REF_FIELDS.index(name))
@@ -312,7 +297,7 @@ class TestAgainstReference:
         # m = -k with k < N - base: the alternating sum ends before the
         # precision does, in the product and in the inverse of a series
         # that starts at u^-2
-        field, alpha = _ref_field(name)
+        field, alpha = ref_field(name)
         pres = g_pres(field, alpha)
         d = delta(pres)
         rng = random.Random(20 + REF_FIELDS.index(name))
@@ -331,7 +316,7 @@ class TestAgainstReference:
         # c(2, 2) = C(3, 2) and c(-3, 1) = -C(3, 1) vanish mod 3, so the
         # terms of u^2 and u^-3 skip those orders and take the next ones;
         # the loop's raw terms stop at the x-degree floor -N
-        field, alpha = (GF(3), 2) if name == "GF3" else _ref_field(name)
+        field, alpha = (GF(3), 2) if name == "GF3" else ref_field(name)
         pres = g_pres(field, alpha)
         d = delta(pres)
         rng = random.Random(f"mod-3-{name}")
