@@ -150,15 +150,19 @@ class Config:
 # suites
 
 # The largest characteristic l at which the suites that build x^l and
-# x^(l^2) (presentations, centers and, given --alpha, morphisms, for
-# its Frobenius embedding) run.  Their cost grows about as l^3, from the K(a) elements
-# of degree l^2 in a under --alpha param, the slowest case: `verify all
-# --alpha param` took 1.3 s at l = 101, 3.6 s at l = 151, 7.4 s at
-# l = 199 and 16.7 s at l = 251 (one run each, Python 3.11, a 2-vCPU VM;
-# --alpha rat:2 took 0.6, 1.1, 2.6 and 3.6 s).  151 keeps those suites
-# within a few seconds; above it they exit 2 instead of running for
-# minutes (or, at l near 10^9, for ever).
-MAX_SKEW_CHAR = 151
+# x^(l^2) (presentations, centers and, given --alpha, morphisms, for its
+# Frobenius embedding) run.  `verify all --alpha param` is the slowest of
+# the default literals: its skew products carry elements of K(a) of degree
+# up to l^2 in a.  With Frobenius powers in K(a) taken by substitution and
+# products of constant-coefficient skew polynomials formed on raw reps, it
+# took 0.7 s at l = 151, 1.1 s at l = 199, 2.3 s at l = 251, 2.9-3.8 s at
+# l = 307 (three runs), 3.5-5.0 s at l = 331, 4.2-5.4 s at l = 353 and
+# 6.2 s at l = 401 (Python 3.11, a 2-vCPU VM whose speed drifts by about
+# 20 %); --alpha rat:2 and --alpha ff:307^2:0,1 took 1.4 and 2.3 s at
+# l = 307.  307 is the largest l measured whose every run stayed under
+# 5 s; above it these suites exit 2 instead of running for minutes (or,
+# at l near 10^9, for ever).
+MAX_SKEW_CHAR = 307
 
 
 def _check_skew_char(cfg: Config):
@@ -193,7 +197,7 @@ def suite_presentations(cfg: Config, report: Report):
             ell = cfg.char
             al = gcase.alpha
             t1 = x ** ell - x
-            ta = x ** ell - x * pres.ctx.const(al ** (ell - 1))
+            ta = x ** ell - x * pres.ctx.const(fields.frobenius(al) / al)
             report.run("invariant-commutes-y", f"(x^{ell}-x) y = y (x^{ell}-x)",
                        lambda: commutator(t1, y).is_zero())
             report.run("invariant-commutes-z",

@@ -230,6 +230,7 @@ def _join_terms(parts):
 # ---------------------------------------------------------------------------
 # univariate polynomial helpers over a base field K.
 # Polynomials are trimmed little-endian tuples of raw reps; () is zero.
+# Reps are canonical, so a rep is zero exactly when it equals K._zero_rep().
 
 def _utrim(K, c):
     c = list(c)
@@ -242,8 +243,10 @@ def _uadd(K, a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
+    zero = K._zero_rep()
     for i, x in enumerate(b):
-        out[i] = K._add(out[i], x)
+        if x != zero:
+            out[i] = K._add(out[i], x)
     return _utrim(K, out)
 
 
@@ -256,14 +259,17 @@ def _usub(K, a, b):
 
 
 def _umul(K, a, b):
+    # zero entries are skipped in both factors: a power a^k of the parameter
+    # is a tuple of k zeros and a one
     if not a or not b:
         return ()
-    out = [K._zero_rep()] * (len(a) + len(b) - 1)
+    zero = K._zero_rep()
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if K._is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = K._add(out[i + j], K._mul(x, y))
+        if x != zero:
+            for j, y in enumerate(b):
+                if y != zero:
+                    out[i + j] = K._add(out[i + j], K._mul(x, y))
     return _utrim(K, out)
 
 
@@ -382,6 +388,13 @@ class Field:
 
     def _inv(self, a):
         raise NotImplementedError
+
+    def _pow(self, a, n):
+        return _power(a, n, self._one_rep(), self._mul)
+
+    def _frobenius(self, a):
+        # a^l in characteristic l; see `frobenius`
+        return self._pow(a, self.char)
 
     def _is_zero(self, a):
         raise NotImplementedError
@@ -522,6 +535,9 @@ class PrimeField(Field):
 
     def _inv(self, a):
         return pow(a, -1, self.char)
+
+    def _frobenius(self, a):
+        return a
 
     def _is_zero(self, a):
         return a == 0
@@ -871,6 +887,35 @@ class ParameterField(Field):
             raise ZeroDivisionError("inverse of zero")
         return self._monic(a[1], a[0])     # num and den are already coprime
 
+    def _frobenius(self, a):
+        # n/d -> n^sigma(a^l) / d^sigma(a^l); see `frobenius`
+        K, ell = self.base, self.char
+        zero = K._zero_rep()
+
+        def spread(p):
+            out = [zero] * (ell * (len(p) - 1) + 1) if p else []
+            for i, c in enumerate(p):
+                if c != zero:
+                    out[i * ell] = K._frobenius(c)
+            return tuple(out)
+
+        return (spread(a[0]), spread(a[1]))
+
+    def _pow(self, a, n):
+        # a^n = prod_k sigma_k(a)^(d_k) over the base-l digits d_k of n, with
+        # sigma_k(a) = a^(l^k) by substitution
+        ell = self.char
+        if not ell:
+            return super()._pow(a, n)
+        out = self._one_rep()
+        while n:
+            n, d = divmod(n, ell)
+            if d:
+                out = self._mul(out, _power(a, d, self._one_rep(), self._mul))
+            if n:
+                a = self._frobenius(a)
+        return out
+
     def _is_zero(self, a):
         return not a[0]
 
@@ -1023,11 +1068,17 @@ def in_prime_subfield(a: FieldElem) -> bool:
 
 
 def frobenius(a: FieldElem) -> FieldElem:
-    """a -> a^l in characteristic l > 0."""
-    ell = a.field.char
-    if ell == 0:
+    """a -> a^l in characteristic l > 0.  GF(l) is fixed pointwise and
+    GF(l^n) takes the l-th power by square and multiply.  In K(a) the l-th
+    power is additive, so (sum c_i a^i)^l = sum sigma(c_i) a^(il) with sigma
+    the l-th power on K (the identity over GF(l), not over GF(l^n)): an
+    element n/d maps to n^sigma(a^l) / d^sigma(a^l), a substitution with no
+    product of polynomials.  That quotient is already canonical: sigma
+    fixes 1, so the denominator stays monic, and n^l and d^l stay
+    coprime."""
+    if a.field.char == 0:
         raise FieldError("frobenius requires positive characteristic")
-    return a ** ell
+    return FieldElem(a.field, a.field._frobenius(a.rep))
 
 
 def norm_to_prime(a: FieldElem) -> FieldElem:

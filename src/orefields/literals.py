@@ -19,15 +19,80 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .fields import FieldElem, GF, QQ, Qsqrt, _qdiv, with_parameter
+from .fields import (
+    FieldElem, GF, ParameterField, QQ, QuadraticField, Qsqrt, RationalField, _qdiv,
+    with_parameter,
+)
 from .orbits import Mat2Z
 
 # one token per match: (integer, name, symbol), exactly one of them nonempty
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\S))")
 
+# Bounds on the estimated size of a power in an expression, checked before
+# it is computed.  Every param: literal of the CLI tests, the verification
+# scripts and the benchmark workloads has degree at most 2 in a and
+# integers of at most 3 bits, and the suites themselves raise alpha to the
+# power l^2 (by substitution, so that degree costs no product).  A power
+# is built by square and multiply on dense polynomials, whose cost grows
+# with the square of the degree and with the bit length: over QQ,
+# (a+1)^1024 took 0.24 s, ((a+1)/(a-1))^512 0.7 s and ((a+1)/(a-1))^1024
+# 3.1 s, and over GF(7) ((a+1)/(a-1))^1024 took 0.12 s (Python 3.11, a
+# 2-vCPU VM).  1024 is 512 times the largest degree the suites are given
+# and keeps every power within a few seconds; param:a^99999999999 would
+# otherwise run for minutes and fill memory.
+MAX_POWER_DEGREE = 1024
+MAX_POWER_BITS = 1024
+
 
 class ExprError(ValueError):
     pass
+
+
+def _rep_size(K, rep) -> tuple:
+    """(degree in a, bits) of a raw rep of K; bits is the largest
+    bit length of a rational number in it, numerator and denominator
+    together, and 0 in characteristic l, where numbers do not grow."""
+    if isinstance(K, ParameterField):
+        if not rep[0]:
+            return 0, 0
+        sizes = [_rep_size(K.base, c) for c in rep[0] + rep[1]]
+        return max(len(rep[0]), len(rep[1])) - 1, max(b for _, b in sizes)
+    if isinstance(K, QuadraticField):
+        return 0, max(map(_bits, rep))
+    if isinstance(K, RationalField):
+        return 0, _bits(rep)
+    return 0, 0
+
+
+def _bits(q) -> int:
+    q = Fraction(q)
+    return abs(q.numerator).bit_length() + q.denominator.bit_length() - 1
+
+
+def _size(value) -> tuple:
+    """(degree, bits) of an expression value: its total degree in a and in
+    the variables of a rational function or a skew polynomial, and the
+    largest bit length of `_rep_size`."""
+    if isinstance(value, FieldElem):
+        return _rep_size(value.field, value.rep)
+    coeffs = getattr(value, "coeffs", None)      # a skew polynomial
+    if coeffs is not None:
+        sizes = [(k + d, b) for k, c in coeffs.items() for d, b in [_size(c)]]
+    else:                                        # a rational function
+        K = value.ctx.field
+        sizes = [(i + j + d, b) for p in (value.num, value.den)
+                 for (i, j), c in p.items() for d, b in [_rep_size(K, c)]]
+    return tuple(map(max, zip(*sizes))) if sizes else (0, 0)
+
+
+def _check_power(value, n: int):
+    """Refuse value^n when its estimated size, |n| times that of value,
+    passes MAX_POWER_DEGREE or MAX_POWER_BITS."""
+    degree, bits = _size(value)
+    if abs(n) * degree > MAX_POWER_DEGREE or abs(n) * bits > MAX_POWER_BITS:
+        raise ExprError(f"power ^{n} of a value of degree {degree} with {bits}-bit numbers "
+                        f"passes the bound of degree {MAX_POWER_DEGREE} or "
+                        f"{MAX_POWER_BITS}-bit numbers")
 
 
 def parse_expression(text: str, env: dict, one):
@@ -72,7 +137,9 @@ def parse_expression(text: str, env: dict, one):
             if not tokens[pos][0]:
                 raise ExprError("exponent must be an integer")
             pos += 1
-            value = value ** (sign * int(tokens[pos - 1][0]))
+            n = sign * int(tokens[pos - 1][0])
+            _check_power(value, n)
+            value = value ** n
         return -value if negate else value
 
     def atom():

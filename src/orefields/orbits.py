@@ -22,7 +22,13 @@ from .fields import (
 # 3.996 * 10^12, has period 944,646 and expands in 2.7 s at 223 MB peak RSS
 # (Python 3.11, 2-vCPU VM).
 MAX_CF_DISCRIMINANT = 4 * fields.MAX_RADICAND
-MAX_ORBIT_ELL = 13          # the largest l whose orbits `finite_orbits` enumerates
+# The largest l whose orbits `finite_orbits` enumerates.  Its cost grows
+# about as l^4: `orbits finite --ext 3 --group slpm`, the largest case,
+# took 0.04 s at l = 13, 0.57 s at l = 31, 2.0 s at l = 47, 3.3 s (137 MB
+# peak RSS) at l = 53 and 5.1 s (184 MB) at l = 59 (Python 3.11, a 2-vCPU
+# VM).  53 is the largest prime it enumerates in under 5 s, the budget of
+# `cli.MAX_SKEW_CHAR`.
+MAX_ORBIT_ELL = 53
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,10 @@ def _central_element_c(ell: int, alpha: FieldElem) -> SkewPoly:
         raise UnsupportedCaseError("alpha in the prime subfield degenerates mu")
     case = CaseSpec("g", k, alpha)
     pres = algebra_make(case)
-    mu = (alpha ** ell - alpha) ** (ell - 1)
+    # mu = (alpha^l - alpha)^(l-1) = (alpha^(l^2) - alpha^l) / (alpha^l - alpha),
+    # as the l-th power is additive
+    al = fields.frobenius(alpha)
+    mu = (fields.frobenius(al) - al) / (al - alpha)
     lam = -mu - 1
     x = pres.x
     c = x ** (ell * ell) + x ** ell * const_coeff(pres, lam) + x * const_coeff(pres, mu)
@@ -255,7 +258,7 @@ def translation_invariant_t(gamma: FieldElem, ell: int) -> SkewPoly:
         raise ValueError("gamma must be nonzero")
     pres = algebra_make(CaseSpec("g", k, gamma))
     x = pres.x
-    t = x ** ell - x * const_coeff(pres, gamma ** (ell - 1))
+    t = x ** ell - x * const_coeff(pres, fields.frobenius(gamma) / gamma)
     if subst_x_shift(t, gamma) != t:
         raise ArithmeticError("t_gamma is not invariant under x -> x - gamma")
     prod = SkewPoly.one(pres.D)
@@ -316,7 +319,7 @@ def weyl_triple(case: CaseSpec) -> WeylTriple:
         recipe = "prime-subfield"
     elif cls == "charl-generic":
         pres = algebra_make(case)
-        gamma = case.alpha ** ell - case.alpha
+        gamma = fields.frobenius(case.alpha) - case.alpha
         tprime = (pres.x ** ell - pres.x) * pres.ctx.monomial(0, -1, gamma.inverse())
         P, Q = tprime, pres.z
         recipe = "centralizer-factor"
@@ -442,9 +445,10 @@ def frobenius_embedding(alpha: FieldElem, beta: FieldElem, ell: int) -> Morphism
     beta = k.coerce(beta)
     if beta.is_zero():
         raise ValueError("beta must be nonzero")
-    denom = alpha ** ell - alpha
+    al = fields.frobenius(alpha)
+    denom = al - alpha
     A = (beta - alpha) / denom
-    B = (alpha ** ell - beta) / denom
+    B = (al - beta) / denom
     pres = algebra_make(CaseSpec("g", k, alpha))
     coeffs = {}
     if not A.is_zero():
@@ -474,18 +478,20 @@ def centralizer_pair_check(case: CaseSpec) -> tuple:
     if cls == "charl-generic":
         pres = algebra_make(case)
         alpha = case.alpha
+        al = fields.frobenius(alpha)
+        al1 = al / alpha                # alpha^(l-1)
         xlx = pres.x ** ell - pres.x
-        xlax = pres.x ** ell - pres.x * const_coeff(pres, alpha ** (ell - 1))
+        xlax = pres.x ** ell - pres.x * const_coeff(pres, al1)
         L = [("z", pres.z), (f"y^{ell}", pres.coeff_monomial(ell, 0)), (f"x^{ell}-x", xlx)]
         Lp = [("y", pres.y), (f"z^{ell}", pres.coeff_monomial(0, ell)),
               (f"x^{ell}-a^{ell - 1}*x", xlax)]
-        w1 = commutator(xlx, pres.z) - pres.z * (alpha ** ell - alpha)
-        w2 = commutator(xlax, pres.y) - pres.y * (1 - alpha ** (ell - 1))
+        w1 = commutator(xlx, pres.z) - pres.z * (al - alpha)
+        w2 = commutator(xlax, pres.y) - pres.y * (1 - al1)
         witnesses = [
             (f"[x^{ell}-x, z] = (a^{ell}-a) z != 0",
-             w1.is_zero() and not (alpha ** ell - alpha).is_zero()),
+             w1.is_zero() and not (al - alpha).is_zero()),
             (f"[x^{ell}-a^{ell - 1}x, y] = (1-a^{ell - 1}) y != 0",
-             w2.is_zero() and not (1 - alpha ** (ell - 1)).is_zero()),
+             w2.is_zero() and not (1 - al1).is_zero()),
         ]
     elif cls == "q-charl":
         pres = algebra_make(case, coords="yt")

@@ -659,7 +659,7 @@ class Derivation:
                                           K._mul(K._from_int(key[1]), c2))
             if not K._is_zero(lam):
                 if s != 1:
-                    lam = _power(lam, s, K._one_rep(), K._mul)
+                    lam = K._pow(lam, s)
                 out[(i, j)] = K._mul(c, lam)
         return out
 
@@ -670,8 +670,9 @@ class Derivation:
 
     def power(self, f: RatFunc2, s: int) -> RatFunc2:
         """D^s(f).  Where D is diagonal on f, each term c v1^i v2^j of
-        f = n / (v1^p v2^q) is multiplied by lambda^s, with lambda^s by
-        square and multiply; D^0 is the identity even where lambda = 0.
+        f = n / (v1^p v2^q) is multiplied by lambda^s, with lambda^s by the
+        field's `_pow` (in K(a) of characteristic l, Frobenius substitutions
+        on the base-l digits of s); D^0 is the identity even where lambda = 0.
         Otherwise D is applied s times, or until it gives 0."""
         if f.ctx != self.ctx:
             raise ValueError("element from a different context")

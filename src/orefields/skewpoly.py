@@ -24,6 +24,15 @@ once by `RatFunc2.weighted_sum`, so each coefficient is reduced once.  A
 commutator fg - gf leaves out the order-0 terms f_i g_j x^(i+j) of both
 products, which are equal because k(v1, v2) is commutative, and sums the
 terms of fg with those of gf, signs flipped, once per power of x.
+
+Where every coefficient of both factors is a constant of k (x^l - x, the
+central element c, the translates x - i gamma), D kills them all, so the
+factors commute and only order 0 survives.  That product is formed on the
+raw reps of k: each coefficient sum f_i g_j x^(i+j) is added up with the
+field's own product and sum, then made one constant of k(v1, v2), with no
+product or reduction of fractions.  The test for it rides on the one for
+constant g_j, so a series, whose coefficients are not constant, pays no
+extra scan.
 """
 
 from __future__ import annotations
@@ -236,7 +245,8 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
     `RatFunc2.weighted_sum`, where w is the raw rep of sign * C(i, s), or
     None for 1.  Each x^i g_j is expanded as sum_s C(i, s) D^s(g_j)
     x^(i - s + j), at the orders s whose binomial does not vanish in the
-    characteristic, and only at order 0 where every g_j is constant.
+    characteristic, and only at order 0 where every g_j is constant; where
+    every f_i is constant too, `_commuting` forms that order on raw reps.
     D^s(g_j) is taken only at those orders, each from the one before it by
     `Derivation.power`, not past its first zero and not past the floor."""
     if not f or not g:
@@ -245,6 +255,10 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
     # D kills constants, so against constant g_j only order 0 is listed;
     # all the orders of a dense f of degree near l cost more than the product
     const = all(gj.is_constant() for gj in g.values())
+    if const and all(fi.is_constant() for fi in f.values()):
+        if lowest == 0:
+            _commuting(f, g, D.ctx, pending, floor, top, sign)
+        return pending
     gtop = max(g) - floor
     weights = {i: [(s, None if sign * b == 1 else K._from_int(sign * b))
                    for s, b in binomial_orders(i, K.char, lowest, 0 if const else i + gtop)]
@@ -269,6 +283,26 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
                 if k <= top:
                     pending.setdefault(k, []).append((fi * d, w))
     return pending
+
+
+def _commuting(f: dict, g: dict, ctx, pending: dict, floor: int, top: float, sign: int):
+    """The terms of sign * f g for nonzero constants f_i and g_j, which
+    commute, so that only order 0 survives: sum f_i g_j at each x-degree
+    k = i + j in [floor, top], formed on raw reps and appended to
+    pending[k] as one constant with weight None, leaving out the k whose
+    terms cancel."""
+    K = ctx.field
+    sums = {}
+    for i, fi in f.items():
+        a = fi.num[(0, 0)]
+        for j, gj in g.items():
+            k = i + j
+            if floor <= k <= top:
+                ab = K._mul(a, gj.num[(0, 0)])
+                sums[k] = K._add(sums[k], ab) if k in sums else ab
+    for k, c in sums.items():
+        if not K._is_zero(c):
+            pending.setdefault(k, []).append((ctx._const(c if sign == 1 else K._neg(c)), None))
 
 
 def _summed(pending: dict) -> dict:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from orefields.literals import (
     ExprError, parse_expression, parse_field_literal, parse_matrix,
 )
 from orefields.fields import GF, QQ, Qsqrt, with_parameter
-from orefields.orbits import Mat2Z
+from orefields.orbits import MAX_ORBIT_ELL, Mat2Z
 from orefields.presentations import WeylTriple
 
 
@@ -127,6 +128,33 @@ class TestExpressionGrammar:
     def test_rat_outside_grammar_is_malformed(self, body):
         with pytest.raises(ValueError, match="malformed rat literal"):
             parse_field_literal("rat:" + body)
+
+    # the size of a power, |n| times the degree and the bit length of its
+    # base, is bounded before it is computed
+    @pytest.mark.parametrize("char, alpha", [
+        ("0", "param:a^99999999999"), ("5", "param:a^99999999999"),
+        ("0", "param:(a^1000)^1000"), ("5", "param:(a^1000)^1000"),
+        ("0", "param:2^99999999999"), ("0", "param:(a+1)^-1025"),
+        ("0", "param:(1/3+a)^600"),
+    ])
+    def test_oversized_powers_are_a_usage_error(self, char, alpha, capsys):
+        for argv in (["verify", "centers", "--char", char, "--alpha", alpha],
+                     ["pdo", "--char", char, "--alpha", alpha]):
+            start = time.perf_counter()
+            code, out = run_main(argv)
+            assert code == 2 and out == ""
+            assert time.perf_counter() - start < 5, argv
+            assert "passes the bound" in capsys.readouterr().err
+
+    def test_powers_within_the_bounds_are_computed(self):
+        a = with_parameter(QQ()).gen()
+        assert parse_field_literal("param:(a^512)^2") == a ** 1024
+        assert parse_field_literal("param:2^512") == with_parameter(QQ()).from_int(2 ** 512)
+        assert parse_field_literal("param:0^99999999999") == 0
+        # in characteristic l a constant does not grow
+        assert parse_field_literal("param:2^99999999999", 5) == pow(2, 99999999999, 5)
+        b = with_parameter(GF(7)).gen()
+        assert parse_field_literal("param:(a+1)^1024", 7) == (b + 1) ** 1024
 
     def test_huge_rat_exponent_is_a_usage_error(self, capsys):
         # Fraction('1e5000') made an integer too long to print: a false fail
@@ -474,6 +502,20 @@ class TestDriver:
                               "--group", group, "--format", "json"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_orbit_enumeration_bound(self, capsys):
+        # the bound itself runs, in a fresh interpreter for its memory; the
+        # next prime is a usage error
+        nxt = next(p for p in range(MAX_ORBIT_ELL + 1, 2 * MAX_ORBIT_ELL)
+                   if all(p % d for d in range(2, p)))
+        code, out = run_main(["orbits", "finite", "--ell", str(nxt), "--ext", "3",
+                              "--group", "slpm"])
+        assert code == 2 and out == ""
+        assert "exceeds the enumeration bound" in capsys.readouterr().err
+        done = run_python(["-m", "orefields.cli", "orbits", "finite", "--ell",
+                           str(MAX_ORBIT_ELL), "--ext", "3", "--group", "slpm"], 120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["summary"]["fail"] == 0
 
     @pytest.mark.parametrize("ell, group", [
         ("3", "sl"), ("5", "sl"), ("5", "slpm"), ("7", "sl"), ("11", "sl"),

@@ -11,7 +11,7 @@ from orefields.fields import (
     in_prime_subfield, least_irreducible, make_field, norm_to_prime,
     with_parameter,
 )
-from _support import rand_elem, rand_nonzero
+from _support import rand_elem, rand_nonzero, rand_param_elem
 
 
 def poly_has_root_mod(coeffs, ell):
@@ -313,6 +313,48 @@ class TestFrobenius:
             a, b = rand_elem(rng, F), rand_elem(rng, F)
             assert frobenius(a + b) == frobenius(a) + frobenius(b)
             assert frobenius(a * b) == frobenius(a) * frobenius(b)
+
+    # In K(a) frobenius substitutes a^l for a and raises the base
+    # coefficients to the l-th power; x ** n is square and multiply, an
+    # independent oracle.  Over GF(l^2) the base power is not the identity,
+    # so leaving it out fails these tests.
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7])
+    @pytest.mark.parametrize("deg", [1, 2])
+    def test_parameter_field_by_substitution(self, ell, deg):
+        K = with_parameter(GF(ell, deg))
+        rng = random.Random(f"frobenius-{ell}-{deg}")
+        for _ in range(12):
+            x = rand_param_elem(rng, K)
+            d = rand_param_elem(rng, K)
+            if not d.is_zero():
+                x = x / d
+            assert frobenius(x) == x ** ell, str(x)
+            assert frobenius(frobenius(x)) == x ** (ell * ell), str(x)
+            if not x.is_zero():
+                assert frobenius(x) / x == x ** (ell - 1), str(x)
+
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7])
+    @pytest.mark.parametrize("deg", [1, 2])
+    def test_parameter_field_powers_by_base_l_digits(self, ell, deg):
+        K = with_parameter(GF(ell, deg))
+        rng = random.Random(f"pow-{ell}-{deg}")
+        exponents = [0, 1, ell - 1, ell, ell + 1, 2 * ell * ell + ell - 1,
+                     ell ** 3, rng.randrange(ell ** 3)]
+        for _ in range(6):
+            x = rand_param_elem(rng, K)
+            for n in exponents:
+                assert K.element(K._pow(x.rep, n)) == x ** n, (str(x), n)
+
+    def test_parameter_field_over_a_non_prime_base_moves_its_coefficients(self):
+        F9 = GF(3, 2)
+        K = with_parameter(F9)
+        a, w = K.gen(), K.coerce(F9.gen())
+        x = (w * a + 1) / (a * a + w)
+        assert frobenius(x) == (-w * a ** 3 + 1) / (a ** 6 - w)
+
+    def test_parameter_field_of_characteristic_zero_rejected(self):
+        with pytest.raises(FieldError):
+            frobenius(with_parameter(QQ()).gen())
 
 
 class TestNorm:

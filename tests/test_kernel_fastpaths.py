@@ -8,7 +8,9 @@ monomial lcm, the diagonal action of a scaling derivation, and the skew
 product whose derivative chains stop at zero; and the skew product on the
 orders a binomial keeps, with D^s taken directly on Laurent elements,
 against the full product, and the commutator that leaves out the order-0
-terms against the difference of two full products."""
+terms against the difference of two full products; and the products of
+constant-coefficient polynomials and series, formed on raw reps, against
+a double loop of RatFunc2 products."""
 
 import math
 import random
@@ -17,14 +19,15 @@ from fractions import Fraction
 import pytest
 
 from orefields.fields import GF, QQ, ParameterField, Qsqrt, with_parameter
+from orefields.pdo import PdoSeries, pdo_inv
 from orefields.ratfunc import Derivation, FunctionField2, RatFunc2, _pmul, scaling_derivation
-from orefields.skewpoly import SkewPoly, binomial_orders, commutator
+from orefields.skewpoly import SkewPoly, _product, _summed, _terms, binomial_orders, commutator
 
 from _support import (
     rand_laurent_monomial, rand_nonzero, rand_poly2, rand_ratfunc, ref_combined,
     ref_derivation, ref_param_add, ref_param_from_int, ref_param_mul, ref_param_normalize,
     ref_partial, ref_pmul, ref_binomial_mod, ref_commutator, ref_quotient_rule, ref_ratfunc_mul,
-    ref_skew_mul,
+    ref_skew_mul, rand_param_elem,
 )
 
 BASES = {
@@ -592,3 +595,108 @@ def test_binomial_orders_of_negative_i_match_a_scan(ell):
         lowest, top = rng.randint(0, 30), rng.randint(-1, 29)
         assert binomial_orders(i, ell, lowest, top) == [
             (s, b) for s, b in scan if lowest <= s <= top], (i, lowest, top)
+
+
+# ---------------------------------------------------------------------------
+# products of constant-coefficient polynomials and series: commutative, so
+# only order 0 survives, formed on raw reps with no RatFunc2 product
+
+CONST_FIELDS = {**COEFF_FIELDS, "GF9": lambda: GF(3, 2), "QQ(a)": lambda: with_parameter(QQ())}
+
+
+def rand_const_coeffs(rng, ctx, low, high):
+    """{i: a nonzero constant} over a random subset of low..high, never
+    empty; over K(a) the constants are drawn from all of K(a)."""
+    K = ctx.field
+    draw = rand_param_elem if isinstance(K, ParameterField) else rand_nonzero
+    out = {}
+    while not out:
+        for i in range(low, high + 1):
+            if rng.random() < 0.6:
+                c = draw(rng, K)
+                if not c.is_zero():
+                    out[i] = ctx.const(c)
+    return out
+
+
+def double_loop(f, g, floor, top=math.inf, sign=1):
+    """sum of sign * f_i g_j x^(i + j) over floor <= i + j <= top, term by
+    term in RatFunc2 arithmetic, leaving out the degrees that cancel."""
+    out = {}
+    for i, fi in f.items():
+        for j, gj in g.items():
+            k = i + j
+            if floor <= k <= top:
+                term = fi * gj if sign == 1 else -(fi * gj)
+                out[k] = out[k] + term if k in out else term
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def no_ratfunc_products(monkeypatch):
+    products = []
+    mul = RatFunc2.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(RatFunc2, "__mul__", counted)
+    monkeypatch.setattr(RatFunc2, "__rmul__", counted)
+    return products
+
+
+@pytest.mark.parametrize("name", sorted(CONST_FIELDS))
+def test_constant_skew_products_match_a_double_loop(name, monkeypatch):
+    ctx = FunctionField2(CONST_FIELDS[name]())
+    rng = random.Random(f"commuting-{name}")
+    y, z = ctx.gens()
+    K = ctx.field
+    alpha = K.gen() if isinstance(K, ParameterField) else K.from_int(3)
+    cases = []
+    for D in (scaling_derivation(ctx, 1, alpha), Derivation(ctx, y, y + z)):
+        for _ in range(6):
+            f = rand_const_coeffs(rng, ctx, 0, rng.randint(0, 6))
+            g = rand_const_coeffs(rng, ctx, 0, rng.randint(0, 6))
+            cases.append((D, f, g, double_loop(f, g, 0)))
+    products = no_ratfunc_products(monkeypatch)
+    for D, f, g, want in cases:
+        got = SkewPoly(D, f) * SkewPoly(D, g)
+        assert got.coeffs == want, (str(SkewPoly(D, f)), str(SkewPoly(D, g)))
+        assert commutator(SkewPoly(D, f), SkewPoly(D, g)).is_zero()
+    assert not products
+
+
+@pytest.mark.parametrize("name", sorted(CONST_FIELDS))
+def test_constant_series_products_match_a_double_loop(name, monkeypatch):
+    """The product of two series cut at a negative floor on the x-degree,
+    and the signed and capped terms that the series inverse gathers."""
+    ctx = FunctionField2(CONST_FIELDS[name]())
+    rng = random.Random(f"commuting-series-{name}")
+    K = ctx.field
+    alpha = K.gen() if isinstance(K, ParameterField) else K.from_int(3)
+    delta = scaling_derivation(ctx, 1, alpha).negate()
+    cases = []
+    for _ in range(8):
+        lf, lg = -rng.randint(0, 5), -rng.randint(0, 5)
+        f = rand_const_coeffs(rng, ctx, lf, lf + rng.randint(0, 6))
+        g = rand_const_coeffs(rng, ctx, lg, lg + rng.randint(0, 6))
+        floor, top = -rng.randint(1, 6), rng.randint(-3, 6)
+        cases.append((f, g, floor, top, double_loop(f, g, floor),
+                      double_loop(f, g, floor, top, -1)))
+    products = no_ratfunc_products(monkeypatch)
+    for f, g, floor, top, product, capped in cases:
+        assert _product(f, g, delta, 0, floor) == product, (f, g, floor)
+        assert _summed(_terms(f, g, delta, {}, 0, floor, top, -1)) == capped, (f, g, top)
+        assert _terms(f, g, delta, {}, 1, floor) == {}
+    assert not products
+
+
+@pytest.mark.parametrize("name", ["GF7", "GF9(a)", "QQ(a)", "QQsqrt2"])
+def test_inverse_of_a_constant_series(name):
+    ctx = FunctionField2(CONST_FIELDS[name]())
+    rng = random.Random(f"commuting-inverse-{name}")
+    delta = scaling_derivation(ctx, 1, 2).negate()
+    for _ in range(4):
+        a = PdoSeries(delta, rand_const_coeffs(rng, ctx, -2, 4), 6)
+        b = pdo_inv(a)
+        for prod in (a * b, b * a):
+            assert prod.approx_eq(PdoSeries.one(delta, prod.prec)), str(a)

@@ -8,7 +8,7 @@ from _support import ref_floor
 from orefields import orbits
 from orefields.fields import FieldElem, GF, QQ, Qsqrt, with_parameter
 from orefields.orbits import (
-    ContFrac, ImagQuadPoint, Mat2Z, QuadIrr,
+    MAX_ORBIT_ELL, ContFrac, ImagQuadPoint, Mat2Z, QuadIrr,
     brute_force_witness, cf_expand, finite_orbits, fundamental_domain_reduce,
     gl2z_equivalent, homographic, tail_equivalent, transitivity_report,
     valued_iso_classify,
@@ -309,8 +309,11 @@ class TestFiniteOrbits:
             assert homographic(M, w) == w ** power
 
     def test_bound_rejected(self):
-        with pytest.raises(ValueError):
-            finite_orbits(17, 2, "sl")
+        # the least prime above the bound (MAX_ORBIT_ELL = 53: 59)
+        nxt = next(p for p in range(MAX_ORBIT_ELL + 1, 2 * MAX_ORBIT_ELL)
+                   if all(p % d for d in range(2, p)))
+        with pytest.raises(ValueError, match="enumeration bound"):
+            finite_orbits(nxt, 2, "sl")
         with pytest.raises(ValueError):
             finite_orbits(3, 4, "sl")
 
