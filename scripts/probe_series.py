@@ -3,9 +3,11 @@
 benchmark: for each case and precision N, a = u + y in k(y,z)((u; delta))
 is inverted twice, pdo_inv(pdo_inv(a)), as the `inverse-roundtrip` check
 of `orefields.cli pdo` does.  One line per run: the best of --repeat
-timings, and, from one more run, the RatFunc2 products and the sums,
+timings, and, from one more run, the RatFunc2 products, the sums,
 pairwise (`RatFunc2._combined`) and n-ary (`RatFunc2.weighted_sum`, "-"
-where the sources have none).  The counts do not depend on the machine.
+where the sources have none), the normal-form scans of Laurent fractions
+(`ratfunc._over_monomial`) and the `Derivation.power` calls.  The counts
+do not depend on the machine.
 
     PYTHONPATH=src python scripts/probe_series.py --precisions 8,16,24,32,48
 """
@@ -13,10 +15,10 @@ where the sources have none).  The counts do not depend on the machine.
 import argparse
 import time
 
-from orefields import presentations
+from orefields import presentations, ratfunc
 from orefields.cli import Config
 from orefields.pdo import PdoSeries, pdo_inv
-from orefields.ratfunc import RatFunc2
+from orefields.ratfunc import Derivation, RatFunc2
 
 # (char, --alpha), as in the pdo-precision workload of perfbench/workloads.py
 CASES = [(0, "rat:2"), (3, "param"), (7, "rat:3"), (0, "quad:(0+1*sqrt(2))/1")]
@@ -29,11 +31,13 @@ def series(char, alpha, prec):
     return PdoSeries.u(pres.D, prec) + y
 
 
-def counted(names):
-    """Wrap the RatFunc2 attributes in names with call counters; returns
-    the counts, the names found and a function that restores them."""
-    counts = dict.fromkeys(names, 0)
-    saved = {n: RatFunc2.__dict__[n] for n in names if n in RatFunc2.__dict__}
+def counted(targets):
+    """Wrap the attributes (owner, name) in targets, an owner being a class
+    or a module, with call counters; returns the counts by name, the names
+    found and a function that restores them."""
+    counts = {name: 0 for _, name in targets}
+    saved = {(owner, name): vars(owner)[name] for owner, name in targets
+             if name in vars(owner)}
 
     def wrap(name, fn):
         def inner(*args, **kwargs):
@@ -41,16 +45,16 @@ def counted(names):
             return fn(*args, **kwargs)
         return inner
 
-    for name, attr in saved.items():
+    for (owner, name), attr in saved.items():
         if isinstance(attr, staticmethod):
-            setattr(RatFunc2, name, staticmethod(wrap(name, attr.__func__)))
+            setattr(owner, name, staticmethod(wrap(name, attr.__func__)))
         else:
-            setattr(RatFunc2, name, wrap(name, attr))
+            setattr(owner, name, wrap(name, attr))
 
     def restore():
-        for name, attr in saved.items():
-            setattr(RatFunc2, name, attr)
-    return counts, saved.keys(), restore
+        for (owner, name), attr in saved.items():
+            setattr(owner, name, attr)
+    return counts, {name for _, name in saved}, restore
 
 
 def main():
@@ -60,7 +64,7 @@ def main():
     args = parser.parse_args()
 
     print(f"{'char':>4} {'alpha':22} {'N':>3} {'ms':>9} {'products':>9} "
-          f"{'pairwise':>9} {'n-ary':>7}")
+          f"{'pairwise':>9} {'n-ary':>7} {'scans':>7} {'D^s':>7}")
     for char, alpha in CASES:
         for prec in map(int, args.precisions.split(",")):
             a = series(char, alpha, prec)
@@ -73,7 +77,9 @@ def main():
             if not back.approx_eq(a.truncate(back.prec)):
                 raise SystemExit(f"inverse roundtrip fails: char {char}, {alpha}, N = {prec}")
             counts, present, restore = counted(
-                ("__mul__", "__rmul__", "_combined", "weighted_sum"))
+                [(RatFunc2, name) for name in ("__mul__", "__rmul__", "_combined",
+                                               "weighted_sum")]
+                + [(ratfunc, "_over_monomial"), (Derivation, "power")])
             try:
                 pdo_inv(pdo_inv(a))
             finally:
@@ -81,7 +87,7 @@ def main():
             nary = counts["weighted_sum"] if "weighted_sum" in present else "-"
             print(f"{char:>4} {alpha:22} {prec:>3} {best * 1000:9.2f} "
                   f"{counts['__mul__'] + counts['__rmul__']:>9} {counts['_combined']:>9} "
-                  f"{nary:>7}")
+                  f"{nary:>7} {counts['_over_monomial']:>7} {counts['power']:>7}")
 
 
 if __name__ == "__main__":

@@ -457,7 +457,7 @@ class Field:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self._key() == other._key()
+        return self is other or (isinstance(other, Field) and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())

@@ -42,6 +42,8 @@ in one step, as lambda^s times each term.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .fields import (
     Field, FieldElem, FieldError, _coeff_term, _join_terms, _power, _udivmod, _ugcd, _umul,
     _usub,
@@ -130,9 +132,10 @@ def _is_one(g):
 def _over_monomial(ctx, num, p, q):
     """The reduced fraction num / (v1^p v2^q) for a nonzero polynomial num.
     v1 and v2 are the only primes of the denominator, so the common factor
-    is the monomial of least exponents: no gcd is needed."""
-    mi = min(p, min(i for i, _ in num))
-    mj = min(q, min(j for _, j in num))
+    is the monomial of least exponents, the `min` of the keys (not read
+    where p or q is 0): no gcd is needed."""
+    mi = p and min(p, min(num)[0])
+    mj = q and min(q, min(num, key=itemgetter(1))[1])
     if mi or mj:
         num = _pshift(num, -mi, -mj)
     return RatFunc2(ctx, num, {(p - mi, q - mj): ctx.field._one_rep()}, _normalized=True)
@@ -441,7 +444,8 @@ class RatFunc2:
         """sum c w over a nonempty list of pairs (c, w), c a fraction and w
         a nonzero raw rep of k or None for 1, reduced once: the Laurent c go
         over their monomial lcm in one pass, each numerator shifted and
-        scaled by w, then one `_over_monomial`; the others add pairwise."""
+        scaled by w and deleted as soon as it cancels, so the sum needs no
+        trimming pass, then one `_over_monomial`; the others add pairwise."""
         ctx = terms[0][0].ctx
         K = ctx.field
         if len(terms) == 1:
@@ -458,8 +462,12 @@ class RatFunc2:
                 for (i, j), v in c.num.items():
                     v = v if w is None else K._mul(v, w)
                     ij = (i + p - pc, j + q - qc)
-                    num[ij] = K._add(num[ij], v) if ij in num else v
-            num = _ptrim(K, num)
+                    if ij in num:
+                        v = K._add(num[ij], v)
+                        if K._is_zero(v):
+                            del num[ij]
+                            continue
+                    num[ij] = v
             out = _over_monomial(ctx, num, p, q) if num else ctx.zero()
         for c, w in terms:
             if len(c.den) != 1:
@@ -549,7 +557,9 @@ class RatFunc2:
         return not self.num
 
     def is_constant(self):
-        return (not self.num or self.num.keys() == {(0, 0)}) and self.den.keys() == {(0, 0)}
+        num, den = self.num, self.den
+        return (len(den) == 1 and (0, 0) in den
+                and (not num or len(num) == 1 and (0, 0) in num))
 
     def constant_value(self) -> FieldElem | None:
         if not self.is_constant():
@@ -681,8 +691,13 @@ class Derivation:
         return self._laurent_power(f, s)
 
     def _laurent_power(self, f, s):
+        """D^s(f), s >= 1, for f = n / (v1^p v2^q).  Where no eigenvalue
+        vanishes, the numerator keeps the support of n, so the fraction stays
+        reduced over the same denominator; else `_over_monomial` reduces it."""
         (p, q), = f.den
         num = self._diagonal(f.num, p, q, s)
+        if len(num) == len(f.num):
+            return RatFunc2(self.ctx, num, f.den, _normalized=True)
         return _over_monomial(self.ctx, num, p, q) if num else self.ctx.zero()
 
     def _scaled(self, p):

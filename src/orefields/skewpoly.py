@@ -20,7 +20,9 @@ before by `Derivation.power`, until it vanishes.  Where D scales each
 term of a Laurent coefficient g (the family g_alpha), that is one step,
 lambda^s times each term, not a chain of derivatives.  The terms of each
 power of x, coefficient products with binomial weights, are summed at
-once by `RatFunc2.weighted_sum`, so each coefficient is reduced once.  A
+once by `RatFunc2.weighted_sum`, so each coefficient is reduced once.
+A factor that is a constant of k (the 1 of x or of u, the constants of
+x - gamma) is folded into the binomial weight, with no product formed.  A
 commutator fg - gf leaves out the order-0 terms f_i g_j x^(i+j) of both
 products, which are equal because k(v1, v2) is commutative, and sums the
 terms of fg with those of gf, signs flipped, once per power of x.
@@ -243,21 +245,26 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
     """The terms of sign * f g of order s >= lowest and x-degree k in
     [floor, top], appended to pending[k] as pairs (f_i D^s(g_j), w) for
     `RatFunc2.weighted_sum`, where w is the raw rep of sign * C(i, s), or
-    None for 1.  Each x^i g_j is expanded as sum_s C(i, s) D^s(g_j)
-    x^(i - s + j), at the orders s whose binomial does not vanish in the
-    characteristic, and only at order 0 where every g_j is constant; where
-    every f_i is constant too, `_commuting` forms that order on raw reps.
-    D^s(g_j) is taken only at those orders, each from the one before it by
+    None for 1; where f_i or g_j is a constant c of k, the pair is the
+    other factor with weight w c (None for 1), and no product is formed.
+    Each x^i g_j is expanded as sum_s C(i, s) D^s(g_j) x^(i - s + j), at
+    the orders s whose binomial does not vanish in the characteristic, and
+    only at order 0 where every g_j is constant; where every f_i is
+    constant too, `_commuting` forms that order on raw reps.  D^s(g_j) is
+    taken only at those orders, each from the one before it by
     `Derivation.power`, not past its first zero and not past the floor."""
     if not f or not g:
         return pending
     K = D.ctx.field
+    # the rep of each constant coefficient, None for the others
+    fconst = {i: c.num[(0, 0)] if c.is_constant() else None for i, c in f.items()}
+    gconst = {j: c.num[(0, 0)] if c.is_constant() else None for j, c in g.items()}
     # D kills constants, so against constant g_j only order 0 is listed;
     # all the orders of a dense f of degree near l cost more than the product
-    const = all(gj.is_constant() for gj in g.values())
-    if const and all(fi.is_constant() for fi in f.values()):
+    const = None not in gconst.values()
+    if const and None not in fconst.values():
         if lowest == 0:
-            _commuting(f, g, D.ctx, pending, floor, top, sign)
+            _commuting(fconst, gconst, D.ctx, pending, floor, top, sign)
         return pending
     gtop = max(g) - floor
     weights = {i: [(s, None if sign * b == 1 else K._from_int(sign * b))
@@ -274,31 +281,44 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
             if d.is_zero():
                 break
             ders[s] = d
+        gc = gconst[j]          # a constant g_j has only order 0: D^0(g_j) = g_j
         for i, fi in f.items():
+            fc = fconst[i]
             for s, w in weights[i]:
                 k = i - s + j
                 d = ders.get(s)
                 if k < floor or d is None:
                     break
                 if k <= top:
-                    pending.setdefault(k, []).append((fi * d, w))
+                    if fc is not None:
+                        term = (d, _folded(K, w, fc))
+                    elif gc is not None:
+                        term = (fi, _folded(K, w, gc))
+                    else:
+                        term = (fi * d, w)
+                    pending.setdefault(k, []).append(term)
     return pending
 
 
+def _folded(K, w, c):
+    """w c for a weight w (None for 1) and the rep c of a constant, None for 1."""
+    wc = c if w is None else K._mul(w, c)
+    return None if wc == K._one_rep() else wc
+
+
 def _commuting(f: dict, g: dict, ctx, pending: dict, floor: int, top: float, sign: int):
-    """The terms of sign * f g for nonzero constants f_i and g_j, which
-    commute, so that only order 0 survives: sum f_i g_j at each x-degree
-    k = i + j in [floor, top], formed on raw reps and appended to
-    pending[k] as one constant with weight None, leaving out the k whose
-    terms cancel."""
+    """The terms of sign * f g for nonzero constants f_i and g_j, given by
+    their raw reps, which commute, so that only order 0 survives: sum
+    f_i g_j at each x-degree k = i + j in [floor, top], formed on raw reps
+    and appended to pending[k] as one constant with weight None, leaving
+    out the k whose terms cancel."""
     K = ctx.field
     sums = {}
-    for i, fi in f.items():
-        a = fi.num[(0, 0)]
-        for j, gj in g.items():
+    for i, a in f.items():
+        for j, b in g.items():
             k = i + j
             if floor <= k <= top:
-                ab = K._mul(a, gj.num[(0, 0)])
+                ab = K._mul(a, b)
                 sums[k] = K._add(sums[k], ab) if k in sums else ab
     for k, c in sums.items():
         if not K._is_zero(c):

@@ -353,6 +353,30 @@ class TestDriver:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the JSON report (with its final newline) of the benchmark
+    # argv not pinned above, and of the series at higher precisions, taken
+    # before the Ore product loop folded constant factors into its weights
+    @pytest.mark.parametrize("argv, digest", [
+        ("verify all --char 0 --alpha rat:2/3 --seed 19",
+         "a7662db3bc582f37307645c5057b7fa475afd4317b32980fd9339d7ffd3a3927"),
+        ("verify all --char 5 --alpha param --seed 19",
+         "f03c87fd72b2a85260cf1c7430beb2731c762a2e47b2cb9fe9699a8f8c709171"),
+        ("pdo --char 0 --alpha rat:2 --precision 32",
+         "5362cb8c605af546817500496b36f23f575ee0e538edfb03a57c30dcb8d6d78c"),
+        ("pdo --char 3 --alpha param --precision 32",
+         "c0ac7f55992dda33afe04ac36d4ef0ac48d7b04c09bee0869c6959dd75684022"),
+        ("pdo --char 7 --alpha rat:3 --precision 32",
+         "7f6d297f31ce10f0cb975e74efe523f709a40fb652d763410cc5a1efc411c322"),
+        ("pdo --char 0 --alpha quad:(0+1*sqrt(2))/1 --precision 32",
+         "aedb4e3a9f3a8485877602459bb214ec6b30a259451c2ddb02549d5b85e637ea"),
+        ("pdo --char 3 --alpha param --precision 64",
+         "4abb117a08395da4197aff99e7ba946cb31fd8231d18f64fbe4be12145cbdd77"),
+    ])
+    def test_benchmark_and_long_series_json_is_pinned(self, argv, digest):
+        code, out = run_main(argv.split() + ["--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("suite", ["all", "presentations", "centers", "morphisms"])
     def test_char_above_the_skew_bound_is_a_usage_error(self, suite, capsys):
         char = next(p for p in range(MAX_SKEW_CHAR + 1, 2 * MAX_SKEW_CHAR)

@@ -1,0 +1,223 @@
+"""The shortcuts of the Ore product loop on Laurent fractions, each against
+the slow references of tests/_support.py over REF_FIELDS:
+
+- `Derivation.power` keeps the denominator of a Laurent fraction where no
+  term's eigenvalue vanishes, and reduces again where one does;
+- `skewpoly._terms` folds a constant factor (the 1 of x or u, the
+  constants of x - gamma, c x) into the binomial weight instead of
+  forming a product;
+- `RatFunc2.weighted_sum` deletes an entry of its Laurent sum as soon as
+  it cancels."""
+
+import random
+
+import pytest
+
+from orefields.pdo import PdoSeries, pdo_inv
+from orefields.presentations import CaseSpec, algebra_make
+from orefields.ratfunc import RatFunc2, scaling_derivation
+from orefields.skewpoly import SkewPoly, commutator
+
+from _support import (
+    REF_FIELDS, rand_laurent_monomial, rand_nonzero, ref_combined, ref_commutator,
+    ref_derivation, ref_field, ref_pdo_inv, ref_pdo_mul, ref_ratfunc_mul, ref_skew_mul,
+)
+
+
+def g_pres(name):
+    field, alpha = ref_field(name)
+    return algebra_make(CaseSpec("g", field, field.coerce(alpha)))
+
+
+def rand_const(rng, K):
+    """A nonzero constant other than 1, so that a weight it is left out of
+    comes out wrong."""
+    while True:
+        c = rand_nonzero(rng, K)
+        if c != K.one():
+            return c
+
+
+def assert_same(got, want, *context):
+    assert (got.num, got.den) == (want.num, want.den), context
+    assert str(got) == str(want), context
+
+
+# ---------------------------------------------------------------------------
+# Derivation.power on Laurent fractions
+
+def scaling_derivations(pres):
+    """The derivation of g_alpha, its negation (the series derivation) and
+    two scaling derivations with kernel monomials off the axes in every
+    characteristic: y z^-1 for D(y) = y, D(z) = z, and y^-1 z^2 for
+    D(y) = 2y, D(z) = z."""
+    ctx = pres.ctx
+    return [pres.D, pres.D.negate(), scaling_derivation(ctx, 1, 1),
+            scaling_derivation(ctx, 2, 1)]
+
+
+def kernel_keys(D):
+    """The exponents (a, b) != (0, 0) in [-3, 3]^2 whose monomial D kills."""
+    ctx = D.ctx
+    return [(a, b) for a in range(-3, 4) for b in range(-3, 4)
+            if (a, b) != (0, 0) and ref_derivation(D, ctx.monomial(a, b)).is_zero()]
+
+
+def reference_power(D, f, s):
+    for _ in range(s):
+        f = ref_derivation(D, f)
+    return f
+
+
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_laurent_powers_match_iterated_reference_derivation(name):
+    pres = g_pres(name)
+    ctx, K = pres.ctx, pres.ctx.field
+    rng = random.Random(f"laurent-power-{name}")
+    shrunk = 0
+    for D in scaling_derivations(pres):
+        draws = []
+        for _ in range(6):
+            f = ctx.zero()
+            while f.is_zero():
+                for _ in range(rng.randint(1, 4)):
+                    f = f + rand_laurent_monomial(rng, ctx, span=3)
+            draws.append(f)
+        # a killed term that carries the least exponent of y or z: dropping
+        # it must shrink the denominator
+        for a, b in kernel_keys(D):
+            if a < 0 or b < 0:
+                rest = ctx.monomial(a + 1, b + 1, rand_nonzero(rng, K))
+                draws.append(ctx.monomial(a, b, rand_nonzero(rng, K)) + rest)
+        for f in draws:
+            assert D.is_diagonal_on(f)
+            for s in range(1, 5):
+                got, want = D.power(f, s), reference_power(D, f, s)
+                assert_same(got, want, str(D), str(f), s)
+                if s == 1:
+                    assert_same(D(f), want, str(D), str(f))
+                    shrunk += got.den != f.den and not got.is_zero()
+    # the draws reach the branch that reduces again
+    assert shrunk
+
+
+# ---------------------------------------------------------------------------
+# constant factors folded into the weights
+
+def laurent(rng, ctx):
+    f = ctx.zero()
+    while f.is_zero():
+        for _ in range(rng.randint(1, 3)):
+            f = f + rand_laurent_monomial(rng, ctx, span=1)
+    return f
+
+
+def skew_with_constants(rng, D):
+    """x, c x, x - gamma, x^2 + c and c x + g with a Laurent g, for random
+    constants c and gamma other than 1."""
+    ctx = D.ctx
+    K = ctx.field
+
+    def const():
+        return ctx.const(rand_const(rng, K))
+    x = SkewPoly.x(D)
+    return [x, x * const(), x - const(), x ** 2 + const(),
+            SkewPoly(D, {1: const(), 0: laurent(rng, ctx)})]
+
+
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_skew_products_with_constant_coefficients_match_reference(name):
+    pres = g_pres(name)
+    D, ctx = pres.D, pres.ctx
+    rng = random.Random(f"constant-skew-{name}")
+    consts = skew_with_constants(rng, D)
+    others = [SkewPoly(D, {0: laurent(rng, ctx)}),
+              SkewPoly(D, {1: laurent(rng, ctx), 0: laurent(rng, ctx)}),
+              SkewPoly(D, {2: laurent(rng, ctx), 0: ctx.const(rand_const(rng, ctx.field))})]
+    for f in consts:
+        for g in others + consts:
+            for a, b in ((f, g), (g, f)):
+                ab, ba = ref_skew_mul(a, b), ref_skew_mul(b, a)
+                assert a * b == ab, (str(a), str(b))
+                assert commutator(a, b) == ab - ba, (str(a), str(b))
+                assert commutator(a, b) == ref_commutator(a, b), (str(a), str(b))
+
+
+def series_with_constants(rng, pres, prec):
+    """u, c u, u - gamma and u^-1 + c y, as series over -D."""
+    d = pres.D.negate()
+    ctx, K = pres.ctx, pres.ctx.field
+
+    def const():
+        return ctx.const(rand_const(rng, K))
+    y = ctx.monomial(1, 0)
+    return [PdoSeries(d, {1: ctx.one()}, prec), PdoSeries(d, {1: const()}, prec),
+            PdoSeries(d, {1: ctx.one(), 0: -const()}, prec),
+            PdoSeries(d, {-1: ctx.one(), 0: const() * y}, prec)]
+
+
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_series_products_and_inverses_with_constant_coefficients_match_reference(name):
+    pres = g_pres(name)
+    d, ctx = pres.D.negate(), pres.ctx
+    rng = random.Random(f"constant-series-{name}")
+    consts = series_with_constants(rng, pres, 6)
+    others = [PdoSeries(d, {0: laurent(rng, ctx), 1: laurent(rng, ctx)}, 6),
+              PdoSeries(d, {-1: laurent(rng, ctx), 2: laurent(rng, ctx)}, 5)]
+    for a in consts:
+        for b in others + consts:
+            for f, g in ((a, b), (b, a)):
+                got, want = f * g, ref_pdo_mul(f, g)
+                assert (got.terms, got.prec) == (want.terms, want.prec), (str(f), str(g))
+    y, z = ctx.gens()
+    for a in consts + [consts[0] + PdoSeries(d, {0: y}, 6),
+                       consts[1] + PdoSeries(d, {0: y * z, 2: ctx.const(3)}, 6)]:
+        got, want = pdo_inv(a), ref_pdo_inv(a)
+        assert (got.terms, got.prec) == (want.terms, want.prec), str(a)
+
+
+# ---------------------------------------------------------------------------
+# weighted sums that cancel
+
+def ref_weighted_sum(terms):
+    ctx = terms[0][0].ctx
+    out = ctx.zero()
+    for c, w in terms:
+        if w is not None:
+            c = ref_ratfunc_mul(c, ctx.const(ctx.field.element(w)))
+        out = ref_combined(out, c)
+    return out
+
+
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_weighted_sums_that_cancel_in_part_and_in_full(name):
+    ctx = g_pres(name).ctx
+    K = ctx.field
+    minus, two = K._from_int(-1), K._from_int(2)
+    y, z = ctx.gens()
+    rng = random.Random(f"cancel-{name}")
+    for _ in range(6):
+        f, g = laurent(rng, ctx), laurent(rng, ctx)
+        c = rand_const(rng, K)
+        cases = [
+            [(f, None), (f, minus)],                      # in full
+            [(f, c.rep), (f * c, minus), (g, None)],      # in full but g
+            [(f, None), (f, minus), (f, two)],            # cancelled, then back
+            [(f + g, None), (g, minus)],                  # in part
+            [(y / z + f, None), (-f, None), (1 / z, None)],
+            [(y + 1 / z, None), (-y, None), (-(1 / z), None)],
+        ]
+        for terms in cases:
+            got = RatFunc2.weighted_sum(terms)
+            assert not any(K._is_zero(v) for v in got.num.values())
+            assert_same(got, ref_weighted_sum(terms), [(str(t), w) for t, w in terms])
+
+
+def test_is_constant():
+    pres = g_pres("QQ")
+    ctx = pres.ctx
+    y, z = ctx.gens()
+    for f, want in ((ctx.zero(), True), (ctx.one(), True), (ctx.const(3), True),
+                    (y, False), (1 / y, False), (y + 1, False), (3 / (y * z), False),
+                    (y / (z + 1), False)):
+        assert f.is_constant() is want, str(f)
