@@ -3,9 +3,9 @@
 benchmark: for each case and precision N, a = u + y in k(y,z)((u; delta))
 is inverted twice, pdo_inv(pdo_inv(a)), as the `inverse-roundtrip` check
 of `orefields.cli pdo` does.  One line per run: the best of --repeat
-timings, and, from one more run, the RatFunc2 products, the sums,
-pairwise (`RatFunc2._combined`) and n-ary (`RatFunc2.weighted_sum`, "-"
-where the sources have none), the normal-form scans of Laurent fractions
+timings, and, from one more run, the RatFunc2 products, the sums
+(`RatFunc2.weighted_sum`, through which `+` and `-` go; "-" where the
+sources have none), the normal-form scans of Laurent fractions
 (`ratfunc._over_monomial`) and the `Derivation.power` calls.  The counts
 do not depend on the machine.
 
@@ -64,7 +64,7 @@ def main():
     args = parser.parse_args()
 
     print(f"{'char':>4} {'alpha':22} {'N':>3} {'ms':>9} {'products':>9} "
-          f"{'pairwise':>9} {'n-ary':>7} {'scans':>7} {'D^s':>7}")
+          f"{'sums':>7} {'scans':>7} {'D^s':>7}")
     for char, alpha in CASES:
         for prec in map(int, args.precisions.split(",")):
             a = series(char, alpha, prec)
@@ -77,17 +77,16 @@ def main():
             if not back.approx_eq(a.truncate(back.prec)):
                 raise SystemExit(f"inverse roundtrip fails: char {char}, {alpha}, N = {prec}")
             counts, present, restore = counted(
-                [(RatFunc2, name) for name in ("__mul__", "__rmul__", "_combined",
-                                               "weighted_sum")]
+                [(RatFunc2, name) for name in ("__mul__", "__rmul__", "weighted_sum")]
                 + [(ratfunc, "_over_monomial"), (Derivation, "power")])
             try:
                 pdo_inv(pdo_inv(a))
             finally:
                 restore()
-            nary = counts["weighted_sum"] if "weighted_sum" in present else "-"
+            sums = counts["weighted_sum"] if "weighted_sum" in present else "-"
             print(f"{char:>4} {alpha:22} {prec:>3} {best * 1000:9.2f} "
-                  f"{counts['__mul__'] + counts['__rmul__']:>9} {counts['_combined']:>9} "
-                  f"{nary:>7} {counts['_over_monomial']:>7} {counts['power']:>7}")
+                  f"{counts['__mul__'] + counts['__rmul__']:>9} {sums:>7} "
+                  f"{counts['_over_monomial']:>7} {counts['power']:>7}")
 
 
 if __name__ == "__main__":

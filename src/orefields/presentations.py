@@ -28,7 +28,8 @@ from .skewpoly import SkewPoly, commutator, is_central_against, subst_x_shift
 
 
 class UnsupportedCaseError(ValueError):
-    """The requested construction does not exist for this case."""
+    """The requested construction does not exist for this case; the CLI
+    records it as an out-of-scope check whose claim is the message."""
 
 
 # verified objects of the current verification run, by construction and
@@ -441,7 +442,8 @@ def frobenius_embedding(alpha: FieldElem, beta: FieldElem, ell: int) -> Morphism
     if k.char != ell:
         raise FieldError(f"alpha must live in characteristic {ell}")
     if fields.in_prime_subfield(alpha):
-        raise UnsupportedCaseError("alpha in the prime subfield makes x^l - x central")
+        raise UnsupportedCaseError("no x^l-combination embedding exists for a parameter "
+                                   "in the prime subfield")
     beta = k.coerce(beta)
     if beta.is_zero():
         raise ValueError("beta must be nonzero")

@@ -387,21 +387,12 @@ class RatFunc2:
             return _pdivexact(K, p, g), _pdivexact(K, q, g)
         return p, q
 
-    def _combined(self, o, negate):
+    def _combined(self, o):
+        """self + o for operands not both Laurent (`weighted_sum` adds those)."""
         K = self.ctx.field
         d1, d2 = self.den, o.den
-        if len(d1) == 1 and len(d2) == 1:
-            # Laurent operands: both numerators over the monomial lcm
-            (p1, q1), = d1
-            (p2, q2), = d2
-            p, q = max(p1, p2), max(q1, q2)
-            rhs = _pshift(o.num, p - p2, q - q2)
-            num = _padd(K, _pshift(self.num, p - p1, q - q1),
-                        _pneg(K, rhs) if negate else rhs)
-            return _over_monomial(self.ctx, num, p, q) if num else self.ctx.zero()
         if d1 == d2:
-            rhs = _pneg(K, o.num) if negate else o.num
-            num = _padd(K, self.num, rhs)
+            num = _padd(K, self.num, o.num)
             if not num:
                 return self.ctx.zero()
             num, den = self._cancel(num, d1, K)
@@ -410,8 +401,7 @@ class RatFunc2:
         trivial = _is_one(g)
         d1p = d1 if trivial else _pdivexact(K, d1, g)
         d2p = d2 if trivial else _pdivexact(K, d2, g)
-        rhs = _pmul(K, o.num, d1p)
-        num = _padd(K, _pmul(K, self.num, d2p), _pneg(K, rhs) if negate else rhs)
+        num = _padd(K, _pmul(K, self.num, d2p), _pmul(K, o.num, d1p))
         if not num:
             return self.ctx.zero()
         den = _pmul(K, _pmul(K, g, d1p), d2p)
@@ -435,7 +425,7 @@ class RatFunc2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._combined(o, negate=False)
+        return RatFunc2.weighted_sum([(self, None), (o, None)])
 
     __radd__ = __add__
 
@@ -472,14 +462,15 @@ class RatFunc2:
         for c, w in terms:
             if len(c.den) != 1:
                 c = RatFunc2.weighted_sum([(c, w)])
-                out = c if out is None else out._combined(c, False)
+                out = c if out is None else out._combined(c)
         return out
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._combined(o, negate=True)
+        neg = RatFunc2(self.ctx, _pneg(self.ctx.field, o.num), o.den, _normalized=True)
+        return RatFunc2.weighted_sum([(self, None), (neg, None)])
 
     def __rsub__(self, other):
         o = self._coerce(other)

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from orefields.cli import (
-    MAX_SKEW_CHAR, SUITES, Config, Report, build_parser, emit, main, run_suite,
+    MAX_PRECISION, MAX_SKEW_CHAR, SUITES, Config, Report, build_parser, emit, main, run_suite,
 )
 from orefields.literals import (
     ExprError, parse_expression, parse_field_literal, parse_matrix,
 )
 from orefields.fields import GF, QQ, Qsqrt, with_parameter
 from orefields.orbits import MAX_ORBIT_ELL, Mat2Z
-from orefields.presentations import WeylTriple
+from orefields.presentations import UnsupportedCaseError, WeylTriple
 
 
 def run_main(argv):
@@ -189,6 +189,19 @@ class TestEmit:
         text = emit(report, "text")
         assert "[fail] bad" in text
 
+    def test_unsupported_case_is_out_of_scope(self):
+        # a construction the library refuses for a case records its reason
+        # as the claim, with no witness, and is not a failure
+        def refuse():
+            raise UnsupportedCaseError("no such construction for this case")
+        report = Report("demo", {})
+        assert report.run("refused", "the construction holds", refuse) is None
+        payload = json.loads(emit(report, "json"))
+        assert payload["checks"] == [{"name": "refused",
+                                      "claim": "no such construction for this case",
+                                      "status": "out-of-scope", "witness": None}]
+        assert not report.failures
+
 
 class TestDriver:
     def test_verify_centers_passes(self):
@@ -231,6 +244,28 @@ class TestDriver:
         assert code == 2
         assert out.getvalue() == ""
         assert "--precision must be at least 1" in err.getvalue()
+
+    @pytest.mark.parametrize("precision", [MAX_PRECISION + 1, 100000])
+    @pytest.mark.parametrize("command", [["pdo"], ["verify", "pdo"], ["verify", "all"]])
+    def test_precision_above_the_bound_gives_exit_2(self, command, precision, monkeypatch):
+        # refused before any series is built
+        from orefields import cli
+        monkeypatch.setattr(cli, "run_suite", None)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command + ["--char", "0", "--alpha", "rat:2",
+                                   "--precision", str(precision)])
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == (f"error: --precision {precision} exceeds the bound "
+                                  f"{MAX_PRECISION}\n")
+
+    def test_precision_at_the_bound_is_accepted(self, monkeypatch):
+        from orefields import cli
+        monkeypatch.setattr(cli, "run_suite", lambda name, cfg: Report(name, cfg.case_dict()))
+        code, out = run_main(["pdo", "--precision", str(MAX_PRECISION)])
+        assert code == 0
+        assert json.loads(out)["case"]["precision"] == MAX_PRECISION
 
     @pytest.mark.parametrize("seed", range(10))
     def test_composition_convention_skips_draws_without_morphism(self, seed):
@@ -373,6 +408,23 @@ class TestDriver:
          "4abb117a08395da4197aff99e7ba946cb31fd8231d18f64fbe4be12145cbdd77"),
     ])
     def test_benchmark_and_long_series_json_is_pinned(self, argv, digest):
+        code, out = run_main(argv.split() + ["--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of the JSON report (with its final newline) of three reports
+    # with an out-of-scope construction, taken before Report.run recorded
+    # UnsupportedCaseError: the leading constraint at m*alpha + r = 0, and
+    # the Frobenius embedding of a parameter in the prime subfield
+    @pytest.mark.parametrize("argv, digest", [
+        ("pdo --char 0 --alpha rat:2 --matrix 1,0,1,-2 --precision 4",
+         "2a0df4c1849c54b5837679be3062952945f069204d24fd83782d86ac0d145dfe"),
+        ("verify morphisms --char 5 --alpha rat:2",
+         "f5ebb99dba5112a7902cb9d972e469f5400c0b4472f4eff5a760be232a40f4f8"),
+        ("verify all --char 5 --alpha rat:2 --seed 19",
+         "ad4b80d75de3f79f3608ebdae5902ed191296b8e1e76627b94708edfacabe7e5"),
+    ])
+    def test_out_of_scope_json_is_pinned(self, argv, digest):
         code, out = run_main(argv.split() + ["--format", "json"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -793,6 +845,33 @@ class TestConstructionFailuresAreChecks:
                                      "--precision", "4"])
         assert code == 0
         assert checks["leading-constraint"]["status"] == "out-of-scope"
+
+    def test_unsupported_frobenius_embedding_is_out_of_scope(self, monkeypatch):
+        from orefields import presentations
+
+        def refuse(*args, **kwargs):
+            raise UnsupportedCaseError("injected scope")
+        monkeypatch.setattr(presentations, "frobenius_embedding", refuse)
+        code, checks = self._checks(["verify", "morphisms", "--char", "5", "--alpha", "param"])
+        assert code == 0
+        assert checks["frobenius-embedding"] == {
+            "name": "frobenius-embedding", "claim": "injected scope",
+            "status": "out-of-scope", "witness": None}
+
+    def test_value_error_fails_the_frobenius_embedding(self, monkeypatch):
+        # only UnsupportedCaseError is out of scope: a plain ValueError
+        # raised inside a check refutes it
+        from orefields import presentations
+
+        def raise_value_error(*args, **kwargs):
+            raise ValueError("injected failure")
+        monkeypatch.setattr(presentations, "frobenius_embedding", raise_value_error)
+        code, checks = self._checks(["verify", "morphisms", "--char", "5", "--alpha", "param"])
+        assert code == 1
+        fe = checks["frobenius-embedding"]
+        assert fe["status"] == "fail"
+        assert fe["witness"] == "injected failure"
+        assert fe["claim"] == "the x^l-combination embedding preserves all three brackets"
 
 
 class TestVerificationRunScope:
