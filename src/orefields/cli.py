@@ -136,7 +136,10 @@ class Config:
     def beta_elem(self) -> FieldElem | None:
         if self.beta is None:
             return None
-        return _parse_literal(self.beta, self.char)
+        beta = _parse_literal(self.beta, self.char)
+        if beta.is_zero():
+            raise ValueError(f"--beta must be nonzero, got {self.beta}")
+        return beta
 
     def case_dict(self) -> dict:
         return {
@@ -180,6 +183,18 @@ def _check_skew_char(cfg: Config):
     if cfg.char > MAX_SKEW_CHAR:
         raise ValueError(f"characteristic {cfg.char} exceeds the bound {MAX_SKEW_CHAR} "
                          "of the suites that build x^l and x^(l^2)")
+
+
+def _no_morphism_out_of_scope(fn):
+    """fn, with the ValueError or ZeroDivisionError of a matrix with no
+    morphism (det M = 0 in k, or m*alpha + r = 0), which refutes nothing,
+    raised as an UnsupportedCaseError; other ArithmeticErrors still fail."""
+    def run():
+        try:
+            return fn()
+        except (ValueError, ZeroDivisionError) as exc:
+            raise presentations.UnsupportedCaseError(str(exc)) from exc
+    return run
 
 
 def suite_presentations(cfg: Config, report: Report):
@@ -288,7 +303,7 @@ def suite_morphisms(cfg: Config, report: Report):
     M = parse_matrix(cfg.matrix)
     report.run("monomial-morphism",
                f"matrix {M} induces an embedding preserving all three brackets",
-               lambda: presentations.monomial_morphism(M, alpha),
+               _no_morphism_out_of_scope(lambda: presentations.monomial_morphism(M, alpha)),
                witness=str(M))
     rng = random.Random(cfg.seed)
     def random_unimodular():
@@ -318,7 +333,7 @@ def suite_morphisms(cfg: Config, report: Report):
                "composing monomial substitutions matches the matrix product",
                composition_holds)
     if cfg.char:
-        beta = cfg.beta_elem() or alpha
+        beta = alpha if cfg.beta is None else cfg.beta_elem()
         report.run("frobenius-embedding",
                    "the x^l-combination embedding preserves all three brackets",
                    lambda: presentations.frobenius_embedding(alpha, beta, cfg.char))
@@ -357,17 +372,13 @@ def suite_pdo(cfg: Config, report: Report):
                inverse_roundtrip)
     M = parse_matrix(cfg.matrix)
 
+    @_no_morphism_out_of_scope
     def leading_constraint():
-        # no morphism for M (m*alpha + r = 0, say) leaves nothing to check;
-        # any other ArithmeticError refutes the constraint
-        try:
-            phi = presentations.monomial_morphism(M, alpha)
-            Xinv = pdo_inv(pdo_from_skew(phi.x_img, N))
-            Y = pdo_from_skew(phi.y_img, N)
-            Z = pdo_from_skew(phi.z_img, N)
-            return leading_constraint_check(Xinv, Y, Z, phi.beta, pres.D)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise presentations.UnsupportedCaseError(str(exc)) from exc
+        phi = presentations.monomial_morphism(M, alpha)
+        Xinv = pdo_inv(pdo_from_skew(phi.x_img, N))
+        Y = pdo_from_skew(phi.y_img, N)
+        Z = pdo_from_skew(phi.z_img, N)
+        return leading_constraint_check(Xinv, Y, Z, phi.beta, pres.D)
     c1 = report.run("leading-constraint",
                     "the lowest-order data of the embedded generators satisfies "
                     "c1 = D(y0)/y0 and beta c1 = D(z0)/z0, with the full "
@@ -402,6 +413,7 @@ def run_suite(name: str, cfg: Config) -> Report:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     report = Report(name, cfg.case_dict())
+    cfg.beta_elem()     # a zero or malformed --beta is refused before any check runs
     with presentations.verification_run():
         for suite in SUITES.values() if name == "all" else [SUITES[name]]:
             suite(cfg, report)

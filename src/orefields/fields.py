@@ -297,27 +297,11 @@ def _udivmod(K, a, b):
     return _utrim(K, quo), _utrim(K, a)
 
 
-def _umonic(K, a):
-    """Return (monic multiple of a, leading coefficient)."""
-    if not a:
-        return (), K._one_rep()
-    lead = a[-1]
-    return _uscale(K, a, K._inv(lead)), lead
-
-
 def _ugcd(K, a, b):
     a, b = _utrim(K, a), _utrim(K, b)
     while b:
         a, b = b, _udivmod(K, a, b)[1]
-    return _umonic(K, a)[0]
-
-
-def _ucancel(K, a, b):
-    """a and b divided by their gcd."""
-    g = _ugcd(K, a, b)
-    if len(g) > 1:
-        return _udivmod(K, a, g)[0], _udivmod(K, b, g)[0]
-    return a, b
+    return _uscale(K, a, K._inv(a[-1])) if a else ()
 
 
 def _uxgcd(K, a, b):
@@ -344,6 +328,93 @@ def _ustr(K, c, var):
             mono = "" if i == 0 else var if i == 1 else f"{var}^{i}"
             parts.append(_coeff_term(K._str(c[i]), mono))
     return _join_terms(parts)
+
+
+# ---------------------------------------------------------------------------
+# reduced fractions n/d, gcd(n, d) = 1 and d monic, over a polynomial
+# kernel P with coefficients in K (Henrici 1956, JACM 3; Knuth, TAOCP 2,
+# 4.5.1).  P, `_UPoly` below or `ratfunc._PPoly`, names the kernel's add,
+# mul, gcd (monic), quo (exact), scale, lead, is_one (of a monic
+# polynomial) and str.  Quotients and products of monic polynomials are
+# monic, so sums and products of reduced fractions need no monic step.
+
+class _UPoly:
+    """The univariate kernel on trimmed little-endian tuples."""
+
+    add = _uadd
+    mul = _umul
+    gcd = _ugcd
+    scale = _uscale
+    str = _ustr
+    lead = operator.itemgetter(-1)
+
+    @staticmethod
+    def quo(K, a, b):
+        return _udivmod(K, a, b)[0]
+
+    @staticmethod
+    def is_one(g):
+        return len(g) < 2
+
+
+def _frac_cancel(P, K, a, b):
+    """a and b divided by their gcd."""
+    g = P.gcd(K, a, b)
+    if P.is_one(g):
+        return a, b
+    return P.quo(K, a, g), P.quo(K, b, g)
+
+
+def _frac_monic(P, K, num, den):
+    """num/den with both scaled so that den is monic."""
+    lead = P.lead(den)
+    if lead == K._one_rep():
+        return num, den
+    inv = K._inv(lead)
+    return P.scale(K, num, inv), P.scale(K, den, inv)
+
+
+def _frac_add(P, K, n1, d1, n2, d2):
+    """n1/d1 + n2/d2 reduced, or None where it is 0.  With g = gcd(d1, d2),
+    d1 = g d1' and d2 = g d2', the sum is (n1 d2' + n2 d1') / (g d1' d2'),
+    and a common factor of that numerator and denominator divides g: one
+    more gcd, against g alone, reduces it."""
+    if d1 == d2:
+        num = P.add(K, n1, n2)
+        return _frac_cancel(P, K, num, d1) if num else None
+    g = P.gcd(K, d1, d2)
+    trivial = P.is_one(g)
+    if not trivial:
+        d1, d2 = P.quo(K, d1, g), P.quo(K, d2, g)
+    num = P.add(K, P.mul(K, n1, d2), P.mul(K, n2, d1))
+    if not num:
+        return None
+    if not trivial:
+        num, g = _frac_cancel(P, K, num, g)
+    return num, P.mul(K, P.mul(K, g, d1), d2)
+
+
+def _frac_mul(P, K, n1, d1, n2, d2):
+    """n1/d1 * n2/d2 reduced by cross-cancellation: each numerator against
+    the other denominator, never a gcd of the full products."""
+    n1, d2 = _frac_cancel(P, K, n1, d2)
+    n2, d1 = _frac_cancel(P, K, n2, d1)
+    return P.mul(K, n1, n2), P.mul(K, d1, d2)
+
+
+def _frac_str(P, K, num, den, var):
+    """The string n/d, or n alone where d = 1; a numerator with a sign or a
+    term after its first character, and a denominator with a sign, a term
+    or a product, are parenthesised."""
+    ns = P.str(K, num, var)
+    if P.is_one(den):
+        return ns
+    ds = P.str(K, den, var)
+    if any(op in ns[1:] for op in "+-"):
+        ns = f"({ns})"
+    if any(op in ds[1:] for op in "+-*"):
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +895,6 @@ class ParameterField(Field):
         return ((self.base._one_rep(),), (self.base._one_rep(),))
 
     def _add(self, a, b):
-        # denominator-gcd form: keeps every gcd at operand size
         K = self.base
         n1, d1 = a
         n2, d2 = b
@@ -834,32 +904,12 @@ class ParameterField(Field):
             return a
         if len(d1) == 1 and len(d2) == 1:
             return (_uadd(K, n1, n2), d1)
-        if d1 == d2:
-            num = _uadd(K, n1, n2)
-            if not num:
-                return self._zero_rep()
-            return self._monic(*_ucancel(K, num, d1))
-        g = _ugcd(K, d1, d2)
-        if len(g) > 1:
-            d1p = _udivmod(K, d1, g)[0]
-            d2p = _udivmod(K, d2, g)[0]
-        else:
-            d1p, d2p = d1, d2
-        num = _uadd(K, _umul(K, n1, d2p), _umul(K, n2, d1p))
-        if not num:
-            return self._zero_rep()
-        den = _umul(K, _umul(K, g, d1p), d2p)
-        h = _ugcd(K, num, g)
-        if len(h) > 1:
-            num = _udivmod(K, num, h)[0]
-            den = _udivmod(K, den, h)[0]
-        return self._monic(num, den)
+        return _frac_add(_UPoly, K, n1, d1, n2, d2) or self._zero_rep()
 
     def _neg(self, a):
         return (_uneg(self.base, a[0]), a[1])
 
     def _mul(self, a, b):
-        # cross-cancellation keeps products of reduced fractions reduced
         K = self.base
         n1, d1 = a
         n2, d2 = b
@@ -871,21 +921,12 @@ class ParameterField(Field):
             return (_uscale(K, n2, n1[0]), d2)
         if len(d2) == 1 and len(n2) == 1:
             return (_uscale(K, n1, n2[0]), d1)
-        n1, d2 = _ucancel(K, n1, d2)
-        n2, d1 = _ucancel(K, n2, d1)
-        return self._monic(_umul(K, n1, n2), _umul(K, d1, d2))
-
-    def _monic(self, num, den):
-        K = self.base
-        den, lead = _umonic(K, den)
-        if not K._is_zero(K._add(lead, K._neg(K._one_rep()))):
-            num = _uscale(K, num, K._inv(lead))
-        return (num, den)
+        return _frac_mul(_UPoly, K, n1, d1, n2, d2)
 
     def _inv(self, a):
         if not a[0]:
             raise ZeroDivisionError("inverse of zero")
-        return self._monic(a[1], a[0])     # num and den are already coprime
+        return _frac_monic(_UPoly, self.base, a[1], a[0])   # already coprime
 
     def _frobenius(self, a):
         # n/d -> n^sigma(a^l) / d^sigma(a^l); see `frobenius`
@@ -953,16 +994,7 @@ class ParameterField(Field):
         return self.base.prime_subfield_value(num[0])
 
     def _str(self, a):
-        num, den = a
-        ns = _ustr(self.base, num, "a")
-        if den == (self.base._one_rep(),):
-            return ns
-        ds = _ustr(self.base, den, "a")
-        if any(op in ns[1:] for op in "+-"):
-            ns = f"({ns})"
-        if any(op in ds[1:] for op in "+-*"):
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        return _frac_str(_UPoly, self.base, *a, "a")
 
     def _key(self):
         return ("param", self.base._key())

@@ -502,40 +502,35 @@ def brute_force_witness(a: FieldElem, b: FieldElem, bound: int) -> Mat2Z | None:
 # ---------------------------------------------------------------------------
 # finite-field orbit enumeration
 
-class OrbitData:
+class OrbitData(ValueRecord):
     __slots__ = ("representative", "size", "stabilizer_order")
 
     def __init__(self, representative: str, size: int, stabilizer_order: int):
-        self.representative = representative
-        self.size = size
-        self.stabilizer_order = stabilizer_order
+        init = object.__setattr__
+        init(self, "representative", representative)
+        init(self, "size", size)
+        init(self, "stabilizer_order", stabilizer_order)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.representative, self.size, self.stabilizer_order)
-                == (other.representative, other.size, other.stabilizer_order))
+    def _fields(self):
+        return (self.representative, self.size, self.stabilizer_order)
 
 
-class FiniteOrbitReport:
+class FiniteOrbitReport(ValueRecord):
     __slots__ = ("ell", "ext_degree", "group", "group_order", "orbits", "point_count")
 
     def __init__(self, ell: int, ext_degree: int, group: str, group_order: int,
                  orbits: list, point_count: int):
-        self.ell = ell
-        self.ext_degree = ext_degree
-        self.group = group
-        self.group_order = group_order
-        self.orbits = orbits
-        self.point_count = point_count
+        init = object.__setattr__
+        init(self, "ell", ell)
+        init(self, "ext_degree", ext_degree)
+        init(self, "group", group)
+        init(self, "group_order", group_order)
+        init(self, "orbits", orbits)
+        init(self, "point_count", point_count)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ell, self.ext_degree, self.group, self.group_order, self.orbits,
-                 self.point_count)
-                == (other.ell, other.ext_degree, other.group, other.group_order,
-                    other.orbits, other.point_count))
+    def _fields(self):
+        return (self.ell, self.ext_degree, self.group, self.group_order, self.orbits,
+                self.point_count)
 
     @property
     def transitive(self) -> bool:

@@ -45,8 +45,8 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .fields import (
-    Field, FieldElem, FieldError, _coeff_term, _join_terms, _power, _udivmod, _ugcd, _umul,
-    _usub,
+    Field, FieldElem, FieldError, _coeff_term, _frac_add, _frac_cancel, _frac_monic, _frac_mul,
+    _frac_str, _join_terms, _power, _udivmod, _ugcd, _umul, _usub,
 )
 
 
@@ -103,8 +103,8 @@ def _pscale(K, p, c):
 
 
 def _plead(p):
-    ij = max(p, key=_grlex)
-    return ij, p[ij]
+    """The leading coefficient under grlex."""
+    return p[max(p, key=_grlex)]
 
 
 def _pshift(p, di, dj):
@@ -209,7 +209,7 @@ def _pgcd(K, p, q):
         src = p or q
         if not src:
             return {}
-        return _pscale(K, src, K._inv(_plead(src)[1]))
+        return _pscale(K, src, K._inv(_plead(src)))
 
     if len(p) == 1 or len(q) == 1:
         mi = min(min(i for (i, _) in p), min(i for (i, _) in q))
@@ -237,7 +237,7 @@ def _pgcd(K, p, q):
     if len(cont) != 1:
         g = [_umul(K, row, cont) for row in g]
     out = _from_rec(K, g)
-    return _pscale(K, out, K._inv(_plead(out)[1]))
+    return _pscale(K, out, K._inv(_plead(out)))
 
 
 def _pdivexact(K, p, g):
@@ -271,6 +271,19 @@ def _pstr(K, p, vars):
             mono.append(vars[1] if j == 1 else f"{vars[1]}^{j}")
         parts.append(_coeff_term(K._str(p[(i, j)]), "*".join(mono)))
     return _join_terms(parts)
+
+
+class _PPoly:
+    """The bivariate kernel on polynomial dicts, for `fields._frac_*`."""
+
+    add = _padd
+    mul = _pmul
+    gcd = _pgcd
+    quo = _pdivexact
+    scale = _pscale
+    is_one = _is_one
+    str = _pstr
+    lead = _plead
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +372,7 @@ class RatFunc2:
         if mi or mj:
             num = _pshift(num, -mi, -mj)
             den = _pshift(den, -mi, -mj)
-        num, den = RatFunc2._cancel(num, den, K)
-        _, lead = _plead(den)
-        if lead != K._one_rep():
-            inv = K._inv(lead)
-            num = _pscale(K, num, inv)
-            den = _pscale(K, den, inv)
-        return num, den
+        return _frac_monic(_PPoly, K, *_frac_cancel(_PPoly, K, num, den))
 
     # -- construction helpers ------------------------------------------------
     def _coerce(self, other):
@@ -378,48 +385,13 @@ class RatFunc2:
 
     # -- arithmetic ----------------------------------------------------------
     # products and sums of reduced fractions are re-reduced by operand-size
-    # gcds (cross-cancellation), never by a gcd of the full products
-
-    @staticmethod
-    def _cancel(p, q, K):
-        g = _pgcd(K, p, q)
-        if g and not _is_one(g):
-            return _pdivexact(K, p, g), _pdivexact(K, q, g)
-        return p, q
+    # gcds (`fields._frac_add`, `fields._frac_mul`), never by a gcd of the
+    # full products
 
     def _combined(self, o):
         """self + o for operands not both Laurent (`weighted_sum` adds those)."""
-        K = self.ctx.field
-        d1, d2 = self.den, o.den
-        if d1 == d2:
-            num = _padd(K, self.num, o.num)
-            if not num:
-                return self.ctx.zero()
-            num, den = self._cancel(num, d1, K)
-            return RatFunc2(self.ctx, num, den, _normalized=True)._monic()
-        g = _pgcd(K, d1, d2)
-        trivial = _is_one(g)
-        d1p = d1 if trivial else _pdivexact(K, d1, g)
-        d2p = d2 if trivial else _pdivexact(K, d2, g)
-        num = _padd(K, _pmul(K, self.num, d2p), _pmul(K, o.num, d1p))
-        if not num:
-            return self.ctx.zero()
-        den = _pmul(K, _pmul(K, g, d1p), d2p)
-        if not trivial:
-            h = _pgcd(K, num, g)
-            if not _is_one(h):
-                num = _pdivexact(K, num, h)
-                den = _pdivexact(K, den, h)
-        return RatFunc2(self.ctx, num, den, _normalized=True)._monic()
-
-    def _monic(self):
-        K = self.ctx.field
-        _, lead = _plead(self.den)
-        if lead == K._one_rep():
-            return self
-        inv = K._inv(lead)
-        return RatFunc2(self.ctx, _pscale(K, self.num, inv),
-                        _pscale(K, self.den, inv), _normalized=True)
+        frac = _frac_add(_PPoly, self.ctx.field, self.num, self.den, o.num, o.den)
+        return self.ctx.zero() if frac is None else RatFunc2(self.ctx, *frac, _normalized=True)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -499,10 +471,8 @@ class RatFunc2:
             (p1, q1), = self.den
             (p2, q2), = o.den
             return _over_monomial(self.ctx, _pmul(K, self.num, o.num), p1 + p2, q1 + q2)
-        n1, d2 = self._cancel(self.num, o.den, K)
-        n2, d1 = self._cancel(o.num, self.den, K)
-        return RatFunc2(self.ctx, _pmul(K, n1, n2), _pmul(K, d1, d2),
-                        _normalized=True)._monic()
+        return RatFunc2(self.ctx, *_frac_mul(_PPoly, K, self.num, self.den, o.num, o.den),
+                        _normalized=True)
 
     __rmul__ = __mul__
 
@@ -532,8 +502,8 @@ class RatFunc2:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc2(self.ctx, dict(self.den), dict(self.num),
-                        _normalized=True)._monic()
+        return RatFunc2(self.ctx, *_frac_monic(_PPoly, self.ctx.field, self.den, self.num),
+                        _normalized=True)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -598,16 +568,7 @@ class RatFunc2:
         return RatFunc2(ctx, dict(self.num), dict(self.den), _normalized=True)
 
     def __str__(self):
-        K, vars = self.ctx.field, self.ctx.vars
-        ns = _pstr(K, self.num, vars)
-        if _is_one(self.den):
-            return ns
-        ds = _pstr(K, self.den, vars)
-        if any(op in ns[1:] for op in "+-"):
-            ns = f"({ns})"
-        if any(op in ds[1:] for op in "+-*"):
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        return _frac_str(_PPoly, self.ctx.field, self.num, self.den, self.ctx.vars)
 
     def __repr__(self):
         return f"<{self.ctx.vars[0]},{self.ctx.vars[1]}-ratfunc {self}>"
@@ -734,7 +695,7 @@ class Derivation:
         if not num:
             return self.ctx.zero()
         if not _is_one(self._e):
-            num, e = RatFunc2._cancel(num, self._e, K)
+            num, e = _frac_cancel(_PPoly, K, num, self._e)
             den = _pmul(K, den, e)
         return RatFunc2(self.ctx, num, den, _normalized=True)
 

@@ -8,13 +8,13 @@ from fractions import Fraction
 
 from orefields.fields import (
     GF, QQ, ExtensionField, Field, FieldElem, ParameterField, PrimeField, QuadraticField,
-    Qsqrt, RationalField, _uadd, _ucancel, _udivmod, _ugcd, _umul, _utrim, in_prime_subfield,
-    with_parameter,
+    Qsqrt, RationalField, _UPoly, _frac_cancel, _frac_monic, _uadd, _udivmod, _ugcd, _umul,
+    _utrim, in_prime_subfield, with_parameter,
 )
 from orefields.orbits import FiniteOrbitReport, Mat2Z, OrbitData, _group_matrices
 from orefields.pdo import PdoSeries
 from orefields.ratfunc import (
-    FunctionField2, RatFunc2, _is_one, _padd, _pdivexact, _pgcd, _pmul, _pneg, _ppartial,
+    FunctionField2, RatFunc2, _PPoly, _is_one, _padd, _pdivexact, _pgcd, _pmul, _pneg, _ppartial,
 )
 from orefields.skewpoly import SkewPoly
 
@@ -249,7 +249,7 @@ def ref_param_mul(F, a, b):
     if len(g2) > 1:
         n2 = _udivmod(K, n2, g2)[0]
         d1 = _udivmod(K, d1, g2)[0]
-    return F._monic(_umul(K, n1, n2), _umul(K, d1, d2))
+    return _frac_monic(_UPoly, K, _umul(K, n1, n2), _umul(K, d1, d2))
 
 
 def ref_param_add(F, a, b):
@@ -266,7 +266,7 @@ def ref_param_add(F, a, b):
             den = _udivmod(K, d1, h)[0]
         else:
             den = d1
-        return F._monic(num, den)
+        return _frac_monic(_UPoly, K, num, den)
     g = _ugcd(K, d1, d2)
     if len(g) > 1:
         d1p = _udivmod(K, d1, g)[0]
@@ -281,7 +281,7 @@ def ref_param_add(F, a, b):
     if len(h) > 1:
         num = _udivmod(K, num, h)[0]
         den = _udivmod(K, den, h)[0]
-    return F._monic(num, den)
+    return _frac_monic(_UPoly, K, num, den)
 
 
 def ref_param_normalize(F, num, den):
@@ -293,8 +293,8 @@ def ref_param_normalize(F, num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return F._zero_rep()
-    num, den = _ucancel(K, num, den)
-    return F._monic(num, den)
+    num, den = _frac_cancel(_UPoly, K, num, den)
+    return _frac_monic(_UPoly, K, num, den)
 
 
 def ref_param_from_int(F, n):
@@ -305,9 +305,10 @@ def ref_ratfunc_mul(f, g):
     if f.is_zero() or g.is_zero():
         return f.ctx.zero()
     field = f.ctx.field
-    n1, d2 = RatFunc2._cancel(f.num, g.den, field)
-    n2, d1 = RatFunc2._cancel(g.num, f.den, field)
-    return RatFunc2(f.ctx, _pmul(field, n1, n2), _pmul(field, d1, d2), _normalized=True)._monic()
+    n1, d2 = _frac_cancel(_PPoly, field, f.num, g.den)
+    n2, d1 = _frac_cancel(_PPoly, field, g.num, f.den)
+    return RatFunc2(f.ctx, *_frac_monic(_PPoly, field, _pmul(field, n1, n2), _pmul(field, d1, d2)),
+                    _normalized=True)
 
 
 def ref_partial(f, axis):
@@ -344,8 +345,8 @@ def ref_combined(f, g, negate=False):
         num = _padd(K, f.num, _pneg(K, g.num) if negate else g.num)
         if not num:
             return ctx.zero()
-        num, den = RatFunc2._cancel(num, d1, K)
-        return RatFunc2(ctx, num, den, _normalized=True)._monic()
+        num, den = _frac_cancel(_PPoly, K, num, d1)
+        return RatFunc2(ctx, *_frac_monic(_PPoly, K, num, den), _normalized=True)
     h = _pgcd(K, d1, d2)
     d1p, d2p = _pdivexact(K, d1, h), _pdivexact(K, d2, h)
     rhs = ref_pmul(K, g.num, d1p)
@@ -355,7 +356,7 @@ def ref_combined(f, g, negate=False):
     den = ref_pmul(K, ref_pmul(K, h, d1p), d2p)
     c = _pgcd(K, num, h)
     num, den = _pdivexact(K, num, c), _pdivexact(K, den, c)
-    return RatFunc2(ctx, num, den, _normalized=True)._monic()
+    return RatFunc2(ctx, *_frac_monic(_PPoly, K, num, den), _normalized=True)
 
 
 def ref_quotient_rule(D, f):
@@ -377,7 +378,7 @@ def ref_quotient_rule(D, f):
     num = _pdivexact(K, num, g2)
     den = ref_pmul(K, _pdivexact(K, d, g1), _pdivexact(K, d, g2))
     if not _is_one(D._e):
-        num, e = RatFunc2._cancel(num, D._e, K)
+        num, e = _frac_cancel(_PPoly, K, num, D._e)
         den = ref_pmul(K, den, e)
     return RatFunc2(ctx, num, den, _normalized=True)
 

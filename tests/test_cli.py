@@ -223,11 +223,21 @@ class TestDriver:
                             "--matrix", "1,1,0,1"])
         assert code == 0
 
-    def test_failing_matrix_gives_exit_1(self):
+    def test_failing_matrix_gives_exit_1(self, monkeypatch):
+        # a morphism that breaks a bracket relation refutes the claim; a
+        # matrix with no morphism, such as 1,2,1,2 (det M = 0), is out of
+        # scope instead (test_matrix_with_no_morphism_is_out_of_scope)
+        from orefields import presentations
+
+        def broken(self):
+            raise ArithmeticError("morphism breaks [x', y'] = y'")
+        monkeypatch.setattr(presentations.Morphism, "verify_relations", broken)
         code, out = run_main(["verify", "morphisms", "--char", "3",
-                              "--alpha", "param", "--matrix", "1,2,1,2"])
+                              "--alpha", "param", "--matrix", "1,2,1,1"])
         assert code == 1
-        assert json.loads(out)["summary"]["fail"] >= 1
+        (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "monomial-morphism"]
+        assert check["status"] == "fail"
+        assert check["witness"] == "morphism breaks [x', y'] = y'"
 
     def test_bad_literal_gives_exit_2(self):
         buf = io.StringIO()
@@ -428,6 +438,50 @@ class TestDriver:
         code, out = run_main(argv.split() + ["--format", "json"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of the JSON report (with its final newline), taken before K(a)
+    # and k(y, z) shared one reduced-fraction algorithm: each alpha has a
+    # denominator other than 1, so sums in K(a) go over a denominator gcd
+    @pytest.mark.parametrize("argv, digest", [
+        ("verify all --char 7 --alpha param:(a^2+1)/(a-1) --seed 19",
+         "14566ee1045f5410350f44a2919a196021e565d7e4f90aba30af2ea2cf4f2757"),
+        ("pdo --char 0 --alpha param:(a^2+1)/(a-1) --precision 16",
+         "3f938a7fd4a82e0a0203f30e17e845ea788289481ea6bb577d85c463400d0952"),
+        ("verify all --char 0 --alpha param:(a^3+1)/(a^2-1) --seed 19",
+         "66d15ba844f840711410d04277a402ed362445f7ca4e1bb86f3222857e1716c7"),
+    ])
+    def test_parameter_with_a_denominator_json_is_pinned(self, argv, digest):
+        code, out = run_main(argv.split() + ["--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "rat:2", "--matrix", "1,0,0,0"], "det M = 0 vanishes in QQ"),
+        (["--alpha", "rat:2", "--matrix", "1,0,1,-2"], "m*alpha + r = 0"),
+        (["--char", "5", "--alpha", "param", "--matrix", "5,0,0,1"],
+         "det M = 5 vanishes in GF(5)(a)"),
+        (["--char", "3", "--alpha", "param", "--matrix", "1,2,1,2"],
+         "det M = 0 vanishes in GF(3)(a)"),
+    ])
+    def test_matrix_with_no_morphism_is_out_of_scope(self, flags, message):
+        # a matrix with no morphism refutes nothing, in both suites that
+        # build one
+        for argv, name in ((["verify", "morphisms"], "monomial-morphism"),
+                           (["pdo", "--precision", "4"], "leading-constraint")):
+            code, out = run_main(argv + flags)
+            assert code == 0
+            checks = {c["name"]: c for c in json.loads(out)["checks"]}
+            assert checks[name] == {"name": name, "claim": message,
+                                    "status": "out-of-scope", "witness": None}
+
+    @pytest.mark.parametrize("suite", ["morphisms", "all"])
+    @pytest.mark.parametrize("beta", ["rat:0", "rat:5"])
+    def test_zero_beta_is_a_usage_error(self, suite, beta, capsys):
+        # never replaced by alpha: the Frobenius embedding needs beta != 0
+        code, out = run_main(["verify", suite, "--char", "5", "--alpha", "param",
+                              "--beta", beta])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: --beta must be nonzero, got {beta}\n"
 
     @pytest.mark.parametrize("suite", ["all", "presentations", "centers", "morphisms"])
     def test_char_above_the_skew_bound_is_a_usage_error(self, suite, capsys):

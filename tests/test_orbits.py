@@ -281,6 +281,15 @@ class TestFiniteOrbits:
         assert rep.group_order == 24
         assert [(o.size, o.stabilizer_order) for o in rep.orbits] == [(6, 4)]
 
+    def test_report_is_an_immutable_value(self):
+        a, b = finite_orbits(3, 2, "sl"), finite_orbits(3, 2, "sl")
+        assert a is not b and a == b and a != finite_orbits(3, 2, "slpm")
+        with pytest.raises(AttributeError):
+            a.orbits = []
+        with pytest.raises(AttributeError):
+            a.orbits[0].size = 0
+        assert a == b
+
     def test_l2_k3_sl(self):
         rep = finite_orbits(2, 3, "sl")
         assert rep.transitive and rep.orbits[0].size == 6

@@ -5,7 +5,7 @@ import pytest
 
 from orefields import presentations
 from orefields.fields import GF, QQ, FieldSpec, Qsqrt, with_parameter
-from orefields.orbits import Mat2Z, homographic
+from orefields.orbits import Mat2Z, OrbitData, homographic
 from orefields.presentations import (
     CaseSpec, Morphism, Presentation, UnsupportedCaseError, algebra_make,
     central_element_c, centralizer_pair_check, claimed_center, frobenius_embedding,
@@ -55,6 +55,7 @@ class TestValueRecords:
         (lambda: Mat2Z(2, 1, 1, 1), "q"),
         (lambda: CaseSpec("g", QQ(), QQ().from_int(2)), "alpha"),
         (lambda: FieldSpec(characteristic=3, ext_degree=2), "ext_degree"),
+        (lambda: OrbitData("w", 6, 4), "size"),
     ])
     def test_immutable_and_equal_by_value(self, make, field):
         a, b = make(), make()
