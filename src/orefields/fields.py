@@ -192,16 +192,17 @@ class FieldElem:
 
 
 def _power(base, n, one, mul=operator.mul):
-    """base^n for n >= 0 by square and multiply, starting from one; mul
-    multiplies two values (a field's `_mul` for raw reps)."""
-    result = one
+    """base^n for n >= 0 by square and multiply, one for n = 0; mul
+    multiplies two values (a field's `_mul` for raw reps).  The first
+    factor is taken as it is, not multiplied into one."""
+    result = None
     while n:
         if n & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         n >>= 1
         if n:
             base = mul(base, base)
-    return result
+    return one if result is None else result
 
 
 # ---------------------------------------------------------------------------

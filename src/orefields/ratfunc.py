@@ -598,7 +598,7 @@ class Derivation:
         self._wz = _pmul(K, image_of_z.num, _pdivexact(K, self._e, ez))
         # a scaling derivation, D(v1) = c1 v1 and D(v2) = c2 v2 (c1 or c2 may
         # be 0), has each Laurent monomial v1^i v2^j as an eigenvector with
-        # eigenvalue i c1 + j c2; those are cached by (i, j)
+        # eigenvalue i c1 + j c2, which `_eigenvalue` forms and caches by (i, j)
         self._eigen = self._neg = None
         if (_is_one(self._e) and self._wy.keys() <= {(1, 0)}
                 and self._wz.keys() <= {(0, 1)}):
@@ -608,22 +608,43 @@ class Derivation:
     def _diagonal(self, n, p, q, s=1):
         """v1^p v2^q D^s(n / (v1^p v2^q)) for a scaling derivation and
         s >= 1: each term c v1^i v2^j of n times lambda^s, where lambda =
-        (i - p) c1 + (j - q) c2 is its eigenvalue, with the terms whose
-        eigenvalue vanishes dropped."""
+        (i - p) c1 + (j - q) c2 is its eigenvalue (`_eigenvalue`), with
+        the terms whose eigenvalue vanishes dropped."""
         K = self.ctx.field
-        cache, c1, c2 = self._eigen
+        cache = self._eigen[0]
         out = {}
         for (i, j), c in n.items():
             key = (i - p, j - q)
             lam = cache.get(key)
             if lam is None:
-                lam = cache[key] = K._add(K._mul(K._from_int(key[0]), c1),
-                                          K._mul(K._from_int(key[1]), c2))
+                lam = self._eigenvalue(key)
             if not K._is_zero(lam):
                 if s != 1:
                     lam = K._pow(lam, s)
                 out[(i, j)] = K._mul(c, lam)
         return out
+
+    def _eigenvalue(self, key):
+        """The eigenvalue a c1 + b c2 of v1^a v2^b, key = (a, b), under a
+        scaling derivation, as a raw rep of k, cached by key."""
+        cache, c1, c2 = self._eigen
+        lam = cache.get(key)
+        if lam is None:
+            K = self.ctx.field
+            lam = cache[key] = K._add(K._mul(K._from_int(key[0]), c1),
+                                      K._mul(K._from_int(key[1]), c2))
+        return lam
+
+    def eigenvalue(self, f: RatFunc2):
+        """The raw rep of lambda with D(f) = lambda f where D is a scaling
+        derivation and f = c v1^i v2^j / (v1^p v2^q) a Laurent monomial:
+        lambda = (i - p) c1 + (j - q) c2, so that D^s(f) = lambda^s f.
+        None for any other f or D."""
+        if self._eigen is None or len(f.num) != 1 or len(f.den) != 1:
+            return None
+        (i, j), = f.num
+        (p, q), = f.den
+        return self._eigenvalue((i - p, j - q))
 
     def is_diagonal_on(self, f: RatFunc2) -> bool:
         """Whether D is a scaling derivation and f a Laurent element, so

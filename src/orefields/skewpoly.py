@@ -22,7 +22,10 @@ lambda^s times each term, not a chain of derivatives.  The terms of each
 power of x, coefficient products with binomial weights, are summed at
 once by `RatFunc2.weighted_sum`, so each coefficient is reduced once.
 A factor that is a constant of k (the 1 of x or of u, the constants of
-x - gamma) is folded into the binomial weight, with no product formed.  A
+x - gamma) is folded into the binomial weight, with no product formed.
+So is the eigenvalue of a Laurent monomial g under such a D: D^s(g) =
+lambda^s g, so f_i g is formed once for all orders s and lambda^s joins
+the weight of each, and where lambda = 0 only order 0 is listed.  A
 commutator fg - gf leaves out the order-0 terms f_i g_j x^(i+j) of both
 products, which are equal because k(v1, v2) is commutative, and sums the
 terms of fg with those of gf, signs flipped, once per power of x.
@@ -252,7 +255,10 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
     only at order 0 where every g_j is constant; where every f_i is
     constant too, `_commuting` forms that order on raw reps.  D^s(g_j) is
     taken only at those orders, each from the one before it by
-    `Derivation.power`, not past its first zero and not past the floor."""
+    `Derivation.power`, not past its first zero and not past the floor.
+    Where g_j is an eigenvector of D (`Derivation.eigenvalue`), D^s(g_j)
+    is not formed: the pair is (f_i g_j, w lambda^s), with f_i g_j formed
+    once for all s, and the orders stop after 0 where lambda = 0."""
     if not f or not g:
         return pending
     K = D.ctx.field
@@ -273,29 +279,44 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
     needed = sorted({s for row in weights.values() for s, _ in row})
     ftop = max(f) - floor
     for j, gj in g.items():
+        # ders[s] = (d, c) with D^s(g_j) = c d, c a raw rep of k or None for
+        # 1.  An eigenvector g_j of D keeps d = g_j and c = lambda^s; after
+        # order 0 it stops where lambda = 0
+        lam = D.eigenvalue(gj)
         ders, d, at = {}, gj, 0
         for s in needed:
             if s > ftop + j:
                 break
-            d, at = D.power(d, s - at), s
-            if d.is_zero():
+            if lam is None:
+                d, at = D.power(d, s - at), s
+                if d.is_zero():
+                    break
+                ders[s] = (d, None)
+            elif s and K._is_zero(lam):
                 break
-            ders[s] = d
+            else:
+                ders[s] = (gj, K._pow(lam, s) if s else None)
         gc = gconst[j]          # a constant g_j has only order 0: D^0(g_j) = g_j
         for i, fi in f.items():
             fc = fconst[i]
+            prod = of = None    # fi * d for the d last met: once per (i, j) for an eigenvector
             for s, w in weights[i]:
                 k = i - s + j
-                d = ders.get(s)
-                if k < floor or d is None:
+                e = ders.get(s)
+                if k < floor or e is None:
                     break
                 if k <= top:
+                    d, c = e
+                    if c is not None:
+                        w = _folded(K, w, c)
                     if fc is not None:
                         term = (d, _folded(K, w, fc))
                     elif gc is not None:
                         term = (fi, _folded(K, w, gc))
                     else:
-                        term = (fi * d, w)
+                        if d is not of:
+                            prod, of = fi * d, d
+                        term = (prod, w)
                     pending.setdefault(k, []).append(term)
     return pending
 

@@ -889,16 +889,19 @@ class TestConstructionFailuresAreChecks:
             assert checks[name]["witness"] == "[x^3-x, y] != 0"
         assert checks["central-element-forms"]["status"] == "pass"
 
-    def test_value_error_leaves_the_leading_constraint_out_of_scope(self, monkeypatch):
+    def test_value_error_fails_the_leading_constraint(self, monkeypatch):
+        # only the construction of the morphism is converted to out-of-scope:
+        # a ValueError raised while the constraint is checked refutes it
         from orefields import cli
 
         def raise_value_error(*args, **kwargs):
-            raise ValueError("injected scope")
+            raise ValueError("injected failure")
         monkeypatch.setattr(cli, "leading_constraint_check", raise_value_error)
         code, checks = self._checks(["pdo", "--char", "0", "--alpha", "rat:2",
                                      "--precision", "4"])
-        assert code == 0
-        assert checks["leading-constraint"]["status"] == "out-of-scope"
+        assert code == 1
+        assert checks["leading-constraint"]["status"] == "fail"
+        assert checks["leading-constraint"]["witness"] == "injected failure"
 
     def test_unsupported_frobenius_embedding_is_out_of_scope(self, monkeypatch):
         from orefields import presentations

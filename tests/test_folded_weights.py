@@ -7,20 +7,27 @@ the slow references of tests/_support.py over REF_FIELDS:
   constants of x - gamma, c x) into the binomial weight instead of
   forming a product;
 - `RatFunc2.weighted_sum` deletes an entry of its Laurent sum as soon as
-  it cancels."""
+  it cancels;
+- `skewpoly._terms` folds lambda^s into the weight where g_j is a Laurent
+  monomial, an eigenvector of a scaling derivation, and lists order 0
+  alone where lambda = 0, while a derivation of the q family keeps taking
+  D^s(g_j)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from orefields.fields import GF, QQ
 from orefields.pdo import PdoSeries, pdo_inv
 from orefields.presentations import CaseSpec, algebra_make
-from orefields.ratfunc import RatFunc2, scaling_derivation
-from orefields.skewpoly import SkewPoly, commutator
+from orefields.ratfunc import Derivation, RatFunc2, scaling_derivation
+from orefields.skewpoly import SkewPoly, _terms, commutator
 
 from _support import (
-    REF_FIELDS, rand_laurent_monomial, rand_nonzero, ref_combined, ref_commutator,
-    ref_derivation, ref_field, ref_pdo_inv, ref_pdo_mul, ref_ratfunc_mul, ref_skew_mul,
+    REF_FIELDS, rand_laurent_monomial, rand_nonzero, rand_ratfunc, ref_combined,
+    ref_commutator, ref_derivation, ref_field, ref_pdo_inv, ref_pdo_mul, ref_ratfunc_mul,
+    ref_skew_mul,
 )
 
 
@@ -221,3 +228,151 @@ def test_is_constant():
                     (y, False), (1 / y, False), (y + 1, False), (3 / (y * z), False),
                     (y / (z + 1), False)):
         assert f.is_constant() is want, str(f)
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues of Laurent monomials folded into the weights
+
+def power_calls(monkeypatch):
+    """Record the argument of every `Derivation.power` call."""
+    seen = []
+    power = Derivation.power
+
+    def recording(self, f, s):
+        seen.append(f)
+        return power(self, f, s)
+    monkeypatch.setattr(Derivation, "power", recording)
+    return seen
+
+
+def assert_products_match_reference(fs, gs):
+    for f in fs:
+        for g in gs:
+            for a, b in ((f, g), (g, f)):
+                assert a * b == ref_skew_mul(a, b), (str(a), str(b))
+                assert commutator(a, b) == ref_commutator(a, b), (str(a), str(b))
+
+
+def assert_series_match_reference(fs, gs):
+    for f in fs:
+        for g in gs:
+            for a, b in ((f, g), (g, f)):
+                got, want = a * b, ref_pdo_mul(a, b)
+                assert (got.terms, got.prec) == (want.terms, want.prec), (str(a), str(b))
+
+
+def mixed_coefficients(rng, ctx):
+    """A constant, a Laurent monomial, a Laurent sum and a fraction whose
+    denominator is not a monomial."""
+    y, z = ctx.gens()
+    return [ctx.const(rand_nonzero(rng, ctx.field)), rand_laurent_monomial(rng, ctx),
+            laurent(rng, ctx), (y + z) / (z + 1) + rand_ratfunc(rng, ctx, 1)]
+
+
+# (field, alpha, a Laurent monomial (i, j) whose eigenvalue i + j alpha is 0)
+KERNEL_MONOMIALS = [(QQ(), Fraction(2, 3), (2, -3)), (GF(2), 1, (2, 0)),
+                    (GF(3), 2, (3, 0)), (GF(5), 3, (5, 0))]
+
+
+@pytest.mark.parametrize("field, alpha, ij", KERNEL_MONOMIALS,
+                         ids=["QQ:y^2z^-3", "GF2:y^2", "GF3:y^3", "GF5:y^5"])
+def test_monomials_of_eigenvalue_zero_list_order_zero_alone(field, alpha, ij, monkeypatch):
+    pres = algebra_make(CaseSpec("g", field, field.coerce(alpha)))
+    D, ctx = pres.D, pres.ctx
+    rng = random.Random(f"kernel-monomial-{field}")
+    g = ctx.monomial(*ij, rand_nonzero(rng, field))
+    assert field._is_zero(D.eigenvalue(g))
+    seen = power_calls(monkeypatch)
+    G = SkewPoly(D, {0: g, 2: ctx.monomial(*ij)})
+    fs = [SkewPoly(D, dict(enumerate(mixed_coefficients(rng, ctx)))),
+          SkewPoly(D, {3: laurent(rng, ctx), 1: ctx.one()}), SkewPoly.x(D) ** 4]
+    # x^3 g = g x^3: only order 0 is listed
+    pending = _terms({3: laurent(rng, ctx)}, {0: g}, D, {})
+    assert list(pending) == [3] and len(pending[3]) == 1
+    # g commutes with x and with the coefficients, so with every skew
+    # polynomial
+    for f in fs:
+        assert commutator(f, SkewPoly(D, {0: g})).is_zero(), str(f)
+    assert_products_match_reference(fs, [G])
+    # the right factor is all monomials: no D^s is taken for it
+    assert not [f for f in seen if f == g or f == ctx.monomial(*ij)]
+    d = D.negate()
+    series = [PdoSeries(d, {-1: rand_laurent_monomial(rng, ctx), 0: g, 3: laurent(rng, ctx)}, 4),
+              PdoSeries(d, {1: ctx.one(), 0: g}, 6)]
+    assert_series_match_reference(series, [PdoSeries(d, {0: g, 1: ctx.monomial(*ij)}, 6)])
+    for a in series:
+        got, want = pdo_inv(a), ref_pdo_inv(a)
+        assert (got.terms, got.prec) == (want.terms, want.prec), str(a)
+
+
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_eigen_monomials_at_negative_x_degrees_match_reference(name, monkeypatch):
+    # series: x = u^-1, so u^n is x^-n and C(-n, s) is nonzero at every order
+    pres = g_pres(name)
+    d, ctx = pres.D.negate(), pres.ctx
+    rng = random.Random(f"eigen-series-{name}")
+    y, z = ctx.gens()
+    monomials = [PdoSeries(d, {1: rand_laurent_monomial(rng, ctx),
+                               3: rand_laurent_monomial(rng, ctx)}, 6),
+                 PdoSeries(d, {-1: y, 0: rand_laurent_monomial(rng, ctx)}, 5),
+                 PdoSeries(d, {2: ctx.monomial(-2, 1, rand_const(rng, ctx.field))}, 7)]
+    others = [PdoSeries(d, dict(zip((-1, 0, 1, 2), mixed_coefficients(rng, ctx))), 6),
+              PdoSeries(d, {1: ctx.one(), 0: y}, 8)]
+    seen = power_calls(monkeypatch)
+    for f in others + monomials:
+        for g in monomials:
+            got, want = f * g, ref_pdo_mul(f, g)
+            assert (got.terms, got.prec) == (want.terms, want.prec), (str(f), str(g))
+    assert not seen
+    assert_series_match_reference(others, others)
+    for a in monomials[:2] + [PdoSeries(d, {1: ctx.one(), 0: y}, 12)]:
+        got, want = pdo_inv(a), ref_pdo_inv(a)
+        assert (got.terms, got.prec) == (want.terms, want.prec), str(a)
+
+
+@pytest.mark.parametrize("name", ["GF7", "GF3(a)"])
+def test_eigen_monomials_at_lucas_sparse_orders_match_reference(name, monkeypatch):
+    # in characteristic l, C(i, s) vanishes mod l unless every base-l digit
+    # of s is at most that of i: x^l has orders 0 and l only
+    pres = g_pres(name)
+    D, ctx = pres.D, pres.ctx
+    ell = ctx.field.char
+    rng = random.Random(f"eigen-lucas-{name}")
+    gs = [SkewPoly(D, {0: rand_laurent_monomial(rng, ctx, span=3),
+                       1: rand_laurent_monomial(rng, ctx, span=3)}),
+          SkewPoly(D, {0: ctx.monomial(1, -1, rand_const(rng, ctx.field))})]
+    fs = [SkewPoly(D, {i: c for i, c in zip((ell, ell + 1, 2 * ell - 1),
+                                            mixed_coefficients(rng, ctx))}),
+          SkewPoly(D, {ell * ell - 1: laurent(rng, ctx), ell: ctx.one()})]
+    seen = power_calls(monkeypatch)
+    for f in fs:
+        for g in gs:
+            assert f * g == ref_skew_mul(f, g), (str(f), str(g))
+    assert not seen
+    assert_products_match_reference(fs, gs)
+
+
+@pytest.mark.parametrize("coords", ["yz", "yt"])
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_the_q_family_takes_every_power_of_its_derivation(name, coords, monkeypatch):
+    # D(y) = y, D(z) = y + z (or D(t) = 1) scales no monomial but y^i, so
+    # D^s(g_j) is taken by Derivation.power for every g_j, monomials too
+    field, _ = ref_field(name)
+    pres = algebra_make(CaseSpec("q", field), coords)
+    D, ctx = pres.D, pres.ctx
+    rng = random.Random(f"q-family-{name}-{coords}")
+    g = ctx.monomial(2, -1, rand_const(rng, field))
+    assert D.eigenvalue(g) is None
+    assert D.eigenvalue(ctx.monomial(3, 0)) is None
+    seen = power_calls(monkeypatch)
+    fs = [SkewPoly(D, dict(enumerate(mixed_coefficients(rng, ctx)))), SkewPoly.x(D) ** 3]
+    gs = [SkewPoly(D, {0: g, 1: rand_laurent_monomial(rng, ctx)})]
+    assert fs[0] * gs[0] == ref_skew_mul(fs[0], gs[0])
+    assert g in seen
+    assert_products_match_reference(fs, gs)
+    d = D.negate()
+    a = PdoSeries(d, {1: ctx.one(), 0: g}, 6)
+    b = PdoSeries(d, {-1: rand_laurent_monomial(rng, ctx), 1: laurent(rng, ctx)}, 6)
+    assert_series_match_reference([a], [a, b])
+    got, want = pdo_inv(a), ref_pdo_inv(a)
+    assert (got.terms, got.prec) == (want.terms, want.prec)
