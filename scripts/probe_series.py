@@ -6,8 +6,9 @@ of `orefields.cli pdo` does.  One line per run: the best of --repeat
 timings, and, from one more run, the RatFunc2 products, the sums
 (`RatFunc2.weighted_sum`, through which `+` and `-` go; "-" where the
 sources have none), the normal-form scans of Laurent fractions
-(`ratfunc._over_monomial`) and the `Derivation.power` calls.  The counts
-do not depend on the machine.
+(`ratfunc._over_monomial`), the `Derivation.power` calls and the products
+of the coefficient field k (`_mul` of its class, on raw reps; in K(a) the
+products of K(a), not of K).  The counts do not depend on the machine.
 
     PYTHONPATH=src python scripts/probe_series.py --precisions 8,16,24,32,48
 """
@@ -64,7 +65,7 @@ def main():
     args = parser.parse_args()
 
     print(f"{'char':>4} {'alpha':22} {'N':>3} {'ms':>9} {'products':>9} "
-          f"{'sums':>7} {'scans':>7} {'D^s':>7}")
+          f"{'sums':>7} {'scans':>7} {'D^s':>7} {'k mul':>7}")
     for char, alpha in CASES:
         for prec in map(int, args.precisions.split(",")):
             a = series(char, alpha, prec)
@@ -78,7 +79,8 @@ def main():
                 raise SystemExit(f"inverse roundtrip fails: char {char}, {alpha}, N = {prec}")
             counts, present, restore = counted(
                 [(RatFunc2, name) for name in ("__mul__", "__rmul__", "weighted_sum")]
-                + [(ratfunc, "_over_monomial"), (Derivation, "power")])
+                + [(ratfunc, "_over_monomial"), (Derivation, "power"),
+                   (type(a.ctx.field), "_mul")])
             try:
                 pdo_inv(pdo_inv(a))
             finally:
@@ -86,7 +88,7 @@ def main():
             sums = counts["weighted_sum"] if "weighted_sum" in present else "-"
             print(f"{char:>4} {alpha:22} {prec:>3} {best * 1000:9.2f} "
                   f"{counts['__mul__'] + counts['__rmul__']:>9} {sums:>7} "
-                  f"{counts['_over_monomial']:>7} {counts['power']:>7}")
+                  f"{counts['_over_monomial']:>7} {counts['power']:>7} {counts['_mul']:>7}")
 
 
 if __name__ == "__main__":

@@ -336,8 +336,9 @@ def _ustr(K, c, var):
 # kernel P with coefficients in K (Henrici 1956, JACM 3; Knuth, TAOCP 2,
 # 4.5.1).  P, `_UPoly` below or `ratfunc._PPoly`, names the kernel's add,
 # mul, gcd (monic), quo (exact), scale, lead, is_one (of a monic
-# polynomial) and str.  Quotients and products of monic polynomials are
-# monic, so sums and products of reduced fractions need no monic step.
+# polynomial), is_const (of a nonzero polynomial) and str.  Quotients and
+# products of monic polynomials are monic, so sums and products of reduced
+# fractions need no monic step.
 
 class _UPoly:
     """The univariate kernel on trimmed little-endian tuples."""
@@ -357,9 +358,16 @@ class _UPoly:
     def is_one(g):
         return len(g) < 2
 
+    @staticmethod
+    def is_const(p):
+        return len(p) == 1
+
 
 def _frac_cancel(P, K, a, b):
-    """a and b divided by their gcd."""
+    """a and b divided by their gcd, for nonzero a and b; against a
+    constant operand the gcd is 1, and no Euclid is run."""
+    if P.is_const(a) or P.is_const(b):
+        return a, b
     g = P.gcd(K, a, b)
     if P.is_one(g):
         return a, b
@@ -888,12 +896,14 @@ class ParameterField(Field):
             raise FieldError("only one transcendental parameter is supported")
         self.base = base
         self.char = base.char
+        one = (base._one_rep(),)
+        self._zero, self._one = ((), one), (one, one)
 
     def _zero_rep(self):
-        return ((), (self.base._one_rep(),))
+        return self._zero
 
     def _one_rep(self):
-        return ((self.base._one_rep(),), (self.base._one_rep(),))
+        return self._one
 
     def _add(self, a, b):
         K = self.base
@@ -949,14 +959,15 @@ class ParameterField(Field):
         ell = self.char
         if not ell:
             return super()._pow(a, n)
-        out = self._one_rep()
+        out = None
         while n:
             n, d = divmod(n, ell)
             if d:
-                out = self._mul(out, _power(a, d, self._one_rep(), self._mul))
+                ad = _power(a, d, self._one, self._mul)
+                out = ad if out is None else self._mul(out, ad)
             if n:
                 a = self._frobenius(a)
-        return out
+        return self._one if out is None else out
 
     def _is_zero(self, a):
         return not a[0]

@@ -11,10 +11,11 @@ So the series are the completion of the skew polynomials k(v1,v2)[x; D]
 at v = -deg_x, through the dictionary x = u^-1, D = -delta, and their
 products and inverses run the one Ore product loop of
 `orefields.skewpoly`, on {x-degree: coefficient} dicts with negative
-degrees, cut at x-degree -N.  Coercion, sums, negation and powers are
-those of `skewpoly.OreSum`, as for skew polynomials.  Every operation
-propagates precision pessimistically, so all stored coefficients are
-exact.
+degrees, cut at x-degree -N.  The inverse takes the side of a b = 1 or
+b a = 1 on which that loop forms no derivative where it can (see
+`pdo_inv`).  Coercion, sums, negation and powers are those of
+`skewpoly.OreSum`, as for skew polynomials.  Every operation propagates
+precision pessimistically, so all stored coefficients are exact.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class PdoSeries(OreSum):
     def approx_eq(self, other) -> bool:
         """Equality of all coefficients through the weaker precision."""
         o = self._coerce(other)
+        if o is None:
+            raise TypeError(f"cannot compare a series with {type(other).__name__} {other!r}")
         n = min(self.prec, o.prec)
         keys = {k for k in self.terms if k <= n} | {k for k in o.terms if k <= n}
         zero = self.ctx.zero()
@@ -168,15 +171,22 @@ def pdo_from_skew(f: SkewPoly, prec: int = DEFAULT_PRECISION) -> PdoSeries:
 def pdo_inv(a: PdoSeries, prec: int | None = None) -> PdoSeries:
     """Two-sided inverse up to precision; valuation negates.
 
-    Solves a * b = 1 one coefficient at a time.  With v = v(a), order e
-    needs only the coefficient e + v of a * (b_{-v} u^{-v} + ... +
-    b_{e-1} u^{e-1}); b_e enters it through the leading term a_v alone, so
-    b_e = -a_v^{-1} [u^(e + v)] and the system is triangular over
-    k(v1, v2).  Each new b_e u^e is multiplied by a once, cut at
-    u^(target + v), so each delta^j(b_e) is formed once; the terms of the
-    product wait in one list per exponent, which is summed once, when the
-    loop reads it.  The order-0 term a_v b_e would land on the exponent
-    just read, and is not formed.
+    Solves a * b = 1, or b * a = 1 for the same b, one coefficient at a
+    time.  With v = v(a), order e needs only the coefficient e + v of the
+    product of a with b_{-v} u^{-v} + ... + b_{e-1} u^{e-1}; b_e enters it
+    through the leading term a_v alone, on either side, k(v1, v2) being
+    commutative, so b_e = -a_v^{-1} [u^(e + v)] and the system is
+    triangular over k(v1, v2).  Each new b_e u^e is multiplied by a once,
+    cut at u^(target + v); the terms of the product wait in one list per
+    exponent, which is summed once, when the loop reads it.  The order-0
+    term a_v b_e would land on the exponent just read, and is not formed.
+
+    The side is the one on which the derivation costs least.  In a * b,
+    delta^j falls on each b_e, formed once per order j.  In b * a it falls
+    on the coefficients of a, and where each is a constant or a Laurent
+    monomial under a scaling derivation (`Derivation.eigenvalue`), as in
+    u + y, delta^j(a_n) = lambda^j a_n is a weight, with no derivative
+    formed; so that side is solved there, and a * b = 1 everywhere else.
 
     a, known through u^N, determines its inverse through u^(N - 2v) and no
     further, which is the default precision and the largest one accepted.
@@ -192,15 +202,21 @@ def pdo_inv(a: PdoSeries, prec: int | None = None) -> PdoSeries:
         raise ValueError(f"the inverse is determined only through u^{known}, "
                          f"not u^{target}")
     D, ax, floor = a.derivation.negate(), _flip(a.terms), -(target + va)
+    left = all(c.is_constant() or D.eigenvalue(c) is not None for c in ax.values())
+
+    def scatter(bx, pending, top):
+        """The terms of b_e u^e times a (b * a where left, else a * b)."""
+        return _terms(*((bx, ax) if left else (ax, bx)), D, pending, 0, floor, top)
+
     lead_inv = a.terms[va].inverse()
     terms = {-va: lead_inv}
-    pending = _terms(ax, {va: lead_inv}, D, {}, 0, floor, -1)
+    pending = scatter({va: lead_inv}, {}, -1)
     for e in range(-va + 1, target + 1):
         slot = pending.pop(-e - va, None)
         prod = RatFunc2.weighted_sum(slot) if slot else None
         if prod is not None and not prod.is_zero():
             terms[e] = lead_inv * -prod
-            _terms(ax, {-e: terms[e]}, D, pending, 0, floor, -e - va - 1)
+            scatter({-e: terms[e]}, pending, -e - va - 1)
     return PdoSeries(a.derivation, terms, target)
 
 

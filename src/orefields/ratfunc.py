@@ -35,7 +35,8 @@ the monomial lcm (an n-ary sum, `RatFunc2.weighted_sum`, in one pass and
 with one reduction), and a scaling derivation D(v1) = c1 v1, D(v2) = c2 v2
 (the family g_alpha and its series derivation -D) is diagonal on
 monomials: D(v1^i v2^j) = (i c1 + j c2) v1^i v2^j.  Each derivation
-detects that once, from its images, and caches the eigenvalues it meets.
+detects that once, from its images, and caches the eigenvalues it meets
+and their powers.
 `Derivation.power` takes D^s of a Laurent element under such a derivation
 in one step, as lambda^s times each term.
 """
@@ -281,7 +282,7 @@ class _PPoly:
     gcd = _pgcd
     quo = _pdivexact
     scale = _pscale
-    is_one = _is_one
+    is_one = is_const = _is_one     # the one term of either sits at (0, 0)
     str = _pstr
     lead = _plead
 
@@ -598,12 +599,13 @@ class Derivation:
         self._wz = _pmul(K, image_of_z.num, _pdivexact(K, self._e, ez))
         # a scaling derivation, D(v1) = c1 v1 and D(v2) = c2 v2 (c1 or c2 may
         # be 0), has each Laurent monomial v1^i v2^j as an eigenvector with
-        # eigenvalue i c1 + j c2, which `_eigenvalue` forms and caches by (i, j)
+        # eigenvalue i c1 + j c2, which `_eigenvalue` forms and caches by
+        # (i, j), and its powers by ((i, j), s)
         self._eigen = self._neg = None
         if (_is_one(self._e) and self._wy.keys() <= {(1, 0)}
                 and self._wz.keys() <= {(0, 1)}):
             zero = K._zero_rep()
-            self._eigen = ({}, self._wy.get((1, 0), zero), self._wz.get((0, 1), zero))
+            self._eigen = ({}, {}, self._wy.get((1, 0), zero), self._wz.get((0, 1), zero))
 
     def _diagonal(self, n, p, q, s=1):
         """v1^p v2^q D^s(n / (v1^p v2^q)) for a scaling derivation and
@@ -620,31 +622,38 @@ class Derivation:
                 lam = self._eigenvalue(key)
             if not K._is_zero(lam):
                 if s != 1:
-                    lam = K._pow(lam, s)
+                    lam = self._eigenvalue(key, s)
                 out[(i, j)] = K._mul(c, lam)
         return out
 
-    def _eigenvalue(self, key):
-        """The eigenvalue a c1 + b c2 of v1^a v2^b, key = (a, b), under a
-        scaling derivation, as a raw rep of k, cached by key."""
-        cache, c1, c2 = self._eigen
+    def _eigenvalue(self, key, s=1):
+        """lambda^s, s >= 1, for the eigenvalue lambda = a c1 + b c2 of
+        v1^a v2^b, key = (a, b), under a scaling derivation, as a raw rep of
+        k: lambda is cached by key, and lambda^s, by the field's `_pow`, by
+        (key, s)."""
+        cache, powers, c1, c2 = self._eigen
         lam = cache.get(key)
         if lam is None:
             K = self.ctx.field
             lam = cache[key] = K._add(K._mul(K._from_int(key[0]), c1),
                                       K._mul(K._from_int(key[1]), c2))
-        return lam
+        if s == 1:
+            return lam
+        lam_s = powers.get((key, s))
+        if lam_s is None:
+            lam_s = powers[key, s] = self.ctx.field._pow(lam, s)
+        return lam_s
 
-    def eigenvalue(self, f: RatFunc2):
-        """The raw rep of lambda with D(f) = lambda f where D is a scaling
-        derivation and f = c v1^i v2^j / (v1^p v2^q) a Laurent monomial:
-        lambda = (i - p) c1 + (j - q) c2, so that D^s(f) = lambda^s f.
-        None for any other f or D."""
+    def eigenvalue(self, f: RatFunc2, s: int = 1):
+        """The raw rep of lambda^s, s >= 1, where D(f) = lambda f for a
+        scaling derivation D and f = c v1^i v2^j / (v1^p v2^q) a Laurent
+        monomial: lambda = (i - p) c1 + (j - q) c2, so that D^s(f) =
+        lambda^s f.  None for any other f or D."""
         if self._eigen is None or len(f.num) != 1 or len(f.den) != 1:
             return None
         (i, j), = f.num
         (p, q), = f.den
-        return self._eigenvalue((i - p, j - q))
+        return self._eigenvalue((i - p, j - q), s)
 
     def is_diagonal_on(self, f: RatFunc2) -> bool:
         """Whether D is a scaling derivation and f a Laurent element, so
@@ -655,8 +664,9 @@ class Derivation:
         """D^s(f).  Where D is diagonal on f, each term c v1^i v2^j of
         f = n / (v1^p v2^q) is multiplied by lambda^s, with lambda^s by the
         field's `_pow` (in K(a) of characteristic l, Frobenius substitutions
-        on the base-l digits of s); D^0 is the identity even where lambda = 0.
-        Otherwise D is applied s times, or until it gives 0."""
+        on the base-l digits of s), formed once per monomial and s; D^0 is
+        the identity even where lambda = 0.  Otherwise D is applied s
+        times, or until it gives 0."""
         if f.ctx != self.ctx:
             raise ValueError("element from a different context")
         if s == 0 or not self.is_diagonal_on(f):

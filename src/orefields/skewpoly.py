@@ -24,11 +24,14 @@ once by `RatFunc2.weighted_sum`, so each coefficient is reduced once.
 A factor that is a constant of k (the 1 of x or of u, the constants of
 x - gamma) is folded into the binomial weight, with no product formed.
 So is the eigenvalue of a Laurent monomial g under such a D: D^s(g) =
-lambda^s g, so f_i g is formed once for all orders s and lambda^s joins
-the weight of each, and where lambda = 0 only order 0 is listed.  A
-commutator fg - gf leaves out the order-0 terms f_i g_j x^(i+j) of both
-products, which are equal because k(v1, v2) is commutative, and sums the
-terms of fg with those of gf, signs flipped, once per power of x.
+lambda^s g, so f_i g is formed once for all orders s and lambda^s, which
+the derivation caches, joins the weight of each, and where lambda = 0
+only order 0 is listed.  A commutator fg - gf leaves out the order-0
+terms f_i g_j x^(i+j) of both products, which are equal because
+k(v1, v2) is commutative, and sums the terms of fg with those of gf,
+signs flipped, once per power of x; where f or g is a coefficient, its
+product with the other from the left has no other terms, and is not
+scanned.
 
 Where every coefficient of both factors is a constant of k (x^l - x, the
 central element c, the translates x - i gamma), D kills them all, so the
@@ -258,8 +261,13 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
     `Derivation.power`, not past its first zero and not past the floor.
     Where g_j is an eigenvector of D (`Derivation.eigenvalue`), D^s(g_j)
     is not formed: the pair is (f_i g_j, w lambda^s), with f_i g_j formed
-    once for all s, and the orders stop after 0 where lambda = 0."""
-    if not f or not g:
+    once for all s and lambda^s read from the derivation's cache, and the
+    orders stop after 0 where lambda = 0.
+
+    Where every x-degree of f lies in [0, lowest), C(i, s) = 0 for each
+    s >= lowest, so there are no terms and nothing is scanned: in a
+    commutator with a coefficient c, the half c g."""
+    if not f or not g or 0 <= min(f) and max(f) < lowest:
         return pending
     K = D.ctx.field
     # the rep of each constant coefficient, None for the others
@@ -295,7 +303,7 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
             elif s and K._is_zero(lam):
                 break
             else:
-                ders[s] = (gj, K._pow(lam, s) if s else None)
+                ders[s] = (gj, D.eigenvalue(gj, s) if s else None)
         gc = gconst[j]          # a constant g_j has only order 0: D^0(g_j) = g_j
         for i, fi in f.items():
             fc = fconst[i]

@@ -11,7 +11,10 @@ the slow references of tests/_support.py over REF_FIELDS:
 - `skewpoly._terms` folds lambda^s into the weight where g_j is a Laurent
   monomial, an eigenvector of a scaling derivation, and lists order 0
   alone where lambda = 0, while a derivation of the q family keeps taking
-  D^s(g_j)."""
+  D^s(g_j);
+- `skewpoly._terms` returns at once where every x-degree of f lies in
+  [0, lowest), as in the g f half of a commutator with a coefficient g,
+  and not where f has a negative x-degree."""
 
 import random
 from fractions import Fraction
@@ -22,7 +25,7 @@ from orefields.fields import GF, QQ
 from orefields.pdo import PdoSeries, pdo_inv
 from orefields.presentations import CaseSpec, algebra_make
 from orefields.ratfunc import Derivation, RatFunc2, scaling_derivation
-from orefields.skewpoly import SkewPoly, _terms, commutator
+from orefields.skewpoly import SkewPoly, _product, _terms, commutator
 
 from _support import (
     REF_FIELDS, rand_laurent_monomial, rand_nonzero, rand_ratfunc, ref_combined,
@@ -376,3 +379,64 @@ def test_the_q_family_takes_every_power_of_its_derivation(name, coords, monkeypa
     assert_series_match_reference([a], [a, b])
     got, want = pdo_inv(a), ref_pdo_inv(a)
     assert (got.terms, got.prec) == (want.terms, want.prec)
+
+
+# ---------------------------------------------------------------------------
+# no terms where every x-degree of f lies in [0, lowest)
+
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_commutators_with_a_degree_zero_operand_match_reference(name, monkeypatch):
+    pres = g_pres(name)
+    D, ctx = pres.D, pres.ctx
+    rng = random.Random(f"degree-zero-{name}")
+    y, z = ctx.gens()
+    # a constant, a Laurent monomial, a Laurent sum and a small fraction
+    # whose denominator is not a monomial
+    coefficients = mixed_coefficients(rng, ctx)[:3] + [(y + z) / (z + 1)]
+    fs = [SkewPoly(D, dict(enumerate(mixed_coefficients(rng, ctx)[:3]))), SkewPoly.x(D) ** 3,
+          SkewPoly(D, {2: laurent(rng, ctx), 0: ctx.one()})]
+    for c in coefficients:
+        g = SkewPoly(D, {0: c})
+        for f in fs:
+            for a, b in ((f, g), (g, f), (f, c), (c, f)):
+                assert commutator(a, b) == ref_commutator(a, b), (str(a), str(b))
+    # the g f half lists nothing, and takes no eigenvalue and no power
+    calls = power_calls(monkeypatch)
+    monkeypatch.setattr(Derivation, "eigenvalue", lambda *args: calls.append(args))
+    for c in coefficients:
+        for f in fs:
+            pending = {}
+            assert _terms({0: c}, f.coeffs, D, pending, 1) is pending and not pending
+            pending = {}
+            assert _terms({0: c, 1: c}, f.coeffs, D, pending, 2) is pending and not pending
+    assert not calls
+
+
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_negative_x_degrees_below_lowest_still_list_their_terms(name):
+    # x = u^-1: u^n is x^-n, whose binomials C(-n, s) are nonzero at every
+    # order s, so f of x-degrees {-1, 0} has terms of order >= 1
+    pres = g_pres(name)
+    d, ctx = pres.D.negate(), pres.ctx
+    D = d.negate()
+    rng = random.Random(f"negative-lowest-{name}")
+    for _ in range(3):
+        f = PdoSeries(d, {1: laurent(rng, ctx), 0: rng.choice(mixed_coefficients(rng, ctx)[:3])},
+                      6)
+        g = PdoSeries(d, {0: laurent(rng, ctx), 2: rand_laurent_monomial(rng, ctx)}, 6)
+        got, want = f * g, ref_pdo_mul(f, g)
+        assert (got.terms, got.prec) == (want.terms, want.prec), (str(f), str(g))
+        fx = {-n: c for n, c in f.terms.items()}
+        gx = {-n: c for n, c in g.terms.items()}
+        floor = -got.prec
+        higher = _product(fx, gx, D, 1, floor)
+        assert higher, (str(f), str(g))
+        order0 = {}
+        for i, fi in fx.items():
+            for j, gj in gx.items():
+                if i + j >= floor:
+                    order0[i + j] = order0.get(i + j, ctx.zero()) + fi * gj
+        total = dict(higher)
+        for k, c in order0.items():
+            total[k] = total.get(k, ctx.zero()) + c
+        assert {-k: c for k, c in total.items() if not c.is_zero()} == want.terms

@@ -87,6 +87,60 @@ def test_param_mul_and_add_match_reference(base):
 
 
 @pytest.mark.parametrize("base", sorted(BASES))
+def test_param_mul_with_a_constant_numerator_or_unit_denominator(base, monkeypatch):
+    # n1/d1 * n2/d2 cancels n1 against d2 and n2 against d1; where either
+    # side of a cancel is a constant of K (a constant numerator c/p, the
+    # denominator 1 of a polynomial) the gcd is 1 and no Euclid runs
+    from orefields import fields
+    F = with_parameter(BASES[base]())
+    rng = random.Random(f"param-const-{base}")
+    gcds = []
+    gcd = fields._UPoly.gcd
+
+    def recording(K, a, b):
+        gcds.append((a, b))
+        return gcd(K, a, b)
+    monkeypatch.setattr(fields._UPoly, "gcd", recording)
+    for _ in range(8):
+        recips = [rand_param(rng, F, "constant") / rand_poly_a(rng, F, rng.randint(1, 3))
+                  for _ in range(2)]
+        poly, frac = rand_param(rng, F, "polynomial"), rand_param(rng, F, "fraction")
+        for x, y in ((recips[0], recips[1]), (recips[0], poly), (poly, frac),
+                     (frac, recips[1])):
+            for a, b in ((x, y), (y, x)):
+                del gcds[:]
+                got = F._mul(a.rep, b.rep)
+                assert got == ref_param_mul(F, a.rep, b.rep), (str(a), str(b))
+                assert all(len(p) > 1 and len(q) > 1 for p, q in gcds), (str(a), str(b))
+                if {x, y} == set(recips):
+                    assert not gcds, (str(a), str(b))
+
+
+@pytest.mark.parametrize("ell", [0, 3, 5])
+def test_param_powers_take_their_first_factor_as_it_is(ell, monkeypatch):
+    # a^1 and a^l (one Frobenius substitution) are no product; a^(l + 1)
+    # is one, a^(l^2 + 2l + 1) three, a^5 in characteristic 0 two
+    F = with_parameter(GF(ell) if ell else QQ())
+    a = F.gen() / (F.gen() + 1)
+    calls = []
+    mul = ParameterField._mul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+    wants = ({1: 0, 5: 3, 6: 3} if not ell else
+             {1: 0, ell: 0, ell + 1: 1, ell * ell + 2 * ell + 1: 3})
+    for n, products in wants.items():
+        monkeypatch.setattr(ParameterField, "_mul", counting)
+        del calls[:]
+        got = F._pow(a.rep, n)
+        monkeypatch.undo()
+        assert len(calls) == products, n
+        assert F.element(got) == a ** n, n
+    assert F._pow(a.rep, 0) == F._one_rep() and F._one_rep() is F._one_rep()
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
 def test_param_embeddings_match_reference(base):
     K = BASES[base]()
     F = with_parameter(K)

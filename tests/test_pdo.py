@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from orefields import pdo
 from orefields.fields import GF, QQ, with_parameter
 from orefields.orbits import Mat2Z
 from orefields.pdo import (
     PdoSeries, leading_constraint_check, pdo_from_skew, pdo_inv, pdo_mul, pdo_valuation,
 )
 from orefields.presentations import CaseSpec, algebra_make, monomial_morphism
+from orefields.ratfunc import Derivation
 from orefields.skewpoly import SkewPoly, _product, binomial_orders
 from _support import (
-    REF_FIELDS, rand_laurent_monomial, rand_poly2, rand_skew, ref_field, ref_pdo_inv,
-    ref_pdo_mul, ref_push_coefficient,
+    REF_FIELDS, rand_laurent_monomial, rand_nonzero, rand_poly2, rand_skew, ref_field,
+    ref_pdo_inv, ref_pdo_mul, ref_push_coefficient,
 )
 
 
@@ -108,6 +110,13 @@ class TestRingSurface:
             PdoSeries.u(d, 4) + PdoSeries.u(gen3.D, 4)
         with pytest.raises(ValueError, match="skew polynomials over different derivations"):
             gen3.x + SkewPoly.x(d)
+
+    def test_approx_eq_refuses_what_it_cannot_coerce(self, gen3):
+        series = PdoSeries.u(delta(gen3), 4)
+        assert series.approx_eq(series) and not series.approx_eq(1)
+        for other in ("u", None, [1]):
+            with pytest.raises(TypeError, match="cannot compare a series with"):
+                series.approx_eq(other)
 
 
 def _rand_series(rng, pres, d, prec=8):
@@ -333,6 +342,88 @@ class TestAgainstReference:
             for s in (a, b):
                 got, want = pdo_inv(s), ref_pdo_inv(s)
                 assert (got.terms, got.prec) == (want.terms, want.prec)
+
+
+    # pdo_inv solves b * a = 1 where every coefficient of a is a constant
+    # or an eigenvector of the derivation, and a * b = 1 otherwise
+
+    @staticmethod
+    def _sides(monkeypatch):
+        """Record, for each product `pdo_inv` forms, whether a is its right
+        factor (b * a) or its left one (a * b)."""
+        seen = []
+        terms = pdo._terms
+
+        def recording(f, g, *args):
+            seen.append((f, g))
+            return terms(f, g, *args)
+        monkeypatch.setattr(pdo, "_terms", recording)
+        return seen
+
+    @staticmethod
+    def _assert_inverse(a, side, seen):
+        ax = {-n: c for n, c in a.terms.items()}
+        del seen[:]
+        got, want = pdo_inv(a), ref_pdo_inv(a)
+        assert (got.terms, got.prec) == (want.terms, want.prec), str(a)
+        assert seen and all((g if side == "left" else f) == ax for f, g in seen), str(a)
+        for prod in (a * got, got * a):
+            assert prod.prec >= 0
+            assert prod.approx_eq(PdoSeries.one(a.derivation, prod.prec)), str(a)
+
+    @pytest.mark.parametrize("name", REF_FIELDS)
+    def test_inverse_sides(self, name, monkeypatch):
+        field, alpha = ref_field(name)
+        pres = g_pres(field, alpha)
+        d, ctx = delta(pres), pres.ctx
+        rng = random.Random(f"inverse-sides-{name}")
+        seen = self._sides(monkeypatch)
+        for v in range(-2, 3):
+            prec = rng.randint(max(v, 0) + 2, max(v, 0) + 5)
+            terms = {v: rand_laurent_monomial(rng, ctx, span=1)}
+            for n in range(v + 1, prec + 1):
+                if rng.random() < 0.6:
+                    terms[n] = (ctx.const(rand_nonzero(rng, field)) if rng.random() < 0.4
+                                else rand_laurent_monomial(rng, ctx, span=1))
+            eigen = PdoSeries(d, terms, prec)
+            self._assert_inverse(eigen, "left", seen)
+            # one coefficient with two terms makes D^s(a_n) a chain; it sits
+            # after the leading one, whose inverse would put a polynomial
+            # gcd into every order of the reference
+            poly = rand_poly2(rng, ctx, maxdeg=1)
+            while len(poly.num) < 2:
+                poly = poly + rand_poly2(rng, ctx, maxdeg=1)
+            n = rng.randint(v + 1, prec)
+            self._assert_inverse(PdoSeries(d, {**terms, n: poly}, prec), "right", seen)
+
+    @pytest.mark.parametrize("name", REF_FIELDS)
+    def test_the_q_family_inverse_takes_the_right_side(self, name, monkeypatch):
+        # D(y) = y, D(z) = y + z is not a scaling derivation: even a series
+        # of monomials takes a * b = 1, but one of constants takes b * a = 1
+        field, _ = ref_field(name)
+        pres = algebra_make(CaseSpec("q", field))
+        d, ctx = delta(pres), pres.ctx
+        rng = random.Random(f"q-inverse-{name}")
+        seen = self._sides(monkeypatch)
+        y, z = ctx.gens()
+        self._assert_inverse(PdoSeries(d, {1: ctx.one(), 0: z, 2: y / z}, 5), "right", seen)
+        self._assert_inverse(PdoSeries(d, {-1: ctx.const(rand_nonzero(rng, field)),
+                                           1: ctx.one()}, 4), "left", seen)
+
+    def test_u_plus_y_takes_no_power_of_the_derivation(self, monkeypatch):
+        pres = g_pres(QQ(), 2)
+        d = delta(pres)
+        a = PdoSeries.u(d, 24) + PdoSeries.from_ratfunc(d, pres.ctx.monomial(1, 0), 24)
+        calls = []
+        power = Derivation.power
+
+        def counting(self, f, s):
+            calls.append(s)
+            return power(self, f, s)
+        monkeypatch.setattr(Derivation, "power", counting)
+        b = pdo_inv(a)
+        assert not calls
+        assert b.prec == 24 and (a * b).approx_eq(PdoSeries.one(d, 24))
 
 
 class TestLeadingConstraint:
