@@ -5,10 +5,15 @@ is inverted twice, pdo_inv(pdo_inv(a)), as the `inverse-roundtrip` check
 of `orefields.cli pdo` does.  One line per run: the best of --repeat
 timings, and, from one more run, the RatFunc2 products, the sums
 (`RatFunc2.weighted_sum`, through which `+` and `-` go; "-" where the
-sources have none), the normal-form scans of Laurent fractions
-(`ratfunc._over_monomial`), the `Derivation.power` calls and the products
-of the coefficient field k (`_mul` of its class, on raw reps; in K(a) the
-products of K(a), not of K).  The counts do not depend on the machine.
+sources have none), the coefficient entries those sums add up (the sum of
+len(c.num) over the terms c of each call; it does not depend on how the
+sum is formed), the normal-form scans of Laurent fractions
+(`ratfunc._over_monomial`), the `Derivation.power` calls and the calls of
+the coefficient field's product (`_mul` of its class, on raw reps; in K(a)
+the products of K(a), not of K).  Over QQ and GF(l) the sums multiply and
+add natively (`Field._accumulator`), so "k mul" leaves out their
+products; "entries" counts that work.  The counts do not depend on the
+machine.
 
     PYTHONPATH=src python scripts/probe_series.py --precisions 8,16,24,32,48
 """
@@ -32,17 +37,25 @@ def series(char, alpha, prec):
     return PdoSeries.u(pres.D, prec) + y
 
 
-def counted(targets):
+def counted(targets, tallies=None):
     """Wrap the attributes (owner, name) in targets, an owner being a class
-    or a module, with call counters; returns the counts by name, the names
-    found and a function that restores them."""
+    or a module, with call counters; tallies maps a name to (key, size),
+    and each call of it also adds size(*args) to counts[key].  Returns the
+    counts by name and key, the names found and a function that restores
+    them."""
+    tallies = tallies or {}
     counts = {name: 0 for _, name in targets}
+    counts.update({key: 0 for key, _ in tallies.values()})
     saved = {(owner, name): vars(owner)[name] for owner, name in targets
              if name in vars(owner)}
 
     def wrap(name, fn):
+        key, size = tallies.get(name, (None, None))
+
         def inner(*args, **kwargs):
             counts[name] += 1
+            if key:
+                counts[key] += size(*args)
             return fn(*args, **kwargs)
         return inner
 
@@ -65,7 +78,7 @@ def main():
     args = parser.parse_args()
 
     print(f"{'char':>4} {'alpha':22} {'N':>3} {'ms':>9} {'products':>9} "
-          f"{'sums':>7} {'scans':>7} {'D^s':>7} {'k mul':>7}")
+          f"{'sums':>7} {'entries':>8} {'scans':>7} {'D^s':>7} {'k mul':>7}")
     for char, alpha in CASES:
         for prec in map(int, args.precisions.split(",")):
             a = series(char, alpha, prec)
@@ -80,14 +93,16 @@ def main():
             counts, present, restore = counted(
                 [(RatFunc2, name) for name in ("__mul__", "__rmul__", "weighted_sum")]
                 + [(ratfunc, "_over_monomial"), (Derivation, "power"),
-                   (type(a.ctx.field), "_mul")])
+                   (type(a.ctx.field), "_mul")],
+                {"weighted_sum": ("entries", lambda terms: sum(len(c.num) for c, _ in terms))})
             try:
                 pdo_inv(pdo_inv(a))
             finally:
                 restore()
-            sums = counts["weighted_sum"] if "weighted_sum" in present else "-"
+            sums, entries = ((counts["weighted_sum"], counts["entries"])
+                             if "weighted_sum" in present else ("-", "-"))
             print(f"{char:>4} {alpha:22} {prec:>3} {best * 1000:9.2f} "
-                  f"{counts['__mul__'] + counts['__rmul__']:>9} {sums:>7} "
+                  f"{counts['__mul__'] + counts['__rmul__']:>9} {sums:>7} {entries:>8} "
                   f"{counts['_over_monomial']:>7} {counts['power']:>7} {counts['_mul']:>7}")
 
 

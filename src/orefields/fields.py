@@ -472,6 +472,15 @@ class Field:
     def _pow(self, a, n):
         return _power(a, n, self._one_rep(), self._mul)
 
+    def _accumulator(self):
+        """(add, mul, canon) for sums of products that are reduced once
+        (delayed reduction): add and mul take reps or values they returned,
+        and canon maps such a value to its canonical rep.  QQ and GF(l) add
+        and multiply natively and reduce with `_qq` or `x % l`; here add and
+        mul are `_add` and `_mul`, whose values are canonical, and canon is
+        None."""
+        return self._add, self._mul, None
+
     def _frobenius(self, a):
         # a^l in characteristic l; see `frobenius`
         return self._pow(a, self.char)
@@ -568,6 +577,9 @@ class RationalField(Field):
     def _inv(self, a):
         return _qdiv(1, a)
 
+    def _accumulator(self):
+        return operator.add, operator.mul, _qq
+
     def _is_zero(self, a):
         return a == 0
 
@@ -615,6 +627,9 @@ class PrimeField(Field):
 
     def _inv(self, a):
         return pow(a, -1, self.char)
+
+    def _accumulator(self):
+        return operator.add, operator.mul, self.char.__rmod__    # x -> x % l
 
     def _frobenius(self, a):
         return a
@@ -885,11 +900,12 @@ class ParameterField(Field):
     field K.  Reps are pairs (num, den) of trimmed little-endian tuples of
     base reps, with den monic and gcd(num, den) = 1.
 
-    A gcd is computed only where a common factor can occur.  When both
-    denominators are 1, or one operand is a nonzero constant c of K, the
-    product n1*n2 (resp. c*n over d) and the sum n1 + n2 over 1 are already
-    reduced with a monic denominator, so they are returned as they are;
-    that rep is the canonical one, because it is unique."""
+    A gcd is computed only where a common factor can occur.  When one
+    operand is a nonzero constant c of K (tested first), or both
+    denominators are 1, the product c*n over d (resp. n1*n2) and the sum
+    n1 + n2 over 1 are already reduced with a monic denominator, so they
+    are returned as they are; that rep is the canonical one, because it is
+    unique.  So are powers n^s / d^s (`_pow`)."""
 
     def __init__(self, base: Field):
         if isinstance(base, ParameterField):
@@ -926,12 +942,12 @@ class ParameterField(Field):
         n2, d2 = b
         if not n1 or not n2:
             return self._zero_rep()
-        if len(d1) == 1 and len(d2) == 1:
-            return (_umul(K, n1, n2), d1)
         if len(d1) == 1 and len(n1) == 1:
             return (_uscale(K, n2, n1[0]), d2)
         if len(d2) == 1 and len(n2) == 1:
             return (_uscale(K, n1, n2[0]), d1)
+        if len(d1) == 1 and len(d2) == 1:
+            return (_umul(K, n1, n2), d1)
         return _frac_mul(_UPoly, K, n1, d1, n2, d2)
 
     def _inv(self, a):
@@ -954,17 +970,23 @@ class ParameterField(Field):
         return (spread(a[0]), spread(a[1]))
 
     def _pow(self, a, n):
+        # a = n/d with gcd(n, d) = 1, so gcd(n^s, d^s) = 1 and d^s is monic:
+        # a power of a, and a product of two, is taken numerator by numerator
+        # and denominator by denominator, with no gcd.  In characteristic l,
         # a^n = prod_k sigma_k(a)^(d_k) over the base-l digits d_k of n, with
         # sigma_k(a) = a^(l^k) by substitution
-        ell = self.char
+        K, ell = self.base, self.char
+
+        def mul(x, y):
+            return (_umul(K, x[0], y[0]), _umul(K, x[1], y[1]))
         if not ell:
-            return super()._pow(a, n)
+            return _power(a, n, self._one, mul)
         out = None
         while n:
             n, d = divmod(n, ell)
             if d:
-                ad = _power(a, d, self._one, self._mul)
-                out = ad if out is None else self._mul(out, ad)
+                ad = _power(a, d, self._one, mul)
+                out = ad if out is None else mul(out, ad)
             if n:
                 a = self._frobenius(a)
         return self._one if out is None else out

@@ -31,8 +31,10 @@ a gcd: v1 and v2 are the only primes of the denominator, so the only
 common factor a numerator can share with it is a monomial, found from the
 least exponents.  A one-term factor of a product shifts exponents (and
 scales unless its coefficient is 1), a sum of Laurent elements goes over
-the monomial lcm (an n-ary sum, `RatFunc2.weighted_sum`, in one pass and
-with one reduction), and a scaling derivation D(v1) = c1 v1, D(v2) = c2 v2
+the monomial lcm (an n-ary sum, `RatFunc2.weighted_sum`, in one pass: over
+QQ and GF(l) its coefficients are multiplied and added natively and each
+is reduced once, then the fraction is), and a scaling derivation
+D(v1) = c1 v1, D(v2) = c2 v2
 (the family g_alpha and its series derivation -D) is diagonal on
 monomials: D(v1^i v2^j) = (i c1 + j c2) v1^i v2^j.  Each derivation
 detects that once, from its images, and caches the eigenvalues it meets
@@ -405,37 +407,49 @@ class RatFunc2:
     @staticmethod
     def weighted_sum(terms):
         """sum c w over a nonempty list of pairs (c, w), c a fraction and w
-        a nonzero raw rep of k or None for 1, reduced once: the Laurent c go
-        over their monomial lcm in one pass, each numerator shifted and
-        scaled by w and deleted as soon as it cancels, so the sum needs no
-        trimming pass, then one `_over_monomial`; the others add pairwise."""
+        a nonzero raw rep of k or None for 1, reduced once.  One scan finds
+        the Laurent c and their monomial lcm v1^p v2^q; their numerators,
+        shifted onto it (unless already there) and scaled by w, are summed
+        with the field's accumulator (`Field._accumulator`), unreduced over
+        QQ and GF(l), and each coefficient of the sum is then made
+        canonical once and dropped if it is zero, before one
+        `_over_monomial`.  The other c add pairwise."""
         ctx = terms[0][0].ctx
         K = ctx.field
         if len(terms) == 1:
             (c, w), = terms
             return c if w is None else RatFunc2(ctx, _pscale(K, c.num, w), c.den,
                                                 _normalized=True)
-        mono = [(c, w) for c, w in terms if len(c.den) == 1]
+        mono, others, p, q = [], [], 0, 0
+        for c, w in terms:
+            if len(c.den) == 1:
+                (pc, qc), = c.den
+                mono.append((c.num, w, pc, qc))
+                p, q = max(p, pc), max(q, qc)
+            else:
+                others.append((c, w))
         out = None
         if mono:
-            p, q = map(max, zip(*(next(iter(c.den)) for c, _ in mono)))
+            add, mul, canon = K._accumulator()
             num = {}
-            for c, w in mono:
-                (pc, qc), = c.den
-                for (i, j), v in c.num.items():
-                    v = v if w is None else K._mul(v, w)
-                    ij = (i + p - pc, j + q - qc)
-                    if ij in num:
-                        v = K._add(num[ij], v)
-                        if K._is_zero(v):
-                            del num[ij]
-                            continue
-                    num[ij] = v
+            get = num.get
+            for n, w, pc, qc in mono:
+                di, dj = p - pc, q - qc
+                shift = di or dj
+                for ij, v in n.items():
+                    if shift:
+                        ij = (ij[0] + di, ij[1] + dj)
+                    if w is not None:
+                        v = mul(v, w)
+                    s = get(ij)
+                    num[ij] = v if s is None else add(s, v)
+            zero = K._zero_rep()
+            values = num.values() if canon is None else map(canon, num.values())
+            num = {ij: v for ij, v in zip(num, values) if v != zero}
             out = _over_monomial(ctx, num, p, q) if num else ctx.zero()
-        for c, w in terms:
-            if len(c.den) != 1:
-                c = RatFunc2.weighted_sum([(c, w)])
-                out = c if out is None else out._combined(c)
+        for c, w in others:
+            c = RatFunc2.weighted_sum([(c, w)])
+            out = c if out is None else out._combined(c)
         return out
 
     def __sub__(self, other):
@@ -644,16 +658,23 @@ class Derivation:
             lam_s = powers[key, s] = self.ctx.field._pow(lam, s)
         return lam_s
 
+    def eigenkey(self, f: RatFunc2):
+        """The key (i - p, j - q) by which `_eigenvalue` reads lambda^s,
+        where D is a scaling derivation and f = c v1^i v2^j / (v1^p v2^q) a
+        Laurent monomial; None for any other f or D."""
+        if self._eigen is None or len(f.num) != 1 or len(f.den) != 1:
+            return None
+        (i, j), = f.num
+        (p, q), = f.den
+        return i - p, j - q
+
     def eigenvalue(self, f: RatFunc2, s: int = 1):
         """The raw rep of lambda^s, s >= 1, where D(f) = lambda f for a
         scaling derivation D and f = c v1^i v2^j / (v1^p v2^q) a Laurent
         monomial: lambda = (i - p) c1 + (j - q) c2, so that D^s(f) =
         lambda^s f.  None for any other f or D."""
-        if self._eigen is None or len(f.num) != 1 or len(f.den) != 1:
-            return None
-        (i, j), = f.num
-        (p, q), = f.den
-        return self._eigenvalue((i - p, j - q), s)
+        key = self.eigenkey(f)
+        return None if key is None else self._eigenvalue(key, s)
 
     def is_diagonal_on(self, f: RatFunc2) -> bool:
         """Whether D is a scaling derivation and f a Laurent element, so

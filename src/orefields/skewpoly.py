@@ -259,9 +259,10 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
     constant too, `_commuting` forms that order on raw reps.  D^s(g_j) is
     taken only at those orders, each from the one before it by
     `Derivation.power`, not past its first zero and not past the floor.
-    Where g_j is an eigenvector of D (`Derivation.eigenvalue`), D^s(g_j)
-    is not formed: the pair is (f_i g_j, w lambda^s), with f_i g_j formed
-    once for all s and lambda^s read from the derivation's cache, and the
+    Where g_j is an eigenvector of D, D^s(g_j) is not formed: the pair is
+    (f_i g_j, w lambda^s), with f_i g_j formed once for all s.  The
+    monomial key of g_j (`Derivation.eigenkey`) is taken once, and
+    lambda^s is read by it from the derivation's cache at each order; the
     orders stop after 0 where lambda = 0.
 
     Where every x-degree of f lies in [0, lowest), C(i, s) = 0 for each
@@ -288,9 +289,10 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
     ftop = max(f) - floor
     for j, gj in g.items():
         # ders[s] = (d, c) with D^s(g_j) = c d, c a raw rep of k or None for
-        # 1.  An eigenvector g_j of D keeps d = g_j and c = lambda^s; after
-        # order 0 it stops where lambda = 0
-        lam = D.eigenvalue(gj)
+        # 1.  An eigenvector g_j of D keeps d = g_j and c = lambda^s, read by
+        # its key; after order 0 it stops where lambda = 0
+        key = D.eigenkey(gj)
+        lam = None if key is None else D._eigenvalue(key)
         ders, d, at = {}, gj, 0
         for s in needed:
             if s > ftop + j:
@@ -303,7 +305,7 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
             elif s and K._is_zero(lam):
                 break
             else:
-                ders[s] = (gj, D.eigenvalue(gj, s) if s else None)
+                ders[s] = (gj, D._eigenvalue(key, s) if s else None)
         gc = gconst[j]          # a constant g_j has only order 0: D^0(g_j) = g_j
         for i, fi in f.items():
             fc = fconst[i]

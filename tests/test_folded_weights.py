@@ -6,8 +6,8 @@ the slow references of tests/_support.py over REF_FIELDS:
 - `skewpoly._terms` folds a constant factor (the 1 of x or u, the
   constants of x - gamma, c x) into the binomial weight instead of
   forming a product;
-- `RatFunc2.weighted_sum` deletes an entry of its Laurent sum as soon as
-  it cancels;
+- `RatFunc2.weighted_sum` drops an entry of its Laurent sum that
+  cancels, in part or in full;
 - `skewpoly._terms` folds lambda^s into the weight where g_j is a Laurent
   monomial, an eigenvector of a scaling derivation, and lists order 0
   alone where lambda = 0, while a derivation of the q family keeps taking
@@ -273,12 +273,12 @@ def mixed_coefficients(rng, ctx):
 
 
 # (field, alpha, a Laurent monomial (i, j) whose eigenvalue i + j alpha is 0)
-KERNEL_MONOMIALS = [(QQ(), Fraction(2, 3), (2, -3)), (GF(2), 1, (2, 0)),
+KERNEL_MONOMIALS = [(QQ(), Fraction(2, 3), (2, -3)), (QQ(), 2, (2, -1)), (GF(2), 1, (2, 0)),
                     (GF(3), 2, (3, 0)), (GF(5), 3, (5, 0))]
 
 
 @pytest.mark.parametrize("field, alpha, ij", KERNEL_MONOMIALS,
-                         ids=["QQ:y^2z^-3", "GF2:y^2", "GF3:y^3", "GF5:y^5"])
+                         ids=["QQ:y^2z^-3", "QQ:y^2z^-1", "GF2:y^2", "GF3:y^3", "GF5:y^5"])
 def test_monomials_of_eigenvalue_zero_list_order_zero_alone(field, alpha, ij, monkeypatch):
     pres = algebra_make(CaseSpec("g", field, field.coerce(alpha)))
     D, ctx = pres.D, pres.ctx

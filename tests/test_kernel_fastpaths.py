@@ -90,53 +90,70 @@ def test_param_mul_and_add_match_reference(base):
 def test_param_mul_with_a_constant_numerator_or_unit_denominator(base, monkeypatch):
     # n1/d1 * n2/d2 cancels n1 against d2 and n2 against d1; where either
     # side of a cancel is a constant of K (a constant numerator c/p, the
-    # denominator 1 of a polynomial) the gcd is 1 and no Euclid runs
+    # denominator 1 of a polynomial) the gcd is 1 and no Euclid runs.  A
+    # constant operand of K(a) scales the other numerator before the
+    # product of two polynomials is tried: no `_umul` runs for it
     from orefields import fields
     F = with_parameter(BASES[base]())
     rng = random.Random(f"param-const-{base}")
-    gcds = []
-    gcd = fields._UPoly.gcd
+    gcds, umuls = [], []
+    gcd, umul = fields._UPoly.gcd, fields._umul
 
     def recording(K, a, b):
         gcds.append((a, b))
         return gcd(K, a, b)
+
+    def multiplying(K, a, b):
+        umuls.append((a, b))
+        return umul(K, a, b)
     monkeypatch.setattr(fields._UPoly, "gcd", recording)
+    monkeypatch.setattr(fields, "_umul", multiplying)
     for _ in range(8):
         recips = [rand_param(rng, F, "constant") / rand_poly_a(rng, F, rng.randint(1, 3))
                   for _ in range(2)]
         poly, frac = rand_param(rng, F, "polynomial"), rand_param(rng, F, "fraction")
+        consts = [rand_param(rng, F, "constant") for _ in range(2)]
         for x, y in ((recips[0], recips[1]), (recips[0], poly), (poly, frac),
-                     (frac, recips[1])):
+                     (frac, recips[1]), (consts[0], poly), (consts[0], consts[1])):
             for a, b in ((x, y), (y, x)):
-                del gcds[:]
+                del gcds[:], umuls[:]
                 got = F._mul(a.rep, b.rep)
+                products = len(umuls)
                 assert got == ref_param_mul(F, a.rep, b.rep), (str(a), str(b))
                 assert all(len(p) > 1 and len(q) > 1 for p, q in gcds), (str(a), str(b))
                 if {x, y} == set(recips):
                     assert not gcds, (str(a), str(b))
+                if x is consts[0]:
+                    assert not gcds and not products, (str(a), str(b))
 
 
 @pytest.mark.parametrize("ell", [0, 3, 5])
 def test_param_powers_take_their_first_factor_as_it_is(ell, monkeypatch):
-    # a^1 and a^l (one Frobenius substitution) are no product; a^(l + 1)
-    # is one, a^(l^2 + 2l + 1) three, a^5 in characteristic 0 two
+    # (n/d)^s = n^s / d^s is reduced where n/d is, so a power runs no gcd;
+    # in characteristic l, a^l is one Frobenius substitution and a^(l + 1),
+    # a^(l^2 + 2l + 1) are products of such digit factors, also gcd-free
+    from orefields import fields
     F = with_parameter(GF(ell) if ell else QQ())
     a = F.gen() / (F.gen() + 1)
-    calls = []
-    mul = ParameterField._mul
+    b = (F.gen() ** 2 + 1) / (F.gen() - 1)
+    gcds = []
+    gcd = fields._UPoly.gcd
 
-    def counting(self, x, y):
-        calls.append(1)
-        return mul(self, x, y)
-    wants = ({1: 0, 5: 3, 6: 3} if not ell else
-             {1: 0, ell: 0, ell + 1: 1, ell * ell + 2 * ell + 1: 3})
-    for n, products in wants.items():
-        monkeypatch.setattr(ParameterField, "_mul", counting)
-        del calls[:]
-        got = F._pow(a.rep, n)
-        monkeypatch.undo()
-        assert len(calls) == products, n
-        assert F.element(got) == a ** n, n
+    def recording(K, x, y):
+        gcds.append((x, y))
+        return gcd(K, x, y)
+    ns = (1, 2, 5, 6, 9) if not ell else (1, ell, ell + 1, ell * ell + 2 * ell + 1)
+    for x in (a, b, F.gen(), F.coerce(2), F.zero()):
+        want = F._one_rep()
+        for n in range(max(ns) + 1):
+            if n in ns:
+                monkeypatch.setattr(fields._UPoly, "gcd", recording)
+                monkeypatch.setattr(fields, "_ugcd", recording)
+                got = F._pow(x.rep, n)
+                monkeypatch.undo()
+                assert got == want, (str(x), n)
+                assert not gcds, (str(x), n)
+            want = ref_param_mul(F, want, x.rep)
     assert F._pow(a.rep, 0) == F._one_rep() and F._one_rep() is F._one_rep()
 
 

@@ -3,15 +3,26 @@ forms each output coefficient of a skew or series product with one
 reduction: against the pairwise sums of tests/_support.py, on slots that
 cancel, slots of one term and binomial weights of -1, and through the
 products, commutators and series inverses built on it against
-`ref_skew_mul`, `ref_commutator`, `ref_pdo_mul` and `ref_pdo_inv`."""
+`ref_skew_mul`, `ref_commutator`, `ref_pdo_mul` and `ref_pdo_inv`.  The
+field's accumulator (`Field._accumulator`) sums over QQ and GF(l) with
+no reduction and reduces each coefficient once: sums that cancel
+exactly, Fractions that add up to integers and binomial-sized weights
+come back in the canonical rep, over those fields and over the fields
+that sum with their own `_add` and `_mul`."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from orefields.fields import (
+    GF, QQ, ExtensionField, ParameterField, PrimeField, Qsqrt, QuadraticField, RationalField,
+    _ugcd, with_parameter,
+)
 from orefields.pdo import PdoSeries, pdo_inv
 from orefields.presentations import CaseSpec, algebra_make
-from orefields.ratfunc import RatFunc2
+from orefields.ratfunc import FunctionField2, RatFunc2
 from orefields.skewpoly import SkewPoly, _product, _summed, _terms, commutator
 
 from _support import (
@@ -225,3 +236,135 @@ def test_inverse_of_the_inverse_is_the_series(name):
     for prec in (8, 24):
         a = PdoSeries.u(pres.D.negate(), prec) + PdoSeries.from_ratfunc(pres.D.negate(), y, prec)
         assert pdo_inv(pdo_inv(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# the accumulator: sums reduced once
+
+NATIVE_FIELDS = {"QQ": QQ, "GF2": lambda: GF(2), "GF3": lambda: GF(3), "GF7": lambda: GF(7)}
+GENERIC_FIELDS = {"GF9": lambda: GF(3, 2), "QQ(sqrt2)": lambda: Qsqrt(2),
+                  "QQ(a)": lambda: with_parameter(QQ()),
+                  "GF3(a)": lambda: with_parameter(GF(3))}
+BINOMIAL = math.comb(48, 24)
+
+
+def is_canonical(K, v):
+    """Whether v is the canonical rep of a nonzero element of K."""
+    if K._is_zero(v):
+        return False
+    if isinstance(K, RationalField):
+        return type(v) is int or type(v) is Fraction and v.denominator > 1
+    if isinstance(K, PrimeField):
+        return type(v) is int and 0 <= v < K.char
+    if isinstance(K, ExtensionField):
+        return (type(v) is tuple and len(v) == K.degree
+                and all(type(x) is int and 0 <= x < K.char for x in v))
+    if isinstance(K, QuadraticField):
+        Q = QQ()
+        return type(v) is tuple and len(v) == 2 and all(
+            x == 0 and type(x) is int or is_canonical(Q, x) for x in v)
+    assert isinstance(K, ParameterField)
+    B = K.base
+    n, d = v
+    return (all(is_canonical(B, x) or x == B._zero_rep() for x in n + d)
+            and not B._is_zero(n[-1]) and d[-1] == B._one_rep()
+            and len(_ugcd(B, n, d)) == 1)
+
+
+def weight(K, x):
+    """The rep of the int or Fraction x as a weight: None for 1."""
+    w = K.coerce(x).rep
+    return None if w == K._one_rep() else w
+
+
+def accumulator_cases(K):
+    """Lists of (c, w) that cancel exactly (char(K) equal terms, or weights
+    that sum to char(K) or to 0), whose Fraction weights sum to integers,
+    whose weights are near C(48, 24), and that mix Laurent and non-Laurent
+    terms, each with the reason it is drawn."""
+    ctx = FunctionField2(K)
+    y, z = ctx.gens()
+    ell = K.char
+    f = y / z + 1 / (y * y)              # over y^2 z: a shift onto the lcm
+    g = y * z + 2                        # over 1
+    h = ctx.monomial(-1, 2, 3)           # over y
+    frac = y / (z + 1)
+    cases = []
+    if ell:
+        cases += [
+            ("char equal terms", [(f, None)] * ell),
+            ("char equal terms and one more", [(f, None)] * ell + [(h, None)]),
+            ("weights summing to char", [(f, weight(K, ell - 1)), (f, None), (g, None)]),
+            ("weights 2 and char - 2",
+             [(g, weight(K, 2)), (g, weight(K, ell - 2)), (h, None)] if ell > 2 else
+             [(g, None), (g, None), (h, None)]),
+        ]
+    cases += [
+        ("weights summing to 0", [(f, weight(K, 3)), (f, weight(K, -1)), (f, weight(K, -2))]),
+        ("a cancelled term beside a shifted one",
+         [(y / z, None), (1 / (y * y), None), (y / z, weight(K, -1))]),
+        ("binomial weights", [(f, weight(K, BINOMIAL)), (g, weight(K, -BINOMIAL + 1)),
+                              (f, weight(K, -BINOMIAL)), (h, weight(K, BINOMIAL - 1))]),
+        ("binomial weights that do not cancel",
+         [(f, weight(K, BINOMIAL)), (f, weight(K, math.comb(48, 23))), (h, None)]),
+        ("mixed Laurent and non-Laurent",
+         [(f, None), (frac, weight(K, 2)), (g, weight(K, -1)), (frac, weight(K, -2))]),
+        ("a non-Laurent term first", [(frac, None), (h, weight(K, 5)), (h, None)]),
+    ]
+    if not ell:
+        half = y / 2 + z * Fraction(1, 3)
+        cases += [
+            ("Fractions summing to integers",
+             [(half, None), (half, None), (half, weight(K, Fraction(2, 3)))]),
+            ("Fraction weights summing to an integer",
+             [(f, weight(K, Fraction(1, 3))), (f, weight(K, Fraction(2, 3))), (h, None)]),
+            ("Fraction weights summing to 0",
+             [(f, weight(K, Fraction(5, 7))), (f, weight(K, Fraction(-5, 7)))]),
+        ]
+    return cases
+
+
+def assert_accumulated(K):
+    for why, terms in accumulator_cases(K):
+        # a weight that vanishes in the characteristic leaves its term out
+        terms = [(c, w) for c, w in terms if w is None or not K._is_zero(w)]
+        got = RatFunc2.weighted_sum(terms)
+        assert_same(got, ref_weighted_sum(terms), why)
+        for v in list(got.num.values()) + list(got.den.values()):
+            assert is_canonical(K, v), (why, v)
+
+
+@pytest.mark.parametrize("name", sorted(NATIVE_FIELDS))
+def test_native_accumulator_reduces_each_coefficient_once(name, monkeypatch):
+    K = NATIVE_FIELDS[name]()
+    assert K._accumulator()[2] is not None
+    assert_accumulated(K)
+    # a sum of Laurent terms calls neither `_add` nor `_mul` of the field
+    y, z = FunctionField2(K).gens()
+    terms = [(y / z, None), (y + 1, weight(K, BINOMIAL + 1)), (1 / z, weight(K, -1))]
+
+    def refused(self, a, b):
+        raise AssertionError("a field method ran in the accumulated sum")
+    monkeypatch.setattr(type(K), "_add", refused)
+    monkeypatch.setattr(type(K), "_mul", refused)
+    got = RatFunc2.weighted_sum(terms)
+    monkeypatch.undo()
+    assert_same(got, ref_weighted_sum(terms))
+
+
+def test_integral_sums_over_qq_are_ints():
+    K = QQ()
+    ctx = FunctionField2(K)
+    y, z = ctx.gens()
+    got = RatFunc2.weighted_sum([(y * Fraction(1, 3), None), (y * Fraction(2, 3), None),
+                                 (z / y, weight(K, Fraction(1, 2))),
+                                 (z / y, weight(K, Fraction(3, 2)))])
+    assert got == y + 2 * z / y
+    assert all(type(v) is int for v in got.num.values()), got.num
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_FIELDS))
+def test_generic_accumulator_over_the_other_fields(name):
+    K = GENERIC_FIELDS[name]()
+    assert K._accumulator() == (K._add, K._mul, None)
+    assert_accumulated(K)
