@@ -1,77 +1,128 @@
 #!/usr/bin/env python3
-"""Time `verify all --alpha param` check by check at a list of
-characteristics l, and count its skew products by kind: commutative, where
-every coefficient of both factors is a constant (x^l - x, the central
-element c, the translates x - i gamma), and Ore, where some coefficient is
-not.  One row per check, one column per l: the best of --repeat runs of
-each check's own time, in ms; then the whole run and the two product
-counts, taken from one more run.  The counts do not depend on the machine.
+"""Time `verify all` check by check on a list of (characteristic, alpha)
+cases, and count the calls of the Ore product loop `skewpoly._terms`.
+One row per check, two columns per case: the best of --repeat runs of the
+check's own time, in ms, and the `_terms` calls the check made, counted on
+one more run.  A row "outside checks" counts the calls that no check made
+(work a suite does between its checks).  Then the whole run and the
+`_terms` calls by kind: commutative, where every coefficient of both
+factors is a constant (x^l - x, the central element c, the translates
+x - i gamma), and Ore, where some coefficient is not.  The counts do not
+depend on the machine.
 
     PYTHONPATH=src python scripts/probe_centers.py --chars 61,101,151
+
+--chars l1,l2 is short for the cases l1:param l2:param.  The cases of the
+benchmark's verify-grid workload, at its seed 19:
+
+    PYTHONPATH=src python scripts/probe_centers.py --seed 19 --cases \\
+        0:rat:2/3 "0:quad:(0+1*sqrt(2))/1" 0:param 2:param 3:param 5:param 7:param
 """
 
 import argparse
 import time
 
 from orefields import pdo, skewpoly
-from orefields.cli import Config, run_suite
+from orefields.cli import Config, Report, run_suite
+
+OUTSIDE = "outside checks"
 
 
 def counted():
     """Wrap the Ore product loop `_terms`, in skewpoly and where pdo
-    imports it, with a counter of its calls by kind; returns the counts and
-    a function that restores the loop."""
+    imports it, with a counter of its calls by kind, and `Report.run` with
+    a counter of the calls each check makes; returns the counts by kind,
+    the counts by check, and a function that restores both."""
     counts = {"commutative": 0, "Ore": 0}
-    loop = skewpoly._terms
+    by_check = {}
+    loop, run = skewpoly._terms, Report.run
 
     def inner(f, g, *args, **kwargs):
         const = all(c.is_constant() for c in (*f.values(), *g.values()))
         counts["commutative" if const else "Ore"] += 1
         return loop(f, g, *args, **kwargs)
 
+    def total():
+        return counts["commutative"] + counts["Ore"]
+
+    def check(self, name, *args, **kwargs):
+        before = total()
+        try:
+            return run(self, name, *args, **kwargs)
+        finally:
+            by_check[name] = by_check.get(name, 0) + total() - before
+
     skewpoly._terms = pdo._terms = inner
+    Report.run = check
 
     def restore():
         skewpoly._terms = pdo._terms = loop
-    return counts, restore
+        Report.run = run
+        by_check[OUTSIDE] = total() - sum(by_check.values())
+    return counts, by_check, restore
+
+
+def parse_case(text):
+    char, alpha = text.split(":", 1)
+    return int(char), alpha
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--chars", default="61,101,151")
+    parser.add_argument("--chars", default="61,101,151",
+                        help="characteristics l, each run with --alpha param")
+    parser.add_argument("--cases", nargs="+", metavar="CHAR:ALPHA",
+                        help="(characteristic, alpha literal) cases, in place of --chars")
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    chars = list(map(int, args.chars.split(",")))
-    rows, totals, products = {}, {}, {}
-    for ell in chars:
-        cfg = Config(char=ell, alpha="param")
+    if args.cases:
+        cases = [parse_case(text) for text in args.cases]
+    else:
+        cases = [(int(ell), "param") for ell in args.chars.split(",")]
+    labels = [f"{char}:{alpha}" for char, alpha in cases]
+    rows, terms, totals, kinds = {}, {}, {}, {}
+    for label, (char, alpha) in zip(labels, cases):
+        cfg = Config(char=char, alpha=alpha, seed=args.seed)
         for _ in range(args.repeat):
             start = time.perf_counter()
             report = run_suite("all", cfg)
             total = (time.perf_counter() - start) * 1000.0
             if report.failures:
-                raise SystemExit(f"l = {ell}: {len(report.failures)} checks fail")
-            totals[ell] = min(totals.get(ell, total), total)
+                raise SystemExit(f"{label}: {len(report.failures)} checks fail")
+            totals[label] = min(totals.get(label, total), total)
             for c in report.checks:
-                best = rows.setdefault(c.name, {}).get(ell, c.runtime_ms)
-                rows[c.name][ell] = min(best, c.runtime_ms)
-        counts, restore = counted()
+                best = rows.setdefault(c.name, {}).get(label, c.runtime_ms)
+                rows[c.name][label] = min(best, c.runtime_ms)
+        counts, by_check, restore = counted()
         try:
             run_suite("all", cfg)
         finally:
             restore()
-        products[ell] = counts
+        kinds[label] = counts
+        for name, n in by_check.items():
+            terms.setdefault(name, {})[label] = n
 
-    width = max(map(len, rows))
-    print(f"{'check (ms)':{width}} " + " ".join(f"{'l = ' + str(ell):>10}" for ell in chars))
-    for name, by_char in rows.items():
-        cells = (f"{by_char[ell]:10.1f}" if ell in by_char else f"{'-':>10}" for ell in chars)
+    width = max(map(len, [*rows, OUTSIDE, "commutative _terms"]))
+    cell = [max(17, len(label)) for label in labels]
+    print(f"{'':{width}} " + " ".join(f"{label:>{w}}" for label, w in zip(labels, cell)))
+    print(f"{'check':{width}} " + " ".join(f"{'ms':>{w - 8}}{'_terms':>8}" for w in cell))
+    for name in [*rows, OUTSIDE]:
+        cells = []
+        for label, w in zip(labels, cell):
+            ms = rows.get(name, {}).get(label)
+            n = terms.get(name, {}).get(label)
+            cells.append(f"{'-' if ms is None else f'{ms:.1f}':>{w - 8}}"
+                         f"{'-' if n is None else n:>8}")
         print(f"{name:{width}} " + " ".join(cells))
-    print(f"{'whole run (ms)':{width}} " + " ".join(f"{totals[ell]:10.1f}" for ell in chars))
+    print((f"{'whole run (ms)':{width}} "
+           + " ".join(f"{totals[label]:{w - 8}.1f}{'':8}" for label, w in zip(labels, cell))).rstrip())
     for kind in ("commutative", "Ore"):
-        print(f"{kind + ' products':{width}} "
-              + " ".join(f"{products[ell][kind]:>10}" for ell in chars))
+        print(f"{kind + ' _terms':{width}} "
+              + " ".join(f"{kinds[label][kind]:>{w}}" for label, w in zip(labels, cell)))
+    print(f"{'_terms calls':{width}} "
+          + " ".join(f"{sum(kinds[label].values()):>{w}}" for label, w in zip(labels, cell)))
 
 
 if __name__ == "__main__":

@@ -208,15 +208,15 @@ def suite_presentations(cfg: Config, report: Report):
                           lambda: presentations.algebra_make(gcase))
     if pres is not None:
         x, y, z = pres.gens
+        ac = pres.embed(pres.ctx.const(gcase.alpha))
         for i in range(1, 7):
             xi = x ** i
             report.run(f"shift-identity-y-{i}",
                        f"x^{i} y = y (x+1)^{i}",
                        lambda xi=xi, i=i: xi * y == y * (x + 1) ** i)
-            ac = pres.embed(pres.ctx.const(gcase.alpha))
             report.run(f"shift-identity-z-{i}",
                        f"x^{i} z = z (x+alpha)^{i}",
-                       lambda xi=xi, i=i, ac=ac: xi * z == z * (x + ac) ** i)
+                       lambda xi=xi, i=i: xi * z == z * (x + ac) ** i)
         if cfg.char:
             ell = cfg.char
             al = gcase.alpha
@@ -236,8 +236,11 @@ def suite_presentations(cfg: Config, report: Report):
     if presqt is not None and cfg.char:
         ell = cfg.char
         xq, tq = presqt.x, presqt.z
-        report.run("q-invariant-shift", f"(x^{ell}-x) t = t (x^{ell}-x) - 1",
-                   lambda: (xq ** ell - xq) * tq == tq * (xq ** ell - xq) - 1)
+
+        def invariant_shift():
+            t1 = xq ** ell - xq
+            return t1 * tq == tq * t1 - 1
+        report.run("q-invariant-shift", f"(x^{ell}-x) t = t (x^{ell}-x) - 1", invariant_shift)
 
 
 def suite_centers(cfg: Config, report: Report):

@@ -41,6 +41,25 @@ field's own product and sum, then made one constant of k(v1, v2), with no
 product or reduction of fractions.  The test for it rides on the one for
 constant g_j, so a series, whose coefficients are not constant, pays no
 extra scan.
+
+Three operations on skew polynomials have closed forms from the defining
+relations of the extension, and do not enter the loop:
+
+- a product with a constant c of k (a field element, an int, or a
+  constant coefficient), on either side, is the other factor's
+  coefficients scaled by c, since D(c) = 0 makes c central;
+- the commutator of f0 + f1 x with a coefficient c is f1 D(c), since f0
+  and c commute and x c - c x = D(c): one application of D, with a
+  constant f1 joined to the sign as one weight;
+- a power of a polynomial whose coefficients are all constants is taken
+  in k[x], which is commutative: square and multiply on
+  {degree: raw rep} dicts, the sums of each product made with the field's
+  accumulator, as in `_commuting`, and wrapped as coefficients once; in
+  characteristic l, f^l is the Frobenius sum f_i^l x^(i l), so the
+  exponent is taken by its base-l digits.
+
+Series keep the loop for all three: a series product also fixes the
+precision of the result, and the loop is where that is done.
 """
 
 from __future__ import annotations
@@ -48,7 +67,7 @@ from __future__ import annotations
 import math
 
 from .fields import _coeff_term, _join_terms, _power
-from .ratfunc import Derivation, RatFunc2
+from .ratfunc import Derivation, RatFunc2, _pscale
 
 
 def binomial_orders(i: int, ell: int, lowest: int = 0, top: int | None = None):
@@ -206,13 +225,30 @@ class SkewPoly(OreSum):
     # the class's own __dict__.
     __add__ = __radd__ = OreSum.__add__
     __sub__, __rsub__, __neg__ = OreSum.__sub__, OreSum.__rsub__, OreSum.__neg__
-    __rmul__, __pow__ = OreSum.__rmul__, OreSum.__pow__
+    __rmul__ = OreSum.__rmul__
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # a constant of k is central: the product scales the other factor
+        K = self.ctx.field
+        c = _scalar(K, o.coeffs)
+        if c is not None:
+            return SkewPoly(self.derivation, _scaled(K, self.coeffs, c))
+        c = _scalar(K, self.coeffs)
+        if c is not None:
+            return SkewPoly(self.derivation, _scaled(K, o.coeffs, c))
         return SkewPoly(self.derivation, _product(self.coeffs, o.coeffs, self.derivation))
+
+    def __pow__(self, n):
+        # constant coefficients commute, so the power is taken in k[x]
+        reps = {i: c.num[(0, 0)] for i, c in self.coeffs.items() if c.is_constant()}
+        if len(reps) < len(self.coeffs) or not isinstance(n, int) or n < 0:
+            return OreSum.__pow__(self, n)
+        ctx = self.ctx
+        return SkewPoly(self.derivation,
+                        {k: ctx._const(c) for k, c in _kx_power(ctx.field, reps, n).items()})
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -341,19 +377,100 @@ def _commuting(f: dict, g: dict, ctx, pending: dict, floor: int, top: float, sig
     """The terms of sign * f g for nonzero constants f_i and g_j, given by
     their raw reps, which commute, so that only order 0 survives: sum
     f_i g_j at each x-degree k = i + j in [floor, top], formed on raw reps
-    and appended to pending[k] as one constant with weight None, leaving
-    out the k whose terms cancel."""
+    (`_kx_product`) and appended to pending[k] as one constant with weight
+    None, leaving out the k whose terms cancel."""
     K = ctx.field
+    for k, c in _kx_product(K, f, g, floor, top).items():
+        pending.setdefault(k, []).append((ctx._const(c if sign == 1 else K._neg(c)), None))
+
+
+def _kx_product(K, f: dict, g: dict, floor: int = 0, top: float = math.inf) -> dict:
+    """The product of f and g in k[x, x^-1], given and returned as
+    {degree: raw rep of k}, at the degrees k in [floor, top]: each sum of
+    f_i g_j over i + j = k is formed with the field's accumulator
+    (`Field._accumulator`) and made canonical once, and the k whose sum is
+    0 are left out.  Only the pairs that occur are visited, so a sparse
+    factor such as x^l - x costs its number of terms, not its degree."""
+    add, mul, canon = K._accumulator()
     sums = {}
     for i, a in f.items():
         for j, b in g.items():
             k = i + j
             if floor <= k <= top:
-                ab = K._mul(a, b)
-                sums[k] = K._add(sums[k], ab) if k in sums else ab
-    for k, c in sums.items():
-        if not K._is_zero(c):
-            pending.setdefault(k, []).append((ctx._const(c if sign == 1 else K._neg(c)), None))
+                ab = mul(a, b)
+                sums[k] = add(sums[k], ab) if k in sums else ab
+    zero = K._zero_rep()
+    values = sums.values() if canon is None else map(canon, sums.values())
+    return {k: c for k, c in zip(sums, values) if c != zero}
+
+
+def _kx_power(K, f: dict, n: int) -> dict:
+    """f^n in k[x] for n >= 0, f given and returned as {degree: raw rep of
+    k}, by square and multiply over `_kx_product`.  In characteristic l,
+    f^l = sum f_i^l x^(i l) (the Frobenius of a commutative ring), so n is
+    taken by its base-l digits d_k: f^n is the product of the powers
+    (f^(l^k))^(d_k), each f^(l^k) formed from the one before by the
+    field's Frobenius on the coefficients, with no product."""
+    one = {0: K._one_rep()}
+    ell = K.char
+
+    def mul(a, b):
+        return _kx_product(K, a, b)
+
+    if not ell:
+        return _power(f, n, one, mul)
+    out = None
+    while n:
+        n, d = divmod(n, ell)
+        if d:
+            p = _power(f, d, one, mul)
+            out = p if out is None else mul(out, p)
+        if n:
+            f = {i * ell: K._frobenius(c) for i, c in f.items()}
+    return one if out is None else out
+
+
+def _scalar(K, f: dict):
+    """The raw rep of c where f = {0: c} is a constant c of k (the zero
+    rep where f is empty), None for any other f."""
+    if not f:
+        return K._zero_rep()
+    if len(f) > 1 or 0 not in f or not f[0].is_constant():
+        return None
+    return f[0].num[(0, 0)]
+
+
+def _scale(K, c: RatFunc2, w) -> RatFunc2:
+    """c w for a nonzero raw rep w of k: the numerator scaled, the
+    fraction still reduced over the same monic denominator."""
+    if w == K._one_rep():
+        return c
+    return RatFunc2(c.ctx, _pscale(K, c.num, w), c.den, _normalized=True)
+
+
+def _scaled(K, f: dict, w) -> dict:
+    """{i: f_i w} for a raw rep w of k: a product with a constant."""
+    if K._is_zero(w):
+        return {}
+    return {i: _scale(K, c, w) for i, c in f.items()}
+
+
+def _x_bracket(D: Derivation, f1, c, sign: int) -> dict:
+    """{0: sign f1 D(c)}, the commutator of f0 + f1 x with a coefficient
+    c (negated for sign = -1), or {} where it is 0; f1 or c is None where
+    it is 0.  A constant f1 and the sign are one weight of D(c), with no
+    product formed."""
+    if f1 is None or c is None:
+        return {}
+    d = D(c)
+    if d.is_zero():
+        return {}
+    K = D.ctx.field
+    if f1.is_constant():
+        w = f1.num[(0, 0)]
+        return {0: _scale(K, d, w if sign == 1 else K._neg(w))}
+    p = f1 * d
+    return {0: p if sign == 1 else -p}
 
 
 def _summed(pending: dict) -> dict:
@@ -380,7 +497,9 @@ def skew_pow(f: SkewPoly, n: int) -> SkewPoly:
 def commutator(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """fg - gf, where f or g may be a coefficient.  The order-0 terms
     f_i g_j x^(i+j) of the two products are equal, k(v1, v2) being
-    commutative, so neither product forms them."""
+    commutative, so neither product forms them.  Where one side is
+    f0 + f1 x and the other a coefficient c, that leaves f1 D(c), formed
+    directly, with the sign of the side c is on."""
     if not isinstance(f, SkewPoly):
         if not isinstance(g, SkewPoly):
             raise TypeError("a commutator needs a skew polynomial")
@@ -389,6 +508,9 @@ def commutator(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     if g is None:
         raise TypeError("cannot take a commutator with a non-coefficient")
     D = f.derivation
+    for a, b, sign in ((f.coeffs, g.coeffs, 1), (g.coeffs, f.coeffs, -1)):
+        if b.keys() <= {0} and a.keys() <= {0, 1}:
+            return SkewPoly(D, _x_bracket(D, a.get(1), b.get(0), sign))
     pending = _terms(f.coeffs, g.coeffs, D, {}, 1)
     return SkewPoly(D, _summed(_terms(g.coeffs, f.coeffs, D, pending, 1, sign=-1)))
 

@@ -422,8 +422,12 @@ def ref_skew_mul(f, g):
 
 
 def ref_commutator(f, g):
-    """fg - gf from two full products, the order-0 terms included."""
-    return f * g - g * f
+    """fg - gf from two full reference products, the order-0 terms
+    included, independent of the product under test; f or g may be a
+    coefficient."""
+    D = (f if isinstance(f, SkewPoly) else g).derivation
+    f, g = (h if isinstance(h, SkewPoly) else SkewPoly.from_coeff(D, h) for h in (f, g))
+    return ref_skew_mul(f, g) - ref_skew_mul(g, f)
 
 
 def ref_floor(q):

@@ -10,7 +10,10 @@ orders a binomial keeps, with D^s taken directly on Laurent elements,
 against the full product, and the commutator that leaves out the order-0
 terms against the difference of two full products; and the products of
 constant-coefficient polynomials and series, formed on raw reps, against
-a double loop of RatFunc2 products."""
+a double loop of RatFunc2 products; and the closed forms of skew
+operations, which run no Ore product loop, against the reference product:
+a product with a constant, the commutator of f0 + f1 x with a
+coefficient, and a power of a constant-coefficient polynomial."""
 
 import math
 import random
@@ -21,13 +24,14 @@ import pytest
 from orefields.fields import GF, QQ, ParameterField, Qsqrt, with_parameter
 from orefields.pdo import PdoSeries, pdo_inv
 from orefields.ratfunc import Derivation, FunctionField2, RatFunc2, _pmul, scaling_derivation
+from orefields import skewpoly
 from orefields.skewpoly import SkewPoly, _product, _summed, _terms, binomial_orders, commutator
 
 from _support import (
     rand_laurent_monomial, rand_nonzero, rand_poly2, rand_ratfunc, ref_combined,
     ref_derivation, ref_param_add, ref_param_from_int, ref_param_mul, ref_param_normalize,
     ref_partial, ref_pmul, ref_binomial_mod, ref_commutator, ref_quotient_rule, ref_ratfunc_mul,
-    ref_skew_mul, rand_param_elem,
+    ref_field, ref_skew_mul, rand_param_elem, REF_FIELDS,
 )
 
 BASES = {
@@ -773,3 +777,158 @@ def test_inverse_of_a_constant_series(name):
         b = pdo_inv(a)
         for prod in (a * b, b * a):
             assert prod.approx_eq(PdoSeries.one(delta, prod.prec)), str(a)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of skew operations: a product with a constant scales, the
+# commutator of f0 + f1 x with a coefficient c is f1 D(c), and a power of a
+# constant-coefficient polynomial is taken in k[x]; none runs the Ore loop
+
+CLOSED_FORM_FIELDS = [*REF_FIELDS, "GF9(a)"]
+
+
+def closed_form_field(name):
+    if name == "GF9(a)":
+        K = with_parameter(GF(3, 2))
+        return K, K.gen()
+    return ref_field(name)
+
+
+def closed_form_derivations(ctx, alpha):
+    """The scaling derivation of g_alpha, and two that are not scaling: the
+    q family's (y, y + z) and one with a rational image."""
+    y, z = ctx.gens()
+    return {"(1, alpha)": scaling_derivation(ctx, 1, alpha),
+            "(y, y + z)": Derivation(ctx, y, y + z), "(y / z, z)": Derivation(ctx, y / z, z)}
+
+
+def field_constants(K, alpha, rng):
+    """Constants of k in every form a product takes: zero, one, an int, a
+    Fraction, and field elements: alpha (the parameter a, or sqrt(2)) and
+    two drawn from all of K."""
+    draw = rand_param_elem if isinstance(K, ParameterField) else rand_nonzero
+    return [0, 1, -3, Fraction(5, 2), alpha, draw(rng, K), draw(rng, K)]
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_FIELDS)
+def test_products_with_a_constant_scale(name, monkeypatch):
+    K, alpha = closed_form_field(name)
+    ctx = FunctionField2(K)
+    rng = random.Random(f"closed-scale-{name}")
+    cases = []
+    for label, D in closed_form_derivations(ctx, alpha).items():
+        for value in field_constants(K, alpha, rng):
+            c = ctx.const(value)
+            ref_c = SkewPoly(D, {0: c})
+            for f in (rand_coeffs_skew(rng, D, 2, laurent=False), rand_coeffs_skew(rng, D, 3),
+                      SkewPoly.zero(D), ref_c):
+                want = ref_skew_mul(f, ref_c), ref_skew_mul(ref_c, f)
+                # the constant as it is, as a coefficient and as a skew polynomial
+                for cv in (value, c, ref_c):
+                    cases.append((f, cv, want, (label, str(f), str(c))))
+    terms = count_calls(monkeypatch, skewpoly, "_terms")
+    for f, cv, (right, left), context in cases:
+        assert_same_skew(f * cv, right, *context)
+        assert_same_skew(cv * f, left, *context)
+    assert not terms
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_FIELDS)
+def test_powers_of_constant_polynomials_in_kx(name, monkeypatch):
+    K, alpha = closed_form_field(name)
+    ctx = FunctionField2(K)
+    ell = K.char or 3     # in characteristic 0, the same exponents around 3
+    rng = random.Random(f"closed-power-{name}")
+    y, z = ctx.gens()
+    draw = rand_param_elem if isinstance(K, ParameterField) else rand_nonzero
+    D = scaling_derivation(ctx, 1, alpha)
+    x = SkewPoly.x(D)
+    polys = [x, SkewPoly.one(D), SkewPoly.zero(D), x - ctx.const(alpha), x ** ell - x,
+             SkewPoly(D, {i: ctx.const(draw(rng, K)) for i in (0, 1, 2)})]
+    # the derivation plays no part: D kills constants
+    E = Derivation(ctx, y, y + z)
+    polys.append(SkewPoly(E, {i: ctx.const(draw(rng, K)) for i in (0, 2, 3)}))
+    cases = []
+    for f in polys:
+        want, power = {}, SkewPoly.one(f.derivation)
+        for n in range(ell * ell + 1):
+            want[n] = power
+            # constant-coefficient factors commute; the short one goes left,
+            # where the reference takes its derivatives
+            power = ref_skew_mul(f, power)
+        for n in sorted({0, 1, 2, ell - 1, ell, ell + 1, ell * ell}):
+            cases.append((f, n, want[n]))
+    terms = count_calls(monkeypatch, skewpoly, "_terms")
+    for f, n, want in cases:
+        assert_same_skew(f ** n, want, str(f), n)
+    assert not terms
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_FIELDS)
+def test_bracket_of_a_linear_polynomial_with_a_coefficient(name, monkeypatch):
+    """[f0 + f1 x, c] = f1 D(c) in both orders, for every shape of f0 and
+    f1 (zero, one, a constant, a fraction) and of c: a constant, a Laurent
+    monomial, a Laurent sum and (y + z)/(z + 1), as a coefficient and as a
+    skew polynomial of degree 0."""
+    K, alpha = closed_form_field(name)
+    ctx = FunctionField2(K)
+    y, z = ctx.gens()
+    rng = random.Random(f"closed-bracket-{name}")
+    draw = rand_param_elem if isinstance(K, ParameterField) else rand_nonzero
+    cases = []
+    for label, D in closed_form_derivations(ctx, alpha).items():
+        coeffs = [ctx.zero(), ctx.one(), ctx.const(draw(rng, K)), rand_ratfunc(rng, ctx)]
+        cs = [ctx.const(draw(rng, K)), rand_laurent_monomial(rng, ctx), rand_laurent(rng, ctx),
+              (y + z) / (z + 1)]
+        for f0 in coeffs:
+            for f1 in coeffs:
+                f = SkewPoly(D, {0: f0, 1: f1})
+                for c in cs:
+                    cp = SkewPoly(D, {0: c})
+                    want = ref_commutator(f, cp)
+                    assert want == SkewPoly(D, {0: f1 * D(c)})
+                    cases.append((f, c, cp, f1, want, (label, str(f), str(c))))
+    terms = count_calls(monkeypatch, skewpoly, "_terms")
+    applications = count_calls(monkeypatch, Derivation, "__call__")
+    products = no_ratfunc_products(monkeypatch)
+    for f, c, cp, f1, want, context in cases:
+        for g in (c, cp):
+            applications.clear()
+            products.clear()
+            assert_same_skew(commutator(f, g), want, *context)
+            assert_same_skew(commutator(g, f), -want, *context)
+            # one application of D per bracket where f1 and c are nonzero,
+            # and no coefficient product where f1 is a constant
+            assert len(applications) == (0 if f1.is_zero() or c.is_zero() else 2), context
+            assert not products or not f1.is_constant(), context
+    assert not terms
+
+
+@pytest.mark.parametrize("name", ["GF7", "GF3(a)", "QQ"])
+def test_constant_series_powers_keep_the_loop(name):
+    """A series whose coefficients are constants is raised by repeated
+    products, each of which fixes the precision: the power equals them,
+    precision included."""
+    K, alpha = ref_field(name)
+    ctx = FunctionField2(K)
+    rng = random.Random(f"closed-series-{name}")
+    delta = scaling_derivation(ctx, 1, alpha).negate()
+    for prec in (3, 6):
+        a = PdoSeries(delta, rand_const_coeffs(rng, ctx, -2, 3), prec)
+        assert a ** 0 == PdoSeries.one(delta, prec)
+        power = a
+        for n in range(1, 6):
+            got = a ** n
+            assert got == power and got.prec == power.prec, (str(a), n)
+            power = power * a
