@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Time `verify all` check by check on a list of (characteristic, alpha)
-cases, and count the calls of the Ore product loop `skewpoly._terms`.
-One row per check, two columns per case: the best of --repeat runs of the
-check's own time, in ms, and the `_terms` calls the check made, counted on
-one more run.  A row "outside checks" counts the calls that no check made
-(work a suite does between its checks).  Then the whole run and the
-`_terms` calls by kind: commutative, where every coefficient of both
-factors is a constant (x^l - x, the central element c, the translates
-x - i gamma), and Ore, where some coefficient is not.  The counts do not
-depend on the machine.
+cases, and count the calls of the Ore product loop `skewpoly._terms` and
+the applications of a derivation, `Derivation.__call__`.  One row per
+check, three columns per case: the best of --repeat runs of the check's
+own time, in ms, and the `_terms` calls and the applications of D that the
+check made, counted on one more run.  A row "outside checks" counts the
+calls that no check made (work a suite does between its checks).  Then
+the whole run, the `_terms` calls by kind: commutative, where every
+coefficient of both factors is a constant (x^l - x, the central element
+c, the translates x - i gamma), and Ore, where some coefficient is not,
+and the applications of D.  The counts do not depend on the machine.
 
     PYTHONPATH=src python scripts/probe_centers.py --chars 61,101,151
 
@@ -24,41 +25,52 @@ import time
 
 from orefields import pdo, skewpoly
 from orefields.cli import Config, Report, run_suite
+from orefields.ratfunc import Derivation
 
 OUTSIDE = "outside checks"
 
 
 def counted():
     """Wrap the Ore product loop `_terms`, in skewpoly and where pdo
-    imports it, with a counter of its calls by kind, and `Report.run` with
-    a counter of the calls each check makes; returns the counts by kind,
-    the counts by check, and a function that restores both."""
-    counts = {"commutative": 0, "Ore": 0}
+    imports it, with a counter of its calls by kind, `Derivation.__call__`
+    with a counter of its calls, and `Report.run` with a counter of the
+    calls of both that each check makes; returns the counts by kind
+    ("commutative", "Ore" and "D"), the (_terms, D) counts by check, and a
+    function that restores all three."""
+    counts = {"commutative": 0, "Ore": 0, "D": 0}
     by_check = {}
-    loop, run = skewpoly._terms, Report.run
+    loop, apply, run = skewpoly._terms, Derivation.__call__, Report.run
 
     def inner(f, g, *args, **kwargs):
         const = all(c.is_constant() for c in (*f.values(), *g.values()))
         counts["commutative" if const else "Ore"] += 1
         return loop(f, g, *args, **kwargs)
 
+    def applied(self, f):
+        counts["D"] += 1
+        return apply(self, f)
+
     def total():
-        return counts["commutative"] + counts["Ore"]
+        return counts["commutative"] + counts["Ore"], counts["D"]
 
     def check(self, name, *args, **kwargs):
         before = total()
         try:
             return run(self, name, *args, **kwargs)
         finally:
-            by_check[name] = by_check.get(name, 0) + total() - before
+            old = by_check.get(name, (0, 0))
+            by_check[name] = tuple(o + t - b for o, t, b in zip(old, total(), before))
 
     skewpoly._terms = pdo._terms = inner
+    Derivation.__call__ = applied
     Report.run = check
 
     def restore():
         skewpoly._terms = pdo._terms = loop
+        Derivation.__call__ = apply
         Report.run = run
-        by_check[OUTSIDE] = total() - sum(by_check.values())
+        by_check[OUTSIDE] = tuple(t - sum(n[k] for n in by_check.values())
+                                  for k, t in enumerate(total()))
     return counts, by_check, restore
 
 
@@ -105,24 +117,28 @@ def main():
             terms.setdefault(name, {})[label] = n
 
     width = max(map(len, [*rows, OUTSIDE, "commutative _terms"]))
-    cell = [max(17, len(label)) for label in labels]
+    cell = [max(23, len(label)) for label in labels]
     print(f"{'':{width}} " + " ".join(f"{label:>{w}}" for label, w in zip(labels, cell)))
-    print(f"{'check':{width}} " + " ".join(f"{'ms':>{w - 8}}{'_terms':>8}" for w in cell))
+    print(f"{'check':{width}} "
+          + " ".join(f"{'ms':>{w - 14}}{'_terms':>8}{'D':>6}" for w in cell))
     for name in [*rows, OUTSIDE]:
         cells = []
         for label, w in zip(labels, cell):
             ms = rows.get(name, {}).get(label)
-            n = terms.get(name, {}).get(label)
-            cells.append(f"{'-' if ms is None else f'{ms:.1f}':>{w - 8}}"
-                         f"{'-' if n is None else n:>8}")
+            n, d = terms.get(name, {}).get(label, ("-", "-"))
+            cells.append(f"{'-' if ms is None else f'{ms:.1f}':>{w - 14}}{n:>8}{d:>6}")
         print(f"{name:{width}} " + " ".join(cells))
     print((f"{'whole run (ms)':{width}} "
-           + " ".join(f"{totals[label]:{w - 8}.1f}{'':8}" for label, w in zip(labels, cell))).rstrip())
+           + " ".join(f"{totals[label]:{w - 14}.1f}{'':14}"
+                      for label, w in zip(labels, cell))).rstrip())
     for kind in ("commutative", "Ore"):
         print(f"{kind + ' _terms':{width}} "
               + " ".join(f"{kinds[label][kind]:>{w}}" for label, w in zip(labels, cell)))
     print(f"{'_terms calls':{width}} "
-          + " ".join(f"{sum(kinds[label].values()):>{w}}" for label, w in zip(labels, cell)))
+          + " ".join(f"{kinds[label]['commutative'] + kinds[label]['Ore']:>{w}}"
+                     for label, w in zip(labels, cell)))
+    print(f"{'D applications':{width}} "
+          + " ".join(f"{kinds[label]['D']:>{w}}" for label, w in zip(labels, cell)))
 
 
 if __name__ == "__main__":

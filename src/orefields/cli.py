@@ -393,9 +393,17 @@ def suite_pdo(cfg: Config, report: Report):
 
 
 def suite_orbits(cfg: Config, report: Report):
-    trep = orbits.transitivity_report(cfg.ell)
-    for name, status, detail in trep.checks:
-        report.record(name, detail, status)
+    # an ArithmeticError while the report is computed is a failed check
+    # with its message; a ValueError (an --ell with no field or over the
+    # enumeration bound) stays a usage error
+    try:
+        trep = orbits.transitivity_report(cfg.ell)
+    except ArithmeticError as exc:
+        report.record("orbit-transitivity", "the orbit and norm-map checks over "
+                      f"GF({cfg.ell}^k) are computed", "fail", str(exc))
+    else:
+        for name, status, detail in trep.checks:
+            report.record(name, detail, status)
     report.record("orbit-necessity",
                   "whether orbit equivalence is necessary for plain isomorphism "
                   "is an open question",

@@ -42,12 +42,16 @@ product or reduction of fractions.  The test for it rides on the one for
 constant g_j, so a series, whose coefficients are not constant, pays no
 extra scan.
 
-Three operations on skew polynomials have closed forms from the defining
-relations of the extension, and do not enter the loop:
+Operations on skew polynomials that have closed forms from the defining
+relations of the extension do not enter the loop:
 
 - a product with a constant c of k (a field element, an int, or a
   constant coefficient), on either side, is the other factor's
-  coefficients scaled by c, since D(c) = 0 makes c central;
+  coefficients scaled by c, since D(c) = 0 makes c central; an int, a
+  Fraction or a field element is read by the field, with no coefficient
+  or skew polynomial built for it;
+- a coefficient c on the left multiplies each coefficient:
+  c sum g_j x^j = sum (c g_j) x^j, a constant g_j scaling c;
 - the commutator of f0 + f1 x with a coefficient c is f1 D(c), since f0
   and c commute and x c - c x = D(c): one application of D, with a
   constant f1 joined to the sign as one weight;
@@ -58,8 +62,27 @@ relations of the extension, and do not enter the loop:
   characteristic l, f^l is the Frobenius sum f_i^l x^(i l), so the
   exponent is taken by its base-l digits.
 
-Series keep the loop for all three: a series product also fixes the
-precision of the result, and the loop is where that is done.
+Where D is a scaling derivation (the family g_alpha) and g is a Laurent
+monomial, g is an eigenvector, D(g) = lambda g with lambda read from the
+derivation's cache, and the defining relation reads x g = g (x + lambda).
+Three more closed forms follow, with D never applied:
+
+- f(x) g = g f(x + lambda) for f with constant coefficients: the
+  coefficients of f(x + lambda), sums of f_i C(i, s) lambda^s at the
+  orders Lucas' theorem keeps, are formed on raw reps with the field's
+  accumulator and made canonical once, and g is scaled once per power of
+  x (`_shifted`); the commutator [f, g] = g (f(x + lambda) - f(x)) is the
+  same sum from order 1, in either order of the arguments;
+- [f0 + f1 x, g] = f1 lambda g for a constant f1: one product in k, which
+  scales g, and g itself where f1 lambda = 1, as for [x', y'] = y' in a
+  monomial morphism;
+- g on the left is the coefficient case above.
+
+The products of x^i with y and z in the shift identities, the commutators
+of the center and centralizer checks with y and z, and the brackets of
+every monomial morphism take these forms.  Series keep the loop for all
+of them: a series product also fixes the precision of the result, and the
+loop is where that is done.
 """
 
 from __future__ import annotations
@@ -225,21 +248,29 @@ class SkewPoly(OreSum):
     # the class's own __dict__.
     __add__ = __radd__ = OreSum.__add__
     __sub__, __rsub__, __neg__ = OreSum.__sub__, OreSum.__rsub__, OreSum.__neg__
-    __rmul__ = OreSum.__rmul__
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # a constant of k is central: the product scales the other factor
+        D = self.derivation
+        if not isinstance(other, (SkewPoly, RatFunc2)):
+            return self._times_constant(other)
+        return SkewPoly(D, _skew_product(self.coeffs, self._coerce(other).coeffs, D))
+
+    def __rmul__(self, other):
+        # other is a coefficient or a constant: a skew polynomial on the
+        # left multiplies by its own __mul__
+        D = self.derivation
+        if not isinstance(other, RatFunc2):
+            return self._times_constant(other)
+        return SkewPoly(D, _skew_product(self._coerce(other).coeffs, self.coeffs, D))
+
+    def _times_constant(self, other):
+        """self scaled by an int, a Fraction or a field element, which is
+        central; NotImplemented where k cannot read it."""
         K = self.ctx.field
-        c = _scalar(K, o.coeffs)
-        if c is not None:
-            return SkewPoly(self.derivation, _scaled(K, self.coeffs, c))
-        c = _scalar(K, self.coeffs)
-        if c is not None:
-            return SkewPoly(self.derivation, _scaled(K, o.coeffs, c))
-        return SkewPoly(self.derivation, _product(self.coeffs, o.coeffs, self.derivation))
+        w = K.try_coerce(other)
+        if w is None:
+            return NotImplemented
+        return SkewPoly(self.derivation, _scaled(K, self.coeffs, w))
 
     def __pow__(self, n):
         # constant coefficients commute, so the power is taken in k[x]
@@ -272,6 +303,27 @@ class SkewPoly(OreSum):
 
     def __repr__(self):
         return f"<skew {self}>"
+
+
+def _skew_product(f: dict, g: dict, D: Derivation) -> dict:
+    """f g for skew polynomials given as {degree: coefficient}: by a closed
+    form where a factor is a constant of k, where f is one coefficient, or
+    where f has constant coefficients and g is an eigenvector term of D
+    (`_shifted`); by the Ore product loop otherwise."""
+    K = D.ctx.field
+    c = _scalar(K, g)
+    if c is not None:
+        return _scaled(K, f, c)
+    c = _scalar(K, f)
+    if c is not None:
+        return _scaled(K, g, c)
+    if f.keys() == {0}:
+        # a coefficient on the left: c sum g_j x^j = sum (c g_j) x^j
+        c = f[0]
+        return {j: _scale(K, c, gj.num[(0, 0)]) if gj.is_constant() else c * gj
+                for j, gj in g.items()}
+    shifted = _shifted(f, g, D)
+    return _product(f, g, D) if shifted is None else shifted
 
 
 def _product(f: dict, g: dict, D: Derivation, lowest: int = 0, floor: int = 0) -> dict:
@@ -399,9 +451,50 @@ def _kx_product(K, f: dict, g: dict, floor: int = 0, top: float = math.inf) -> d
             if floor <= k <= top:
                 ab = mul(a, b)
                 sums[k] = add(sums[k], ab) if k in sums else ab
+    return _settled(K, canon, sums)
+
+
+def _settled(K, canon, sums: dict) -> dict:
+    """{k: the canonical rep of sums[k]} for values of the accumulator
+    whose canon is given (None where they are canonical already), leaving
+    out the k whose sum is 0."""
     zero = K._zero_rep()
     values = sums.values() if canon is None else map(canon, sums.values())
     return {k: c for k, c in zip(sums, values) if c != zero}
+
+
+def _shifted(f: dict, g: dict, D: Derivation, lowest: int = 0, sign: int = 1):
+    """The terms of order s >= lowest of sign * f g, where every f_i is a
+    constant of k and g = g_j x^j is one term whose g_j is an eigenvector
+    of D, D(g_j) = lambda g_j (`Derivation.eigenkey`); None for any other
+    f, g or D.  Then x^i g_j = g_j (x + lambda)^i, so f g = g_j f(x +
+    lambda) x^j: the coefficient of x^(k + j) is g_j times the sum of
+    sign f_i C(i, s) lambda^s over i - s = k, formed on raw reps with the
+    field's accumulator at the orders `binomial_orders` keeps, with
+    lambda^s from the derivation's cache, and made canonical once; g_j is
+    then scaled once per x-degree.  From order 1 (lowest = 1) that is the
+    commutator [f, g] = g_j (f(x + lambda) - f(x)) x^j; where lambda = 0
+    only order 0 is listed."""
+    if len(g) != 1:
+        return None
+    (j, gj), = g.items()
+    key = D.eigenkey(gj)
+    if key is None or not all(c.is_constant() for c in f.values()):
+        return None
+    K = D.ctx.field
+    lam = D._eigenvalue(key)
+    top = 0 if K._is_zero(lam) else None
+    add, mul, canon = K._accumulator()
+    sums = {}
+    for i, c in f.items():
+        a = c.num[(0, 0)]
+        for s, b in binomial_orders(i, K.char, lowest, top):
+            v = mul(a, D._eigenvalue(key, s)) if s else a
+            if sign * b != 1:
+                v = mul(v, K._from_int(sign * b))
+            k = i - s
+            sums[k] = add(sums[k], v) if k in sums else v
+    return {k + j: _scale(K, gj, c) for k, c in _settled(K, canon, sums).items()}
 
 
 def _kx_power(K, f: dict, n: int) -> dict:
@@ -459,16 +552,24 @@ def _x_bracket(D: Derivation, f1, c, sign: int) -> dict:
     """{0: sign f1 D(c)}, the commutator of f0 + f1 x with a coefficient
     c (negated for sign = -1), or {} where it is 0; f1 or c is None where
     it is 0.  A constant f1 and the sign are one weight of D(c), with no
-    product formed."""
+    product formed; where c is also an eigenvector of D, D(c) = lambda c,
+    and that weight times lambda scales c itself, with D not applied."""
     if f1 is None or c is None:
-        return {}
-    d = D(c)
-    if d.is_zero():
         return {}
     K = D.ctx.field
     if f1.is_constant():
         w = f1.num[(0, 0)]
-        return {0: _scale(K, d, w if sign == 1 else K._neg(w))}
+        if sign != 1:
+            w = K._neg(w)
+        key = D.eigenkey(c)
+        if key is not None:
+            lam = D._eigenvalue(key)
+            return {} if K._is_zero(lam) else {0: _scale(K, c, K._mul(w, lam))}
+        d = D(c)
+        return {} if d.is_zero() else {0: _scale(K, d, w)}
+    d = D(c)
+    if d.is_zero():
+        return {}
     p = f1 * d
     return {0: p if sign == 1 else -p}
 
@@ -499,7 +600,9 @@ def commutator(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     f_i g_j x^(i+j) of the two products are equal, k(v1, v2) being
     commutative, so neither product forms them.  Where one side is
     f0 + f1 x and the other a coefficient c, that leaves f1 D(c), formed
-    directly, with the sign of the side c is on."""
+    directly, with the sign of the side c is on.  Where one side has
+    constant coefficients and the other is one term g_j x^j with g_j an
+    eigenvector of D, it is g_j (f(x + lambda) - f(x)) x^j (`_shifted`)."""
     if not isinstance(f, SkewPoly):
         if not isinstance(g, SkewPoly):
             raise TypeError("a commutator needs a skew polynomial")
@@ -508,9 +611,14 @@ def commutator(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     if g is None:
         raise TypeError("cannot take a commutator with a non-coefficient")
     D = f.derivation
-    for a, b, sign in ((f.coeffs, g.coeffs, 1), (g.coeffs, f.coeffs, -1)):
+    sides = ((f.coeffs, g.coeffs, 1), (g.coeffs, f.coeffs, -1))
+    for a, b, sign in sides:
         if b.keys() <= {0} and a.keys() <= {0, 1}:
             return SkewPoly(D, _x_bracket(D, a.get(1), b.get(0), sign))
+    for a, b, sign in sides:
+        shifted = _shifted(a, b, D, 1, sign)
+        if shifted is not None:
+            return SkewPoly(D, shifted)
     pending = _terms(f.coeffs, g.coeffs, D, {}, 1)
     return SkewPoly(D, _summed(_terms(g.coeffs, f.coeffs, D, pending, 1, sign=-1)))
 

@@ -803,6 +803,29 @@ class TestConstructionFailuresAreChecks:
         assert not any(name in checks for name in (
             "u-valuation", "uinv-u", "inverse-roundtrip", "leading-constraint"))
 
+    @pytest.mark.parametrize("suite", ["orbits", "all"])
+    def test_transitivity_failure_fails_a_check(self, monkeypatch, suite):
+        # an ArithmeticError in the orbit report is a failed check with its
+        # message, not a traceback; the other suites still run
+        from orefields import orbits
+        monkeypatch.setattr(orbits, "transitivity_report", self._raise)
+        code, checks = self._checks(["verify", suite, "--char", "3", "--alpha", "param"])
+        assert code == 1
+        assert checks["orbit-transitivity"]["status"] == "fail"
+        assert checks["orbit-transitivity"]["witness"] == "injected failure"
+        assert checks["orbit-necessity"]["status"] == "open-question"
+        assert [c["name"] for c in checks.values() if c["status"] == "fail"] == [
+            "orbit-transitivity"]
+        if suite == "all":
+            assert checks["g-center"]["status"] == "pass"
+
+    def test_an_ell_with_no_field_stays_a_usage_error(self):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", "orbits", "--ell", "4"])
+        assert code == 2
+        assert "not prime" in err.getvalue()
+
     def test_classification_failure_fails_its_check(self, monkeypatch):
         from orefields import presentations
         monkeypatch.setattr(presentations, "gk_classify", self._raise)

@@ -13,7 +13,10 @@ constant-coefficient polynomials and series, formed on raw reps, against
 a double loop of RatFunc2 products; and the closed forms of skew
 operations, which run no Ore product loop, against the reference product:
 a product with a constant, the commutator of f0 + f1 x with a
-coefficient, and a power of a constant-coefficient polynomial."""
+coefficient, and a power of a constant-coefficient polynomial; and, where
+a Laurent monomial is an eigenvector of a scaling derivation, its products
+and commutators with constant-coefficient polynomials, its bracket with
+f0 + f1 x, and a coefficient on the left, none of which applies D."""
 
 import math
 import random
@@ -838,10 +841,29 @@ def test_products_with_a_constant_scale(name, monkeypatch):
                 for cv in (value, c, ref_c):
                     cases.append((f, cv, want, (label, str(f), str(c))))
     terms = count_calls(monkeypatch, skewpoly, "_terms")
+    coerced = count_calls(monkeypatch, skewpoly.OreSum, "_coerce")
+    consts = count_calls(monkeypatch, FunctionField2, "const")
     for f, cv, (right, left), context in cases:
-        assert_same_skew(f * cv, right, *context)
-        assert_same_skew(cv * f, left, *context)
+        coerced.clear()
+        consts.clear()
+        got = f * cv, cv * f
+        # an int, a Fraction or a field element is read by the field, with
+        # no coefficient or skew polynomial built for it
+        if not isinstance(cv, (RatFunc2, SkewPoly)):
+            assert not coerced and not consts, context
+        assert_same_skew(got[0], right, *context)
+        assert_same_skew(got[1], left, *context)
     assert not terms
+
+
+def test_products_with_what_the_field_cannot_read_are_type_errors():
+    ctx = FunctionField2(QQ())
+    x = SkewPoly.x(scaling_derivation(ctx, 1, 2))
+    for other in (1.5, True, GF(5).from_int(2), "2", None):
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x
 
 
 @pytest.mark.parametrize("name", CLOSED_FORM_FIELDS)
@@ -909,8 +931,12 @@ def test_bracket_of_a_linear_polynomial_with_a_coefficient(name, monkeypatch):
             assert_same_skew(commutator(f, g), want, *context)
             assert_same_skew(commutator(g, f), -want, *context)
             # one application of D per bracket where f1 and c are nonzero,
-            # and no coefficient product where f1 is a constant
-            assert len(applications) == (0 if f1.is_zero() or c.is_zero() else 2), context
+            # none where f1 is a constant and c a Laurent monomial under the
+            # scaling derivation (D(c) = lambda c), and no coefficient
+            # product where f1 is a constant
+            eigen = (f1.is_constant() and context[0] == "(1, alpha)"
+                     and len(c.num) == 1 and len(c.den) == 1)
+            assert len(applications) == (0 if f1.is_zero() or c.is_zero() or eigen else 2), context
             assert not products or not f1.is_constant(), context
     assert not terms
 
@@ -932,3 +958,187 @@ def test_constant_series_powers_keep_the_loop(name):
             got = a ** n
             assert got == power and got.prec == power.prec, (str(a), n)
             power = power * a
+
+
+# ---------------------------------------------------------------------------
+# eigenvector closed forms: where D is a scaling derivation and g_j a
+# Laurent monomial, D(g_j) = lambda g_j, so for constant coefficients f_i
+# f(x) g_j = g_j f(x + lambda) and [f0 + f1 x, g_j] = f1 lambda g_j; a
+# coefficient c on the left scales, c sum g_j x^j = sum (c g_j) x^j.  None
+# of them runs the Ore loop or applies D
+
+def eigen_cases(name):
+    """(D, fs, gs) over one field: the scaling derivation of g_alpha (over
+    QQ also that of alpha = 2/3), the constant-coefficient polynomials of
+    the shift identities and the center checks, and Laurent monomials: y,
+    z, c y^-1 z^2 and one with lambda = 0 (y^l in characteristic l, y^2
+    z^-3 at alpha = 2/3)."""
+    K, alpha = closed_form_field(name)
+    ctx = FunctionField2(K)
+    ell = K.char or 3     # in characteristic 0, the same shapes at 3
+    rng = random.Random(f"eigen-{name}")
+    alphas = [K.coerce(alpha)] + ([K.coerce(Fraction(2, 3))] if name == "QQ" else [])
+    cases = []
+    for al in alphas:
+        D = scaling_derivation(ctx, 1, al)
+        x = SkewPoly.x(D)
+        t1 = x ** ell - x
+        fs = [x ** i for i in range(8)] + [
+            x + 1, x + ctx.const(al), t1, x ** ell - x * ctx.const(al ** (ell - 1)), t1 ** ell]
+        gs = [ctx.monomial(1, 0), ctx.monomial(0, 1), ctx.monomial(-1, 2, draw_nonzero(rng, K))]
+        if K.char:
+            gs.append(ctx.monomial(ell, 0))
+        elif al == K.coerce(Fraction(2, 3)):
+            gs.append(ctx.monomial(2, -3))
+        cases.append((D, fs, gs))
+    return cases
+
+
+def draw_nonzero(rng, K):
+    """A nonzero constant, over K(a) drawn from all of K(a)."""
+    if not isinstance(K, ParameterField):
+        return rand_nonzero(rng, K)
+    while True:
+        c = rand_param_elem(rng, K)
+        if not c.is_zero():
+            return c
+
+
+def ref_eigenvalue(D, g):
+    """lambda with D(g) = lambda g, from the reference derivation."""
+    lam = ref_ratfunc_mul(ref_derivation(D, g), g.inverse())
+    assert lam.is_constant(), str(g)
+    return lam
+
+
+def test_eigen_cases_include_a_vanishing_eigenvalue():
+    for name in ("QQ", "GF7", "GF3(a)", "GF9(a)"):
+        assert any(ref_eigenvalue(D, g).is_zero()
+                   for D, _, gs in eigen_cases(name) for g in gs), name
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_FIELDS)
+def test_eigenvector_products_and_commutators(name, monkeypatch):
+    """f(x) g = g f(x + lambda), g f(x), and [f, g] in both orders, with g a
+    coefficient or a skew polynomial of degree 0 or 2, against the
+    reference product."""
+    cases = []
+    for D, fs, gs in eigen_cases(name):
+        for f in fs:
+            for gc in gs:
+                for g in (gc, SkewPoly(D, {0: gc}), SkewPoly(D, {2: gc})):
+                    gp = g if isinstance(g, SkewPoly) else SkewPoly(D, {0: g})
+                    # g x^2 on the left of f is no closed form
+                    gf = None if gp.degree() else ref_skew_mul(gp, f)
+                    cases.append((f, g, ref_skew_mul(f, gp), gf, ref_commutator(f, gp),
+                                  (str(D), str(f), str(g))))
+    terms = count_calls(monkeypatch, skewpoly, "_terms")
+    applications = count_calls(monkeypatch, Derivation, "__call__")
+    for f, g, fg, gf, bracket, context in cases:
+        assert_same_skew(f * g, fg, *context)
+        if gf is not None:
+            assert_same_skew(g * f, gf, *context)
+        assert_same_skew(commutator(f, g), bracket, *context)
+        assert_same_skew(commutator(g, f), -bracket, *context)
+    assert not terms
+    assert not applications
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_FIELDS)
+def test_x_bracket_with_an_eigenvector(name, monkeypatch):
+    """[c0 + c1 x, g] = c1 lambda g for a constant c1, in both orders, with
+    no application of D and no coefficient product; where c1 lambda = 1
+    (as for [x', y'] = y' in a monomial morphism) the bracket holds g
+    itself."""
+    K, _ = closed_form_field(name)
+    rng = random.Random(f"eigen-bracket-{name}")
+    cases = []
+    for D, _, gs in eigen_cases(name):
+        ctx = D.ctx
+        for gc in gs:
+            lam = ref_eigenvalue(D, gc)
+            c1s = [ctx.one(), ctx.const(draw_nonzero(rng, K))]
+            if not lam.is_zero():
+                c1s.append(lam.inverse())
+            for c1 in c1s:
+                for c0 in (ctx.zero(), ctx.const(draw_nonzero(rng, K)), rand_ratfunc(rng, ctx)):
+                    f = SkewPoly(D, {0: c0, 1: c1})
+                    g = SkewPoly(D, {0: gc})
+                    unit = ref_ratfunc_mul(c1, lam) == ctx.one()
+                    cases.append((f, gc, ref_commutator(f, g), unit, (str(f), str(gc))))
+    assert any(unit for *_, unit, _ in cases)
+    terms = count_calls(monkeypatch, skewpoly, "_terms")
+    applications = count_calls(monkeypatch, Derivation, "__call__")
+    products = no_ratfunc_products(monkeypatch)
+    for f, gc, want, unit, context in cases:
+        for g in (gc, SkewPoly(f.derivation, {0: gc})):
+            got = commutator(f, g)
+            assert_same_skew(got, want, *context)
+            assert_same_skew(commutator(g, f), -want, *context)
+            if unit:
+                assert got.coeffs[0] is gc, context
+    assert not terms
+    assert not applications
+    assert not products
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_FIELDS)
+def test_a_coefficient_on_the_left_scales(name, monkeypatch):
+    """c (sum g_j x^j) = sum (c g_j) x^j for a coefficient c that is not a
+    constant, under every derivation, as a coefficient and as a skew
+    polynomial of degree 0; a constant g_j scales c, with no product."""
+    K, alpha = closed_form_field(name)
+    ctx = FunctionField2(K)
+    y, _ = ctx.gens()
+    rng = random.Random(f"eigen-left-{name}")
+    ell = K.char or 3
+    cases = []
+    for label, D in closed_form_derivations(ctx, alpha).items():
+        x = SkewPoly.x(D)
+        for c in (rand_laurent_monomial(rng, ctx), rand_laurent(rng, ctx), rand_ratfunc(rng, ctx)):
+            if c.is_constant():
+                c = c + y
+            for g in (rand_coeffs_skew(rng, D, 3), rand_coeffs_skew(rng, D, 2, laurent=False),
+                      SkewPoly(D, rand_const_coeffs(rng, ctx, 0, 4)), x ** ell - x):
+                want = ref_skew_mul(SkewPoly(D, {0: c}), g)
+                const = all(gj.is_constant() for gj in g.coeffs.values())
+                cases.append((c, g, want, const, (label, str(c), str(g))))
+    terms = count_calls(monkeypatch, skewpoly, "_terms")
+    applications = count_calls(monkeypatch, Derivation, "__call__")
+    products = no_ratfunc_products(monkeypatch)
+    for c, g, want, const, context in cases:
+        assert_same_skew(c * g, want, *context)
+        products.clear()
+        assert_same_skew(SkewPoly(g.derivation, {0: c}) * g, want, *context)
+        assert not products or not const, context
+    assert not terms
+    assert not applications
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_FIELDS)
+def test_the_loop_runs_off_the_eigenvector_forms(name, monkeypatch):
+    """The Ore loop still forms the products and commutators that no
+    closed form covers: under the q family's derivation, which scales no
+    monomial; with g_j not a monomial; with a coefficient of f that is not
+    a constant; and with g of two terms."""
+    K, alpha = closed_form_field(name)
+    ctx = FunctionField2(K)
+    y, z = ctx.gens()
+    Dg = scaling_derivation(ctx, 1, alpha)
+    Dq = Derivation(ctx, y, y + z)
+    pairs = []
+    for D in (Dg, Dq):
+        x = SkewPoly.x(D)
+        pairs += [(x ** 2, SkewPoly(D, {0: y + z})), (SkewPoly(D, {2: y}), SkewPoly(D, {0: z})),
+                  (x ** 3 - x, SkewPoly(D, {0: z, 1: y}))]
+    x = SkewPoly.x(Dq)
+    pairs += [(x ** 2, SkewPoly(Dq, {0: y})), (x ** 3 - x, SkewPoly(Dq, {0: z}))]
+    cases = [(f, g, ref_skew_mul(f, g), ref_commutator(f, g)) for f, g in pairs]
+    terms = count_calls(monkeypatch, skewpoly, "_terms")
+    for f, g, fg, bracket in cases:
+        terms.clear()
+        assert_same_skew(f * g, fg, str(f), str(g))
+        assert terms, (str(f), str(g))
+        terms.clear()
+        assert_same_skew(commutator(f, g), bracket, str(f), str(g))
+        assert terms, (str(f), str(g))
