@@ -365,13 +365,39 @@ class _UPoly:
 
 def _frac_cancel(P, K, a, b):
     """a and b divided by their gcd, for nonzero a and b; against a
-    constant operand the gcd is 1, and no Euclid is run."""
+    constant operand the gcd is 1, and no Euclid is run.  Nor is it in the
+    univariate kernel against an operand of degree 1, c (t - t0): the gcd
+    is t - t0 or 1 as the other operand vanishes at t0 or not, which one
+    Horner pass decides (`_linear_cancel`)."""
     if P.is_const(a) or P.is_const(b):
         return a, b
+    if P is _UPoly and (len(a) == 2 or len(b) == 2):
+        return _linear_cancel(K, a, b)
     g = P.gcd(K, a, b)
     if P.is_one(g):
         return a, b
     return P.quo(K, a, g), P.quo(K, b, g)
+
+
+def _linear_cancel(K, a, b):
+    """`_frac_cancel` on tuples where a or b, say l = c (t - t0), has
+    degree 1 and the other, f, degree at least 1.  Ruffini's synthetic
+    division of f by t - t0, top coefficient first, leaves f(t0) as its
+    last value: nonzero, f and l are coprime and are returned unchanged;
+    zero, the gcd is t - t0, l / (t - t0) = c, and f / (t - t0) is the
+    quotient the same pass formed."""
+    first = len(a) == 2
+    lin, f = (a, b) if first else (b, a)
+    t0 = K._neg(K._mul(lin[0], K._inv(lin[1])))
+    acc = f[-1]
+    quo = [acc]
+    for c in f[-2::-1]:
+        acc = K._add(c, K._mul(acc, t0))
+        quo.append(acc)
+    if not K._is_zero(quo.pop()):
+        return a, b
+    quo = tuple(reversed(quo))
+    return ((lin[1],), quo) if first else (quo, (lin[1],))
 
 
 def _frac_monic(P, K, num, den):
@@ -387,11 +413,12 @@ def _frac_add(P, K, n1, d1, n2, d2):
     """n1/d1 + n2/d2 reduced, or None where it is 0.  With g = gcd(d1, d2),
     d1 = g d1' and d2 = g d2', the sum is (n1 d2' + n2 d1') / (g d1' d2'),
     and a common factor of that numerator and denominator divides g: one
-    more gcd, against g alone, reduces it."""
+    more gcd, against g alone, reduces it.  Where d1 or d2 is 1, so is g,
+    and no gcd is run."""
     if d1 == d2:
         num = P.add(K, n1, n2)
         return _frac_cancel(P, K, num, d1) if num else None
-    g = P.gcd(K, d1, d2)
+    g = d1 if P.is_one(d1) else d2 if P.is_one(d2) else P.gcd(K, d1, d2)
     trivial = P.is_one(g)
     if not trivial:
         d1, d2 = P.quo(K, d1, g), P.quo(K, d2, g)
@@ -471,6 +498,14 @@ class Field:
 
     def _pow(self, a, n):
         return _power(a, n, self._one_rep(), self._mul)
+
+    def _homographic(self, a, n, q, m, r):
+        """(n a + q) / (m a + r), ZeroDivisionError where m a + r = 0."""
+        den = self._add(self._mul(a, self._from_int(m)), self._from_int(r))
+        if self._is_zero(den):
+            raise ZeroDivisionError("homographic denominator vanishes")
+        num = self._add(self._mul(a, self._from_int(n)), self._from_int(q))
+        return self._mul(num, self._inv(den))
 
     def _accumulator(self):
         """(add, mul, canon) for sums of products that are reduced once
@@ -905,7 +940,10 @@ class ParameterField(Field):
     denominators are 1, the product c*n over d (resp. n1*n2) and the sum
     n1 + n2 over 1 are already reduced with a monic denominator, so they
     are returned as they are; that rep is the canonical one, because it is
-    unique.  So are powers n^s / d^s (`_pow`)."""
+    unique.  So are powers n^s / d^s (`_pow`), and a homography of an
+    element by a matrix whose determinant is nonzero in K needs only the
+    monic step (`_homographic`).  The cancel step of products and sums
+    runs no Euclid against an operand of degree 1 (`_linear_cancel`)."""
 
     def __init__(self, base: Field):
         if isinstance(base, ParameterField):
@@ -990,6 +1028,25 @@ class ParameterField(Field):
             if n:
                 a = self._frobenius(a)
         return self._one if out is None else out
+
+    def _homographic(self, a, n, q, m, r):
+        # a = p/s with gcd(p, s) = 1, so (n a + q) / (m a + r) = A / B with
+        # A = n p + q s and B = m p + r s.  Where det = n r - q m is nonzero
+        # in K, a common factor of A and B divides r A - q B = det p and
+        # n B - m A = det s, hence gcd(p, s) = 1: A / B is reduced, and only
+        # the monic step is left (if A = 0, B divides p and s and is a
+        # constant).  Where det vanishes in K the general path reduces.
+        K = self.base
+        if K._is_zero(K._from_int(n * r - q * m)):
+            return Field._homographic(self, a, n, q, m, r)
+        p, s = a
+
+        def comb(u, v):
+            return _uadd(K, _uscale(K, p, K._from_int(u)), _uscale(K, s, K._from_int(v)))
+        den = comb(m, r)
+        if not den:
+            raise ZeroDivisionError("homographic denominator vanishes")
+        return _frac_monic(_UPoly, K, comb(n, q), den)
 
     def _is_zero(self, a):
         return not a[0]

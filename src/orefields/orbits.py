@@ -99,12 +99,12 @@ class Mat2Z(ValueRecord):
 
 
 def homographic(M: Mat2Z, alpha: FieldElem) -> FieldElem:
-    """(n*alpha + q)/(m*alpha + r) in the field of alpha."""
+    """(n*alpha + q)/(m*alpha + r) in the field of alpha, by the field's
+    `_homographic`: in K(a), where det M is nonzero in K, the quotient of
+    n p + q s by m p + r s for alpha = p/s is already reduced, and no gcd
+    is run (see `ParameterField._homographic`)."""
     k = alpha.field
-    den = alpha * k.from_int(M.m) + k.from_int(M.r)
-    if den.is_zero():
-        raise ZeroDivisionError("homographic denominator vanishes")
-    return (alpha * k.from_int(M.n) + k.from_int(M.q)) / den
+    return FieldElem(k, k._homographic(alpha.rep, *M.entries()))
 
 
 # ---------------------------------------------------------------------------

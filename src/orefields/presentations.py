@@ -381,15 +381,30 @@ class Morphism:
 
     def apply(self, f: SkewPoly) -> SkewPoly:
         """Push a skew polynomial through the morphism.  Supported when
-        the coefficient images are monomials (tag 'monomial')."""
+        the coefficient images are monomials (tag 'monomial').  The image
+        of sum f_i x^i is sum subst(f_i) x'^i, formed on coefficient dicts:
+        each subst(f_i) times each coefficient of x'^i joins the terms of
+        its x-degree, and each degree is summed once by `weighted_sum`.
+        Where x' = c x with c a constant (every monomial morphism and
+        composite of them), x'^i is c^i x^i: c^i is taken in k and is the
+        weight of subst(f_i), with no product formed."""
         if self.tag != "monomial":
             raise UnsupportedCaseError("apply() needs monomial coefficient images")
         M = self.matrix
-        out = SkewPoly.zero(self.target.D)
-        for i, c in f.coeffs.items():
-            mapped = c.to_context(self.target.ctx).subst_powers((M.r, M.m), (M.q, M.n))
-            out = out + SkewPoly.from_coeff(self.target.D, mapped) * self.x_img ** i
-        return out
+        D = self.target.D
+        K = D.ctx.field
+        c = self.x_img.coeffs.get(1)
+        scaled = self.x_img.coeffs.keys() == {1} and c.is_constant()
+        pending = {}
+        for i, fi in f.coeffs.items():
+            mapped = fi.to_context(D.ctx).subst_powers((M.r, M.m), (M.q, M.n))
+            if scaled:
+                terms = [(i, mapped, K._pow(c.num[(0, 0)], i))]
+            else:
+                terms = [(j, mapped * p, None) for j, p in (self.x_img ** i).coeffs.items()]
+            for j, g, w in terms:
+                pending.setdefault(j, []).append((g, w))
+        return SkewPoly(D, {j: RatFunc2.weighted_sum(terms) for j, terms in pending.items()})
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """self o inner: apply inner first.  For monomial morphisms the

@@ -552,14 +552,28 @@ class RatFunc2:
 
     def subst_powers(self, e1, e2) -> RatFunc2:
         """Substitute v1 -> v1^a1 v2^b1 and v2 -> v1^a2 v2^b2 where
-        e1 = (a1, b1), e2 = (a2, b2); negative exponents allowed."""
+        e1 = (a1, b1), e2 = (a2, b2); negative exponents allowed.  Terms
+        whose exponents the map sends to one place (a singular matrix)
+        are added.  A Laurent element n / (v1^p v2^q) maps to a Laurent
+        element: each term of n goes to its image exponent less that of
+        the denominator, all are shifted onto exponents >= 0 over the
+        monomial of that shift, and `_over_monomial` cancels the monomial
+        a sum of colliding terms can leave; the image of a monomial is a
+        monomial, so nothing else can cancel, and no gcd is run."""
         a1, b1 = e1
         a2, b2 = e2
 
-        def mapped(p):
-            return [((a1 * i + a2 * j, b1 * i + b2 * j), c) for (i, j), c in p.items()]
+        def mapped(p, di=0, dj=0):
+            return [((a1 * i + a2 * j - di, b1 * i + b2 * j - dj), c) for (i, j), c in p.items()]
 
-        mn, md = mapped(self.num), mapped(self.den)
+        laurent = len(self.den) == 1
+        if laurent:
+            if not self.num:
+                return self
+            (p, q), = self.den
+            mn, md = mapped(self.num, a1 * p + a2 * q, b1 * p + b2 * q), []
+        else:
+            mn, md = mapped(self.num), mapped(self.den)
         everything = [ij for ij, _ in mn] + [ij for ij, _ in md]
         si = -min(0, min(i for (i, _) in everything))
         sj = -min(0, min(j for (_, j) in everything))
@@ -573,6 +587,9 @@ class RatFunc2:
                 out[ij] = K._add(out[ij], c) if ij in out else c
             return _ptrim(K, out)
 
+        if laurent:
+            num = collect(mn)
+            return _over_monomial(self.ctx, num, si, sj) if num else self.ctx.zero()
         return RatFunc2(self.ctx, collect(mn), collect(md))
 
     def to_context(self, ctx: FunctionField2) -> RatFunc2:
@@ -600,17 +617,26 @@ class Derivation:
     __slots__ = ("ctx", "image_of_y", "image_of_z", "_wy", "_wz", "_e", "_eigen", "_neg")
 
     def __init__(self, ctx: FunctionField2, image_of_y: RatFunc2, image_of_z: RatFunc2):
+        """D from its images.  It keeps E, the lcm of the image
+        denominators, and the polynomials E*D(v1) and E*D(v2).  Where both
+        denominators are 1 (every scaling derivation, the q family's in
+        both coordinate systems, and their negations), E = 1 and those
+        polynomials are the image numerators themselves, shared with the
+        images and never mutated: no gcd, exact division or product is
+        formed."""
         if image_of_y.ctx != ctx or image_of_z.ctx != ctx:
             raise ValueError("derivation images must live in the given context")
         self.ctx = ctx
         self.image_of_y = image_of_y
         self.image_of_z = image_of_z
-        # E = lcm of the image denominators, and E*D(v1), E*D(v2) as polynomials
         K = ctx.field
         ey, ez = image_of_y.den, image_of_z.den
-        self._e = _pmul(K, ey, _pdivexact(K, ez, _pgcd(K, ey, ez)))
-        self._wy = _pmul(K, image_of_y.num, _pdivexact(K, self._e, ey))
-        self._wz = _pmul(K, image_of_z.num, _pdivexact(K, self._e, ez))
+        if _is_one(ey) and _is_one(ez):
+            self._e, self._wy, self._wz = ey, image_of_y.num, image_of_z.num
+        else:
+            self._e = _pmul(K, ey, _pdivexact(K, ez, _pgcd(K, ey, ez)))
+            self._wy = _pmul(K, image_of_y.num, _pdivexact(K, self._e, ey))
+            self._wz = _pmul(K, image_of_z.num, _pdivexact(K, self._e, ez))
         # a scaling derivation, D(v1) = c1 v1 and D(v2) = c2 v2 (c1 or c2 may
         # be 0), has each Laurent monomial v1^i v2^j as an eigenvector with
         # eigenvalue i c1 + j c2, which `_eigenvalue` forms and caches by

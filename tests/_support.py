@@ -2,13 +2,15 @@
 skew polynomials, shared across the test modules, and slow reference
 copies of kernel routines that the fast ones must agree with."""
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
 
+from orefields import fields
 from orefields.fields import (
     GF, QQ, ExtensionField, Field, FieldElem, ParameterField, PrimeField, QuadraticField,
-    Qsqrt, RationalField, _UPoly, _frac_cancel, _frac_monic, _uadd, _udivmod, _ugcd, _umul,
+    Qsqrt, RationalField, _UPoly, _frac_monic, _uadd, _udivmod, _ugcd, _umul,
     _utrim, in_prime_subfield, with_parameter,
 )
 from orefields.orbits import FiniteOrbitReport, Mat2Z, OrbitData, _group_matrices
@@ -225,6 +227,94 @@ def ref_pdo_inv(a, prec=None):
 
 
 # ---------------------------------------------------------------------------
+# the cancel step of reduced fractions by the kernel's gcd whatever the
+# degrees (Euclid in K[a]), and the paths of monomial morphisms as they
+# were before they ran no gcd where nothing can cancel: the exponent
+# substitution normalized by a gcd, the homography by field operations
+# with Euclid in every K(a) product and sum, the derivation set-up by the
+# lcm of the image denominators, and the morphism image as a running sum
+# of skew products.
+
+def ref_frac_cancel(P, K, a, b):
+    """a and b divided by their gcd, for nonzero a and b, by the kernel's
+    gcd unless an operand is a constant."""
+    if P.is_const(a) or P.is_const(b):
+        return a, b
+    g = P.gcd(K, a, b)
+    if P.is_one(g):
+        return a, b
+    return P.quo(K, a, g), P.quo(K, b, g)
+
+
+@contextlib.contextmanager
+def euclid_cancel():
+    """Every cancel step of K(a) products and sums (`fields._frac_add`,
+    `fields._frac_mul`) by `ref_frac_cancel` inside the block."""
+    fast, fields._frac_cancel = fields._frac_cancel, ref_frac_cancel
+    try:
+        yield
+    finally:
+        fields._frac_cancel = fast
+
+
+def ref_subst_powers(f, e1, e2):
+    """v1 -> v1^a1 v2^b1, v2 -> v1^a2 v2^b2 on numerator and denominator,
+    both shifted onto exponents >= 0, with colliding terms added, and the
+    quotient normalized by a gcd."""
+    (a1, b1), (a2, b2) = e1, e2
+    K = f.ctx.field
+
+    def mapped(p):
+        return [((a1 * i + a2 * j, b1 * i + b2 * j), c) for (i, j), c in p.items()]
+
+    mn, md = mapped(f.num), mapped(f.den)
+    si = -min(0, min(i for (i, _), _ in mn + md))
+    sj = -min(0, min(j for (_, j), _ in mn + md))
+
+    def collect(terms):
+        out = {}
+        for (i, j), c in terms:
+            ij = (i + si, j + sj)
+            out[ij] = K._add(out[ij], c) if ij in out else c
+        return {ij: c for ij, c in out.items() if not K._is_zero(c)}
+
+    return RatFunc2(f.ctx, collect(mn), collect(md))
+
+
+def ref_homographic(M, alpha):
+    """(n alpha + q) / (m alpha + r) by field operations, each K(a)
+    product and sum cancelled by Euclid."""
+    k = alpha.field
+    with euclid_cancel():
+        den = alpha * k.from_int(M.m) + k.from_int(M.r)
+        if den.is_zero():
+            raise ZeroDivisionError("homographic denominator vanishes")
+        return (alpha * k.from_int(M.n) + k.from_int(M.q)) / den
+
+
+def ref_derivation_weights(image_of_y, image_of_z):
+    """(E, E*D(v1), E*D(v2)) with E the lcm of the image denominators, by
+    a gcd and exact divisions whatever the denominators."""
+    K = image_of_y.ctx.field
+    ey, ez = image_of_y.den, image_of_z.den
+    e = _pmul(K, ey, _pdivexact(K, ez, _pgcd(K, ey, ez)))
+    return (e, _pmul(K, image_of_y.num, _pdivexact(K, e, ey)),
+            _pmul(K, image_of_z.num, _pdivexact(K, e, ez)))
+
+
+def ref_morphism_apply(phi, f):
+    """The image of f under a monomial morphism phi as a running sum of
+    skew products subst(f_i) * x'^i."""
+    M = phi.matrix
+    D = phi.target.D
+    out = SkewPoly.zero(D)
+    for i, c in f.coeffs.items():
+        mapped = ref_subst_powers(c.to_context(phi.target.ctx), (M.r, M.m), (M.q, M.n))
+        out = out + SkewPoly.from_coeff(D, mapped) * phi.x_img ** i
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reference kernel bodies: the ParameterField product and sum with a gcd on
 # every call and the integer embedding through a full normalization; the
 # RatFunc2 product by cross-cancellation whatever its factors; the
@@ -293,7 +383,7 @@ def ref_param_normalize(F, num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return F._zero_rep()
-    num, den = _frac_cancel(_UPoly, K, num, den)
+    num, den = ref_frac_cancel(_UPoly, K, num, den)
     return _frac_monic(_UPoly, K, num, den)
 
 
@@ -305,8 +395,8 @@ def ref_ratfunc_mul(f, g):
     if f.is_zero() or g.is_zero():
         return f.ctx.zero()
     field = f.ctx.field
-    n1, d2 = _frac_cancel(_PPoly, field, f.num, g.den)
-    n2, d1 = _frac_cancel(_PPoly, field, g.num, f.den)
+    n1, d2 = ref_frac_cancel(_PPoly, field, f.num, g.den)
+    n2, d1 = ref_frac_cancel(_PPoly, field, g.num, f.den)
     return RatFunc2(f.ctx, *_frac_monic(_PPoly, field, _pmul(field, n1, n2), _pmul(field, d1, d2)),
                     _normalized=True)
 
@@ -345,7 +435,7 @@ def ref_combined(f, g, negate=False):
         num = _padd(K, f.num, _pneg(K, g.num) if negate else g.num)
         if not num:
             return ctx.zero()
-        num, den = _frac_cancel(_PPoly, K, num, d1)
+        num, den = ref_frac_cancel(_PPoly, K, num, d1)
         return RatFunc2(ctx, *_frac_monic(_PPoly, K, num, den), _normalized=True)
     h = _pgcd(K, d1, d2)
     d1p, d2p = _pdivexact(K, d1, h), _pdivexact(K, d2, h)
@@ -378,7 +468,7 @@ def ref_quotient_rule(D, f):
     num = _pdivexact(K, num, g2)
     den = ref_pmul(K, _pdivexact(K, d, g1), _pdivexact(K, d, g2))
     if not _is_one(D._e):
-        num, e = _frac_cancel(_PPoly, K, num, D._e)
+        num, e = ref_frac_cancel(_PPoly, K, num, D._e)
         den = ref_pmul(K, den, e)
     return RatFunc2(ctx, num, den, _normalized=True)
 

@@ -5,13 +5,16 @@ that does less lowers the budget in the same change.
 
 The runs are the seven `verify all` argv of the benchmark's verify-grid
 workload at --seed 19.  The counts are the calls of the Ore product loop
-`skewpoly._terms` and the applications of a derivation
-(`Derivation.__call__`)."""
+`skewpoly._terms`, the applications of a derivation
+(`Derivation.__call__`), the polynomial divisions of Euclid and of exact
+quotients in K[a] (`fields._udivmod`, the module global that `_ugcd` and
+`_UPoly.quo` look up, and its import in `ratfunc`), and the bivariate gcds
+(`ratfunc._pgcd`, by its module global and as `_PPoly.gcd`)."""
 
 import contextlib
 import io
 
-from orefields import pdo, skewpoly
+from orefields import fields, pdo, ratfunc, skewpoly
 from orefields.cli import main
 from orefields.ratfunc import Derivation
 
@@ -19,8 +22,10 @@ VERIFY_GRID = [(0, "rat:2/3"), (0, "quad:(0+1*sqrt(2))/1"), (0, "param"), (2, "p
                (3, "param"), (5, "param"), (7, "param")]
 
 # the totals over the seven runs; at the closed forms for Laurent
-# monomial coefficients they were 245 and 294, before them 543 and 679
-BUDGET = {"_terms": 245, "Derivation.__call__": 294}
+# monomial coefficients _terms and Derivation.__call__ were 245 and 294,
+# before them 543 and 679; at the gcd-free monomial morphisms _udivmod
+# and _pgcd were 44 and 0, before them 345 and 65
+BUDGET = {"_terms": 245, "Derivation.__call__": 294, "_udivmod": 44, "_pgcd": 0}
 
 
 def counting(monkeypatch, counts, key, owners, name):
@@ -40,10 +45,13 @@ def test_verify_grid_stays_within_its_work_budget(monkeypatch):
     # pdo imports the loop by name, so both module names are wrapped
     counting(monkeypatch, counts, "_terms", (skewpoly, pdo), "_terms")
     counting(monkeypatch, counts, "Derivation.__call__", (Derivation,), "__call__")
+    counting(monkeypatch, counts, "_udivmod", (fields, ratfunc), "_udivmod")
+    counting(monkeypatch, counts, "_pgcd", (ratfunc,), "_pgcd")
+    counting(monkeypatch, counts, "_pgcd", (ratfunc._PPoly,), "gcd")
     for char, alpha in VERIFY_GRID:
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["verify", "all", "--char", str(char), "--alpha", alpha, "--seed", "19"])
         assert code == 0, (char, alpha)
-    assert counts["_terms"] and counts["Derivation.__call__"]
+    assert counts["_terms"] and counts["Derivation.__call__"] and counts["_udivmod"]
     for key, budget in BUDGET.items():
         assert counts[key] <= budget, (key, counts[key], budget)
