@@ -8,13 +8,18 @@ beyond.  The commutation law is
 
 for coefficients a, and u^{-1}*a = a*u^{-1} - delta(a), which is exact.
 So the series are the completion of the skew polynomials k(v1,v2)[x; D]
-at v = -deg_x, through the dictionary x = u^-1, D = -delta, and their
-products and inverses run the one Ore product loop of
-`orefields.skewpoly`, on {x-degree: coefficient} dicts with negative
-degrees, cut at x-degree -N.  The inverse takes the side of a b = 1 or
-b a = 1 on which that loop forms no derivative where it can (see
-`pdo_inv`).  Coercion, sums, negation and powers are those of
-`skewpoly.OreSum`, as for skew polynomials.  Every operation propagates
+at v = -deg_x, through the dictionary x = u^-1, D = -delta, on
+{x-degree: coefficient} dicts with negative degrees, cut at x-degree -N.
+A product fixes N first and runs the product dispatcher of skew
+polynomials, `skewpoly._skew_product`, with the floor -N: the closed
+forms where they apply (a right factor with constant coefficients, such
+as u or u - c, a constant or a coefficient on the left, and constant
+coefficients against one eigenvector term g_j u^k, whose infinite sum is
+cut at the floor), and the one Ore product loop otherwise.  The inverse
+runs that loop directly, on the side of a b = 1 or b a = 1 on which it
+forms no derivative where it can (see `pdo_inv`).  Coercion, sums,
+differences, negation and powers are those of `skewpoly.OreSum`, as for
+skew polynomials.  Every operation propagates
 precision pessimistically, so all stored coefficients are exact.
 """
 
@@ -24,7 +29,7 @@ import math
 
 from .fields import _join_terms
 from .ratfunc import Derivation, RatFunc2
-from .skewpoly import OreSum, SkewPoly, _product, _terms
+from .skewpoly import OreSum, SkewPoly, _skew_product, _terms
 
 DEFAULT_PRECISION = 8
 
@@ -105,7 +110,7 @@ class PdoSeries(OreSum):
         if self.terms:
             bounds.append(o.prec + min(self.terms))
         N = min(bounds)
-        prod = _product(_flip(self.terms), _flip(o.terms), self.derivation.negate(), 0, -N)
+        prod = _skew_product(_flip(self.terms), _flip(o.terms), self.derivation.negate(), -N)
         return PdoSeries(self.derivation, _flip(prod), N)
 
     def __eq__(self, other):

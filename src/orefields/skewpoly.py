@@ -1,6 +1,6 @@
 """Skew polynomial arithmetic for an Ore extension k(v1,v2)[x; D], with
-the ring surface (`OreSum`) and the one Ore product loop, which the
-series of `orefields.pdo` share.
+the ring surface (`OreSum`), the one product dispatcher (`_skew_product`)
+and the one Ore product loop, which the series of `orefields.pdo` share.
 
 Elements are finite sums sum_i f_i * x^i with left coefficients f_i in
 k(v1, v2) and the twisted multiplication x*f = f*x + D(f).  Powers of x
@@ -11,9 +11,9 @@ expansion (Ore 1933),
 
 so products are exact.  For i >= 0 the sum ends at s = i.  For i < 0
 C(i, s) is the generalized binomial, the sum is infinite, and the product
-is that of the completion k(v1, v2)((u; delta)): series enter `_product`
-through the dictionary x = u^-1, D = -delta, and are cut at a floor on
-the x-degree.  In characteristic l only the orders s with C(i, s) != 0
+is that of the completion k(v1, v2)((u; delta)): series enter
+`_skew_product` through the dictionary x = u^-1, D = -delta, and are cut
+at a floor on the x-degree.  In characteristic l only the orders s with C(i, s) != 0
 mod l are formed, read off the base-l digits of i by Lucas' theorem when
 i >= 0, and D^s(g) is taken only at those orders, each from the one
 before by `Derivation.power`, until it vanishes.  Where D scales each
@@ -38,18 +38,23 @@ central element c, the translates x - i gamma), D kills them all, so the
 factors commute and only order 0 survives.  That product is formed on the
 raw reps of k: each coefficient sum f_i g_j x^(i+j) is added up with the
 field's own product and sum, then made one constant of k(v1, v2), with no
-product or reduction of fractions.  The test for it rides on the one for
-constant g_j, so a series, whose coefficients are not constant, pays no
-extra scan.
+product or reduction of fractions (`_kx_product`).  In the loop, the test
+for it rides on the one for constant g_j, so the terms of a series
+inverse, whose coefficients are not constant, pay no extra scan.
 
-Operations on skew polynomials that have closed forms from the defining
-relations of the extension do not enter the loop:
+Products and other operations that have closed forms from the defining
+relations of the extension do not enter the loop, for skew polynomials
+and series alike:
 
-- a product with a constant c of k (a field element, an int, or a
-  constant coefficient), on either side, is the other factor's
-  coefficients scaled by c, since D(c) = 0 makes c central; an int, a
-  Fraction or a field element is read by the field, with no coefficient
-  or skew polynomial built for it;
+- a product whose right factor has constant coefficients g_j (x^l - x,
+  u, u - c, a constant c of k) has only order 0, since D kills each g_j:
+  f_i g_j at x-degree i + j.  One term c x^j scales each f_i by c, with
+  no sum; where every f_i is a constant too, the product is formed on raw
+  reps as above; otherwise the terms of each x-degree are summed once;
+- a product with a constant c of k on the left is g's coefficients
+  scaled by c, since D(c) = 0 makes c central; an int, a Fraction or a
+  field element, on either side of a skew polynomial, is read by the
+  field, with no coefficient or skew polynomial built for it;
 - a coefficient c on the left multiplies each coefficient:
   c sum g_j x^j = sum (c g_j) x^j, a constant g_j scaling c;
 - the commutator of f0 + f1 x with a coefficient c is f1 D(c), since f0
@@ -80,9 +85,17 @@ Three more closed forms follow, with D never applied:
 
 The products of x^i with y and z in the shift identities, the commutators
 of the center and centralizer checks with y and z, and the brackets of
-every monomial morphism take these forms.  Series keep the loop for all
-of them: a series product also fixes the precision of the result, and the
-loop is where that is done.
+every monomial morphism take these forms, and so do the products of the
+embedded generators u, Y and Z in the commutation identities of the
+series.  A series product fixes its precision N before it calls
+`_skew_product` with the floor -N on the x-degree, and each closed form
+keeps only the x-degrees at or above the floor.  In `_shifted`, whose f_i
+may sit at negative x-degrees i, (x + lambda)^i is an infinite sum, and
+its orders stop at s = i + j - floor, so u^k is cut at the precision.
+
+Sums and differences add the coefficients of each power of x with one
+`RatFunc2.weighted_sum`, the subtrahend's weighted by -1, with no negated
+copy of it built.
 """
 
 from __future__ import annotations
@@ -157,30 +170,37 @@ class OreSum:
         return self.coeffs.get(i, self.ctx.zero())
 
     def __add__(self, other):
+        return self._plus(other, None)
+
+    def __sub__(self, other):
+        K = self.ctx.field
+        return self._plus(other, K._neg(K._one_rep()))
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def _plus(self, other, w):
+        """self + other for w = None, self - other for w the raw rep of -1:
+        each coefficient that both hold is one `RatFunc2.weighted_sum`, the
+        weight w on other's, with no negated copy of other built."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         out = dict(self.coeffs)
         for i, c in o.coeffs.items():
             s = out.get(i)
-            s = c if s is None else s + c
+            if s is None:
+                out[i] = c if w is None else -c
+                continue
+            s = RatFunc2.weighted_sum([(s, None), (c, w)])
             if s.is_zero():
-                out.pop(i, None)
+                del out[i]
             else:
                 out[i] = s
         return self._like(out, o)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __neg__(self):
         return self._like({i: -c for i, c in self.coeffs.items()})
@@ -274,8 +294,8 @@ class SkewPoly(OreSum):
 
     def __pow__(self, n):
         # constant coefficients commute, so the power is taken in k[x]
-        reps = {i: c.num[(0, 0)] for i, c in self.coeffs.items() if c.is_constant()}
-        if len(reps) < len(self.coeffs) or not isinstance(n, int) or n < 0:
+        reps = _constants(self.coeffs)
+        if reps is None or not isinstance(n, int) or n < 0:
             return OreSum.__pow__(self, n)
         ctx = self.ctx
         return SkewPoly(self.derivation,
@@ -305,33 +325,53 @@ class SkewPoly(OreSum):
         return f"<skew {self}>"
 
 
-def _skew_product(f: dict, g: dict, D: Derivation) -> dict:
-    """f g for skew polynomials given as {degree: coefficient}: by a closed
-    form where a factor is a constant of k, where f is one coefficient, or
-    where f has constant coefficients and g is an eigenvector term of D
+def _skew_product(f: dict, g: dict, D: Derivation, floor: int = 0) -> dict:
+    """f g for skew polynomials or series given as {x-degree: coefficient},
+    at the x-degrees >= floor (a series product passes -N for precision N;
+    the default 0 cuts nothing from a product of polynomials).  By a closed
+    form where every g_j is a constant (only order 0 survives: f_i g_j at
+    x-degree i + j), where f is a constant or one coefficient, or where f
+    has constant coefficients and g is an eigenvector term of D
     (`_shifted`); by the Ore product loop otherwise."""
     K = D.ctx.field
-    c = _scalar(K, g)
-    if c is not None:
-        return _scaled(K, f, c)
+    gconst = _constants(g)
+    if gconst is not None:
+        if len(gconst) == 1:
+            # one constant term c x^j: f x^j scaled by c, with no sum
+            (j, c), = gconst.items()
+            return {i + j: _scale(K, fi, c) for i, fi in f.items() if i + j >= floor}
+        fconst = _constants(f)
+        if fconst is not None:
+            return {k: D.ctx._const(c) for k, c in _kx_product(K, fconst, gconst, floor).items()}
+        one, pending = K._one_rep(), {}
+        for j, c in gconst.items():
+            w = None if c == one else c
+            for i, fi in f.items():
+                if i + j >= floor:
+                    pending.setdefault(i + j, []).append((fi, w))
+        return _summed(pending)
     c = _scalar(K, f)
     if c is not None:
-        return _scaled(K, g, c)
+        return _scaled(K, g, c, floor)
     if f.keys() == {0}:
         # a coefficient on the left: c sum g_j x^j = sum (c g_j) x^j
         c = f[0]
         return {j: _scale(K, c, gj.num[(0, 0)]) if gj.is_constant() else c * gj
-                for j, gj in g.items()}
-    shifted = _shifted(f, g, D)
-    return _product(f, g, D) if shifted is None else shifted
+                for j, gj in g.items() if j >= floor}
+    shifted = _shifted(f, g, D, floor=floor)
+    return _summed(_terms(f, g, D, {}, 0, floor)) if shifted is None else shifted
 
 
-def _product(f: dict, g: dict, D: Derivation, lowest: int = 0, floor: int = 0) -> dict:
-    """The terms of f g of order s >= lowest and x-degree >= floor, with f
-    and g given as {x-degree: coefficient}, summed once per x-degree.  The
-    default floor 0 cuts nothing from a product of polynomials; a negative
-    x-degree needs the floor, as x^i g is an infinite sum."""
-    return _summed(_terms(f, g, D, {}, lowest, floor))
+def _constants(f: dict):
+    """{i: the raw rep of f_i} where every f_i is a constant of k (an
+    empty dict for f = 0), None for any other f; the scan stops at the
+    first coefficient that is not a constant."""
+    out = {}
+    for i, c in f.items():
+        if not c.is_constant():
+            return None
+        out[i] = c.num[(0, 0)]
+    return out
 
 
 def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
@@ -463,18 +503,21 @@ def _settled(K, canon, sums: dict) -> dict:
     return {k: c for k, c in zip(sums, values) if c != zero}
 
 
-def _shifted(f: dict, g: dict, D: Derivation, lowest: int = 0, sign: int = 1):
-    """The terms of order s >= lowest of sign * f g, where every f_i is a
-    constant of k and g = g_j x^j is one term whose g_j is an eigenvector
-    of D, D(g_j) = lambda g_j (`Derivation.eigenkey`); None for any other
-    f, g or D.  Then x^i g_j = g_j (x + lambda)^i, so f g = g_j f(x +
-    lambda) x^j: the coefficient of x^(k + j) is g_j times the sum of
-    sign f_i C(i, s) lambda^s over i - s = k, formed on raw reps with the
-    field's accumulator at the orders `binomial_orders` keeps, with
+def _shifted(f: dict, g: dict, D: Derivation, lowest: int = 0, sign: int = 1, floor: int = 0):
+    """The terms of order s >= lowest and x-degree >= floor of sign * f g,
+    where every f_i is a constant of k and g = g_j x^j is one term whose
+    g_j is an eigenvector of D, D(g_j) = lambda g_j (`Derivation.eigenkey`);
+    None for any other f, g or D.  Then x^i g_j = g_j (x + lambda)^i, so
+    f g = g_j f(x + lambda) x^j: the coefficient of x^(k + j) is g_j times
+    the sum of sign f_i C(i, s) lambda^s over i - s = k, formed on raw reps
+    with the field's accumulator at the orders `binomial_orders` keeps, with
     lambda^s from the derivation's cache, and made canonical once; g_j is
-    then scaled once per x-degree.  From order 1 (lowest = 1) that is the
-    commutator [f, g] = g_j (f(x + lambda) - f(x)) x^j; where lambda = 0
-    only order 0 is listed."""
+    then scaled once per x-degree.  The orders stop at s = i + j - floor,
+    the last whose x-degree is kept: for a series, whose f_i may sit at
+    negative x-degrees i, (x + lambda)^i is an infinite sum, cut there at
+    the precision.  From order 1 (lowest = 1) that is the commutator
+    [f, g] = g_j (f(x + lambda) - f(x)) x^j; where lambda = 0 only order 0
+    is listed."""
     if len(g) != 1:
         return None
     (j, gj), = g.items()
@@ -483,12 +526,12 @@ def _shifted(f: dict, g: dict, D: Derivation, lowest: int = 0, sign: int = 1):
         return None
     K = D.ctx.field
     lam = D._eigenvalue(key)
-    top = 0 if K._is_zero(lam) else None
+    cap = 0 if K._is_zero(lam) else math.inf
     add, mul, canon = K._accumulator()
     sums = {}
     for i, c in f.items():
         a = c.num[(0, 0)]
-        for s, b in binomial_orders(i, K.char, lowest, top):
+        for s, b in binomial_orders(i, K.char, lowest, min(cap, i + j - floor)):
             v = mul(a, D._eigenvalue(key, s)) if s else a
             if sign * b != 1:
                 v = mul(v, K._from_int(sign * b))
@@ -541,11 +584,12 @@ def _scale(K, c: RatFunc2, w) -> RatFunc2:
     return RatFunc2(c.ctx, _pscale(K, c.num, w), c.den, _normalized=True)
 
 
-def _scaled(K, f: dict, w) -> dict:
-    """{i: f_i w} for a raw rep w of k: a product with a constant."""
+def _scaled(K, f: dict, w, floor: int = 0) -> dict:
+    """{i: f_i w} for a raw rep w of k, at the x-degrees i >= floor: a
+    product with a constant."""
     if K._is_zero(w):
         return {}
-    return {i: _scale(K, c, w) for i, c in f.items()}
+    return {i: _scale(K, c, w) for i, c in f.items() if i >= floor}
 
 
 def _x_bracket(D: Derivation, f1, c, sign: int) -> dict:
@@ -575,9 +619,15 @@ def _x_bracket(D: Derivation, f1, c, sign: int) -> dict:
 
 
 def _summed(pending: dict) -> dict:
-    """{k: the sum of pending[k]}, leaving out the k whose terms cancel."""
+    """{k: the sum of pending[k]}, leaving out the k whose terms cancel; a
+    single term c w, which is nonzero, is c scaled by w (`_scale`), with
+    no sum formed."""
     out = {}
     for k, terms in pending.items():
+        if len(terms) == 1:
+            (c, w), = terms
+            out[k] = c if w is None else _scale(c.ctx.field, c, w)
+            continue
         c = RatFunc2.weighted_sum(terms)
         if not c.is_zero():
             out[k] = c

@@ -125,22 +125,24 @@ def fmt_ctx(field, names=("y", "z")):
 # ---------------------------------------------------------------------------
 # reference series arithmetic: the term-by-term product with one branch per
 # sign of the u-exponent, and the inverse that forms one full product per
-# new coefficient.  Slow and independent of the Ore product loop
-# orefields.skewpoly._product, which the series run through x = u^-1 and
-# which must agree with them exactly.
+# new coefficient.  Slow and independent of the product dispatcher
+# orefields.skewpoly._skew_product, its closed forms and its Ore product
+# loop `_terms`, which the series run through x = u^-1 and which must agree
+# with them exactly.
 
 REF_FIELDS = ["QQ", "GF7", "GF3(a)", "QQ(sqrt2)"]
 
 
 def ref_field(name):
     """The coefficient field and the alpha of g_alpha for each name of
-    REF_FIELDS, on which the series are checked against the references."""
+    REF_FIELDS and for GF9(a), on which the series and the closed forms are
+    checked against the references."""
     if name == "QQ":
         return QQ(), 2
     if name == "GF7":
         return GF(7), 3
-    if name == "GF3(a)":
-        K = with_parameter(GF(3))
+    if name in ("GF3(a)", "GF9(a)"):
+        K = with_parameter(GF(3) if name == "GF3(a)" else GF(3, 2))
         return K, K.gen()
     K = Qsqrt(2)
     return K, K.gen()
@@ -513,11 +515,14 @@ def ref_skew_mul(f, g):
 
 def ref_commutator(f, g):
     """fg - gf from two full reference products, the order-0 terms
-    included, independent of the product under test; f or g may be a
-    coefficient."""
+    included, subtracted coefficient by coefficient in RatFunc2, so that
+    neither the product nor the difference under test is used; f or g may
+    be a coefficient."""
     D = (f if isinstance(f, SkewPoly) else g).derivation
     f, g = (h if isinstance(h, SkewPoly) else SkewPoly.from_coeff(D, h) for h in (f, g))
-    return ref_skew_mul(f, g) - ref_skew_mul(g, f)
+    fg, gf = ref_skew_mul(f, g).coeffs, ref_skew_mul(g, f).coeffs
+    zero = D.ctx.zero()
+    return SkewPoly(D, {k: fg.get(k, zero) - gf.get(k, zero) for k in fg.keys() | gf.keys()})
 
 
 def ref_floor(q):

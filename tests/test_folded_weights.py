@@ -25,7 +25,7 @@ from orefields.fields import GF, QQ
 from orefields.pdo import PdoSeries, pdo_inv
 from orefields.presentations import CaseSpec, algebra_make
 from orefields.ratfunc import Derivation, RatFunc2, scaling_derivation
-from orefields.skewpoly import SkewPoly, _product, _terms, commutator
+from orefields.skewpoly import SkewPoly, _summed, _terms, commutator
 
 from _support import (
     REF_FIELDS, rand_laurent_monomial, rand_nonzero, rand_ratfunc, ref_combined,
@@ -429,7 +429,7 @@ def test_negative_x_degrees_below_lowest_still_list_their_terms(name):
         fx = {-n: c for n, c in f.terms.items()}
         gx = {-n: c for n, c in g.terms.items()}
         floor = -got.prec
-        higher = _product(fx, gx, D, 1, floor)
+        higher = _summed(_terms(fx, gx, D, {}, 1, floor))
         assert higher, (str(f), str(g))
         order0 = {}
         for i, fi in fx.items():

@@ -12,7 +12,7 @@ from orefields.pdo import (
 )
 from orefields.presentations import CaseSpec, algebra_make, monomial_morphism
 from orefields.ratfunc import Derivation
-from orefields.skewpoly import SkewPoly, _product, binomial_orders
+from orefields.skewpoly import SkewPoly, _summed, _terms, binomial_orders
 from _support import (
     REF_FIELDS, rand_laurent_monomial, rand_nonzero, rand_poly2, rand_skew, ref_field,
     ref_pdo_inv, ref_pdo_mul, ref_push_coefficient,
@@ -335,8 +335,9 @@ class TestAgainstReference:
             for f, g in ((a, b), (b, a)):
                 got, want = f * g, ref_pdo_mul(f, g)
                 assert (got.terms, got.prec) == (want.terms, want.prec)
-                raw = _product({-n: c for n, c in f.terms.items()},
-                               {-n: c for n, c in g.terms.items()}, d.negate(), 0, -got.prec)
+                raw = _summed(_terms({-n: c for n, c in f.terms.items()},
+                                     {-n: c for n, c in g.terms.items()}, d.negate(), {}, 0,
+                                     -got.prec))
                 assert min(raw) >= -got.prec
                 assert {-k: c for k, c in raw.items() if not c.is_zero()} == want.terms
             for s in (a, b):

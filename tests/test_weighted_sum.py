@@ -23,7 +23,7 @@ from orefields.fields import (
 from orefields.pdo import PdoSeries, pdo_inv
 from orefields.presentations import CaseSpec, algebra_make
 from orefields.ratfunc import FunctionField2, RatFunc2
-from orefields.skewpoly import SkewPoly, _product, _summed, _terms, commutator
+from orefields.skewpoly import SkewPoly, _skew_product, _summed, _terms, commutator
 
 from _support import (
     REF_FIELDS, rand_laurent_monomial, rand_nonzero, rand_poly2, ref_combined, ref_commutator,
@@ -125,7 +125,7 @@ def test_products_leave_out_the_x_degrees_that_cancel(name):
     y, z = ctx.gens()
     for g in (y * z, y / (y + 1), (y + z) / (z * z + 1)):
         f = SkewPoly.x(D) - D(g) / g
-        raw = _product(f.coeffs, {0: g}, D)
+        raw = _skew_product(f.coeffs, {0: g}, D)
         assert raw == {1: g}, str(g)
     # every slot of f f - f f cancels
     f = SkewPoly(D, {0: y / (z + 1), 2: z, 3: y * z})
