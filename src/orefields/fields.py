@@ -271,13 +271,16 @@ def _umul(K, a, b):
             for j, y in enumerate(b):
                 if y != zero:
                     out[i + j] = K._add(out[i + j], K._mul(x, y))
-    return _utrim(K, out)
+    # the top entry is the product of the two leading coefficients, nonzero
+    # over a field, so trimmed factors give a trimmed product
+    return tuple(out)
 
 
 def _uscale(K, a, s):
+    # for trimmed a and s != 0 the top entry a[-1] * s is nonzero
     if K._is_zero(s):
         return ()
-    return _utrim(K, [K._mul(x, s) for x in a])
+    return tuple([K._mul(x, s) for x in a])
 
 
 def _udivmod(K, a, b):
@@ -935,15 +938,20 @@ class ParameterField(Field):
     field K.  Reps are pairs (num, den) of trimmed little-endian tuples of
     base reps, with den monic and gcd(num, den) = 1.
 
+    A constant c of K is ((c,), (1,)), and is worked on through its base
+    rep, with no polynomial kernel: a factor equal to one returns the other
+    operand, and the product or sum of two constants, and the power or
+    inverse of one, is one operation of K.
+
     A gcd is computed only where a common factor can occur.  When one
-    operand is a nonzero constant c of K (tested first), or both
-    denominators are 1, the product c*n over d (resp. n1*n2) and the sum
-    n1 + n2 over 1 are already reduced with a monic denominator, so they
-    are returned as they are; that rep is the canonical one, because it is
-    unique.  So are powers n^s / d^s (`_pow`), and a homography of an
-    element by a matrix whose determinant is nonzero in K needs only the
-    monic step (`_homographic`).  The cancel step of products and sums
-    runs no Euclid against an operand of degree 1 (`_linear_cancel`)."""
+    operand is a nonzero constant c of K, or both denominators are 1, the
+    product c*n over d (resp. n1*n2) and the sum n1 + n2 over 1 are
+    already reduced with a monic denominator, so they are returned as they
+    are; that rep is the canonical one, because it is unique.  So are
+    powers n^s / d^s (`_pow`), and a homography of an element by a matrix
+    whose determinant is nonzero in K needs only the monic step
+    (`_homographic`).  The cancel step of products and sums runs no Euclid
+    against an operand of degree 1 (`_linear_cancel`)."""
 
     def __init__(self, base: Field):
         if isinstance(base, ParameterField):
@@ -968,19 +976,30 @@ class ParameterField(Field):
         if not n2:
             return a
         if len(d1) == 1 and len(d2) == 1:
+            if len(n1) == 1 and len(n2) == 1:
+                c = K._add(n1[0], n2[0])
+                return self._zero if K._is_zero(c) else ((c,), d1)
             return (_uadd(K, n1, n2), d1)
-        return _frac_add(_UPoly, K, n1, d1, n2, d2) or self._zero_rep()
+        return _frac_add(_UPoly, K, n1, d1, n2, d2) or self._zero
 
     def _neg(self, a):
         return (_uneg(self.base, a[0]), a[1])
 
     def _mul(self, a, b):
+        one = self._one
+        if a == one:
+            return b
+        if b == one:
+            return a
         K = self.base
         n1, d1 = a
         n2, d2 = b
         if not n1 or not n2:
-            return self._zero_rep()
+            return self._zero
         if len(d1) == 1 and len(n1) == 1:
+            if len(d2) == 1 and len(n2) == 1:
+                # no zero divisors: the product of two constants is nonzero
+                return ((K._mul(n1[0], n2[0]),), d1)
             return (_uscale(K, n2, n1[0]), d2)
         if len(d2) == 1 and len(n2) == 1:
             return (_uscale(K, n1, n2[0]), d1)
@@ -989,9 +1008,12 @@ class ParameterField(Field):
         return _frac_mul(_UPoly, K, n1, d1, n2, d2)
 
     def _inv(self, a):
-        if not a[0]:
+        num, den = a
+        if not num:
             raise ZeroDivisionError("inverse of zero")
-        return _frac_monic(_UPoly, self.base, a[1], a[0])   # already coprime
+        if len(num) == 1 and len(den) == 1:
+            return ((self.base._inv(num[0]),), den)
+        return _frac_monic(_UPoly, self.base, den, num)   # already coprime
 
     def _frobenius(self, a):
         # n/d -> n^sigma(a^l) / d^sigma(a^l); see `frobenius`
@@ -1012,8 +1034,11 @@ class ParameterField(Field):
         # a power of a, and a product of two, is taken numerator by numerator
         # and denominator by denominator, with no gcd.  In characteristic l,
         # a^n = prod_k sigma_k(a)^(d_k) over the base-l digits d_k of n, with
-        # sigma_k(a) = a^(l^k) by substitution
+        # sigma_k(a) = a^(l^k) by substitution.  A nonzero constant c of K
+        # gives c^n in K
         K, ell = self.base, self.char
+        if len(a[0]) == 1 and len(a[1]) == 1:
+            return ((K._pow(a[0][0], n),), a[1])
 
         def mul(x, y):
             return (_umul(K, x[0], y[0]), _umul(K, x[1], y[1]))

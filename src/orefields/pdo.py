@@ -71,6 +71,9 @@ class PdoSeries(OreSum):
         prec = self.prec if other is None else min(self.prec, other.prec)
         return PdoSeries(self.derivation, terms, prec)
 
+    def _top(self, other):
+        return min(self.prec, other.prec)
+
     # -- structure ---------------------------------------------------------------
     def valuation(self):
         """Least exponent with a (known) nonzero coefficient; +infinity if

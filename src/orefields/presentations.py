@@ -409,19 +409,19 @@ class Morphism:
     def compose(self, inner: "Morphism") -> "Morphism":
         """self o inner: apply inner first.  For monomial morphisms the
         composite is the monomial morphism of the matrix product
-        inner.matrix * self.matrix."""
+        inner.matrix * self.matrix, which is built (and its brackets
+        verified) once; the images of inner's generators under self must
+        equal its images, or an ArithmeticError names the first that
+        differs.  That direct morphism is returned."""
         if self.tag != "monomial" or inner.tag != "monomial":
             raise UnsupportedCaseError("composition is supported for monomial morphisms")
-        return Morphism(
-            target=self.target,
-            beta=inner.beta,
-            x_img=self.apply(inner.x_img),
-            y_img=self.apply(inner.y_img),
-            z_img=self.apply(inner.z_img),
-            tag="monomial",
-            matrix=inner.matrix * self.matrix,
-            invertible=(self.invertible and inner.invertible),
-        )
+        direct = monomial_morphism(inner.matrix * self.matrix, self.target.case.alpha)
+        if direct.beta != inner.beta:
+            raise ArithmeticError("composite beta differs from the direct morphism's")
+        for name in ("x_img", "y_img", "z_img"):
+            if self.apply(getattr(inner, name)) != getattr(direct, name):
+                raise ArithmeticError(f"composite {name[0]} image differs from the direct morphism's")
+        return direct
 
 
 def monomial_morphism(M: Mat2Z, alpha: FieldElem) -> Morphism:

@@ -145,7 +145,8 @@ class OreSum:
     powers alike.  A subclass gives `_like(coeffs, other)`, an element of
     its own class with those coefficients (a series takes the weaker
     precision of self and other), its own `__mul__` and `__eq__`, and the
-    nouns of its error messages."""
+    nouns of its error messages; a series also gives `_top(other)`, the
+    largest exponent that `_like(coeffs, other)` keeps."""
 
     __slots__ = ("derivation", "coeffs")
 
@@ -166,6 +167,9 @@ class OreSum:
             return None
         return self._like({0: self.ctx.const(other)})
 
+    def _top(self, other):
+        return math.inf
+
     def coefficient(self, i: int) -> RatFunc2:
         return self.coeffs.get(i, self.ctx.zero())
 
@@ -185,12 +189,16 @@ class OreSum:
     def _plus(self, other, w):
         """self + other for w = None, self - other for w the raw rep of -1:
         each coefficient that both hold is one `RatFunc2.weighted_sum`, the
-        weight w on other's, with no negated copy of other built."""
+        weight w on other's, with no negated copy of other built.  A term
+        of other past `_top` is skipped, since the result drops it."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        top = self._top(o)
         out = dict(self.coeffs)
         for i, c in o.coeffs.items():
+            if i > top:
+                continue
             s = out.get(i)
             if s is None:
                 out[i] = c if w is None else -c

@@ -285,7 +285,9 @@ def test_sums_and_differences_coefficientwise(name, monkeypatch):
     """a + b, a - b and b - a for series (precision the weaker one) and
     skew polynomials, a constant or a coefficient on either side of -, and
     a - a = 0: each shared coefficient is one weighted sum, with no
-    negated operand and no RatFunc2 sum or difference formed."""
+    negated operand and no RatFunc2 sum or difference formed.  A series
+    holds no exponent past its precision, so every shared exponent is at
+    most the weaker one; a difference negates no term past it either."""
     K, _, ctx, d = series_setup(name)
     rng = random.Random(f"series-sums-{name}")
     D = d.negate()
@@ -301,21 +303,33 @@ def test_sums_and_differences_coefficientwise(name, monkeypatch):
                          if rng.random() < 0.7} or {0: ctx.one()})
         g = SkewPoly(D, {i: draw_coefficient(rng, ctx) for i in range(3) if rng.random() < 0.7})
         pairs += [(f, g), (f, f), (f, SkewPoly(D, {0: ctx.const(draw_constant(rng, K))}))]
-    cases = []
+    cases, past = [], 0
     for a, b in pairs:
         prec = min(a.prec, b.prec) if isinstance(a, PdoSeries) else None
         shared = len(a.coeffs.keys() & b.coeffs.keys())
-        cases.append((a, b, prec, shared, coefficientwise(a, b, 1), coefficientwise(a, b, -1),
-                      coefficientwise(b, a, -1)))
+        top = math.inf if prec is None else prec
+        # the terms of b, then of a, that a - b, then b - a, negates
+        negated = [len([i for i in g.coeffs.keys() - f.coeffs.keys() if i <= top])
+                   for f, g in ((a, b), (b, a))]
+        past += any(i > top for i in a.coeffs.keys() | b.coeffs.keys())
+        cases.append((a, b, prec, shared, negated, coefficientwise(a, b, 1),
+                      coefficientwise(a, b, -1), coefficientwise(b, a, -1)))
+    assert past     # some pairs hold exponents past their weaker precision
     sums = outer_calls(monkeypatch, RatFunc2, "weighted_sum")
     negations = count_calls(monkeypatch, PdoSeries, "__neg__")
     negations_skew = count_calls(monkeypatch, SkewPoly, "__neg__")
     pairwise = [count_calls(monkeypatch, RatFunc2, op) for op in ("__add__", "__sub__")]
-    for a, b, prec, shared, plus, minus, reverse in cases:
-        for got, want in ((a + b, plus), (a - b, minus), (b - a, reverse)):
+    negated_terms = count_calls(monkeypatch, RatFunc2, "__neg__")
+    for a, b, prec, shared, negated, plus, minus, reverse in cases:
+        for op, want, n in ((lambda: a + b, plus, 0), (lambda: a - b, minus, negated[0]),
+                            (lambda: b - a, reverse, negated[1])):
+            got = op()
             assert got.coeffs == want, (str(a), str(b))
             if prec is not None:
                 assert got.prec == prec
+            # no term past the weaker precision is negated
+            assert len(negated_terms) == n, (str(a), str(b))
+            negated_terms.clear()
         assert len(sums) == 3 * shared, (str(a), str(b))
         sums.clear()
     assert not negations and not negations_skew and not any(pairwise)

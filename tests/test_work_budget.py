@@ -11,14 +11,19 @@ which every RatFunc2 sum, difference and loop sum goes), the applications
 of a derivation (`Derivation.__call__`), the polynomial divisions of
 Euclid and of exact quotients in K[a] (`fields._udivmod`, the module
 global that `_ugcd` and `_UPoly.quo` look up, and its import in
-`ratfunc`), and the bivariate gcds (`ratfunc._pgcd`, by its module global
-and as `_PPoly.gcd`)."""
+`ratfunc`), the bivariate gcds (`ratfunc._pgcd`, by its module global
+and as `_PPoly.gcd`), the products of the univariate polynomial kernel
+(`fields._umul` and `fields._uscale`, by their module globals, the
+imports of `_umul` in `ratfunc` and `orbits`, and as `_UPoly.mul` and
+`_UPoly.scale`), and the bracket checks of morphisms
+(`Morphism.verify_relations`)."""
 
 import contextlib
 import io
 
-from orefields import fields, pdo, ratfunc, skewpoly
+from orefields import fields, orbits, pdo, ratfunc, skewpoly
 from orefields.cli import main
+from orefields.presentations import Morphism
 from orefields.ratfunc import Derivation, RatFunc2
 
 VERIFY_GRID = [["verify", "all", "--char", str(char), "--alpha", alpha, "--seed", "19"]
@@ -34,9 +39,12 @@ PDO_PRECISION = [["pdo", "--char", str(char), "--alpha", alpha, "--precision", s
 # 294, before them 543 and 679; at the gcd-free monomial morphisms
 # _udivmod and _pgcd were 44 and 0, before them 345 and 65; at the series
 # products through the skew closed forms _terms and weighted_sum were 176
-# and 399, before them 245 and 793
+# and 399, before them 245 and 793; at the constants of K(a) worked on
+# through their base reps and each composite morphism verified once,
+# _umul/_uscale and verify_relations were 1,063 and 123, before them
+# 3,748 and 158 (one verify_relations fewer per composition draw)
 BUDGET = {"_terms": 176, "weighted_sum": 399, "Derivation.__call__": 294, "_udivmod": 44,
-          "_pgcd": 0}
+          "_pgcd": 0, "_umul/_uscale": 1063, "verify_relations": 123}
 # the totals over the four pdo-precision runs: 128 and 768 before the
 # series products went through the skew closed forms
 PDO_BUDGET = {"_terms": 96, "weighted_sum": 336}
@@ -66,6 +74,11 @@ def counted_runs(monkeypatch, argvs):
     counting(monkeypatch, counts, "_udivmod", (fields, ratfunc), "_udivmod")
     counting(monkeypatch, counts, "_pgcd", (ratfunc,), "_pgcd")
     counting(monkeypatch, counts, "_pgcd", (ratfunc._PPoly,), "gcd")
+    counting(monkeypatch, counts, "_umul/_uscale", (fields, ratfunc, orbits), "_umul")
+    counting(monkeypatch, counts, "_umul/_uscale", (fields._UPoly,), "mul")
+    counting(monkeypatch, counts, "_umul/_uscale", (fields,), "_uscale")
+    counting(monkeypatch, counts, "_umul/_uscale", (fields._UPoly,), "scale")
+    counting(monkeypatch, counts, "verify_relations", (Morphism,), "verify_relations")
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
@@ -76,6 +89,7 @@ def counted_runs(monkeypatch, argvs):
 def test_verify_grid_stays_within_its_work_budget(monkeypatch):
     counts = counted_runs(monkeypatch, VERIFY_GRID)
     assert counts["_terms"] and counts["Derivation.__call__"] and counts["_udivmod"]
+    assert counts["_umul/_uscale"] and counts["verify_relations"]
     for key, budget in BUDGET.items():
         assert counts[key] <= budget, (key, counts[key], budget)
 
