@@ -5,8 +5,9 @@ of reduced fractions where one denominator is 1; the
 exponent substitution of a Laurent element, reduced by a monomial; the
 homography of a K(a) element by a matrix whose determinant is nonzero in
 k, which needs only the monic step; the set-up of a derivation whose
-images have denominator 1; and the image of a skew polynomial under a
-monomial morphism, summed once per x-degree."""
+images have denominator 1; the image of a skew polynomial under a
+monomial morphism, summed once per x-degree; and the composite of two,
+verified once and checked against the pushed images."""
 
 import random
 
@@ -353,3 +354,27 @@ def test_composites_match_the_matrix_product():
             assert (composite.x_img, composite.y_img, composite.z_img) == \
                 (direct.x_img, direct.y_img, direct.z_img)
             assert composite.beta == direct.beta == ref_homographic(M2 * M1, alpha)
+
+
+def test_a_composite_is_verified_once_and_checked_image_by_image(monkeypatch):
+    K = with_parameter(GF(7))
+    alpha = K.gen()
+    M1, M2 = Mat2Z(1, 1, 0, 1), Mat2Z(0, 1, 1, 0)
+    calls = []
+    verify = Morphism.verify_relations
+    monkeypatch.setattr(Morphism, "verify_relations", lambda self: calls.append(1) or verify(self))
+    phi1 = monomial_morphism(M1, alpha)
+    phi2 = monomial_morphism(M2, phi1.beta)
+    calls.clear()
+    assert phi1.compose(phi2).matrix == M2 * M1
+    assert len(calls) == 1      # the direct morphism's brackets, not a composite's too
+    # an inner morphism whose data is not what its matrix gives
+    for name, wrong, message in (("beta", phi2.beta + 1, "beta"),
+                                 ("x_img", phi2.x_img * 2, "x image"),
+                                 ("y_img", phi2.z_img, "y image"),
+                                 ("z_img", phi2.y_img, "z image")):
+        right = getattr(phi2, name)
+        setattr(phi2, name, wrong)
+        with pytest.raises(ArithmeticError, match=message):
+            phi1.compose(phi2)
+        setattr(phi2, name, right)
