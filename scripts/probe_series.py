@@ -8,8 +8,8 @@ products, the sums
 (`RatFunc2.weighted_sum`, through which `+` and `-` go; "-" where the
 sources have none), the coefficient entries those sums add up (the sum of
 len(c.num) over the terms c of each call; it does not depend on how the
-sum is formed), the normal-form scans of Laurent fractions
-(`ratfunc._over_monomial`), the `Derivation.power` calls and the calls of
+sum is formed), the monomial-content scans of the Laurent form
+(`ratfunc._content`), the `Derivation.power` calls and the calls of
 the coefficient field's product (`_mul` of its class, on raw reps; in K(a)
 the products of K(a), not of K).  Over QQ and GF(l) the sums multiply and
 add natively (`Field._accumulator`), so "k mul" leaves out their
@@ -120,7 +120,7 @@ def main():
                 raise SystemExit(f"inverse roundtrip fails: char {char}, {alpha}, N = {prec}")
             counts, present, restore = counted(
                 [(RatFunc2, name) for name in ("__mul__", "__rmul__", "weighted_sum")]
-                + [(ratfunc, "_over_monomial"), (Derivation, "power"),
+                + [(ratfunc, "_content"), (Derivation, "power"),
                    (type(a.ctx.field), "_mul")],
                 {"weighted_sum": ("entries", lambda terms: sum(len(c.num) for c, _ in terms))})
             try:
@@ -138,7 +138,7 @@ def main():
                 restore()
             print(f"{char:>4} {alpha:22} {prec:>3} {best * 1000:9.2f} "
                   f"{counts['__mul__'] + counts['__rmul__']:>9} {sums:>7} {entries:>8} "
-                  f"{counts['_over_monomial']:>7} {counts['power']:>7} {counts['_mul']:>7} "
+                  f"{counts['_content']:>7} {counts['power']:>7} {counts['_mul']:>7} "
                   f"{lc_best * 1000:8.2f} {lc['_terms']:>7} {lc['weighted_sum']:>7}")
 
 

@@ -80,7 +80,7 @@ def _size(value) -> tuple:
         sizes = [(k + d, b) for k, c in coeffs.items() for d, b in [_size(c)]]
     else:                                        # a rational function
         K = value.ctx.field
-        sizes = [(i + j + d, b) for p in (value.num, value.den)
+        sizes = [(i + j + d, b) for p in value.as_polynomials()
                  for (i, j), c in p.items() for d, b in [_rep_size(K, c)]]
     return tuple(map(max, zip(*sizes))) if sizes else (0, 0)
 

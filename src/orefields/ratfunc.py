@@ -1,16 +1,23 @@
 """Bivariate rational functions over an exact coefficient field.
 
-Elements of k(v1, v2) are kept as reduced fractions of polynomial dicts
-{(i, j): coefficient} with the denominator normalized to leading
-coefficient 1 under graded lexicographic order (v1 > v2), so the
-representation of each value is unique and equality is structural.
+Elements of k(v1, v2) are kept in the canonical form of the fraction field
+of the Laurent ring k[v1^±1, v2^±1], whose units are the monomials
+c v1^i v2^j: a numerator that is a Laurent polynomial dict
+{(i, j): coefficient} with signed exponents, over a coprime denominator
+polynomial that neither v1 nor v2 divides, normalized to leading
+coefficient 1 under graded lexicographic order (v1 > v2).  So the
+representation of each value is unique and equality is structural, and a
+Laurent element is exactly one whose denominator is 1 (`_is_one`), as a
+polynomial is.  `RatFunc2.as_polynomials` gives the coprime fraction over
+k[v1, v2] that the form stands for, through which values are printed.
 The coefficients are raw reps of k (an int or a Fraction over QQ, an int
 over GF(l), a tuple over GF(l^n) or QQ(sqrt d), or a K(a) pair),
 operated on by the field's payload methods; the `_p*` helpers take k
 explicitly, and `FieldElem` appears only where a value enters or leaves
 (`const`, `monomial`, coercion, `constant_value`).  The gcd views a
 polynomial as one in v1 over k[v2] and runs the primitive PRS (Brown
-1971) on the univariate helpers of `fields`.
+1971) on the univariate helpers of `fields`; `_PPoly` hands it, and the
+exact division, each Laurent operand over its monomial content.
 
 Derivations are determined by their images on the two variables and
 extend to fractions by the quotient rule, taken in one step on the
@@ -26,15 +33,11 @@ its divisors, never by a gcd against d^2 or a full normalization (see
 Products with a constant factor only scale a numerator: a reduced
 fraction times a unit stays reduced.
 
-Laurent elements, those with a monomial denominator v1^p v2^q, never need
-a gcd: v1 and v2 are the only primes of the denominator, so the only
-common factor a numerator can share with it is a monomial, found from the
-least exponents.  A one-term factor of a product shifts exponents (and
-scales unless its coefficient is 1), a sum of Laurent elements goes over
-the monomial lcm (an n-ary sum, `RatFunc2.weighted_sum`, in one pass: over
-QQ and GF(l) its coefficients are multiplied and added natively and each
-is reduced once, then the fraction is), and a scaling derivation
-D(v1) = c1 v1, D(v2) = c2 v2
+Laurent elements never need a gcd: the product of two is the product of
+their numerators, a sum of them one merge of their numerators (an n-ary
+sum, `RatFunc2.weighted_sum`, in one pass: over QQ and GF(l) its
+coefficients are multiplied and added natively and each is reduced once),
+both over 1, and a scaling derivation D(v1) = c1 v1, D(v2) = c2 v2
 (the family g_alpha and its series derivation -D) is diagonal on
 monomials: D(v1^i v2^j) = (i c1 + j c2) v1^i v2^j.  Each derivation
 detects that once, from its images, and caches the eigenvalues it meets
@@ -58,7 +61,9 @@ def _grlex(ij):
 
 
 # ---------------------------------------------------------------------------
-# polynomial dicts: {(i, j): rep of K}, no zero values, exponents >= 0
+# polynomial dicts: {(i, j): rep of K}, no zero values.  Numerators are
+# Laurent polynomials, with signed exponents; the recursive view and the
+# gcd below take exponents >= 0
 
 def _ptrim(K, p):
     return {ij: c for ij, c in p.items() if not K._is_zero(c)}
@@ -132,16 +137,11 @@ def _is_one(g):
     return len(g) == 1 and (0, 0) in g
 
 
-def _over_monomial(ctx, num, p, q):
-    """The reduced fraction num / (v1^p v2^q) for a nonzero polynomial num.
-    v1 and v2 are the only primes of the denominator, so the common factor
-    is the monomial of least exponents, the `min` of the keys (not read
-    where p or q is 0): no gcd is needed."""
-    mi = p and min(p, min(num)[0])
-    mj = q and min(q, min(num, key=itemgetter(1))[1])
-    if mi or mj:
-        num = _pshift(num, -mi, -mj)
-    return RatFunc2(ctx, num, {(p - mi, q - mj): ctx.field._one_rep()}, _normalized=True)
+def _content(p):
+    """(mi, mj), the least exponents of a nonzero Laurent polynomial p: its
+    content v1^mi v2^mj, a unit, over which p is a polynomial that neither
+    v1 nor v2 divides."""
+    return min(p)[0], min(p, key=itemgetter(1))[1]
 
 
 # recursive view: polynomial in v1 with coefficients in k[v2], used for gcd.
@@ -277,16 +277,31 @@ def _pstr(K, p, vars):
 
 
 class _PPoly:
-    """The bivariate kernel on polynomial dicts, for `fields._frac_*`."""
+    """The bivariate kernel on Laurent polynomial dicts, for
+    `fields._frac_*`.  A monomial is a unit, so gcd and quo take each
+    Laurent operand over its content (`_content`), and `_pgcd` and
+    `_pdivexact` work in k[v1, v2]."""
 
     add = _padd
     mul = _pmul
-    gcd = _pgcd
-    quo = _pdivexact
     scale = _pscale
     is_one = is_const = _is_one     # the one term of either sits at (0, 0)
     str = _pstr
     lead = _plead
+
+    @staticmethod
+    def gcd(K, p, q):
+        """The monic gcd of nonzero p and q, a polynomial neither v1 nor v2
+        divides."""
+        (pi, pj), (qi, qj) = _content(p), _content(q)
+        return _pgcd(K, _pshift(p, -pi, -pj), _pshift(q, -qi, -qj))
+
+    @staticmethod
+    def quo(K, p, g):
+        """p / g for a polynomial g that divides p and that neither v1 nor
+        v2 divides."""
+        mi, mj = _content(p)
+        return _pshift(_pdivexact(K, _pshift(p, -mi, -mj), g), mi, mj)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +348,7 @@ class FunctionField2:
         c = self.field.coerce(coeff).rep
         if self.field._is_zero(c):
             return self.zero()
-        one = self.field._one_rep()
-        num = {(max(i, 0), max(j, 0)): c}
-        den = {(max(-i, 0), max(-j, 0)): one}
-        return RatFunc2(self, num, den, _normalized=True)
+        return RatFunc2(self, {(i, j): c}, {(0, 0): self.field._one_rep()}, _normalized=True)
 
     def var(self, name: str) -> RatFunc2:
         if name == self.vars[0]:
@@ -350,7 +362,8 @@ class FunctionField2:
 
 
 class RatFunc2:
-    """A normalized fraction of bivariate polynomials."""
+    """A normalized fraction: a Laurent polynomial over a monic polynomial
+    that neither variable divides."""
 
     __slots__ = ("ctx", "num", "den")
 
@@ -369,9 +382,8 @@ class RatFunc2:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return {}, {(0, 0): K._one_rep()}
-        # cheap common monomial factor first
-        mi = min(min(i for (i, _) in num), min(i for (i, _) in den))
-        mj = min(min(j for (_, j) in num), min(j for (_, j) in den))
+        # the denominator's content is a unit: it moves into the numerator
+        mi, mj = _content(den)
         if mi or mj:
             num = _pshift(num, -mi, -mj)
             den = _pshift(den, -mi, -mj)
@@ -407,49 +419,36 @@ class RatFunc2:
     @staticmethod
     def weighted_sum(terms):
         """sum c w over a nonempty list of pairs (c, w), c a fraction and w
-        a nonzero raw rep of k or None for 1, reduced once.  One scan finds
-        the Laurent c and their monomial lcm v1^p v2^q; their numerators,
-        shifted onto it (unless already there) and scaled by w, are summed
-        with the field's accumulator (`Field._accumulator`), unreduced over
-        QQ and GF(l), and each coefficient of the sum is then made
-        canonical once and dropped if it is zero, before one
-        `_over_monomial`.  The other c add pairwise."""
+        a nonzero raw rep of k or None for 1, reduced once.  The numerators
+        of the Laurent c, those over 1, scaled by w, are merged with the
+        field's accumulator (`Field._accumulator`), unreduced over QQ and
+        GF(l), and each coefficient of the merge is then made canonical
+        once and dropped if it is zero: a Laurent element over 1.  The
+        other c add to it pairwise."""
         ctx = terms[0][0].ctx
         K = ctx.field
         if len(terms) == 1:
             (c, w), = terms
             return c if w is None else RatFunc2(ctx, _pscale(K, c.num, w), c.den,
                                                 _normalized=True)
-        mono, others, p, q = [], [], 0, 0
+        add, mul, canon = K._accumulator()
+        num, others = {}, []
+        get = num.get
         for c, w in terms:
-            if len(c.den) == 1:
-                (pc, qc), = c.den
-                mono.append((c.num, w, pc, qc))
-                p, q = max(p, pc), max(q, qc)
-            else:
+            if not _is_one(c.den):
                 others.append((c, w))
-        out = None
-        if mono:
-            add, mul, canon = K._accumulator()
-            num = {}
-            get = num.get
-            for n, w, pc, qc in mono:
-                di, dj = p - pc, q - qc
-                shift = di or dj
-                for ij, v in n.items():
-                    if shift:
-                        ij = (ij[0] + di, ij[1] + dj)
-                    if w is not None:
-                        v = mul(v, w)
-                    s = get(ij)
-                    num[ij] = v if s is None else add(s, v)
-            zero = K._zero_rep()
-            values = num.values() if canon is None else map(canon, num.values())
-            num = {ij: v for ij, v in zip(num, values) if v != zero}
-            out = _over_monomial(ctx, num, p, q) if num else ctx.zero()
+                continue
+            for ij, v in c.num.items():
+                if w is not None:
+                    v = mul(v, w)
+                s = get(ij)
+                num[ij] = v if s is None else add(s, v)
+        zero = K._zero_rep()
+        values = num.values() if canon is None else map(canon, num.values())
+        num = {ij: v for ij, v in zip(num, values) if v != zero}
+        out = RatFunc2(ctx, num, {(0, 0): K._one_rep()}, _normalized=True)
         for c, w in others:
-            c = RatFunc2.weighted_sum([(c, w)])
-            out = c if out is None else out._combined(c)
+            out = out._combined(RatFunc2.weighted_sum([(c, w)]))
         return out
 
     def __sub__(self, other):
@@ -482,10 +481,6 @@ class RatFunc2:
             if c == K._one_rep():
                 return self
             return RatFunc2(self.ctx, _pscale(K, self.num, c), self.den, _normalized=True)
-        if len(self.den) == 1 and len(o.den) == 1:
-            (p1, q1), = self.den
-            (p2, q2), = o.den
-            return _over_monomial(self.ctx, _pmul(K, self.num, o.num), p1 + p2, q1 + q2)
         return RatFunc2(self.ctx, *_frac_mul(_PPoly, K, self.num, self.den, o.num, o.den),
                         _normalized=True)
 
@@ -517,7 +512,10 @@ class RatFunc2:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc2(self.ctx, *_frac_monic(_PPoly, self.ctx.field, self.den, self.num),
+        # the numerator's content is a unit: it moves into the new numerator
+        mi, mj = _content(self.num)
+        num, den = _pshift(self.den, -mi, -mj), _pshift(self.num, -mi, -mj)
+        return RatFunc2(self.ctx, *_frac_monic(_PPoly, self.ctx.field, num, den),
                         _normalized=True)
 
     def __eq__(self, other):
@@ -533,9 +531,8 @@ class RatFunc2:
         return not self.num
 
     def is_constant(self):
-        num, den = self.num, self.den
-        return (len(den) == 1 and (0, 0) in den
-                and (not num or len(num) == 1 and (0, 0) in num))
+        num = self.num
+        return _is_one(self.den) and (not num or len(num) == 1 and (0, 0) in num)
 
     def constant_value(self) -> FieldElem | None:
         if not self.is_constant():
@@ -554,43 +551,23 @@ class RatFunc2:
         """Substitute v1 -> v1^a1 v2^b1 and v2 -> v1^a2 v2^b2 where
         e1 = (a1, b1), e2 = (a2, b2); negative exponents allowed.  Terms
         whose exponents the map sends to one place (a singular matrix)
-        are added.  A Laurent element n / (v1^p v2^q) maps to a Laurent
-        element: each term of n goes to its image exponent less that of
-        the denominator, all are shifted onto exponents >= 0 over the
-        monomial of that shift, and `_over_monomial` cancels the monomial
-        a sum of colliding terms can leave; the image of a monomial is a
-        monomial, so nothing else can cancel, and no gcd is run."""
+        are added.  The image of a Laurent element is the image of its
+        numerator, over 1: no gcd is run.  Any other fraction is
+        normalized."""
         a1, b1 = e1
         a2, b2 = e2
-
-        def mapped(p, di=0, dj=0):
-            return [((a1 * i + a2 * j - di, b1 * i + b2 * j - dj), c) for (i, j), c in p.items()]
-
-        laurent = len(self.den) == 1
-        if laurent:
-            if not self.num:
-                return self
-            (p, q), = self.den
-            mn, md = mapped(self.num, a1 * p + a2 * q, b1 * p + b2 * q), []
-        else:
-            mn, md = mapped(self.num), mapped(self.den)
-        everything = [ij for ij, _ in mn] + [ij for ij, _ in md]
-        si = -min(0, min(i for (i, _) in everything))
-        sj = -min(0, min(j for (_, j) in everything))
-
         K = self.ctx.field
 
-        def collect(terms):
+        def mapped(p):
             out = {}
-            for (i, j), c in terms:
-                ij = (i + si, j + sj)
+            for (i, j), c in p.items():
+                ij = (a1 * i + a2 * j, b1 * i + b2 * j)
                 out[ij] = K._add(out[ij], c) if ij in out else c
             return _ptrim(K, out)
 
-        if laurent:
-            num = collect(mn)
-            return _over_monomial(self.ctx, num, si, sj) if num else self.ctx.zero()
-        return RatFunc2(self.ctx, collect(mn), collect(md))
+        if _is_one(self.den):
+            return RatFunc2(self.ctx, mapped(self.num), self.den, _normalized=True)
+        return RatFunc2(self.ctx, mapped(self.num), mapped(self.den))
 
     def to_context(self, ctx: FunctionField2) -> RatFunc2:
         """The same function viewed in another context with the same field
@@ -599,8 +576,19 @@ class RatFunc2:
             raise ValueError("contexts have different coefficient fields")
         return RatFunc2(ctx, dict(self.num), dict(self.den), _normalized=True)
 
+    def as_polynomials(self):
+        """(n, d), the coprime polynomials of k[v1, v2] with d monic in grlex
+        and n/d this value: numerator and denominator times the monomial
+        that clears the numerator's negative exponents."""
+        num, den = self.num, self.den
+        mi, mj = _content(num) if num else (0, 0)
+        mi, mj = min(mi, 0), min(mj, 0)
+        if mi or mj:
+            return _pshift(num, -mi, -mj), _pshift(den, -mi, -mj)
+        return num, den
+
     def __str__(self):
-        return _frac_str(_PPoly, self.ctx.field, self.num, self.den, self.ctx.vars)
+        return _frac_str(_PPoly, self.ctx.field, *self.as_polynomials(), self.ctx.vars)
 
     def __repr__(self):
         return f"<{self.ctx.vars[0]},{self.ctx.vars[1]}-ratfunc {self}>"
@@ -647,23 +635,22 @@ class Derivation:
             zero = K._zero_rep()
             self._eigen = ({}, {}, self._wy.get((1, 0), zero), self._wz.get((0, 1), zero))
 
-    def _diagonal(self, n, p, q, s=1):
-        """v1^p v2^q D^s(n / (v1^p v2^q)) for a scaling derivation and
+    def _diagonal(self, n, s=1):
+        """D^s(n) for a scaling derivation, a Laurent polynomial n and
         s >= 1: each term c v1^i v2^j of n times lambda^s, where lambda =
-        (i - p) c1 + (j - q) c2 is its eigenvalue (`_eigenvalue`), with
-        the terms whose eigenvalue vanishes dropped."""
+        i c1 + j c2 is its eigenvalue (`_eigenvalue`), with the terms whose
+        eigenvalue vanishes dropped."""
         K = self.ctx.field
         cache = self._eigen[0]
         out = {}
-        for (i, j), c in n.items():
-            key = (i - p, j - q)
+        for key, c in n.items():
             lam = cache.get(key)
             if lam is None:
                 lam = self._eigenvalue(key)
             if not K._is_zero(lam):
                 if s != 1:
                     lam = self._eigenvalue(key, s)
-                out[(i, j)] = K._mul(c, lam)
+                out[key] = K._mul(c, lam)
         return out
 
     def _eigenvalue(self, key, s=1):
@@ -685,55 +672,44 @@ class Derivation:
         return lam_s
 
     def eigenkey(self, f: RatFunc2):
-        """The key (i - p, j - q) by which `_eigenvalue` reads lambda^s,
-        where D is a scaling derivation and f = c v1^i v2^j / (v1^p v2^q) a
-        Laurent monomial; None for any other f or D."""
-        if self._eigen is None or len(f.num) != 1 or len(f.den) != 1:
+        """The exponents (i, j) by which `_eigenvalue` reads lambda^s, where
+        D is a scaling derivation and f = c v1^i v2^j a Laurent monomial;
+        None for any other f or D."""
+        if self._eigen is None or len(f.num) != 1 or not _is_one(f.den):
             return None
-        (i, j), = f.num
-        (p, q), = f.den
-        return i - p, j - q
+        key, = f.num
+        return key
 
     def eigenvalue(self, f: RatFunc2, s: int = 1):
         """The raw rep of lambda^s, s >= 1, where D(f) = lambda f for a
-        scaling derivation D and f = c v1^i v2^j / (v1^p v2^q) a Laurent
-        monomial: lambda = (i - p) c1 + (j - q) c2, so that D^s(f) =
-        lambda^s f.  None for any other f or D."""
+        scaling derivation D and f = c v1^i v2^j a Laurent monomial:
+        lambda = i c1 + j c2, so that D^s(f) = lambda^s f.  None for any
+        other f or D."""
         key = self.eigenkey(f)
         return None if key is None else self._eigenvalue(key, s)
 
     def is_diagonal_on(self, f: RatFunc2) -> bool:
         """Whether D is a scaling derivation and f a Laurent element, so
         that `power` takes D^s(f) term by term."""
-        return self._eigen is not None and len(f.den) == 1
+        return self._eigen is not None and _is_one(f.den)
 
     def power(self, f: RatFunc2, s: int) -> RatFunc2:
-        """D^s(f).  Where D is diagonal on f, each term c v1^i v2^j of
-        f = n / (v1^p v2^q) is multiplied by lambda^s, with lambda^s by the
-        field's `_pow` (in K(a) of characteristic l, Frobenius substitutions
-        on the base-l digits of s), formed once per monomial and s; D^0 is
-        the identity even where lambda = 0.  Otherwise D is applied s
-        times, or until it gives 0."""
+        """D^s(f).  Where D is diagonal on f, each term c v1^i v2^j of the
+        Laurent element f is multiplied by lambda^s, with lambda^s by the
+        field's `_pow` (in K(a) of characteristic l, Frobenius
+        substitutions on the base-l digits of s), formed once per monomial
+        and s; D^0 is the identity even where lambda = 0.  Otherwise D is
+        applied s times, or until it gives 0."""
         if f.ctx != self.ctx:
             raise ValueError("element from a different context")
         if s == 0 or not self.is_diagonal_on(f):
             return self.iterate(f, s)
-        return self._laurent_power(f, s)
-
-    def _laurent_power(self, f, s):
-        """D^s(f), s >= 1, for f = n / (v1^p v2^q).  Where no eigenvalue
-        vanishes, the numerator keeps the support of n, so the fraction stays
-        reduced over the same denominator; else `_over_monomial` reduces it."""
-        (p, q), = f.den
-        num = self._diagonal(f.num, p, q, s)
-        if len(num) == len(f.num):
-            return RatFunc2(self.ctx, num, f.den, _normalized=True)
-        return _over_monomial(self.ctx, num, p, q) if num else self.ctx.zero()
+        return RatFunc2(self.ctx, self._diagonal(f.num, s), f.den, _normalized=True)
 
     def _scaled(self, p):
-        """E*D(p) for a polynomial p, itself a polynomial."""
+        """E*D(p) for a Laurent polynomial p, itself one."""
         if self._eigen is not None:
-            return self._diagonal(p, 0, 0)
+            return self._diagonal(p)
         K = self.ctx.field
         return _padd(K, _pmul(K, _ppartial(K, p, 0), self._wy),
                      _pmul(K, _ppartial(K, p, 1), self._wz))
@@ -748,16 +724,13 @@ class Derivation:
         the denominator left is (d/g1)*(d/g2).  (Repeating g <- gcd(N, g)
         beyond g2 would take more factors than d^2 holds when m > 2e.)
         One more gcd cancels against E, which is 1 unless an image has a
-        denominator.  d, the gcds and E are monic, so the denominator is.
-
-        A scaling derivation maps n / (v1^p v2^q) to a numerator over the
-        same monomial, from which only a monomial can cancel."""
+        denominator.  d, the gcds and E are monic, so the denominator is,
+        and neither v1 nor v2 divides any of them.  Where d = 1, as for
+        every Laurent element, no gcd is run against it."""
         if f.ctx != self.ctx:
             raise ValueError("element from a different context")
         K = self.ctx.field
         n, d = f.num, f.den
-        if self.is_diagonal_on(f):
-            return self._laurent_power(f, 1)
         if _is_one(d):
             num, den = self._scaled(n), d
         else:
@@ -765,10 +738,10 @@ class Derivation:
                         _pneg(K, _pmul(K, n, self._scaled(d))))
             if not num:
                 return self.ctx.zero()
-            g1 = _pgcd(K, num, d)
-            num = _pdivexact(K, num, g1)
-            g2 = _pgcd(K, num, g1)
-            num = _pdivexact(K, num, g2)
+            g1 = _PPoly.gcd(K, num, d)
+            num = _PPoly.quo(K, num, g1)
+            g2 = _PPoly.gcd(K, num, g1)
+            num = _PPoly.quo(K, num, g2)
             den = _pmul(K, _pdivexact(K, d, g1), _pdivexact(K, d, g2))
         if not num:
             return self.ctx.zero()

@@ -430,37 +430,39 @@ def ref_pmul(K, p, q):
 
 def ref_combined(f, g, negate=False):
     """f + g (f - g with negate) by the denominator gcd and a gcd of the
-    numerator against it, whatever the denominators."""
+    numerator against it, whatever the denominators, on the coprime
+    polynomials of k[v1, v2] (`as_polynomials`), with the normalizing
+    constructor giving the canonical form."""
     ctx, K = f.ctx, f.ctx.field
-    d1, d2 = f.den, g.den
+    (n1, d1), (n2, d2) = f.as_polynomials(), g.as_polynomials()
     if d1 == d2:
-        num = _padd(K, f.num, _pneg(K, g.num) if negate else g.num)
+        num = _padd(K, n1, _pneg(K, n2) if negate else n2)
         if not num:
             return ctx.zero()
-        num, den = ref_frac_cancel(_PPoly, K, num, d1)
-        return RatFunc2(ctx, *_frac_monic(_PPoly, K, num, den), _normalized=True)
+        return RatFunc2(ctx, *ref_frac_cancel(_PPoly, K, num, d1))
     h = _pgcd(K, d1, d2)
     d1p, d2p = _pdivexact(K, d1, h), _pdivexact(K, d2, h)
-    rhs = ref_pmul(K, g.num, d1p)
-    num = _padd(K, ref_pmul(K, f.num, d2p), _pneg(K, rhs) if negate else rhs)
+    rhs = ref_pmul(K, n2, d1p)
+    num = _padd(K, ref_pmul(K, n1, d2p), _pneg(K, rhs) if negate else rhs)
     if not num:
         return ctx.zero()
     den = ref_pmul(K, ref_pmul(K, h, d1p), d2p)
     c = _pgcd(K, num, h)
-    num, den = _pdivexact(K, num, c), _pdivexact(K, den, c)
-    return RatFunc2(ctx, *_frac_monic(_PPoly, K, num, den), _normalized=True)
+    return RatFunc2(ctx, _pdivexact(K, num, c), _pdivexact(K, den, c))
 
 
 def ref_quotient_rule(D, f):
     """D(n/d) = (E D(n) d - n E D(d)) / (E d^2) from the partials of n and d,
-    whatever D is, reduced by gcds against d and E."""
+    whatever D is, reduced by gcds against d and E, on the coprime
+    polynomials of k[v1, v2] (`as_polynomials`) for D with polynomial
+    images, with the normalizing constructor giving the canonical form."""
     ctx, K = f.ctx, f.ctx.field
 
     def scaled(p):
         return _padd(K, ref_pmul(K, _ppartial(K, p, 0), D._wy),
                      ref_pmul(K, _ppartial(K, p, 1), D._wz))
 
-    n, d = f.num, f.den
+    n, d = f.as_polynomials()
     num = _padd(K, ref_pmul(K, scaled(n), d), _pneg(K, ref_pmul(K, n, scaled(d))))
     if not num:
         return ctx.zero()
@@ -472,7 +474,7 @@ def ref_quotient_rule(D, f):
     if not _is_one(D._e):
         num, e = ref_frac_cancel(_PPoly, K, num, D._e)
         den = ref_pmul(K, den, e)
-    return RatFunc2(ctx, num, den, _normalized=True)
+    return RatFunc2(ctx, num, den)
 
 
 def ref_binomial_mod(n, k, ell):

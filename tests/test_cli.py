@@ -746,6 +746,19 @@ class TestElementExpressions:
         assert parse_ratfunc("y^2*z - 1", ctx) == y ** 2 * z - 1
         assert parse_ratfunc("(y + a)/(z - a)", ctx) == (y + a) / (z - a)
 
+    def test_parse_ratfunc_power_bound_reads_polynomial_degrees(self):
+        # the size of y^2/z^3 is degree 3, that of its coprime numerator and
+        # denominator in k[y, z]: not 5 (|2| + |-3|), nor -1 (2 - 3)
+        from orefields.literals import MAX_POWER_DEGREE, parse_ratfunc
+        from orefields.ratfunc import FunctionField2
+        ctx = FunctionField2(QQ())
+        y, z = ctx.gens()
+        assert 300 * 3 <= MAX_POWER_DEGREE < 400 * 3
+        assert parse_ratfunc("(y^2/z^3)^300", ctx) == y ** 600 / z ** 900
+        for text in ("(y^2/z^3)^400", "(1/y)^2000"):
+            with pytest.raises(ExprError):
+                parse_ratfunc(text, ctx)
+
     def test_parse_skew_preserves_order(self):
         from orefields.literals import parse_skew
         from orefields.presentations import CaseSpec, algebra_make

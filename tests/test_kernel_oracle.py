@@ -1,7 +1,8 @@
 """The bivariate kernel against independent oracles.
 
-`_pgcd` and the RatFunc2 normal form (reduced, denominator monic in grlex)
-are compared with sympy's gcd and cancel over QQ, GF(7) and QQ(sqrt 2), on
+`_pgcd` and the RatFunc2 normal form, read as the coprime polynomials of
+k[y, z] with the denominator monic in grlex (`as_polynomials`), are
+compared with sympy's gcd and cancel over QQ, GF(7) and QQ(sqrt 2), on
 seeded polynomials that share factors such as (yz + c)^k; both sides are
 made monic in grlex, so they agree up to a unit.  RatFunc2 arithmetic and
 derivations over K(a) are checked for the field and Leibniz laws with
@@ -108,7 +109,7 @@ def test_normal_form_matches_sympy_cancel(name):
         d = (h * rand_poly(rng, ctx)).num
         f = RatFunc2(ctx, n, d)
         p, q = poly_to_sympy(K, n, opts).cancel(poly_to_sympy(K, d, opts), include=True)
-        assert (f.num, f.den) == normal_form(K, p, q)
+        assert f.as_polynomials() == normal_form(K, p, q)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -121,11 +122,11 @@ def test_sums_and_products_match_sympy_cancel(name):
         h = shared_factor(rng, ctx)
         f = rand_poly(rng, ctx) / (h * rand_poly(rng, ctx, terms=2))
         g = rand_poly(rng, ctx) / (h * rand_poly(rng, ctx, terms=2))
-        sf = [poly_to_sympy(K, x, opts) for x in (f.num, f.den)]
-        sg = [poly_to_sympy(K, x, opts) for x in (g.num, g.den)]
+        sf = [poly_to_sympy(K, x, opts) for x in f.as_polynomials()]
+        sg = [poly_to_sympy(K, x, opts) for x in g.as_polynomials()]
         for got, (p, q) in ((f + g, (sf[0] * sg[1] + sg[0] * sf[1], sf[1] * sg[1])),
                             (f * g, (sf[0] * sg[0], sf[1] * sg[1]))):
-            assert (got.num, got.den) == normal_form(K, *p.cancel(q, include=True))
+            assert got.as_polynomials() == normal_form(K, *p.cancel(q, include=True))
 
 
 # ---------------------------------------------------------------------------

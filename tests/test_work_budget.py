@@ -12,7 +12,8 @@ of a derivation (`Derivation.__call__`), the polynomial divisions of
 Euclid and of exact quotients in K[a] (`fields._udivmod`, the module
 global that `_ugcd` and `_UPoly.quo` look up, and its import in
 `ratfunc`), the bivariate gcds (`ratfunc._pgcd`, by its module global
-and as `_PPoly.gcd`), the products of the univariate polynomial kernel
+and as `_PPoly.gcd`), the normalizations of a fraction
+(`RatFunc2._normalize`, which no Laurent element needs), the products of the univariate polynomial kernel
 (`fields._umul` and `fields._uscale`, by their module globals, the
 imports of `_umul` in `ratfunc` and `orbits`, and as `_UPoly.mul` and
 `_UPoly.scale`), and the bracket checks of morphisms
@@ -44,10 +45,10 @@ PDO_PRECISION = [["pdo", "--char", str(char), "--alpha", alpha, "--precision", s
 # _umul/_uscale and verify_relations were 1,063 and 123, before them
 # 3,748 and 158 (one verify_relations fewer per composition draw)
 BUDGET = {"_terms": 176, "weighted_sum": 399, "Derivation.__call__": 294, "_udivmod": 44,
-          "_pgcd": 0, "_umul/_uscale": 1063, "verify_relations": 123}
+          "_pgcd": 0, "RatFunc2._normalize": 0, "_umul/_uscale": 1063, "verify_relations": 123}
 # the totals over the four pdo-precision runs: 128 and 768 before the
 # series products went through the skew closed forms
-PDO_BUDGET = {"_terms": 96, "weighted_sum": 336}
+PDO_BUDGET = {"_terms": 96, "weighted_sum": 336, "_pgcd": 0, "RatFunc2._normalize": 0}
 
 
 def counting(monkeypatch, counts, key, owners, name):
@@ -74,6 +75,7 @@ def counted_runs(monkeypatch, argvs):
     counting(monkeypatch, counts, "_udivmod", (fields, ratfunc), "_udivmod")
     counting(monkeypatch, counts, "_pgcd", (ratfunc,), "_pgcd")
     counting(monkeypatch, counts, "_pgcd", (ratfunc._PPoly,), "gcd")
+    counting(monkeypatch, counts, "RatFunc2._normalize", (RatFunc2,), "_normalize")
     counting(monkeypatch, counts, "_umul/_uscale", (fields, ratfunc, orbits), "_umul")
     counting(monkeypatch, counts, "_umul/_uscale", (fields._UPoly,), "mul")
     counting(monkeypatch, counts, "_umul/_uscale", (fields,), "_uscale")
