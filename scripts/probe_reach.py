@@ -14,7 +14,7 @@ decorated function is matched by its first decorator's line, which is
 where its code object starts.  The output is a survey: the exit code is 0
 whatever it lists.  Standard library only.
 
-    PYTHONPATH=src python scripts/probe_reach.py [--seeds 1,7,19] [--no-ci]
+    PYTHONPATH=src python scripts/probe_reach.py [--seeds 1,7,19]
 """
 
 import argparse
@@ -62,13 +62,11 @@ CI_ARGV = [
 ]
 
 
-def all_argv(seeds, ci=True):
+def all_argv(seeds):
     """The workload argv at each seed, workloads in name order, then CI_ARGV."""
-    out = [op["argv"] for seed in seeds for name in sorted(WORKLOADS)
-           for op in WORKLOADS[name](seed)]
-    if ci:
-        out += [a.split() if isinstance(a, str) else a for a in CI_ARGV]
-    return out
+    return ([op["argv"] for seed in seeds for name in sorted(WORKLOADS)
+             for op in WORKLOADS[name](seed)]
+            + [a.split() if isinstance(a, str) else a for a in CI_ARGV])
 
 
 def run(main, argv):
@@ -192,9 +190,8 @@ def report(src, hit):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", default="1,7,19")
-    parser.add_argument("--no-ci", action="store_true", help="leave out the CI argv")
     args = parser.parse_args()
-    argvs = all_argv([int(s) for s in args.seeds.split(",")], ci=not args.no_ci)
+    argvs = all_argv([int(s) for s in args.seeds.split(",")])
     import orefields
     src = os.path.dirname(orefields.__file__)
     start = time.perf_counter()

@@ -11,12 +11,13 @@ which every RatFunc2 sum, difference and loop sum goes), the applications
 of a derivation (`Derivation.__call__`), the polynomial divisions of
 Euclid and of exact quotients in K[a] (`fields._udivmod`, the module
 global that `_ugcd` and `_UPoly.quo` look up, and its import in
-`ratfunc`), the bivariate gcds (`ratfunc._pgcd`, by its module global
-and as `_PPoly.gcd`), the normalizations of a fraction
-(`RatFunc2._normalize`, which no Laurent element needs), the products of the univariate polynomial kernel
-(`fields._umul` and `fields._uscale`, by their module globals, the
-imports of `_umul` in `ratfunc` and `orbits`, and as `_UPoly.mul` and
-`_UPoly.scale`), and the bracket checks of morphisms
+`ratfunc`), the bivariate gcds (`ratfunc._pgcd`, by its module global,
+which `_PPoly.gcd` calls), the normalizations of a fraction
+(`RatFunc2._normalize`, which no Laurent element needs), the products of
+the univariate polynomial kernel (`fields._umul` and `fields._uscale`,
+by their module globals, the imports of `_umul` in `ratfunc` and
+`orbits`, and as `_UPoly.mul` and `_UPoly.scale`), and the bracket
+checks of morphisms
 (`Morphism.verify_relations`)."""
 
 import contextlib
@@ -43,7 +44,10 @@ PDO_PRECISION = [["pdo", "--char", str(char), "--alpha", alpha, "--precision", s
 # and 399, before them 245 and 793; at the constants of K(a) worked on
 # through their base reps and each composite morphism verified once,
 # _umul/_uscale and verify_relations were 1,063 and 123, before them
-# 3,748 and 158 (one verify_relations fewer per composition draw)
+# 3,748 and 158 (one verify_relations fewer per composition draw).  Every
+# k(y, z) element these runs form is a Laurent element, a fraction over 1,
+# so no fraction is normalized and no bivariate gcd is run on either
+# workload
 BUDGET = {"_terms": 176, "weighted_sum": 399, "Derivation.__call__": 294, "_udivmod": 44,
           "_pgcd": 0, "RatFunc2._normalize": 0, "_umul/_uscale": 1063, "verify_relations": 123}
 # the totals over the four pdo-precision runs: 128 and 768 before the
@@ -74,7 +78,6 @@ def counted_runs(monkeypatch, argvs):
     counting(monkeypatch, counts, "Derivation.__call__", (Derivation,), "__call__")
     counting(monkeypatch, counts, "_udivmod", (fields, ratfunc), "_udivmod")
     counting(monkeypatch, counts, "_pgcd", (ratfunc,), "_pgcd")
-    counting(monkeypatch, counts, "_pgcd", (ratfunc._PPoly,), "gcd")
     counting(monkeypatch, counts, "RatFunc2._normalize", (RatFunc2,), "_normalize")
     counting(monkeypatch, counts, "_umul/_uscale", (fields, ratfunc, orbits), "_umul")
     counting(monkeypatch, counts, "_umul/_uscale", (fields._UPoly,), "mul")
