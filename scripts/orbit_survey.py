@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Survey the finite homographic orbits for small primes: orbit sizes,
+"""Survey the finite homographic orbits for every prime l up to --max-ell
+(at most the enumeration bound orbits.MAX_ORBIT_ELL): orbit sizes,
 stabilizer orders and norm-map data, plus the char-2 table on GF(8)."""
 
 import argparse
 
-from orefields.fields import GF
-from orefields.orbits import Mat2Z, finite_orbits, homographic, transitivity_report
+from orefields.fields import GF, is_prime
+from orefields.orbits import (
+    MAX_ORBIT_ELL, Mat2Z, finite_orbits, homographic, transitivity_report,
+)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-ell", type=int, default=7)
     args = parser.parse_args()
+    if args.max_ell > MAX_ORBIT_ELL:
+        parser.error(f"--max-ell {args.max_ell} exceeds the enumeration bound {MAX_ORBIT_ELL}")
 
-    primes = [p for p in (2, 3, 5, 7, 11, 13) if p <= args.max_ell]
+    primes = [p for p in range(2, args.max_ell + 1) if is_prime(p)]
     for ell in primes:
         print(f"== l = {ell}")
         for k in (2, 3):

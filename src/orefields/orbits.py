@@ -7,7 +7,6 @@ wrapper that ties verdicts to verified witness morphisms.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -19,15 +18,18 @@ from .fields import (
 
 # Stated bounds.  The largest discriminant `cf_expand` takes is 4d for
 # sqrt(d) at the largest radicand: sqrt(999044821003), of discriminant
-# 3.996 * 10^12, has period 944,646 and expands in 2.7 s at 223 MB peak RSS
-# (Python 3.11, 2-vCPU VM).
+# 3.996 * 10^12, has period 944,646 and expands in 1.1 s at 223 MB peak RSS
+# (`orbits cf`, start-up included, Python 3.11, 2-vCPU VM).
 MAX_CF_DISCRIMINANT = 4 * fields.MAX_RADICAND
 # The largest l whose orbits `finite_orbits` enumerates.  Its cost grows
-# about as l^4: `orbits finite --ext 3 --group slpm`, the largest case,
-# took 0.04 s at l = 13, 0.57 s at l = 31, 2.0 s at l = 47, 3.3 s (137 MB
-# peak RSS) at l = 53 and 5.1 s (184 MB) at l = 59 (Python 3.11, a 2-vCPU
-# VM).  53 is the largest prime it enumerates in under 5 s, the budget of
-# `cli.MAX_SKEW_CHAR`.
+# about as l^3, the order of the group and the number of points:
+# `orbits finite --ext 3 --group slpm`, the largest case, took 0.14 s at
+# l = 13, 0.20 s at l = 31, 0.51 s at l = 47 and 0.74 s at l = 53, with
+# 136 MB peak RSS there, start-up included (Python 3.11, a 2-vCPU VM).
+# The bound was set when the group was found by testing all l^4 matrices,
+# as the largest prime enumerated in under 5 s, the budget of
+# `cli.MAX_SKEW_CHAR`; it is kept, since memory, which grows as l^3 with
+# the group's list, is now the larger cost.
 MAX_ORBIT_ELL = 53
 
 
@@ -233,6 +235,13 @@ def cf_expand(alpha: QuadIrr) -> ContFrac:
     complete quotients; eventual periodicity is guaranteed for quadratic
     irrationals.
 
+    The recurrence runs on plain ints: from (P + sqrt(D))/Q the digit is
+    a = floor((P + f)/Q) with f = isqrt(D) (`QuadIrr.floor`), and the next
+    complete quotient is (P' + sqrt(D))/Q' with P' = a*Q - P and
+    Q' = (D - P'^2)/Q.  D is the same for every complete quotient and
+    D - P'^2 = Q*Q', so each one is already in the normalized form of
+    `QuadIrr` and f is taken once; no `QuadIrr` is built per step.
+
     alpha is a root of Q x^2 - 2P x + (P^2 - D)/Q, whose primitive part has
     discriminant 4D/g^2, g the gcd of the coefficients.  Unimodular
     substitutions keep it, so every complete quotient has it; above
@@ -245,23 +254,25 @@ def cf_expand(alpha: QuadIrr) -> ContFrac:
     numbers, and its successors stay reduced.  A reduced one has
     0 < P < sqrt(D) and sqrt(D) - P < Q < sqrt(D) + P, which leaves fewer
     than 2D states, so the period is shorter than 2D terms."""
-    g = math.gcd(alpha.Q, 2 * alpha.P, (alpha.P * alpha.P - alpha.D) // alpha.Q)
-    disc = 4 * alpha.D // (g * g)
+    P, D, Q = alpha.P, alpha.D, alpha.Q
+    g = math.gcd(Q, 2 * P, (P * P - D) // Q)
+    disc = 4 * D // (g * g)
     if disc > MAX_CF_DISCRIMINANT:
         raise ValueError(f"the discriminant {disc} of {alpha} exceeds the bound "
                          f"{MAX_CF_DISCRIMINANT} of the continued-fraction expansion")
-    max_terms = 2 * alpha.D + 2 * (abs(alpha.P) + abs(alpha.Q)).bit_length() + 8
+    max_terms = 2 * D + 2 * (abs(P) + abs(Q)).bit_length() + 8
+    f = math.isqrt(D)
     # every complete quotient has the D of alpha, so (P, Q) is its state
     seen = {}
     digits = []
-    tau = alpha
     for i in range(max_terms):
-        key = (tau.P, tau.Q)
-        if key in seen:
-            i0 = seen[key]
+        if (P, Q) in seen:
+            i0 = seen[P, Q]
             return ContFrac(alpha, tuple(digits[:i0]), tuple(digits[i0:i]))
-        seen[key] = i
-        a, tau = tau.step()
+        seen[P, Q] = i
+        a = (P + f) // Q if Q > 0 else (P + f + 1) // Q
+        P = a * Q - P
+        Q = (D - P * P) // Q
         digits.append(a)
     raise PeriodNotFound(f"no period within {max_terms} terms")
 
@@ -537,12 +548,24 @@ class FiniteOrbitReport(ValueRecord):
         return len(self.orbits) == 1
 
 
-def _group_matrices(ell: int, group: str):
-    want = {1 % ell} if group == "sl" else {1 % ell, (-1) % ell}
+def _group_matrices(ell: int, group: str) -> list:
+    """The matrices (a, b, c, d) over GF(l), entries in [0, l), with
+    ad - bc = 1 ("sl") or ad - bc = +-1 ("slpm"), each once and in no
+    particular order.
+
+    For each target t and each (a, b, c) the equation is solved for d when
+    a != 0, d = (t + bc)/a; when a = 0 it reads -bc = t, so b != 0 fixes
+    c = -t/b and d is free.  That lists the l(l^2 - 1) matrices of each
+    determinant in O(l^3) steps instead of testing all l^4 candidates."""
+    targets = {1 % ell} if group == "sl" else {1 % ell, (-1) % ell}
     mats = []
-    for a, b, c, d in itertools.product(range(ell), repeat=4):
-        if (a * d - b * c) % ell in want:
-            mats.append((a, b, c, d))
+    for t in targets:
+        for b in range(1, ell):
+            c = -t * pow(b, -1, ell) % ell
+            mats += [(0, b, c, d) for d in range(ell)]
+        for a in range(1, ell):
+            inv = pow(a, -1, ell)
+            mats += [(a, b, c, (t + b * c) * inv % ell) for b in range(ell) for c in range(ell)]
     return mats
 
 
@@ -560,15 +583,20 @@ def _prime_divisors(n: int) -> list:
 
 
 def _discrete_logs(field: ExtensionField) -> dict:
-    """The discrete-log table of GF(q)^*, q = l^k: a dict from each nonzero
-    rep to its exponent in 0..q-2.
+    """The discrete-log table of GF(q)^*, q = l^k with k = 2 or 3: a dict
+    from each nonzero rep to its exponent in 0..q-2.
 
     The base g is the first element in `all_elements` order with
     g^((q-1)/p) != 1 for every prime p dividing q - 1, a generator of the
-    cyclic group GF(q)^*.  Its q - 1 powers are checked to be distinct and
-    to return to 1, so the table is a bijection onto 0..q-2 and
-    log(xy) = log x + log y mod q - 1."""
-    n = field.char ** field.degree - 1
+    cyclic group GF(q)^*.  Its powers are walked by the GF(l)-linear map
+    x -> x*g, whose columns w^i * g are formed once, so each step is k^2
+    products of ints mod l and no field product.  The q - 1 powers are
+    checked to be distinct and to return to 1, so the table is a bijection
+    onto 0..q-2 and log(xy) = log x + log y mod q - 1."""
+    ell, k = field.char, field.degree
+    if k not in (2, 3):
+        raise ValueError("extension degree must be 2 or 3")
+    n = ell ** k - 1
     one, mul = field._one_rep(), field._mul
     primes = _prime_divisors(n)
     g = next((e.rep for e in field.all_elements()
@@ -577,11 +605,27 @@ def _discrete_logs(field: ExtensionField) -> dict:
              None)
     if g is None:
         raise ArithmeticError(f"no element of {field} passes the generator test")
+    w = field.gen().rep
     logs = {}
-    x = one
-    for i in range(n):
-        logs[x] = i
-        x = mul(x, g)
+    if k == 2:
+        # x0 + x1*w -> x0*g + x1*(w g)
+        (a0, a1), (b0, b1) = g, mul(w, g)
+        x0, x1 = one
+        for i in range(n):
+            logs[x0, x1] = i
+            x0, x1 = (x0 * a0 + x1 * b0) % ell, (x0 * a1 + x1 * b1) % ell
+        x = (x0, x1)
+    else:
+        # x0 + x1*w + x2*w^2 -> x0*g + x1*(w g) + x2*(w^2 g)
+        wg = mul(w, g)
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = g, wg, mul(w, wg)
+        x0, x1, x2 = one
+        for i in range(n):
+            logs[x0, x1, x2] = i
+            x0, x1, x2 = ((x0 * a0 + x1 * b0 + x2 * c0) % ell,
+                          (x0 * a1 + x1 * b1 + x2 * c1) % ell,
+                          (x0 * a2 + x1 * b2 + x2 * c2) % ell)
+        x = (x0, x1, x2)
     if len(logs) != n or x != one:
         raise ArithmeticError(f"the powers of {field._str(g)} do not cycle through {field}^*")
     return logs
@@ -594,10 +638,14 @@ def finite_orbits(ell: int, k: int, group: str = "sl") -> FiniteOrbitReport:
 
     Orbits are built on discrete logs (`_discrete_logs`, one table per
     call).  For each orbit representative theta the logs L[a, b] of the
-    l^2 - 1 values a*theta + b are tabulated once, so the image
-    (a*theta + b)/(c*theta + d) is the integer (L[a, b] - L[c, d]) mod
-    q - 1: no field product or inverse per matrix.  Orbits, the points
-    already seen and stabilizers are kept as logs."""
+    l^2 - 1 values a*theta + b are tabulated once, each value formed on
+    the coordinates of theta: scaled by a mod l, with b added to the
+    constant coordinate.  So the image (a*theta + b)/(c*theta + d) is the
+    integer (L[a, b] - L[c, d]) mod q - 1: no field product or inverse per
+    matrix or per value.  An orbit is the set of the images of theta over
+    `_group_matrices`, and its stabilizer the number of images equal to
+    theta, so the order of the matrices does not matter.  Orbits, the
+    points already seen and stabilizers are kept as logs."""
     if k not in (2, 3):
         raise ValueError("extension degree must be 2 or 3")
     if group not in ("sl", "slpm"):
@@ -612,8 +660,7 @@ def finite_orbits(ell: int, k: int, group: str = "sl") -> FiniteOrbitReport:
     points = [e.rep for e in field.all_elements() if not field.in_prime_subfield(e.rep)]
     logs = _discrete_logs(field)
     n = len(logs)
-    consts = [field._from_int(b) for b in range(ell)]
-    mul = field._mul
+    zeros = (0,) * (k - 1)
 
     seen = set()
     orbits = []
@@ -621,10 +668,13 @@ def finite_orbits(ell: int, k: int, group: str = "sl") -> FiniteOrbitReport:
         t = logs[theta]
         if t in seen:
             continue
-        # L[a*l + b] = log(a*theta + b); c*theta + d = 0 with theta outside
-        # GF(l) forces c = d = 0, which is excluded by invertibility
-        affine = [field._add(mul(a, theta), b) for a in consts for b in consts]
-        L = [None] + [logs[x] for x in affine[1:]]
+        # L[a*l + b] = log(a*theta + b), L[0] for the zero value; c*theta + d
+        # = 0 with theta outside GF(l) forces c = d = 0, which is excluded
+        # by invertibility
+        L = [None] + [logs[(b,) + zeros] for b in range(1, ell)]
+        for a in range(1, ell):
+            c0, rest = a * theta[0], tuple(a * x % ell for x in theta[1:])
+            L += [logs[((c0 + b) % ell,) + rest] for b in range(ell)]
         images = [(L[i] - L[j]) % n for i, j in pairs]
         orbit = set(images)
         stab = images.count(t)

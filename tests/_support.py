@@ -13,7 +13,9 @@ from orefields.fields import (
     Qsqrt, RationalField, _UPoly, _frac_monic, _uadd, _udivmod, _ugcd, _umul,
     _utrim, in_prime_subfield, with_parameter,
 )
-from orefields.orbits import FiniteOrbitReport, Mat2Z, OrbitData, _group_matrices
+from orefields.orbits import (
+    ContFrac, FiniteOrbitReport, Mat2Z, OrbitData, PeriodNotFound,
+)
 from orefields.pdo import PdoSeries
 from orefields.ratfunc import (
     FunctionField2, RatFunc2, _PPoly, _is_one, _padd, _pdivexact, _pgcd, _pmul, _pneg, _ppartial,
@@ -545,12 +547,37 @@ def ref_floor(q):
     return a
 
 
+def ref_cf_expand(alpha, max_terms=10**6):
+    """The continued fraction of a QuadIrr by the walk of `QuadIrr.step`,
+    one validated QuadIrr per digit; the period closes at the first
+    complete quotient seen before."""
+    seen = {}
+    digits = []
+    tau = alpha
+    for i in range(max_terms):
+        if tau in seen:
+            i0 = seen[tau]
+            return ContFrac(alpha, tuple(digits[:i0]), tuple(digits[i0:]))
+        seen[tau] = i
+        a, tau = tau.step()
+        digits.append(a)
+    raise PeriodNotFound(f"no period within {max_terms} terms")
+
+
 # ---------------------------------------------------------------------------
 # reference orbit searches: the witness searches that divide in the field
 # for every candidate matrix, and the orbit enumeration on FieldElem
 # arithmetic with a memo of inverses.  orefields.orbits tests candidates
 # with integer dot products and builds orbits from raw-rep tables; both
 # must return the same witness and the same orbit list.
+
+def ref_group_matrices(ell, group):
+    """Every (a, b, c, d) in [0, l)^4 with ad - bc = 1 mod l ("sl") or
+    = +-1 mod l ("slpm"), in lexicographic order, by testing all l^4."""
+    want = {1 % ell} if group == "sl" else {1 % ell, (-1) % ell}
+    return [m for m in itertools.product(range(ell), repeat=4)
+            if (m[0] * m[3] - m[1] * m[2]) % ell in want]
+
 
 def ref_search_small_matrices(alpha, beta, bound):
     rng = range(-bound, bound + 1)
@@ -568,7 +595,7 @@ def ref_search_small_matrices(alpha, beta, bound):
 
 def ref_finite_field_orbit_witness(alpha, beta):
     ell = alpha.field.char
-    for a, b, c, d in _group_matrices(ell, "slpm"):
+    for a, b, c, d in ref_group_matrices(ell, "slpm"):
         k = alpha.field
         den = alpha * k.from_int(c) + k.from_int(d)
         if den.is_zero():
@@ -586,7 +613,7 @@ def ref_finite_orbits(ell, k, group="sl", bound=13):
     if ell > bound:
         raise ValueError(f"l = {ell} exceeds the enumeration bound {bound}")
     field = GF(ell, k)
-    mats = _group_matrices(ell, group)
+    mats = ref_group_matrices(ell, group)
     order = len(mats)
     points = [e for e in field.all_elements() if not in_prime_subfield(e)]
     inv_memo = {}

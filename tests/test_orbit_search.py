@@ -1,7 +1,8 @@
-"""The orbit witness search and the finite orbit enumeration against the
-reference copies in tests/_support.py, the discrete-log table behind the
-enumeration, the transitivity scope of `orbits finite`, and continued
-fractions with long periods."""
+"""The orbit witness search, the group enumeration and the finite orbit
+enumeration against the reference copies in tests/_support.py, the
+discrete-log table behind the enumeration, the transitivity scope of
+`orbits finite`, and continued fractions against the `QuadIrr.step` walk
+and with long periods."""
 
 import itertools
 import math
@@ -12,14 +13,14 @@ import pytest
 from orefields import orbits
 from orefields.fields import GF, QQ, Qsqrt, in_prime_subfield, with_parameter
 from orefields.orbits import (
-    Mat2Z, QuadIrr, _discrete_logs, _solved_witness, _sqrt_mod, cf_expand, finite_orbits,
-    homographic, transitivity_scope, valued_iso_classify,
+    Mat2Z, QuadIrr, _discrete_logs, _group_matrices, _solved_witness, _sqrt_mod, cf_expand,
+    finite_orbits, homographic, transitivity_scope, valued_iso_classify,
 )
 from orefields.presentations import CaseSpec
 
 from _support import (
-    rand_elem, ref_finite_field_orbit_witness, ref_finite_orbits,
-    ref_search_small_matrices,
+    rand_elem, ref_cf_expand, ref_finite_field_orbit_witness, ref_finite_orbits,
+    ref_group_matrices, ref_search_small_matrices,
 )
 
 
@@ -188,7 +189,7 @@ class TestFiniteFieldSearch:
         assert (separated > 0) == (k == 3 and ell % 4 == 1)
 
     def test_random_pairs_at_ell_101(self):
-        # _group_matrices(101) has 10^8 entries; for k = 2 the lexicographic
+        # ref_group_matrices(101) has 10^8 entries; for k = 2 the lexicographic
         # scan is walked lazily instead: each (n, q) fixes m*alpha + r as
         # (n*alpha + q)/beta, whose coordinates in the basis (alpha, 1) are m, r
         F = GF(101, 2)
@@ -304,6 +305,17 @@ class TestExactSolver:
                 assert W in (M, Mat2Z(*(-x for x in M.entries())))
 
 
+class TestGroupMatrices:
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("group", ["sl", "slpm"])
+    def test_same_set_as_the_filter_without_repeats(self, ell, group):
+        mats = _group_matrices(ell, group)
+        assert len(set(mats)) == len(mats)
+        assert set(mats) == set(ref_group_matrices(ell, group))
+        # |SL2(GF(l))| = l(l^2 - 1); det -1 is a second coset for odd l
+        assert len(mats) == ell * (ell * ell - 1) * (2 if group == "slpm" and ell > 2 else 1)
+
+
 class TestFiniteOrbits:
     @pytest.mark.parametrize("ell, k", FINITE_FIELDS)
     @pytest.mark.parametrize("group", ["sl", "slpm"])
@@ -312,7 +324,7 @@ class TestFiniteOrbits:
 
 
 class TestDiscreteLogs:
-    @pytest.mark.parametrize("ell, k", FINITE_FIELDS)
+    @pytest.mark.parametrize("ell, k", FINITE_FIELDS + [(53, 2), (53, 3)])
     def test_bijection_and_homomorphism(self, ell, k):
         F = GF(ell, k)
         q = ell ** k
@@ -324,6 +336,11 @@ class TestDiscreteLogs:
         for _ in range(50):
             x, y = rng.choice(nonzero), rng.choice(nonzero)
             assert logs[F._mul(x, y)] == (logs[x] + logs[y]) % (q - 1)
+
+
+    def test_only_degrees_two_and_three(self):
+        with pytest.raises(ValueError, match="degree must be 2 or 3"):
+            _discrete_logs(GF(3, 4))
 
 
 NOT_TRANSITIVE = [(3, 3, "sl"), (5, 3, "sl"), (5, 3, "slpm"), (7, 3, "sl"),
@@ -362,3 +379,52 @@ class TestLongPeriods:
         cf = cf_expand(QuadIrr(-7, 1726, 3))
         assert list(cf.preperiod) == expected[:-1]
         assert list(cf.period) == expected[-1]
+
+
+class TestContFracRecurrence:
+    """cf_expand on ints against the walk of validated QuadIrr steps."""
+
+    @staticmethod
+    def assert_same_expansion(surd):
+        cf, ref = cf_expand(surd), ref_cf_expand(surd)
+        assert (cf.preperiod, cf.period) == (ref.preperiod, ref.period), surd
+
+    def test_negative_q(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            D = rng.randint(2, 2000)
+            if math.isqrt(D) ** 2 == D:
+                continue
+            self.assert_same_expansion(QuadIrr(rng.randint(-50, 50), D, -rng.randint(1, 60)))
+
+    def test_starting_points_that_are_not_reduced(self):
+        # far from reduced, and mostly rescaled by Q^2 because Q does not
+        # divide D - P^2
+        rng = random.Random(43)
+        rescaled = 0
+        for _ in range(200):
+            D = rng.randint(2, 200)
+            if math.isqrt(D) ** 2 == D:
+                continue
+            P = rng.randint(-10 ** 6, 10 ** 6)
+            Q = rng.choice((-1, 1)) * rng.randint(1, 50)
+            surd = QuadIrr(P, D, Q)
+            rescaled += surd.D != D
+            self.assert_same_expansion(surd)
+        assert rescaled > 100
+
+    def test_radicands_up_to_ten_to_the_five(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            D = rng.randint(2, 10 ** 5)
+            if math.isqrt(D) ** 2 == D:
+                continue
+            P = rng.randint(-30, 30)
+            Q = rng.choice([q for q in range(1, 61) if (D - P * P) % q == 0])
+            self.assert_same_expansion(QuadIrr(P, D, rng.choice((-1, 1)) * Q))
+            self.assert_same_expansion(QuadIrr(0, D, 1))
+
+    def test_sqrt_99991(self):
+        surd = QuadIrr(0, 99991, 1)
+        self.assert_same_expansion(surd)
+        assert len(cf_expand(surd).period) == 436

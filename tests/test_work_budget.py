@@ -18,10 +18,17 @@ the univariate polynomial kernel (`fields._umul` and `fields._uscale`,
 by their module globals, the imports of `_umul` in `ratfunc` and
 `orbits`, and as `_UPoly.mul` and `_UPoly.scale`), and the bracket
 checks of morphisms
-(`Morphism.verify_relations`)."""
+(`Morphism.verify_relations`).
+
+The orbit layer has budgets of its own: the field products of GF(l^k)
+(`ExtensionField._mul`) over the 17 `orbits finite` argv of the
+orbits-classify workload, the cases l <= 13 whose action is transitive,
+and the `QuadIrr`s built (`QuadIrr.__init__`) over a fixed list of 120
+`orbits cf` argv drawn like that workload's."""
 
 import contextlib
 import io
+import random
 
 from orefields import fields, orbits, pdo, ratfunc, skewpoly
 from orefields.cli import main
@@ -54,6 +61,38 @@ BUDGET = {"_terms": 176, "weighted_sum": 399, "Derivation.__call__": 294, "_udiv
 # series products went through the skew closed forms
 PDO_BUDGET = {"_terms": 96, "weighted_sum": 336, "_pgcd": 0, "RatFunc2._normalize": 0}
 
+# the transitive `orbits finite` cases of the orbits-classify workload
+ORBITS_FINITE = [["orbits", "finite", "--ell", str(ell), "--ext", str(ext), "--group", group]
+                 for ell in (2, 3, 5, 7, 11, 13) for ext in (2, 3) for group in ("sl", "slpm")
+                 if orbits.transitivity_scope(ell, ext, group) is None]
+
+
+def orbits_cf_argv(count, seed=19):
+    """count `orbits cf` argv for (P + sqrt(d))/Q, squarefree d <= 10^5,
+    |P| <= 30 and |Q| <= 60 dividing d - P^2, as orbits-classify draws
+    them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(2, 10 ** 5)
+        if fields.squarefree_core(d)[1] != 1:
+            continue
+        P = rng.randint(-30, 30)
+        Q = rng.choice([q for q in range(1, 61) if (d - P * P) % q == 0]) * rng.choice((1, -1))
+        out.append(["orbits", "cf", "--alpha", f"quad:({P}+1*sqrt({d}))/{Q}"])
+    return out
+
+
+ORBITS_CF = orbits_cf_argv(120)
+
+# ExtensionField._mul was 4,844 over ORBITS_FINITE and QuadIrr.__init__
+# 12,043 over ORBITS_CF before the orbit layer ran on ints: a product per
+# log-table step and per affine value, and a QuadIrr per continued-fraction
+# digit.  Of the 1,471 products now, 1,449 are the generator test of
+# `_discrete_logs` and 22 form the columns of its linear step; each
+# `orbits cf` builds one QuadIrr
+ORBIT_BUDGET = {"ExtensionField._mul": 1471, "QuadIrr.__init__": 120}
+
 
 def counting(monkeypatch, counts, key, owners, name):
     """Wrap owner.name, the same function under every owner, with a
@@ -84,11 +123,16 @@ def counted_runs(monkeypatch, argvs):
     counting(monkeypatch, counts, "_umul/_uscale", (fields,), "_uscale")
     counting(monkeypatch, counts, "_umul/_uscale", (fields._UPoly,), "scale")
     counting(monkeypatch, counts, "verify_relations", (Morphism,), "verify_relations")
+    run_clean(argvs)
+    return counts
+
+
+def run_clean(argvs):
+    """Run the CLI on each argv, which must exit 0."""
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
         assert code == 0, argv
-    return counts
 
 
 def test_verify_grid_stays_within_its_work_budget(monkeypatch):
@@ -103,4 +147,16 @@ def test_pdo_precision_stays_within_its_work_budget(monkeypatch):
     counts = counted_runs(monkeypatch, PDO_PRECISION)
     assert counts["_terms"] and counts["weighted_sum"]
     for key, budget in PDO_BUDGET.items():
+        assert counts[key] <= budget, (key, counts[key], budget)
+
+
+def test_orbit_layer_stays_within_its_work_budget(monkeypatch):
+    counts = dict.fromkeys(ORBIT_BUDGET, 0)
+    counting(monkeypatch, counts, "ExtensionField._mul", (fields.ExtensionField,), "_mul")
+    run_clean(ORBITS_FINITE)
+    counting(monkeypatch, counts, "QuadIrr.__init__", (orbits.QuadIrr,), "__init__")
+    run_clean(ORBITS_CF)
+    assert len(ORBITS_FINITE) == 17 and len({tuple(a) for a in ORBITS_CF}) == 120
+    assert all(counts.values())
+    for key, budget in ORBIT_BUDGET.items():
         assert counts[key] <= budget, (key, counts[key], budget)
