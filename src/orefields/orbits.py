@@ -24,12 +24,12 @@ MAX_CF_DISCRIMINANT = 4 * fields.MAX_RADICAND
 # The largest l whose orbits `finite_orbits` enumerates.  Its cost grows
 # about as l^3, the order of the group and the number of points:
 # `orbits finite --ext 3 --group slpm`, the largest case, took 0.14 s at
-# l = 13, 0.20 s at l = 31, 0.51 s at l = 47 and 0.74 s at l = 53, with
-# 136 MB peak RSS there, start-up included (Python 3.11, a 2-vCPU VM).
+# l = 13, 0.20 s at l = 31, 0.51 s at l = 47 and 0.76 s at l = 53, with
+# 112 MB peak RSS there, start-up included (Python 3.11, a 2-vCPU VM).
 # The bound was set when the group was found by testing all l^4 matrices,
 # as the largest prime enumerated in under 5 s, the budget of
 # `cli.MAX_SKEW_CHAR`; it is kept, since memory, which grows as l^3 with
-# the group's list, is now the larger cost.
+# the group's index pairs, is now the larger cost.
 MAX_ORBIT_ELL = 53
 
 
@@ -548,25 +548,24 @@ class FiniteOrbitReport(ValueRecord):
         return len(self.orbits) == 1
 
 
-def _group_matrices(ell: int, group: str) -> list:
-    """The matrices (a, b, c, d) over GF(l), entries in [0, l), with
+def _group_matrices(ell: int, group: str):
+    """Yield the matrices (a, b, c, d) over GF(l), entries in [0, l), with
     ad - bc = 1 ("sl") or ad - bc = +-1 ("slpm"), each once and in no
     particular order.
 
     For each target t and each (a, b, c) the equation is solved for d when
     a != 0, d = (t + bc)/a; when a = 0 it reads -bc = t, so b != 0 fixes
     c = -t/b and d is free.  That lists the l(l^2 - 1) matrices of each
-    determinant in O(l^3) steps instead of testing all l^4 candidates."""
+    determinant in O(l^3) steps instead of testing all l^4 candidates.  A
+    generator, so that `finite_orbits` holds only its index pairs."""
     targets = {1 % ell} if group == "sl" else {1 % ell, (-1) % ell}
-    mats = []
     for t in targets:
         for b in range(1, ell):
             c = -t * pow(b, -1, ell) % ell
-            mats += [(0, b, c, d) for d in range(ell)]
+            yield from [(0, b, c, d) for d in range(ell)]
         for a in range(1, ell):
             inv = pow(a, -1, ell)
-            mats += [(a, b, c, (t + b * c) * inv % ell) for b in range(ell) for c in range(ell)]
-    return mats
+            yield from [(a, b, c, (t + b * c) * inv % ell) for b in range(ell) for c in range(ell)]
 
 
 def _prime_divisors(n: int) -> list:
@@ -653,10 +652,9 @@ def finite_orbits(ell: int, k: int, group: str = "sl") -> FiniteOrbitReport:
     if ell > MAX_ORBIT_ELL:
         raise ValueError(f"l = {ell} exceeds the enumeration bound {MAX_ORBIT_ELL}")
     field = GF(ell, k)
-    mats = _group_matrices(ell, group)
-    order = len(mats)
     # (a*l + b, c*l + d): indices of numerator and denominator in the table
-    pairs = [(a * ell + b, c * ell + d) for a, b, c, d in mats]
+    pairs = [(a * ell + b, c * ell + d) for a, b, c, d in _group_matrices(ell, group)]
+    order = len(pairs)
     points = [e.rep for e in field.all_elements() if not field.in_prime_subfield(e.rep)]
     logs = _discrete_logs(field)
     n = len(logs)

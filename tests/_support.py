@@ -13,9 +13,7 @@ from orefields.fields import (
     Qsqrt, RationalField, _UPoly, _frac_monic, _uadd, _udivmod, _ugcd, _umul,
     _utrim, in_prime_subfield, with_parameter,
 )
-from orefields.orbits import (
-    ContFrac, FiniteOrbitReport, Mat2Z, OrbitData, PeriodNotFound,
-)
+from orefields.orbits import ContFrac, FiniteOrbitReport, Mat2Z, OrbitData
 from orefields.pdo import PdoSeries
 from orefields.ratfunc import (
     FunctionField2, RatFunc2, _PPoly, _is_one, _padd, _pdivexact, _pgcd, _pmul, _pneg, _ppartial,
@@ -547,21 +545,20 @@ def ref_floor(q):
     return a
 
 
-def ref_cf_expand(alpha, max_terms=10**6):
+def ref_cf_expand(alpha):
     """The continued fraction of a QuadIrr by the walk of `QuadIrr.step`,
     one validated QuadIrr per digit; the period closes at the first
-    complete quotient seen before."""
+    complete quotient seen before, equal by value."""
     seen = {}
     digits = []
     tau = alpha
-    for i in range(max_terms):
+    for i in itertools.count():
         if tau in seen:
             i0 = seen[tau]
             return ContFrac(alpha, tuple(digits[:i0]), tuple(digits[i0:]))
         seen[tau] = i
         a, tau = tau.step()
         digits.append(a)
-    raise PeriodNotFound(f"no period within {max_terms} terms")
 
 
 # ---------------------------------------------------------------------------

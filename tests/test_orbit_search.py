@@ -309,7 +309,7 @@ class TestGroupMatrices:
     @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("group", ["sl", "slpm"])
     def test_same_set_as_the_filter_without_repeats(self, ell, group):
-        mats = _group_matrices(ell, group)
+        mats = list(_group_matrices(ell, group))
         assert len(set(mats)) == len(mats)
         assert set(mats) == set(ref_group_matrices(ell, group))
         # |SL2(GF(l))| = l(l^2 - 1); det -1 is a second coset for odd l
