@@ -337,7 +337,6 @@ class TestDiscreteLogs:
             x, y = rng.choice(nonzero), rng.choice(nonzero)
             assert logs[F._mul(x, y)] == (logs[x] + logs[y]) % (q - 1)
 
-
     def test_only_degrees_two_and_three(self):
         with pytest.raises(ValueError, match="degree must be 2 or 3"):
             _discrete_logs(GF(3, 4))
