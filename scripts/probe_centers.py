@@ -24,75 +24,58 @@ benchmark's verify-grid workload, at its seed 19:
 """
 
 import argparse
+import contextlib
+import os
+import sys
 import time
 
-from orefields import fields, pdo, ratfunc, skewpoly
+from orefields import fields, ratfunc, skewpoly
 from orefields.cli import Config, Report, run_suite
 from orefields.ratfunc import Derivation
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+from _support import counting, rebound  # noqa: E402
 
 OUTSIDE = "outside checks"
 
 
-# the gcds, as (owner, name): univariate Euclid as the K(a) kernel's gcd
-# and as ratfunc imports it, and the bivariate gcd by its module global
-# and as the bivariate kernel's gcd
-GCDS = ((fields._UPoly, "gcd"), (ratfunc, "_ugcd"), (ratfunc, "_pgcd"), (ratfunc._PPoly, "gcd"))
-
-
+@contextlib.contextmanager
 def counted():
-    """Wrap the Ore product loop `_terms`, in skewpoly and where pdo
-    imports it, with a counter of its calls by kind, `Derivation.__call__`
-    and the gcds (`GCDS`) with counters of their calls, and `Report.run`
-    with a counter of the calls of all three that each check makes;
-    returns the counts by kind ("commutative", "Ore", "D" and "gcd"), the
-    (_terms, D, gcd) counts by check, and a function that restores them
-    all."""
-    counts = {"commutative": 0, "Ore": 0, "D": 0, "gcd": 0}
+    """Count, inside the block, the calls of the Ore product loop `_terms`
+    by kind, the applications of D and the gcds (`fields._ugcd` and
+    `ratfunc._pgcd`), each through every binding (`_support.counting`), and
+    per check (`Report.run`) the calls of all three that it makes; yields
+    the counts by kind ("commutative", "Ore", "D" and, after the block,
+    "gcd") and the (_terms, D, gcd) counts by check, OUTSIDE included after
+    the block."""
     by_check = {}
-    loop, apply, run = skewpoly._terms, Derivation.__call__, Report.run
-    gcds = [getattr(owner, name) for owner, name in GCDS]
+    loop, run = skewpoly._terms, Report.run
+    with counting(D=Derivation.__call__, ugcd=fields._ugcd, pgcd=ratfunc._pgcd) as counts:
 
-    def inner(f, g, *args, **kwargs):
-        const = all(c.is_constant() for c in (*f.values(), *g.values()))
-        counts["commutative" if const else "Ore"] += 1
-        return loop(f, g, *args, **kwargs)
+        def split(f, g, *args, **kwargs):
+            const = all(c.is_constant() for c in (*f.values(), *g.values()))
+            counts["commutative" if const else "Ore"] += 1
+            return loop(f, g, *args, **kwargs)
 
-    def applied(self, f):
-        counts["D"] += 1
-        return apply(self, f)
+        def total():
+            return (counts["commutative"] + counts["Ore"], counts["D"],
+                    counts["ugcd"] + counts["pgcd"])
 
-    def gcd_counter(fn):
-        def gcd(*args):
-            counts["gcd"] += 1
-            return fn(*args)
-        return gcd
+        def check(self, name, *args, **kwargs):
+            before = total()
+            try:
+                return run(self, name, *args, **kwargs)
+            finally:
+                old = by_check.get(name, (0, 0, 0))
+                by_check[name] = tuple(o + t - b for o, t, b in zip(old, total(), before))
 
-    def total():
-        return counts["commutative"] + counts["Ore"], counts["D"], counts["gcd"]
-
-    def check(self, name, *args, **kwargs):
-        before = total()
-        try:
-            return run(self, name, *args, **kwargs)
-        finally:
-            old = by_check.get(name, (0, 0, 0))
-            by_check[name] = tuple(o + t - b for o, t, b in zip(old, total(), before))
-
-    skewpoly._terms = pdo._terms = inner
-    Derivation.__call__ = applied
-    Report.run = check
-    for (owner, name), fn in zip(GCDS, gcds):
-        setattr(owner, name, gcd_counter(fn))
-
-    def restore():
-        skewpoly._terms = pdo._terms = loop
-        Derivation.__call__ = apply
-        Report.run = run
-        for (owner, name), fn in zip(GCDS, gcds):
-            setattr(owner, name, fn)
-        by_check[OUTSIDE] = tuple(t - sum(n[k] for n in by_check.values())
-                                  for k, t in enumerate(total()))
-    return counts, by_check, restore
+        with rebound(loop, split), rebound(run, check):
+            yield counts, by_check
+    counts["gcd"] = total()[2]
+    by_check[OUTSIDE] = tuple(t - sum(n[k] for n in by_check.values())
+                              for k, t in enumerate(total()))
 
 
 def parse_case(text):
@@ -128,11 +111,8 @@ def main():
             for c in report.checks:
                 best = rows.setdefault(c.name, {}).get(label, c.runtime_ms)
                 rows[c.name][label] = min(best, c.runtime_ms)
-        counts, by_check, restore = counted()
-        try:
+        with counted() as (counts, by_check):
             run_suite("all", cfg)
-        finally:
-            restore()
         kinds[label] = counts
         for name, n in by_check.items():
             terms.setdefault(name, {})[label] = n

@@ -4,15 +4,16 @@ CI reaches.
 
 Every argv of the three perfbench workloads (verify-grid, pdo-precision and
 orbits-classify) at each --seeds value, and every argv of the CI step
-"Large characteristics and radicands finish or exit 2" (`CI_ARGV`), runs in
-this process through `orefields.cli.main(argv)` under a line tracer
-(`sys.settrace`) that records the lines each function of `src/orefields`
-executes.  Then, per module, it prints the functions that no argv enters
-and, inside the functions that some argv enters, each run of executable
-lines that none executes (a branch not taken), with their line counts.  A
-decorated function is matched by its first decorator's line, which is
-where its code object starts.  The output is a survey: the exit code is 0
-whatever it lists.  Standard library only.
+"Large characteristics and radicands finish or exit 2"
+(`large_inputs.LARGE_INPUTS`), runs in this process through
+`orefields.cli.main(argv)` under a line tracer (`sys.settrace`) that
+records the lines each function of `src/orefields` executes.  Then, per
+module, it prints the functions that no argv enters and, inside the
+functions that some argv enters, each run of executable lines that none
+executes (a branch not taken), with their line counts.  A decorated
+function is matched by its first decorator's line, which is where its
+code object starts.  The output is a survey: the exit code is 0 whatever
+it lists.  Standard library only.
 
     PYTHONPATH=src python scripts/probe_reach.py [--seeds 1,7,19]
 """
@@ -30,43 +31,15 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
-DEEP = "param:" + "(" * 300 + "a" + ")" * 300
-
-# the argv of the CI step, in its order, the exit-2 ones included
-CI_ARGV = [
-    "verify all --char 61 --alpha param",
-    "verify all --char 307 --alpha param",
-    "pdo --char 1000000000000000003 --precision 2",
-    "pdo --char 3 --alpha param --precision 64",
-    ["verify", "all", "--char", "31", "--alpha", "param:(a^2+1)/(a-1)"],
-    "verify all --char 1000000007",
-    "orbits cf --alpha quad:(0+1*sqrt(1000000000000000003))/1",
-    "classify --char 1000003 --caseA g:ff:1000003^2:1,1 --caseB g:ff:1000003^2:2,1",
-    "orbits cf --alpha quad:(0+1000000007*sqrt(2))/1",
-    "classify --caseA g:quad:(0+1000000007*sqrt(2))/1 --caseB g:quad:(1+1*sqrt(2))/1",
-    "orbits cf --char 0",
-    "orbits equiv --alpha quad:(0+1*sqrt(-1))/1",
-    "pdo --char 0 --alpha ff:13^1:1",
-    "classify --char 13 --caseA g:ff:13^1:5 --caseB q",
-    ["pdo", "--precision", "2", "--alpha", DEEP],
-    "verify centers --alpha rat:1e5000",
-    "verify all --alpha ff:997^2:1,1",
-    "pdo --alpha param:(a^1000)^1000",
-    "pdo --precision 129",
-    "verify all --precision 100000",
-    "pdo --char 0 --alpha quad:(0+1*sqrt(2))/1 --precision 128",
-    "pdo --char 0 --alpha param --precision 128",
-    ["pdo", "--char", "0", "--alpha", "param:(a^2+1)/(a-1)", "--precision", "128"],
-    "classify --char 101 --caseA g:ff:101^2:1,1 --caseB g:ff:101^2:3,1",
-    "classify --char 1000000007 --caseA g:param:a --caseB g:param:(5*a+2)/(3*a+7)",
-]
+from large_inputs import LARGE_INPUTS  # noqa: E402
 
 
 def all_argv(seeds):
-    """The workload argv at each seed, workloads in name order, then CI_ARGV."""
+    """The workload argv at each seed, workloads in name order, then the
+    large inputs."""
     return ([op["argv"] for seed in seeds for name in sorted(WORKLOADS)
              for op in WORKLOADS[name](seed)]
-            + [a.split() if isinstance(a, str) else a for a in CI_ARGV])
+            + [argv for argv, _, _ in LARGE_INPUTS])
 
 
 def run(main, argv):

@@ -4,9 +4,8 @@ the cases of the pdo-precision benchmark: for each case and precision N,
 a = u + y in k(y,z)((u; delta)) is inverted twice, pdo_inv(pdo_inv(a)), as
 the `inverse-roundtrip` check of `orefields.cli pdo` does.  One line per
 run: the best of --repeat timings, and, from one more run, the RatFunc2
-products, the sums
-(`RatFunc2.weighted_sum`, through which `+` and `-` go; "-" where the
-sources have none), the coefficient entries those sums add up (the sum of
+products, the sums (`RatFunc2.weighted_sum`, through which `+` and `-`
+go), the coefficient entries those sums add up (the sum of
 len(c.num) over the terms c of each call; it does not depend on how the
 sum is formed), the monomial-content scans of the Laurent form
 (`ratfunc._content`), the `Derivation.power` calls and the calls of
@@ -19,19 +18,28 @@ then Xinv, Y and Z, the six series products and the differences of the
 commutation identities): the best of --repeat timings ("lc ms"), and the
 calls of the Ore product loop `skewpoly._terms` ("lc loop") and of
 `RatFunc2.weighted_sum` ("lc sums") in one more run.  The counts do not
-depend on the machine.
+depend on the machine.  Each function is counted wherever orefields binds
+it (`tests/_support.py`, `counting`).
 
     PYTHONPATH=src python scripts/probe_series.py --precisions 8,16,24,32,48
 """
 
 import argparse
+import contextlib
+import os
+import sys
 import time
 
-from orefields import pdo, presentations, ratfunc, skewpoly
+from orefields import presentations, ratfunc, skewpoly
 from orefields.cli import Config
 from orefields.literals import parse_matrix
 from orefields.pdo import PdoSeries, leading_constraint_check, pdo_from_skew, pdo_inv
 from orefields.ratfunc import Derivation, RatFunc2
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+from _support import counting, rebound  # noqa: E402
 
 # (char, --alpha), as in the pdo-precision workload of perfbench/workloads.py
 CASES = [(0, "rat:2"), (3, "param"), (7, "rat:3"), (0, "quad:(0+1*sqrt(2))/1")]
@@ -67,38 +75,23 @@ def best_of(repeat, fn):
     return best
 
 
-def counted(targets, tallies=None):
-    """Wrap the attributes (owner, name) in targets, an owner being a class
-    or a module, with call counters; tallies maps a name to (key, size),
-    and each call of it also adds size(*args) to counts[key].  Returns the
-    counts by name and key, the names found and a function that restores
-    them."""
-    tallies = tallies or {}
-    counts = {name: 0 for _, name in targets}
-    counts.update({key: 0 for key, _ in tallies.values()})
-    saved = {(owner, name): vars(owner)[name] for owner, name in targets
-             if name in vars(owner)}
+@contextlib.contextmanager
+def counted(field):
+    """Count, inside the block, the RatFunc2 products, the sums and the
+    entries they add up, the content scans, the `Derivation.power` calls
+    and the products of field, each through every binding
+    (`_support.counting`); yields the counts by column."""
+    weighted_sum = RatFunc2.weighted_sum
+    with counting(products=RatFunc2.__mul__, scans=ratfunc._content, powers=Derivation.power,
+                  k_mul=type(field)._mul) as counts:
 
-    def wrap(name, fn):
-        key, size = tallies.get(name, (None, None))
+        def tallied(terms):
+            counts["sums"] += 1
+            counts["entries"] += sum(len(c.num) for c, _ in terms)
+            return weighted_sum(terms)
 
-        def inner(*args, **kwargs):
-            counts[name] += 1
-            if key:
-                counts[key] += size(*args)
-            return fn(*args, **kwargs)
-        return inner
-
-    for (owner, name), attr in saved.items():
-        if isinstance(attr, staticmethod):
-            setattr(owner, name, staticmethod(wrap(name, attr.__func__)))
-        else:
-            setattr(owner, name, wrap(name, attr))
-
-    def restore():
-        for (owner, name), attr in saved.items():
-            setattr(owner, name, attr)
-    return counts, {name for _, name in saved}, restore
+        with rebound(weighted_sum, tallied):
+            yield counts
 
 
 def main():
@@ -118,28 +111,15 @@ def main():
             back = pdo_inv(pdo_inv(a))
             if not back.approx_eq(a.truncate(back.prec)):
                 raise SystemExit(f"inverse roundtrip fails: char {char}, {alpha}, N = {prec}")
-            counts, present, restore = counted(
-                [(RatFunc2, name) for name in ("__mul__", "__rmul__", "weighted_sum")]
-                + [(ratfunc, "_content"), (Derivation, "power"),
-                   (type(a.ctx.field), "_mul")],
-                {"weighted_sum": ("entries", lambda terms: sum(len(c.num) for c, _ in terms))})
-            try:
+            with counted(a.ctx.field) as counts:
                 pdo_inv(pdo_inv(a))
-            finally:
-                restore()
-            sums, entries = ((counts["weighted_sum"], counts["entries"])
-                             if "weighted_sum" in present else ("-", "-"))
             lc_best = best_of(args.repeat, lambda: leading_constraint(elem, pres, prec))
-            lc, _, restore = counted([(skewpoly, "_terms"), (pdo, "_terms"),
-                                      (RatFunc2, "weighted_sum")])
-            try:
+            with counting(loop=skewpoly._terms, sums=RatFunc2.weighted_sum) as lc:
                 leading_constraint(elem, pres, prec)
-            finally:
-                restore()
             print(f"{char:>4} {alpha:22} {prec:>3} {best * 1000:9.2f} "
-                  f"{counts['__mul__'] + counts['__rmul__']:>9} {sums:>7} {entries:>8} "
-                  f"{counts['_content']:>7} {counts['power']:>7} {counts['_mul']:>7} "
-                  f"{lc_best * 1000:8.2f} {lc['_terms']:>7} {lc['weighted_sum']:>7}")
+                  f"{counts['products']:>9} {counts['sums']:>7} {counts['entries']:>8} "
+                  f"{counts['scans']:>7} {counts['powers']:>7} {counts['k_mul']:>7} "
+                  f"{lc_best * 1000:8.2f} {lc['loop']:>7} {lc['sums']:>7}")
 
 
 if __name__ == "__main__":

@@ -205,6 +205,25 @@ def _power(base, n, one, mul=operator.mul):
     return one if result is None else result
 
 
+def _frobenius_power(base, n, ell, one, mul, frobenius):
+    """base^n for n >= 0 in a commutative ring of characteristic ell, where
+    frobenius(x) = x^ell is formed with no product: base^n is the product
+    of the powers (base^(ell^k))^(d_k) (`_power`) over the base-ell digits
+    d_k of n, each base^(ell^k) the Frobenius of the one before.  In
+    characteristic 0, `_power` alone."""
+    if not ell:
+        return _power(base, n, one, mul)
+    out = None
+    while n:
+        n, d = divmod(n, ell)
+        if d:
+            p = _power(base, d, one, mul)
+            out = p if out is None else mul(out, p)
+        if n:
+            base = frobenius(base)
+    return one if out is None else out
+
+
 # ---------------------------------------------------------------------------
 # printing sums of terms
 
@@ -1036,23 +1055,13 @@ class ParameterField(Field):
         # a^n = prod_k sigma_k(a)^(d_k) over the base-l digits d_k of n, with
         # sigma_k(a) = a^(l^k) by substitution.  A nonzero constant c of K
         # gives c^n in K
-        K, ell = self.base, self.char
+        K = self.base
         if len(a[0]) == 1 and len(a[1]) == 1:
             return ((K._pow(a[0][0], n),), a[1])
 
         def mul(x, y):
             return (_umul(K, x[0], y[0]), _umul(K, x[1], y[1]))
-        if not ell:
-            return _power(a, n, self._one, mul)
-        out = None
-        while n:
-            n, d = divmod(n, ell)
-            if d:
-                ad = _power(a, d, self._one, mul)
-                out = ad if out is None else mul(out, ad)
-            if n:
-                a = self._frobenius(a)
-        return self._one if out is None else out
+        return _frobenius_power(a, n, self.char, self._one, mul, self._frobenius)
 
     def _homographic(self, a, n, q, m, r):
         # a = p/s with gcd(p, s) = 1, so (n a + q) / (m a + r) = A / B with

@@ -102,7 +102,7 @@ from __future__ import annotations
 
 import math
 
-from .fields import _coeff_term, _join_terms, _power
+from .fields import _coeff_term, _frobenius_power, _join_terms, _power
 from .ratfunc import Derivation, RatFunc2, _pscale
 
 
@@ -554,24 +554,11 @@ def _kx_power(K, f: dict, n: int) -> dict:
     f^l = sum f_i^l x^(i l) (the Frobenius of a commutative ring), so n is
     taken by its base-l digits d_k: f^n is the product of the powers
     (f^(l^k))^(d_k), each f^(l^k) formed from the one before by the
-    field's Frobenius on the coefficients, with no product."""
-    one = {0: K._one_rep()}
+    field's Frobenius on the coefficients, with no product
+    (`fields._frobenius_power`)."""
     ell = K.char
-
-    def mul(a, b):
-        return _kx_product(K, a, b)
-
-    if not ell:
-        return _power(f, n, one, mul)
-    out = None
-    while n:
-        n, d = divmod(n, ell)
-        if d:
-            p = _power(f, d, one, mul)
-            out = p if out is None else mul(out, p)
-        if n:
-            f = {i * ell: K._frobenius(c) for i, c in f.items()}
-    return one if out is None else out
+    return _frobenius_power(f, n, ell, {0: K._one_rep()}, lambda a, b: _kx_product(K, a, b),
+                            lambda g: {i * ell: K._frobenius(c) for i, c in g.items()})
 
 
 def _scalar(K, f: dict):

@@ -1,10 +1,13 @@
 """Seeded random generators for field elements, rational functions and
-skew polynomials, shared across the test modules, and slow reference
-copies of kernel routines that the fast ones must agree with."""
+skew polynomials, shared across the test modules, slow reference copies
+of kernel routines that the fast ones must agree with, and a counter of
+the calls of kernel functions."""
 
+import collections
 import contextlib
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 from orefields import fields
@@ -19,6 +22,67 @@ from orefields.ratfunc import (
     FunctionField2, RatFunc2, _PPoly, _is_one, _padd, _pdivexact, _pgcd, _pmul, _pneg, _ppartial,
 )
 from orefields.skewpoly import SkewPoly
+
+
+# ---------------------------------------------------------------------------
+# call counting by identity: a function is found wherever orefields binds
+# it, so an import under another module's name or a class attribute that
+# aliases it is counted with no list of its names
+
+METHODS = (staticmethod, classmethod)
+
+
+def _bindings(fn):
+    """(owner, name, value) for each binding of fn: a global of a module of
+    orefields, or an attribute, plain, static or class method, of a class
+    defined in one.  A bound class method stands for its function."""
+    fn = getattr(fn, "__func__", fn)
+    modules = {name: m for name, m in list(sys.modules.items())
+               if name == "orefields" or name.startswith("orefields.")}
+    owners = {id(m): m for m in modules.values()}
+    for m in modules.values():
+        owners.update((id(v), v) for v in vars(m).values()
+                      if isinstance(v, type) and v.__module__ in modules)
+    return [(owner, name, value) for owner in owners.values()
+            for name, value in vars(owner).items()
+            if value is fn or isinstance(value, METHODS) and value.__func__ is fn]
+
+
+@contextlib.contextmanager
+def rebound(fn, wrap):
+    """wrap in place of fn at every binding of fn inside the block (a static
+    or class method stays one); every binding is restored on exit.  A
+    function bound nowhere is a LookupError, so a renamed kernel function
+    fails its count instead of reading 0."""
+    found = _bindings(fn)
+    if not found:
+        raise LookupError(f"{fn!r} is bound in no module or class of orefields")
+    for owner, name, value in found:
+        setattr(owner, name, type(value)(wrap) if isinstance(value, METHODS) else wrap)
+    try:
+        yield
+    finally:
+        for owner, name, value in found:
+            setattr(owner, name, value)
+
+
+@contextlib.contextmanager
+def counting(**functions):
+    """A Counter of the calls of each function inside the block, by its
+    keyword, through every binding (`rebound`)."""
+    calls = collections.Counter()
+
+    def counter(key, fn):
+        fn = getattr(fn, "__func__", fn)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+    with contextlib.ExitStack() as stack:
+        for key, fn in functions.items():
+            stack.enter_context(rebound(fn, counter(key, fn)))
+        yield calls
 
 
 def rand_fraction(rng, span=6):

@@ -11,7 +11,7 @@ from orefields.fields import (
     in_prime_subfield, least_irreducible, make_field, norm_to_prime,
     with_parameter,
 )
-from _support import rand_elem, rand_nonzero, rand_param_elem
+from _support import counting, rand_elem, rand_nonzero, rand_param_elem
 
 
 def poly_has_root_mod(coeffs, ell):
@@ -61,13 +61,11 @@ class TestMakeField:
         with pytest.raises(FieldError, match="reducible"):
             GF(ell, len(modulus) - 1, modulus)
 
-    def test_default_modulus_is_not_recertified(self, monkeypatch):
+    def test_default_modulus_is_not_recertified(self):
         least_irreducible(7, 3)             # found, and certified, once
-
-        def refuse(*args):
-            raise AssertionError("the default modulus was certified again")
-        monkeypatch.setattr(fields, "_poly_is_irreducible", refuse)
-        assert GF(7, 3).modulus == least_irreducible(7, 3)
+        with counting(certify=fields._poly_is_irreducible) as calls:
+            assert GF(7, 3).modulus == least_irreducible(7, 3)
+        assert not calls                    # the default modulus is not certified again
 
     def test_non_squarefree_radicand_rejected(self):
         with pytest.raises(FieldError):

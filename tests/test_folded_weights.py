@@ -17,6 +17,7 @@ the slow references of tests/_support.py over REF_FIELDS:
   [0, lowest), as in the g f half of a commutator with a coefficient g,
   and not where f has a negative x-degree."""
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from orefields.ratfunc import Derivation, RatFunc2, scaling_derivation
 from orefields.skewpoly import SkewPoly, _summed, _terms, commutator
 
 from _support import (
-    REF_FIELDS, rand_laurent_monomial, rand_nonzero, rand_ratfunc, ref_combined,
+    REF_FIELDS, counting, rebound, rand_laurent_monomial, rand_nonzero, rand_ratfunc, ref_combined,
     ref_commutator, ref_derivation, ref_field, ref_pdo_inv, ref_pdo_mul, ref_ratfunc_mul,
     ref_skew_mul,
 )
@@ -242,16 +243,17 @@ def test_is_constant():
 # ---------------------------------------------------------------------------
 # eigenvalues of Laurent monomials folded into the weights
 
-def power_calls(monkeypatch):
-    """Record the argument of every `Derivation.power` call."""
+@contextlib.contextmanager
+def power_calls():
+    """The argument f of every `Derivation.power` call inside the block."""
     seen = []
     power = Derivation.power
 
     def recording(self, f, s):
         seen.append(f)
         return power(self, f, s)
-    monkeypatch.setattr(Derivation, "power", recording)
-    return seen
+    with rebound(power, recording):
+        yield seen
 
 
 def assert_products_match_reference(fs, gs):
@@ -285,24 +287,24 @@ KERNEL_MONOMIALS = [(QQ(), Fraction(2, 3), (2, -3)), (QQ(), 2, (2, -1)), (GF(2),
 
 @pytest.mark.parametrize("field, alpha, ij", KERNEL_MONOMIALS,
                          ids=["QQ:y^2z^-3", "QQ:y^2z^-1", "GF2:y^2", "GF3:y^3", "GF5:y^5"])
-def test_monomials_of_eigenvalue_zero_list_order_zero_alone(field, alpha, ij, monkeypatch):
+def test_monomials_of_eigenvalue_zero_list_order_zero_alone(field, alpha, ij):
     pres = algebra_make(CaseSpec("g", field, field.coerce(alpha)))
     D, ctx = pres.D, pres.ctx
     rng = random.Random(f"kernel-monomial-{field}")
     g = ctx.monomial(*ij, rand_nonzero(rng, field))
     assert field._is_zero(D.eigenvalue(g))
-    seen = power_calls(monkeypatch)
-    G = SkewPoly(D, {0: g, 2: ctx.monomial(*ij)})
-    fs = [SkewPoly(D, dict(enumerate(mixed_coefficients(rng, ctx)))),
-          SkewPoly(D, {3: laurent(rng, ctx), 1: ctx.one()}), SkewPoly.x(D) ** 4]
-    # x^3 g = g x^3: only order 0 is listed
-    pending = _terms({3: laurent(rng, ctx)}, {0: g}, D, {})
-    assert list(pending) == [3] and len(pending[3]) == 1
-    # g commutes with x and with the coefficients, so with every skew
-    # polynomial
-    for f in fs:
-        assert commutator(f, SkewPoly(D, {0: g})).is_zero(), str(f)
-    assert_products_match_reference(fs, [G])
+    with power_calls() as seen:
+        G = SkewPoly(D, {0: g, 2: ctx.monomial(*ij)})
+        fs = [SkewPoly(D, dict(enumerate(mixed_coefficients(rng, ctx)))),
+              SkewPoly(D, {3: laurent(rng, ctx), 1: ctx.one()}), SkewPoly.x(D) ** 4]
+        # x^3 g = g x^3: only order 0 is listed
+        pending = _terms({3: laurent(rng, ctx)}, {0: g}, D, {})
+        assert list(pending) == [3] and len(pending[3]) == 1
+        # g commutes with x and with the coefficients, so with every skew
+        # polynomial
+        for f in fs:
+            assert commutator(f, SkewPoly(D, {0: g})).is_zero(), str(f)
+        assert_products_match_reference(fs, [G])
     # the right factor is all monomials: no D^s is taken for it
     assert not [f for f in seen if f == g or f == ctx.monomial(*ij)]
     d = D.negate()
@@ -315,7 +317,7 @@ def test_monomials_of_eigenvalue_zero_list_order_zero_alone(field, alpha, ij, mo
 
 
 @pytest.mark.parametrize("name", REF_FIELDS)
-def test_eigen_monomials_at_negative_x_degrees_match_reference(name, monkeypatch):
+def test_eigen_monomials_at_negative_x_degrees_match_reference(name):
     # series: x = u^-1, so u^n is x^-n and C(-n, s) is nonzero at every order
     pres = g_pres(name)
     d, ctx = pres.D.negate(), pres.ctx
@@ -327,11 +329,11 @@ def test_eigen_monomials_at_negative_x_degrees_match_reference(name, monkeypatch
                  PdoSeries(d, {2: ctx.monomial(-2, 1, rand_const(rng, ctx.field))}, 7)]
     others = [PdoSeries(d, dict(zip((-1, 0, 1, 2), mixed_coefficients(rng, ctx))), 6),
               PdoSeries(d, {1: ctx.one(), 0: y}, 8)]
-    seen = power_calls(monkeypatch)
-    for f in others + monomials:
-        for g in monomials:
-            got, want = f * g, ref_pdo_mul(f, g)
-            assert (got.terms, got.prec) == (want.terms, want.prec), (str(f), str(g))
+    with power_calls() as seen:
+        for f in others + monomials:
+            for g in monomials:
+                got, want = f * g, ref_pdo_mul(f, g)
+                assert (got.terms, got.prec) == (want.terms, want.prec), (str(f), str(g))
     assert not seen
     assert_series_match_reference(others, others)
     for a in monomials[:2] + [PdoSeries(d, {1: ctx.one(), 0: y}, 12)]:
@@ -340,7 +342,7 @@ def test_eigen_monomials_at_negative_x_degrees_match_reference(name, monkeypatch
 
 
 @pytest.mark.parametrize("name", ["GF7", "GF3(a)"])
-def test_eigen_monomials_at_lucas_sparse_orders_match_reference(name, monkeypatch):
+def test_eigen_monomials_at_lucas_sparse_orders_match_reference(name):
     # in characteristic l, C(i, s) vanishes mod l unless every base-l digit
     # of s is at most that of i: x^l has orders 0 and l only
     pres = g_pres(name)
@@ -353,17 +355,17 @@ def test_eigen_monomials_at_lucas_sparse_orders_match_reference(name, monkeypatc
     fs = [SkewPoly(D, {i: c for i, c in zip((ell, ell + 1, 2 * ell - 1),
                                             mixed_coefficients(rng, ctx))}),
           SkewPoly(D, {ell * ell - 1: laurent(rng, ctx), ell: ctx.one()})]
-    seen = power_calls(monkeypatch)
-    for f in fs:
-        for g in gs:
-            assert f * g == ref_skew_mul(f, g), (str(f), str(g))
+    with power_calls() as seen:
+        for f in fs:
+            for g in gs:
+                assert f * g == ref_skew_mul(f, g), (str(f), str(g))
     assert not seen
     assert_products_match_reference(fs, gs)
 
 
 @pytest.mark.parametrize("coords", ["yz", "yt"])
 @pytest.mark.parametrize("name", REF_FIELDS)
-def test_the_q_family_takes_every_power_of_its_derivation(name, coords, monkeypatch):
+def test_the_q_family_takes_every_power_of_its_derivation(name, coords):
     # D(y) = y, D(z) = y + z (or D(t) = 1) scales no monomial but y^i, so
     # D^s(g_j) is taken by Derivation.power for every g_j, monomials too
     field, _ = ref_field(name)
@@ -373,10 +375,10 @@ def test_the_q_family_takes_every_power_of_its_derivation(name, coords, monkeypa
     g = ctx.monomial(2, -1, rand_const(rng, field))
     assert D.eigenvalue(g) is None
     assert D.eigenvalue(ctx.monomial(3, 0)) is None
-    seen = power_calls(monkeypatch)
     fs = [SkewPoly(D, dict(enumerate(mixed_coefficients(rng, ctx)))), SkewPoly.x(D) ** 3]
     gs = [SkewPoly(D, {0: g, 1: rand_laurent_monomial(rng, ctx)})]
-    assert fs[0] * gs[0] == ref_skew_mul(fs[0], gs[0])
+    with power_calls() as seen:
+        assert fs[0] * gs[0] == ref_skew_mul(fs[0], gs[0])
     assert g in seen
     assert_products_match_reference(fs, gs)
     d = D.negate()
@@ -391,7 +393,7 @@ def test_the_q_family_takes_every_power_of_its_derivation(name, coords, monkeypa
 # no terms where every x-degree of f lies in [0, lowest)
 
 @pytest.mark.parametrize("name", REF_FIELDS)
-def test_commutators_with_a_degree_zero_operand_match_reference(name, monkeypatch):
+def test_commutators_with_a_degree_zero_operand_match_reference(name):
     pres = g_pres(name)
     D, ctx = pres.D, pres.ctx
     rng = random.Random(f"degree-zero-{name}")
@@ -407,14 +409,13 @@ def test_commutators_with_a_degree_zero_operand_match_reference(name, monkeypatc
             for a, b in ((f, g), (g, f), (f, c), (c, f)):
                 assert commutator(a, b) == ref_commutator(a, b), (str(a), str(b))
     # the g f half lists nothing, and takes no eigenvalue and no power
-    calls = power_calls(monkeypatch)
-    monkeypatch.setattr(Derivation, "eigenvalue", lambda *args: calls.append(args))
-    for c in coefficients:
-        for f in fs:
-            pending = {}
-            assert _terms({0: c}, f.coeffs, D, pending, 1) is pending and not pending
-            pending = {}
-            assert _terms({0: c, 1: c}, f.coeffs, D, pending, 2) is pending and not pending
+    with counting(power=Derivation.power, eigenvalue=Derivation.eigenvalue) as calls:
+        for c in coefficients:
+            for f in fs:
+                pending = {}
+                assert _terms({0: c}, f.coeffs, D, pending, 1) is pending and not pending
+                pending = {}
+                assert _terms({0: c, 1: c}, f.coeffs, D, pending, 2) is pending and not pending
     assert not calls
 
 

@@ -21,7 +21,7 @@ from orefields.ratfunc import Derivation, FunctionField2, RatFunc2, scaling_deri
 from orefields.skewpoly import SkewPoly
 
 from _support import (
-    rand_elem, rand_laurent_monomial, rand_nonzero, rand_poly2, rand_ratfunc, rand_skew,
+    counting, rand_elem, rand_laurent_monomial, rand_nonzero, rand_poly2, rand_ratfunc, rand_skew,
     ref_combined, ref_derivation, ref_derivation_weights, ref_frac_cancel, ref_homographic,
     ref_morphism_apply, ref_param_add, ref_subst_powers,
 )
@@ -42,13 +42,6 @@ COEFF_FIELDS = {
 }
 
 
-def no_call(monkeypatch, owner, name):
-    """Make owner.name raise, for a path that must not reach it."""
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} was called")
-    monkeypatch.setattr(owner, name, refuse)
-
-
 def upoly(K, coeffs):
     """The trimmed tuple of the reps of coeffs, lowest degree first."""
     reps = [K.coerce(c).rep for c in coeffs]
@@ -61,7 +54,7 @@ def upoly(K, coeffs):
 # the cancel step against an operand of degree 1
 
 @pytest.mark.parametrize("base", sorted(BASES))
-def test_linear_cancel_matches_euclid(base, monkeypatch):
+def test_linear_cancel_matches_euclid(base):
     K = BASES[base]()
     rng = random.Random(29)
     zero = K._zero_rep()
@@ -79,15 +72,14 @@ def test_linear_cancel_matches_euclid(base, monkeypatch):
     for a, b in cases:
         want = ref_frac_cancel(_UPoly, K, a, b)
         dividing += want != (a, b)
-        no_call(monkeypatch, _UPoly, "gcd")
-        no_call(monkeypatch, _UPoly, "quo")
-        assert _frac_cancel(_UPoly, K, a, b) == want, (a, b)
-        monkeypatch.undo()
+        with counting(gcd=_UPoly.gcd, quo=_UPoly.quo) as calls:
+            assert _frac_cancel(_UPoly, K, a, b) == want, (a, b)
+        assert not calls, (a, b)
     assert dividing > 10 and len(cases) - dividing > 10
 
 
 @pytest.mark.parametrize("base", sorted(BASES))
-def test_sums_over_a_unit_denominator_run_no_gcd(base, monkeypatch):
+def test_sums_over_a_unit_denominator_run_no_gcd(base):
     # n1 + n2/d2 = (n1 d2 + n2)/d2 shares no factor with d2: eigenvalues
     # i + j alpha of a non-polynomial alpha are such sums
     F = with_parameter(BASES[base]())
@@ -100,9 +92,9 @@ def test_sums_over_a_unit_denominator_run_no_gcd(base, monkeypatch):
             continue
         for x, y in ((poly, frac), (frac, poly)):
             want = ref_param_add(F, x.rep, y.rep)
-            no_call(monkeypatch, _UPoly, "gcd")
-            assert F._add(x.rep, y.rep) == want
-            monkeypatch.undo()
+            with counting(gcd=_UPoly.gcd) as calls:
+                assert F._add(x.rep, y.rep) == want
+            assert not calls
     ctx = FunctionField2(QQ())
     for _ in range(10):
         f, g = rand_poly2(rng, ctx), rand_ratfunc(rng, ctx)
@@ -146,7 +138,7 @@ def laurent_elements(rng, ctx):
 
 
 @pytest.mark.parametrize("name", sorted(COEFF_FIELDS))
-def test_laurent_substitution_matches_normalize(name, monkeypatch):
+def test_laurent_substitution_matches_normalize(name):
     ctx = FunctionField2(COEFF_FIELDS[name]())
     rng = random.Random(29)
     collided = 0
@@ -154,10 +146,9 @@ def test_laurent_substitution_matches_normalize(name, monkeypatch):
         assert len(f.den) == 1
         for e1, e2 in MATRICES:
             want = ref_subst_powers(f, e1, e2)
-            no_call(monkeypatch, ratfunc, "_pgcd")
-            no_call(monkeypatch, RatFunc2, "_normalize")
-            got = f.subst_powers(e1, e2)
-            monkeypatch.undo()
+            with counting(gcd=ratfunc._pgcd, normalize=RatFunc2._normalize) as calls:
+                got = f.subst_powers(e1, e2)
+            assert not calls, (str(f), e1, e2)
             assert (got.num, got.den) == (want.num, want.den), (str(f), e1, e2)
             collided += len(got.num) < len(f.num)
     assert collided     # colliding exponents, summed and some cancelled
@@ -190,7 +181,7 @@ def parameter_values(K):
 
 
 @pytest.mark.parametrize("base", sorted(BASES))
-def test_homography_matches_the_field_formula(base, monkeypatch):
+def test_homography_matches_the_field_formula(base):
     K = with_parameter(BASES[base]())
     vanishing = 0
     for alpha in parameter_values(K):
@@ -202,10 +193,10 @@ def test_homography_matches_the_field_formula(base, monkeypatch):
                 with pytest.raises(ZeroDivisionError):
                     homographic(M, alpha)
                 continue
-            if not K.base._is_zero(K.base._from_int(M.det)):
-                no_call(monkeypatch, fields, "_frac_cancel")
-            assert homographic(M, alpha).rep == want.rep, (str(alpha), M)
-            monkeypatch.undo()
+            with counting(cancel=fields._frac_cancel) as calls:
+                assert homographic(M, alpha).rep == want.rep, (str(alpha), M)
+            # an invertible matrix over k leaves nothing to cancel
+            assert not calls or K.base._is_zero(K.base._from_int(M.det)), (str(alpha), M)
     assert vanishing     # m alpha + r = 0 for a constant alpha: 1 * 2 - 2 = 0
 
 
@@ -256,16 +247,14 @@ def derivations(ctx):
 
 
 @pytest.mark.parametrize("name", sorted(COEFF_FIELDS))
-def test_unit_denominator_derivation_matches_the_general_formula(name, monkeypatch):
+def test_unit_denominator_derivation_matches_the_general_formula(name):
     ctx = FunctionField2(COEFF_FIELDS[name]())
     rng = random.Random(3)
     for D in derivations(ctx):
         want = ref_derivation_weights(D.image_of_y, D.image_of_z)
-        no_call(monkeypatch, ratfunc, "_pgcd")
-        no_call(monkeypatch, ratfunc, "_pdivexact")
-        no_call(monkeypatch, ratfunc, "_pmul")
-        fresh = Derivation(ctx, D.image_of_y, D.image_of_z)
-        monkeypatch.undo()
+        with counting(gcd=ratfunc._pgcd, quo=ratfunc._pdivexact, mul=ratfunc._pmul) as calls:
+            fresh = Derivation(ctx, D.image_of_y, D.image_of_z)
+        assert not calls
         assert (fresh._e, fresh._wy, fresh._wz) == want
         assert fresh._wy is D.image_of_y.num and fresh._wz is D.image_of_z.num
         # the shared numerators are not mutated by applying D
@@ -309,7 +298,7 @@ def skew_samples(rng, D):
 
 
 @pytest.mark.parametrize("name", sorted(MORPHISM_FIELDS))
-def test_apply_matches_the_running_sum(name, monkeypatch):
+def test_apply_matches_the_running_sum(name):
     K = MORPHISM_FIELDS[name]()
     rng = random.Random(11)
     alpha = K.gen()
@@ -317,11 +306,10 @@ def test_apply_matches_the_running_sum(name, monkeypatch):
         phi = monomial_morphism(M, alpha)
         samples = skew_samples(rng, phi.target.D)
         wants = [ref_morphism_apply(phi, f) for f in samples]
-        no_call(monkeypatch, SkewPoly, "from_coeff")
-        no_call(monkeypatch, SkewPoly, "zero")
-        no_call(monkeypatch, SkewPoly, "__add__")
-        gots = [phi.apply(f) for f in samples]
-        monkeypatch.undo()
+        with counting(from_coeff=SkewPoly.from_coeff, zero=SkewPoly.zero,
+                      add=SkewPoly.__add__) as calls:
+            gots = [phi.apply(f) for f in samples]
+        assert not calls, M
         assert gots == wants, M
 
 
@@ -356,18 +344,15 @@ def test_composites_match_the_matrix_product():
             assert composite.beta == direct.beta == ref_homographic(M2 * M1, alpha)
 
 
-def test_a_composite_is_verified_once_and_checked_image_by_image(monkeypatch):
+def test_a_composite_is_verified_once_and_checked_image_by_image():
     K = with_parameter(GF(7))
     alpha = K.gen()
     M1, M2 = Mat2Z(1, 1, 0, 1), Mat2Z(0, 1, 1, 0)
-    calls = []
-    verify = Morphism.verify_relations
-    monkeypatch.setattr(Morphism, "verify_relations", lambda self: calls.append(1) or verify(self))
     phi1 = monomial_morphism(M1, alpha)
     phi2 = monomial_morphism(M2, phi1.beta)
-    calls.clear()
-    assert phi1.compose(phi2).matrix == M2 * M1
-    assert len(calls) == 1      # the direct morphism's brackets, not a composite's too
+    with counting(verify=Morphism.verify_relations) as calls:
+        assert phi1.compose(phi2).matrix == M2 * M1
+    assert calls["verify"] == 1     # the direct morphism's brackets, not a composite's too
     # an inner morphism whose data is not what its matrix gives
     for name, wrong, message in (("beta", phi2.beta + 1, "beta"),
                                  ("x_img", phi2.x_img * 2, "x image"),

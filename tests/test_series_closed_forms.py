@@ -11,6 +11,7 @@ and differences of series and of skew polynomials are checked against
 coefficientwise RatFunc2 arithmetic, with one `RatFunc2.weighted_sum` per
 shared coefficient and no negated operand built."""
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -21,11 +22,11 @@ from orefields import skewpoly
 from orefields.fields import ParameterField
 from orefields.pdo import PdoSeries
 from orefields.ratfunc import Derivation, FunctionField2, RatFunc2, scaling_derivation
-from orefields.skewpoly import SkewPoly
+from orefields.skewpoly import OreSum, SkewPoly
 
 from _support import (
-    REF_FIELDS, rand_laurent_monomial, rand_nonzero, rand_param_elem, rand_poly2, rand_ratfunc,
-    ref_derivation, ref_field, ref_pdo_mul,
+    REF_FIELDS, counting, rebound, rand_laurent_monomial, rand_nonzero, rand_param_elem,
+    rand_poly2, rand_ratfunc, ref_derivation, ref_field, ref_pdo_mul,
 )
 
 SERIES_FIELDS = [*REF_FIELDS, "GF9(a)"]
@@ -85,22 +86,12 @@ def assert_cut(f, g, want):
     assert {-k: c for k, c in raw.items()} == want.terms, (str(f), str(g))
 
 
-def count_calls(monkeypatch, owner, name):
-    calls = []
-    fn = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
-def outer_calls(monkeypatch, owner, name):
-    """count_calls for a static method that calls itself: only the calls
-    not made from inside another are counted."""
+@contextlib.contextmanager
+def outer_calls(fn):
+    """The calls of fn, a function that calls itself, inside the block: a
+    list with one entry per call not made from inside another, through
+    every binding of fn (`rebound`)."""
     calls, depth = [], []
-    fn = getattr(owner, name)
 
     def counted(*args):
         if not depth:
@@ -110,8 +101,8 @@ def outer_calls(monkeypatch, owner, name):
             return fn(*args)
         finally:
             depth.pop()
-    monkeypatch.setattr(owner, name, staticmethod(counted))
-    return calls
+    with rebound(fn, counted):
+        yield calls
 
 
 def left_factors(rng, ctx, d):
@@ -123,7 +114,7 @@ def left_factors(rng, ctx, d):
 
 
 @pytest.mark.parametrize("name", SERIES_FIELDS)
-def test_products_with_a_constant_on_either_side(name, monkeypatch):
+def test_products_with_a_constant_on_either_side(name):
     """a c and c a for an int, a Fraction, a field element and a constant
     series of another precision: the coefficients scaled, at the
     precision N of the reference, which is p + v for the valuation v < 0
@@ -141,15 +132,15 @@ def test_products_with_a_constant_on_either_side(name, monkeypatch):
     # the precision p + v of a constant of precision p against a of valuation v < 0
     assert any(right.prec == c.prec + min(a.terms) < min(a.prec, c.prec)
                for a, c, right, _ in cases if isinstance(c, PdoSeries))
-    terms = count_calls(monkeypatch, skewpoly, "_terms")
-    for a, c, right, left in cases:
-        assert_same(a * c, right, str(a), str(c))
-        assert_same(c * a, left, str(a), str(c))
-    assert not terms
+    with counting(terms=skewpoly._terms) as calls:
+        for a, c, right, left in cases:
+            assert_same(a * c, right, str(a), str(c))
+            assert_same(c * a, left, str(a), str(c))
+    assert not calls
 
 
 @pytest.mark.parametrize("name", SERIES_FIELDS)
-def test_a_coefficient_on_the_left(name, monkeypatch):
+def test_a_coefficient_on_the_left(name):
     """c b for a coefficient c that is not a constant: c times each
     coefficient of b, with no derivative, as a series of one term and as a
     RatFunc2 on the left."""
@@ -161,18 +152,16 @@ def test_a_coefficient_on_the_left(name, monkeypatch):
             c = draw_coefficient(rng, ctx)
             cs = PdoSeries(d, {0: c}, prec)
             cases.append((cs, b, ref_pdo_mul(cs, b)))
-    terms = count_calls(monkeypatch, skewpoly, "_terms")
-    applications = count_calls(monkeypatch, Derivation, "__call__")
-    for cs, b, want in cases:
-        assert_same(cs * b, want, str(cs), str(b))
-        if cs.prec == b.prec:
-            assert_same(cs.terms[0] * b, want, str(cs), str(b))
-    assert not terms
-    assert not applications
+    with counting(terms=skewpoly._terms, apply=Derivation.__call__) as calls:
+        for cs, b, want in cases:
+            assert_same(cs * b, want, str(cs), str(b))
+            if cs.prec == b.prec:
+                assert_same(cs.terms[0] * b, want, str(cs), str(b))
+    assert not calls
 
 
 @pytest.mark.parametrize("name", SERIES_FIELDS)
-def test_right_factors_with_constant_coefficients(name, monkeypatch):
+def test_right_factors_with_constant_coefficients(name):
     """a g for g of one constant term (u, c u^k at k = -2 to 2) and of
     several (u - c, a constant series): only order 0 survives, a_i g_j at
     u^(i + j), on series whose coefficients are constants or not."""
@@ -186,11 +175,11 @@ def test_right_factors_with_constant_coefficients(name, monkeypatch):
         gs += [PdoSeries.u(d, prec) - ctx.const(draw_constant(rng, K)),
                const_series(rng, ctx, d, (-1, 0, 1, 3), prec)]
         cases += [(a, g, ref_pdo_mul(a, g)) for g in gs]
-    terms = count_calls(monkeypatch, skewpoly, "_terms")
-    for a, g, want in cases:
-        assert_same(a * g, want, str(a), str(g))
-        assert_cut(a, g, want)
-    assert not terms
+    with counting(terms=skewpoly._terms) as calls:
+        for a, g, want in cases:
+            assert_same(a * g, want, str(a), str(g))
+            assert_cut(a, g, want)
+    assert not calls
 
 
 def eigenvectors(rng, K, ctx, d):
@@ -203,7 +192,7 @@ def eigenvectors(rng, K, ctx, d):
 
 
 @pytest.mark.parametrize("name", SERIES_FIELDS)
-def test_constant_series_against_an_eigenvector(name, monkeypatch):
+def test_constant_series_against_an_eigenvector(name):
     """f g for f with constant coefficients and g = g_j u^k, k = -1 to 2,
     g_j a Laurent monomial: g_j f(x + lambda) u^k with x = u^-1, whose
     infinite sum at u^m, m > 0, is cut at the precision.  u^-l and u^l in
@@ -228,17 +217,15 @@ def test_constant_series_against_an_eigenvector(name, monkeypatch):
                 for prec in (max(k, 0) + 2, max(k, 0) + 2 * ell + 2):
                     g = PdoSeries(d, {k: gj}, prec)
                     cases.append((f, g, ref_pdo_mul(f, g)))
-    terms = count_calls(monkeypatch, skewpoly, "_terms")
-    applications = count_calls(monkeypatch, Derivation, "__call__")
-    for f, g, want in cases:
-        assert_same(f * g, want, str(f), str(g))
-        assert_cut(f, g, want)
-    assert not terms
-    assert not applications
+    with counting(terms=skewpoly._terms, apply=Derivation.__call__) as calls:
+        for f, g, want in cases:
+            assert_same(f * g, want, str(f), str(g))
+            assert_cut(f, g, want)
+    assert not calls
 
 
 @pytest.mark.parametrize("name", SERIES_FIELDS)
-def test_the_loop_forms_the_other_series_products(name, monkeypatch):
+def test_the_loop_forms_the_other_series_products(name):
     """Under the q family's derivation, which scales no monomial, with g
     not a monomial, and with f whose coefficients are not constants, a
     series product still runs the Ore loop, and agrees with the
@@ -257,11 +244,11 @@ def test_the_loop_forms_the_other_series_products(name, monkeypatch):
     cases += [(PdoSeries.u(dq, 6), PdoSeries(dq, {0: y}, 6)),
               (PdoSeries.u(dq, 6, power=-1), PdoSeries(dq, {1: z}, 6))]
     cases = [(f, g, ref_pdo_mul(f, g)) for f, g in cases]
-    terms = count_calls(monkeypatch, skewpoly, "_terms")
     for f, g, want in cases:
-        terms.clear()
-        assert_same(f * g, want, str(f), str(g))
-        assert terms, (str(f), str(g))
+        with counting(terms=skewpoly._terms) as calls:
+            got = f * g
+        assert_same(got, want, str(f), str(g))
+        assert calls, (str(f), str(g))
 
 
 def coefficientwise(a, b, sign):
@@ -281,7 +268,7 @@ def coefficientwise(a, b, sign):
 
 
 @pytest.mark.parametrize("name", SERIES_FIELDS)
-def test_sums_and_differences_coefficientwise(name, monkeypatch):
+def test_sums_and_differences_coefficientwise(name):
     """a + b, a - b and b - a for series (precision the weaker one) and
     skew polynomials, a constant or a coefficient on either side of -, and
     a - a = 0: each shared coefficient is one weighted sum, with no
@@ -315,24 +302,22 @@ def test_sums_and_differences_coefficientwise(name, monkeypatch):
         cases.append((a, b, prec, shared, negated, coefficientwise(a, b, 1),
                       coefficientwise(a, b, -1), coefficientwise(b, a, -1)))
     assert past     # some pairs hold exponents past their weaker precision
-    sums = outer_calls(monkeypatch, RatFunc2, "weighted_sum")
-    negations = count_calls(monkeypatch, PdoSeries, "__neg__")
-    negations_skew = count_calls(monkeypatch, SkewPoly, "__neg__")
-    pairwise = [count_calls(monkeypatch, RatFunc2, op) for op in ("__add__", "__sub__")]
-    negated_terms = count_calls(monkeypatch, RatFunc2, "__neg__")
-    for a, b, prec, shared, negated, plus, minus, reverse in cases:
-        for op, want, n in ((lambda: a + b, plus, 0), (lambda: a - b, minus, negated[0]),
-                            (lambda: b - a, reverse, negated[1])):
-            got = op()
-            assert got.coeffs == want, (str(a), str(b))
-            if prec is not None:
-                assert got.prec == prec
-            # no term past the weaker precision is negated
-            assert len(negated_terms) == n, (str(a), str(b))
-            negated_terms.clear()
-        assert len(sums) == 3 * shared, (str(a), str(b))
-        sums.clear()
-    assert not negations and not negations_skew and not any(pairwise)
+    with outer_calls(RatFunc2.weighted_sum) as sums, \
+            counting(negate=OreSum.__neg__, add=RatFunc2.__add__, sub=RatFunc2.__sub__,
+                     negate_term=RatFunc2.__neg__) as calls:
+        for a, b, prec, shared, negated, plus, minus, reverse in cases:
+            for op, want, n in ((lambda: a + b, plus, 0), (lambda: a - b, minus, negated[0]),
+                                (lambda: b - a, reverse, negated[1])):
+                got = op()
+                assert got.coeffs == want, (str(a), str(b))
+                if prec is not None:
+                    assert got.prec == prec
+                # no term past the weaker precision is negated
+                assert calls["negate_term"] == n, (str(a), str(b))
+                calls["negate_term"] = 0
+            assert len(sums) == 3 * shared, (str(a), str(b))
+            sums.clear()
+    assert not calls["negate"] and not calls["add"] and not calls["sub"]
     # a constant or a coefficient on the other side of a difference
     for a, b, *_ in cases[:6]:
         c = draw_constant(rng, K)

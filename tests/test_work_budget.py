@@ -9,16 +9,13 @@ workload and the four `pdo` argv of its pdo-precision workload, at
 `skewpoly._terms`, the sums of fractions (`RatFunc2.weighted_sum`, through
 which every RatFunc2 sum, difference and loop sum goes), the applications
 of a derivation (`Derivation.__call__`), the polynomial divisions of
-Euclid and of exact quotients in K[a] (`fields._udivmod`, the module
-global that `_ugcd` and `_UPoly.quo` look up, and its import in
-`ratfunc`), the bivariate gcds (`ratfunc._pgcd`, by its module global,
-which `_PPoly.gcd` calls), the normalizations of a fraction
+Euclid and of exact quotients in K[a] (`fields._udivmod`), the bivariate
+gcds (`ratfunc._pgcd`), the normalizations of a fraction
 (`RatFunc2._normalize`, which no Laurent element needs), the products of
-the univariate polynomial kernel (`fields._umul` and `fields._uscale`,
-by their module globals, the imports of `_umul` in `ratfunc` and
-`orbits`, and as `_UPoly.mul` and `_UPoly.scale`), and the bracket
-checks of morphisms
-(`Morphism.verify_relations`).
+the univariate polynomial kernel (`fields._umul` and `fields._uscale`),
+and the bracket checks of morphisms (`Morphism.verify_relations`).  Each
+function is counted wherever orefields binds it (`_support.counting`), so
+no import or class attribute that aliases it is missed.
 
 The orbit layer has budgets of its own: the field products of GF(l^k)
 (`ExtensionField._mul`) over the 17 `orbits finite` argv of the
@@ -30,10 +27,12 @@ import contextlib
 import io
 import random
 
-from orefields import fields, orbits, pdo, ratfunc, skewpoly
+from orefields import fields, orbits, ratfunc, skewpoly
 from orefields.cli import main
 from orefields.presentations import Morphism
 from orefields.ratfunc import Derivation, RatFunc2
+
+from _support import counting
 
 VERIFY_GRID = [["verify", "all", "--char", str(char), "--alpha", alpha, "--seed", "19"]
                for char, alpha in [(0, "rat:2/3"), (0, "quad:(0+1*sqrt(2))/1"), (0, "param"),
@@ -94,37 +93,17 @@ ORBITS_CF = orbits_cf_argv(120)
 ORBIT_BUDGET = {"ExtensionField._mul": 1471, "QuadIrr.__init__": 120}
 
 
-def counting(monkeypatch, counts, key, owners, name):
-    """Wrap owner.name, the same function under every owner, with a
-    counter of its calls in counts[key]; a static method stays one."""
-    fn = getattr(owners[0], name)
-
-    def counted(*args, **kwargs):
-        counts[key] += 1
-        return fn(*args, **kwargs)
-    for owner in owners:
-        static = isinstance(vars(owner).get(name), staticmethod)
-        monkeypatch.setattr(owner, name, staticmethod(counted) if static else counted)
-
-
-def counted_runs(monkeypatch, argvs):
+def counted_runs(argvs):
     """The counts of BUDGET over the CLI runs argvs, each of which must
     exit 0."""
-    counts = dict.fromkeys(BUDGET, 0)
-    # pdo imports the loop by name, so both module names are wrapped
-    counting(monkeypatch, counts, "_terms", (skewpoly, pdo), "_terms")
-    counting(monkeypatch, counts, "weighted_sum", (RatFunc2,), "weighted_sum")
-    counting(monkeypatch, counts, "Derivation.__call__", (Derivation,), "__call__")
-    counting(monkeypatch, counts, "_udivmod", (fields, ratfunc), "_udivmod")
-    counting(monkeypatch, counts, "_pgcd", (ratfunc,), "_pgcd")
-    counting(monkeypatch, counts, "RatFunc2._normalize", (RatFunc2,), "_normalize")
-    counting(monkeypatch, counts, "_umul/_uscale", (fields, ratfunc, orbits), "_umul")
-    counting(monkeypatch, counts, "_umul/_uscale", (fields._UPoly,), "mul")
-    counting(monkeypatch, counts, "_umul/_uscale", (fields,), "_uscale")
-    counting(monkeypatch, counts, "_umul/_uscale", (fields._UPoly,), "scale")
-    counting(monkeypatch, counts, "verify_relations", (Morphism,), "verify_relations")
-    run_clean(argvs)
-    return counts
+    with counting(**{"_terms": skewpoly._terms, "weighted_sum": RatFunc2.weighted_sum,
+                     "Derivation.__call__": Derivation.__call__, "_udivmod": fields._udivmod,
+                     "_pgcd": ratfunc._pgcd, "RatFunc2._normalize": RatFunc2._normalize,
+                     "_umul": fields._umul, "_uscale": fields._uscale,
+                     "verify_relations": Morphism.verify_relations}) as calls:
+        run_clean(argvs)
+    calls["_umul/_uscale"] = calls.pop("_umul", 0) + calls.pop("_uscale", 0)
+    return calls
 
 
 def run_clean(argvs):
@@ -135,28 +114,26 @@ def run_clean(argvs):
         assert code == 0, argv
 
 
-def test_verify_grid_stays_within_its_work_budget(monkeypatch):
-    counts = counted_runs(monkeypatch, VERIFY_GRID)
+def test_verify_grid_stays_within_its_work_budget():
+    counts = counted_runs(VERIFY_GRID)
     assert counts["_terms"] and counts["Derivation.__call__"] and counts["_udivmod"]
     assert counts["_umul/_uscale"] and counts["verify_relations"]
     for key, budget in BUDGET.items():
         assert counts[key] <= budget, (key, counts[key], budget)
 
 
-def test_pdo_precision_stays_within_its_work_budget(monkeypatch):
-    counts = counted_runs(monkeypatch, PDO_PRECISION)
+def test_pdo_precision_stays_within_its_work_budget():
+    counts = counted_runs(PDO_PRECISION)
     assert counts["_terms"] and counts["weighted_sum"]
     for key, budget in PDO_BUDGET.items():
         assert counts[key] <= budget, (key, counts[key], budget)
 
 
-def test_orbit_layer_stays_within_its_work_budget(monkeypatch):
-    counts = dict.fromkeys(ORBIT_BUDGET, 0)
-    counting(monkeypatch, counts, "ExtensionField._mul", (fields.ExtensionField,), "_mul")
-    run_clean(ORBITS_FINITE)
-    counting(monkeypatch, counts, "QuadIrr.__init__", (orbits.QuadIrr,), "__init__")
-    run_clean(ORBITS_CF)
+def test_orbit_layer_stays_within_its_work_budget():
+    with counting(**{"ExtensionField._mul": fields.ExtensionField._mul,
+                     "QuadIrr.__init__": orbits.QuadIrr.__init__}) as counts:
+        run_clean(ORBITS_FINITE + ORBITS_CF)
     assert len(ORBITS_FINITE) == 17 and len({tuple(a) for a in ORBITS_CF}) == 120
-    assert all(counts.values())
+    assert all(counts[key] for key in ORBIT_BUDGET)
     for key, budget in ORBIT_BUDGET.items():
         assert counts[key] <= budget, (key, counts[key], budget)
