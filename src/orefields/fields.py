@@ -224,6 +224,15 @@ def _frobenius_power(base, n, ell, one, mul, frobenius):
     return one if out is None else out
 
 
+def _settled(K, canon, sums: dict) -> dict:
+    """{key: the canonical rep of sums[key]} for values of K's accumulator
+    (`Field._accumulator`) whose canon is given (None where they are
+    canonical already), leaving out the keys whose sum is 0."""
+    zero = K._zero_rep()
+    values = sums.values() if canon is None else map(canon, sums.values())
+    return {k: c for k, c in zip(sums, values) if c != zero}
+
+
 # ---------------------------------------------------------------------------
 # printing sums of terms
 
@@ -1132,23 +1141,31 @@ class ParameterField(Field):
 # field descriptions and element-level operations
 
 class ValueRecord:
-    """Base of the immutable records: equal and hashed by the tuple that
-    `_fields` returns, with assignment and deletion raising
-    AttributeError.  A subclass declares its fields in __slots__ and sets
-    each one in __init__ through object.__setattr__."""
+    """Base of the immutable records.  A subclass states its fields once,
+    in __slots__: it is built from their values in that order, equal and
+    hashed by the tuple of them, and assignment and deletion raise
+    AttributeError.  A subclass with defaults or validation takes its own
+    arguments and ends in super().__init__."""
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        raise NotImplementedError
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the tuple of the fields in order; an attrgetter binds to no
+        # instance, so it is called as cls._fields(record)
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields(self) == other._fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable "
@@ -1175,16 +1192,7 @@ class FieldSpec(ValueRecord):
     def __init__(self, characteristic: int = 0, ext_degree: int | None = None,
                  ext_poly: tuple | None = None, sqrt_d: int | None = None,
                  parameter: bool = False):
-        init = object.__setattr__
-        init(self, "characteristic", characteristic)
-        init(self, "ext_degree", ext_degree)
-        init(self, "ext_poly", ext_poly)
-        init(self, "sqrt_d", sqrt_d)
-        init(self, "parameter", parameter)
-
-    def _fields(self):
-        return (self.characteristic, self.ext_degree, self.ext_poly, self.sqrt_d,
-                self.parameter)
+        super().__init__(characteristic, ext_degree, ext_poly, sqrt_d, parameter)
 
 
 def make_field(spec: FieldSpec) -> Field:

@@ -42,13 +42,6 @@ class Mat2Z(ValueRecord):
 
     __slots__ = ("n", "q", "m", "r")
 
-    def __init__(self, n: int, q: int, m: int, r: int):
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "q", q)
-        init(self, "m", m)
-        init(self, "r", r)
-
     @property
     def det(self) -> int:
         return self.n * self.r - self.q * self.m
@@ -90,9 +83,7 @@ class Mat2Z(ValueRecord):
         return Mat2Z(d * self.r, -d * self.q, -d * self.m, d * self.n)
 
     def entries(self):
-        return (self.n, self.q, self.m, self.r)
-
-    _fields = entries
+        return self._fields(self)
 
     def __str__(self):
         return f"[{self.n} {self.q}; {self.m} {self.r}]"
@@ -368,10 +359,18 @@ class ImagQuadPoint:
 def fundamental_domain_reduce(tau: ImagQuadPoint):
     """Reduce into the fundamental domain |Re| <= 1/2, |tau| >= 1 (with
     Re > -1/2, and Re >= 0 on the unit circle); returns (reduced, M) with
-    det M = 1 and reduced = M . tau."""
+    det M = 1 and reduced = M . tau.
+
+    Im never decreases in the loop, so each point visited is M . tau with
+    |c tau + d| <= 1 for the bottom row (c, d) of M, and each inversion
+    strictly lowers |c tau + d|.  Up to sign at most 3 floor(1/Im tau) + 1
+    pairs (c, d) qualify, so the loop ends within 3 floor(1/Im tau) + 2
+    iterations; for tau = a + b sqrt(d), Im^2 = b^2 |d| gives
+    floor(1/Im tau) exactly.  Past that bound it is an ArithmeticError."""
+    b = tau.elem.rep[1]
     M = Mat2Z.identity()
     t = tau
-    for _ in range(10000):
+    for _ in range(3 * math.isqrt(1 // (b * b * -tau.field.d)) + 2):
         n = math.ceil(t.re - Fraction(1, 2))
         if n:
             shift = Mat2Z.translation(-n)
@@ -388,7 +387,7 @@ def fundamental_domain_reduce(tau: ImagQuadPoint):
         S = Mat2Z.inversion()
         t = t.apply(S)
         M = S * M
-    raise RuntimeError("fundamental-domain reduction did not terminate")
+    raise ArithmeticError("fundamental-domain reduction passed its iteration bound")
 
 
 # ---------------------------------------------------------------------------
@@ -516,32 +515,9 @@ def brute_force_witness(a: FieldElem, b: FieldElem, bound: int) -> Mat2Z | None:
 class OrbitData(ValueRecord):
     __slots__ = ("representative", "size", "stabilizer_order")
 
-    def __init__(self, representative: str, size: int, stabilizer_order: int):
-        init = object.__setattr__
-        init(self, "representative", representative)
-        init(self, "size", size)
-        init(self, "stabilizer_order", stabilizer_order)
-
-    def _fields(self):
-        return (self.representative, self.size, self.stabilizer_order)
-
 
 class FiniteOrbitReport(ValueRecord):
     __slots__ = ("ell", "ext_degree", "group", "group_order", "orbits", "point_count")
-
-    def __init__(self, ell: int, ext_degree: int, group: str, group_order: int,
-                 orbits: list, point_count: int):
-        init = object.__setattr__
-        init(self, "ell", ell)
-        init(self, "ext_degree", ext_degree)
-        init(self, "group", group)
-        init(self, "group_order", group_order)
-        init(self, "orbits", orbits)
-        init(self, "point_count", point_count)
-
-    def _fields(self):
-        return (self.ell, self.ext_degree, self.group, self.group_order, self.orbits,
-                self.point_count)
 
     @property
     def transitive(self) -> bool:
@@ -682,7 +658,7 @@ def finite_orbits(ell: int, k: int, group: str = "sl") -> FiniteOrbitReport:
         orbits.append(OrbitData(field._str(theta), len(orbit), stab))
     if sum(o.size for o in orbits) != len(points):
         raise ArithmeticError("orbits do not partition the point set")
-    return FiniteOrbitReport(ell, k, group, order, orbits, len(points))
+    return FiniteOrbitReport(ell, k, group, order, tuple(orbits), len(points))
 
 
 class TransitivityReport:

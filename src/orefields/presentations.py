@@ -79,13 +79,7 @@ class CaseSpec(ValueRecord):
                 raise ValueError("alpha must be nonzero")
         elif alpha is not None:
             raise ValueError("the 'q' algebra takes no parameter")
-        init = object.__setattr__
-        init(self, "algebra", algebra)
-        init(self, "field", field)
-        init(self, "alpha", alpha)
-
-    def _fields(self):
-        return (self.algebra, self.field, self.alpha)
+        super().__init__(algebra, field, alpha)
 
     @property
     def classification(self) -> str:
@@ -393,13 +387,12 @@ class Morphism:
         M = self.matrix
         D = self.target.D
         K = D.ctx.field
-        c = self.x_img.coeffs.get(1)
-        scaled = self.x_img.coeffs.keys() == {1} and c.is_constant()
+        c = self.x_img.coeffs[1].constant_rep() if self.x_img.coeffs.keys() == {1} else None
         pending = {}
         for i, fi in f.coeffs.items():
             mapped = fi.to_context(D.ctx).subst_powers((M.r, M.m), (M.q, M.n))
-            if scaled:
-                terms = [(i, mapped, K._pow(c.num[(0, 0)], i))]
+            if c is not None:
+                terms = [(i, mapped, K._pow(c, i))]
             else:
                 terms = [(j, mapped * p, None) for j, p in (self.x_img ** i).coeffs.items()]
             for j, g, w in terms:

@@ -31,7 +31,11 @@ its divisors, never by a gcd against d^2 or a full normalization (see
 `Derivation.__call__`).
 
 Products with a constant factor only scale a numerator: a reduced
-fraction times a unit stays reduced.
+fraction times a unit stays reduced.  `RatFunc2.constant_rep` reads the
+raw rep of a constant and `RatFunc2.scaled` forms such a product, for
+`__mul__`, the one-term sums of `weighted_sum` and the closed forms of
+`orefields.skewpoly`, so no other module reads the numerator and
+denominator dicts.
 
 Laurent elements never need a gcd: the product of two is the product of
 their numerators, a sum of them one merge of their numerators (an n-ary
@@ -52,7 +56,7 @@ from operator import itemgetter
 
 from .fields import (
     Field, FieldElem, FieldError, _coeff_term, _frac_add, _frac_cancel, _frac_monic, _frac_mul,
-    _frac_str, _join_terms, _power, _udivmod, _ugcd, _umul, _usub,
+    _frac_str, _join_terms, _power, _settled, _udivmod, _ugcd, _umul, _usub,
 )
 
 
@@ -425,12 +429,11 @@ class RatFunc2:
         GF(l), and each coefficient of the merge is then made canonical
         once and dropped if it is zero: a Laurent element over 1.  The
         other c add to it pairwise."""
-        ctx = terms[0][0].ctx
-        K = ctx.field
         if len(terms) == 1:
             (c, w), = terms
-            return c if w is None else RatFunc2(ctx, _pscale(K, c.num, w), c.den,
-                                                _normalized=True)
+            return c.scaled(w)
+        ctx = terms[0][0].ctx
+        K = ctx.field
         add, mul, canon = K._accumulator()
         num, others = {}, []
         get = num.get
@@ -443,12 +446,9 @@ class RatFunc2:
                     v = mul(v, w)
                 s = get(ij)
                 num[ij] = v if s is None else add(s, v)
-        zero = K._zero_rep()
-        values = num.values() if canon is None else map(canon, num.values())
-        num = {ij: v for ij, v in zip(num, values) if v != zero}
-        out = RatFunc2(ctx, num, {(0, 0): K._one_rep()}, _normalized=True)
+        out = RatFunc2(ctx, _settled(K, canon, num), {(0, 0): K._one_rep()}, _normalized=True)
         for c, w in others:
-            out = out._combined(RatFunc2.weighted_sum([(c, w)]))
+            out = out._combined(c.scaled(w))
         return out
 
     def __sub__(self, other):
@@ -470,19 +470,15 @@ class RatFunc2:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return self.ctx.zero()
-        # a nonzero constant scales the other numerator (1 returns it); a
-        # reduced fraction times a unit stays reduced, and its denominator
-        # stays monic
-        K = self.ctx.field
-        if self.is_constant() and not o.is_constant():
-            self, o = o, self
-        if o.is_constant():
-            c = o.num[(0, 0)]
-            if c == K._one_rep():
-                return self
-            return RatFunc2(self.ctx, _pscale(K, self.num, c), self.den, _normalized=True)
-        return RatFunc2(self.ctx, *_frac_mul(_PPoly, K, self.num, self.den, o.num, o.den),
-                        _normalized=True)
+        # a nonzero constant scales the other factor (`scaled`)
+        c = o.constant_rep()
+        if c is not None:
+            return self.scaled(c)
+        c = self.constant_rep()
+        if c is not None:
+            return o.scaled(c)
+        return RatFunc2(self.ctx, *_frac_mul(_PPoly, self.ctx.field, self.num, self.den,
+                                             o.num, o.den), _normalized=True)
 
     __rmul__ = __mul__
 
@@ -533,6 +529,22 @@ class RatFunc2:
     def is_constant(self):
         num = self.num
         return _is_one(self.den) and (not num or len(num) == 1 and (0, 0) in num)
+
+    def constant_rep(self):
+        """The raw rep of k of a nonzero constant, None for any other value."""
+        num = self.num
+        if len(num) == 1 and (0, 0) in num and _is_one(self.den):
+            return num[(0, 0)]
+        return None
+
+    def scaled(self, w) -> RatFunc2:
+        """self times the constant with the nonzero raw rep w of k, self
+        itself where w is None or 1: the numerator scaled over the same
+        denominator, since a reduced fraction times a unit stays reduced."""
+        K = self.ctx.field
+        if w is None or w == K._one_rep():
+            return self
+        return RatFunc2(self.ctx, _pscale(K, self.num, w), self.den, _normalized=True)
 
     def constant_value(self) -> FieldElem | None:
         if not self.is_constant():

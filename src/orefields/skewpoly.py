@@ -42,15 +42,21 @@ product or reduction of fractions (`_kx_product`).  In the loop, the test
 for it rides on the one for constant g_j, so the terms of a series
 inverse, whose coefficients are not constant, pay no extra scan.
 
+Coefficients are read only through the surface of `RatFunc2`: the raw rep
+of a constant by `RatFunc2.constant_rep`, and a product with a constant,
+which scales the numerator over the same denominator, by
+`RatFunc2.scaled`.  No dict of a fraction is read or built here.
+
 Products and other operations that have closed forms from the defining
 relations of the extension do not enter the loop, for skew polynomials
 and series alike:
 
 - a product whose right factor has constant coefficients g_j (x^l - x,
   u, u - c, a constant c of k) has only order 0, since D kills each g_j:
-  f_i g_j at x-degree i + j.  One term c x^j scales each f_i by c, with
-  no sum; where every f_i is a constant too, the product is formed on raw
-  reps as above; otherwise the terms of each x-degree are summed once;
+  f_i g_j at x-degree i + j.  One term c x^j scales each f_i by c
+  (`RatFunc2.scaled`), with no sum; where every f_i is a constant too,
+  the product is formed on raw reps as above; otherwise the terms of each
+  x-degree are summed once;
 - a product with a constant c of k on the left is g's coefficients
   scaled by c, since D(c) = 0 makes c central; an int, a Fraction or a
   field element, on either side of a skew polynomial, is read by the
@@ -63,7 +69,7 @@ and series alike:
 - a power of a polynomial whose coefficients are all constants is taken
   in k[x], which is commutative: square and multiply on
   {degree: raw rep} dicts, the sums of each product made with the field's
-  accumulator, as in `_commuting`, and wrapped as coefficients once; in
+  accumulator, as in `_kx_product`, and wrapped as coefficients once; in
   characteristic l, f^l is the Frobenius sum f_i^l x^(i l), so the
   exponent is taken by its base-l digits.
 
@@ -102,8 +108,8 @@ from __future__ import annotations
 
 import math
 
-from .fields import _coeff_term, _frobenius_power, _join_terms, _power
-from .ratfunc import Derivation, RatFunc2, _pscale
+from .fields import _coeff_term, _frobenius_power, _join_terms, _power, _settled
+from .ratfunc import Derivation, RatFunc2
 
 
 def binomial_orders(i: int, ell: int, lowest: int = 0, top: int | None = None):
@@ -347,7 +353,7 @@ def _skew_product(f: dict, g: dict, D: Derivation, floor: int = 0) -> dict:
         if len(gconst) == 1:
             # one constant term c x^j: f x^j scaled by c, with no sum
             (j, c), = gconst.items()
-            return {i + j: _scale(K, fi, c) for i, fi in f.items() if i + j >= floor}
+            return {i + j: fi.scaled(c) for i, fi in f.items() if i + j >= floor}
         fconst = _constants(f)
         if fconst is not None:
             return {k: D.ctx._const(c) for k, c in _kx_product(K, fconst, gconst, floor).items()}
@@ -364,7 +370,7 @@ def _skew_product(f: dict, g: dict, D: Derivation, floor: int = 0) -> dict:
     if f.keys() == {0}:
         # a coefficient on the left: c sum g_j x^j = sum (c g_j) x^j
         c = f[0]
-        return {j: _scale(K, c, gj.num[(0, 0)]) if gj.is_constant() else c * gj
+        return {j: c * gj if (w := gj.constant_rep()) is None else c.scaled(w)
                 for j, gj in g.items() if j >= floor}
     shifted = _shifted(f, g, D, floor=floor)
     return _summed(_terms(f, g, D, {}, 0, floor)) if shifted is None else shifted
@@ -376,9 +382,9 @@ def _constants(f: dict):
     first coefficient that is not a constant."""
     out = {}
     for i, c in f.items():
-        if not c.is_constant():
+        out[i] = rep = c.constant_rep()
+        if rep is None:
             return None
-        out[i] = c.num[(0, 0)]
     return out
 
 
@@ -392,7 +398,8 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
     Each x^i g_j is expanded as sum_s C(i, s) D^s(g_j) x^(i - s + j), at
     the orders s whose binomial does not vanish in the characteristic, and
     only at order 0 where every g_j is constant; where every f_i is
-    constant too, `_commuting` forms that order on raw reps.  D^s(g_j) is
+    constant too, that order is formed on raw reps (`_kx_product`) and
+    appended as one constant per x-degree with weight None.  D^s(g_j) is
     taken only at those orders, each from the one before it by
     `Derivation.power`, not past its first zero and not past the floor.
     Where g_j is an eigenvector of D, D^s(g_j) is not formed: the pair is
@@ -408,14 +415,16 @@ def _terms(f: dict, g: dict, D: Derivation, pending: dict, lowest: int = 0,
         return pending
     K = D.ctx.field
     # the rep of each constant coefficient, None for the others
-    fconst = {i: c.num[(0, 0)] if c.is_constant() else None for i, c in f.items()}
-    gconst = {j: c.num[(0, 0)] if c.is_constant() else None for j, c in g.items()}
+    fconst = {i: c.constant_rep() for i, c in f.items()}
+    gconst = {j: c.constant_rep() for j, c in g.items()}
     # D kills constants, so against constant g_j only order 0 is listed;
     # all the orders of a dense f of degree near l cost more than the product
     const = None not in gconst.values()
     if const and None not in fconst.values():
         if lowest == 0:
-            _commuting(fconst, gconst, D.ctx, pending, floor, top, sign)
+            for k, c in _kx_product(K, fconst, gconst, floor, top).items():
+                pending.setdefault(k, []).append((D.ctx._const(c if sign == 1 else K._neg(c)),
+                                                  None))
         return pending
     gtop = max(g) - floor
     weights = {i: [(s, None if sign * b == 1 else K._from_int(sign * b))
@@ -473,17 +482,6 @@ def _folded(K, w, c):
     return None if wc == K._one_rep() else wc
 
 
-def _commuting(f: dict, g: dict, ctx, pending: dict, floor: int, top: float, sign: int):
-    """The terms of sign * f g for nonzero constants f_i and g_j, given by
-    their raw reps, which commute, so that only order 0 survives: sum
-    f_i g_j at each x-degree k = i + j in [floor, top], formed on raw reps
-    (`_kx_product`) and appended to pending[k] as one constant with weight
-    None, leaving out the k whose terms cancel."""
-    K = ctx.field
-    for k, c in _kx_product(K, f, g, floor, top).items():
-        pending.setdefault(k, []).append((ctx._const(c if sign == 1 else K._neg(c)), None))
-
-
 def _kx_product(K, f: dict, g: dict, floor: int = 0, top: float = math.inf) -> dict:
     """The product of f and g in k[x, x^-1], given and returned as
     {degree: raw rep of k}, at the degrees k in [floor, top]: each sum of
@@ -500,15 +498,6 @@ def _kx_product(K, f: dict, g: dict, floor: int = 0, top: float = math.inf) -> d
                 ab = mul(a, b)
                 sums[k] = add(sums[k], ab) if k in sums else ab
     return _settled(K, canon, sums)
-
-
-def _settled(K, canon, sums: dict) -> dict:
-    """{k: the canonical rep of sums[k]} for values of the accumulator
-    whose canon is given (None where they are canonical already), leaving
-    out the k whose sum is 0."""
-    zero = K._zero_rep()
-    values = sums.values() if canon is None else map(canon, sums.values())
-    return {k: c for k, c in zip(sums, values) if c != zero}
 
 
 def _shifted(f: dict, g: dict, D: Derivation, lowest: int = 0, sign: int = 1, floor: int = 0):
@@ -530,22 +519,22 @@ def _shifted(f: dict, g: dict, D: Derivation, lowest: int = 0, sign: int = 1, fl
         return None
     (j, gj), = g.items()
     key = D.eigenkey(gj)
-    if key is None or not all(c.is_constant() for c in f.values()):
+    reps = None if key is None else _constants(f)
+    if reps is None:
         return None
     K = D.ctx.field
     lam = D._eigenvalue(key)
     cap = 0 if K._is_zero(lam) else math.inf
     add, mul, canon = K._accumulator()
     sums = {}
-    for i, c in f.items():
-        a = c.num[(0, 0)]
+    for i, a in reps.items():
         for s, b in binomial_orders(i, K.char, lowest, min(cap, i + j - floor)):
             v = mul(a, D._eigenvalue(key, s)) if s else a
             if sign * b != 1:
                 v = mul(v, K._from_int(sign * b))
             k = i - s
             sums[k] = add(sums[k], v) if k in sums else v
-    return {k + j: _scale(K, gj, c) for k, c in _settled(K, canon, sums).items()}
+    return {k + j: gj.scaled(c) for k, c in _settled(K, canon, sums).items()}
 
 
 def _kx_power(K, f: dict, n: int) -> dict:
@@ -566,17 +555,7 @@ def _scalar(K, f: dict):
     rep where f is empty), None for any other f."""
     if not f:
         return K._zero_rep()
-    if len(f) > 1 or 0 not in f or not f[0].is_constant():
-        return None
-    return f[0].num[(0, 0)]
-
-
-def _scale(K, c: RatFunc2, w) -> RatFunc2:
-    """c w for a nonzero raw rep w of k: the numerator scaled, the
-    fraction still reduced over the same monic denominator."""
-    if w == K._one_rep():
-        return c
-    return RatFunc2(c.ctx, _pscale(K, c.num, w), c.den, _normalized=True)
+    return f[0].constant_rep() if f.keys() == {0} else None
 
 
 def _scaled(K, f: dict, w, floor: int = 0) -> dict:
@@ -584,7 +563,7 @@ def _scaled(K, f: dict, w, floor: int = 0) -> dict:
     product with a constant."""
     if K._is_zero(w):
         return {}
-    return {i: _scale(K, c, w) for i, c in f.items() if i >= floor}
+    return {i: c.scaled(w) for i, c in f.items() if i >= floor}
 
 
 def _x_bracket(D: Derivation, f1, c, sign: int) -> dict:
@@ -596,16 +575,16 @@ def _x_bracket(D: Derivation, f1, c, sign: int) -> dict:
     if f1 is None or c is None:
         return {}
     K = D.ctx.field
-    if f1.is_constant():
-        w = f1.num[(0, 0)]
+    w = f1.constant_rep()
+    if w is not None:
         if sign != 1:
             w = K._neg(w)
         key = D.eigenkey(c)
         if key is not None:
             lam = D._eigenvalue(key)
-            return {} if K._is_zero(lam) else {0: _scale(K, c, K._mul(w, lam))}
+            return {} if K._is_zero(lam) else {0: c.scaled(K._mul(w, lam))}
         d = D(c)
-        return {} if d.is_zero() else {0: _scale(K, d, w)}
+        return {} if d.is_zero() else {0: d.scaled(w)}
     d = D(c)
     if d.is_zero():
         return {}
@@ -615,13 +594,13 @@ def _x_bracket(D: Derivation, f1, c, sign: int) -> dict:
 
 def _summed(pending: dict) -> dict:
     """{k: the sum of pending[k]}, leaving out the k whose terms cancel; a
-    single term c w, which is nonzero, is c scaled by w (`_scale`), with
-    no sum formed."""
+    single term c w, which is nonzero, is c scaled by w
+    (`RatFunc2.scaled`), with no sum formed."""
     out = {}
     for k, terms in pending.items():
         if len(terms) == 1:
             (c, w), = terms
-            out[k] = c if w is None else _scale(c.ctx.field, c, w)
+            out[k] = c.scaled(w)
             continue
         c = RatFunc2.weighted_sum(terms)
         if not c.is_zero():

@@ -707,7 +707,7 @@ def ref_finite_orbits(ell, k, group="sl", bound=13):
         orbits.append(OrbitData(str(point), len(orbit), stab))
     if sum(o.size for o in orbits) != len(points):
         raise ArithmeticError("orbits do not partition the point set")
-    return FiniteOrbitReport(ell, k, group, order, orbits, len(points))
+    return FiniteOrbitReport(ell, k, group, order, tuple(orbits), len(points))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from _support import ref_floor
+from _support import counting, ref_floor
 from orefields import orbits
 from orefields.fields import FieldElem, GF, QQ, Qsqrt, with_parameter
 from orefields.orbits import (
@@ -174,6 +174,23 @@ class TestFundamentalDomain:
                 again, M2 = fundamental_domain_reduce(red)
                 assert again == red and M2 == Mat2Z.identity()
 
+    def test_iterations_within_the_bound_from_the_imaginary_part(self):
+        """Each iteration of the reduction but the last inverts, so it runs
+        at most (inversions + 1) iterations, which stay within
+        3 floor(1/Im tau) + 2 for points with Im tau down to 10^-4."""
+        rng = random.Random(4417)
+        for _ in range(400):
+            d = rng.choice((-1, -2, -3, -7, -11, -15))
+            K = Qsqrt(d)
+            b = Fraction(rng.randint(1, 9), 10 ** rng.randint(0, 4))     # Im tau >= 10^-4
+            a = Fraction(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 10 ** 3))
+            tau = ImagQuadPoint(FieldElem(K, (a, b)))
+            bound = 3 * math.isqrt(1 // (b * b * -d)) + 2      # exact: Im^2 = b^2 |d|
+            with counting(inversion=Mat2Z.inversion) as calls:
+                red, M = fundamental_domain_reduce(tau)
+            assert red.is_reduced() and homographic(M, tau.elem) == red.elem
+            assert calls["inversion"] + 1 <= bound, (tau, calls["inversion"], bound)
+
     def test_real_input_rejected(self):
         K = Qsqrt(-1)
         with pytest.raises(ValueError):
@@ -284,6 +301,7 @@ class TestFiniteOrbits:
     def test_report_is_an_immutable_value(self):
         a, b = finite_orbits(3, 2, "sl"), finite_orbits(3, 2, "sl")
         assert a is not b and a == b and a != finite_orbits(3, 2, "slpm")
+        assert hash(a) == hash(b)
         with pytest.raises(AttributeError):
             a.orbits = []
         with pytest.raises(AttributeError):

@@ -5,7 +5,7 @@ import pytest
 
 from orefields import presentations
 from orefields.fields import GF, QQ, FieldSpec, Qsqrt, with_parameter
-from orefields.orbits import Mat2Z, OrbitData, homographic
+from orefields.orbits import FiniteOrbitReport, Mat2Z, OrbitData, homographic
 from orefields.presentations import (
     CaseSpec, Morphism, Presentation, UnsupportedCaseError, algebra_make,
     central_element_c, centralizer_pair_check, claimed_center, frobenius_embedding,
@@ -56,6 +56,7 @@ class TestValueRecords:
         (lambda: CaseSpec("g", QQ(), QQ().from_int(2)), "alpha"),
         (lambda: FieldSpec(characteristic=3, ext_degree=2), "ext_degree"),
         (lambda: OrbitData("w", 6, 4), "size"),
+        (lambda: FiniteOrbitReport(3, 2, "sl", 24, (OrbitData("w", 6, 4),), 6), "orbits"),
     ])
     def test_immutable_and_equal_by_value(self, make, field):
         a, b = make(), make()
@@ -73,6 +74,16 @@ class TestValueRecords:
         assert (spec.characteristic, spec.ext_degree, spec.ext_poly, spec.sqrt_d,
                 spec.parameter) == (5, None, None, None, False)
         assert FieldSpec(5) != FieldSpec(5, parameter=True)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Mat2Z(1, 2, 3),
+        lambda: Mat2Z(1, 2, 3, 4, 5),
+        lambda: OrbitData("w", 6),
+        lambda: FiniteOrbitReport(3, 2, "sl", 24, ()),
+    ])
+    def test_wrong_number_of_values(self, make):
+        with pytest.raises(ValueError):
+            make()
 
 
 class TestVerificationRun:

@@ -8,7 +8,7 @@ from orefields.ratfunc import (
     Derivation, FunctionField2, derivation_apply, in_frobenius_subfield,
     log_derivative, scaling_derivation,
 )
-from _support import rand_laurent_monomial, rand_ratfunc
+from _support import REF_FIELDS, rand_laurent_monomial, rand_nonzero, rand_ratfunc, ref_field
 
 
 def d_alpha(ctx, alpha):
@@ -232,3 +232,39 @@ def test_derivation_with_rational_images():
     g = z ** 2 - y
     assert D(f * g) == D(f) * g + f * D(g)
     assert D(f / g) * g * g == D(f) * g - f * D(g)
+
+
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_constant_rep_of_constants_only(name):
+    """constant_rep reads the raw rep of a nonzero constant; zero, a Laurent
+    monomial, a polynomial and a fraction over a non-monomial denominator
+    give None."""
+    K, _ = ref_field(name)
+    ctx = FunctionField2(K)
+    y, z = ctx.gens()
+    rng = random.Random(f"constant-rep-{name}")
+    for _ in range(10):
+        c = rand_nonzero(rng, K)
+        assert ctx.const(c).constant_rep() == c.rep
+        assert ctx.monomial(-1, 2, c).constant_rep() is None
+    for f in (ctx.zero(), y / z, y + 1, (y + z) ** 2, 1 / (y + 1), z / (y * z + 1)):
+        assert f.constant_rep() is None, str(f)
+
+
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_scaled_is_the_product_with_the_constant(name):
+    """f.scaled(w) is f itself for w None or 1; otherwise it equals
+    f * const(w) and keeps f's denominator."""
+    K, _ = ref_field(name)
+    ctx = FunctionField2(K)
+    y, _ = ctx.gens()
+    rng = random.Random(f"scaled-{name}")
+    values = [ctx.zero(), ctx.one(), 1 / (y + 1)]
+    values += [rand_ratfunc(rng, ctx) for _ in range(8)]
+    values += [rand_laurent_monomial(rng, ctx) for _ in range(4)]
+    for f in values:
+        assert f.scaled(None) is f and f.scaled(K._one_rep()) is f
+        for _ in range(3):
+            c = rand_nonzero(rng, K)
+            got = f.scaled(c.rep)
+            assert got == f * ctx.const(c) and got.den == f.den, (str(f), str(c))
